@@ -35,6 +35,7 @@ from .symcoeff import (
     linear_part,
     p_m,
     reduce_to_A012,
+    reduced_c_n,
     s_poly,
     theta,
     to_eisenstein,

@@ -22,7 +22,7 @@ from .jpoly import DecompositionError
 from .precreal import PrecisionError
 from .qseries import a_series, eisenstein_q, eval_mpoly_series, jacobi_p0
 from .reference import run_selftest
-from .symcoeff import c_n, reduce_to_A012, to_eisenstein
+from .symcoeff import c_n, reduced_c_n, to_eisenstein
 from .validate import fj_extract, ratio_check, residual_profile, zero_table
 from .zeros import BracketError
 
@@ -59,9 +59,7 @@ def _emit(doc, csv_text: str | None = None, csv_path: str | None = None) -> None
 
 
 def _cmd_coeff(args) -> int:
-    poly = c_n(args.n)
-    if args.basis in ("a012", "eisenstein"):
-        poly = reduce_to_A012(poly)
+    poly = c_n(args.n) if args.basis == "raw" else reduced_c_n(args.n)
     if args.basis == "eisenstein":
         poly = to_eisenstein(poly)
     _emit(poly.to_json())

@@ -55,10 +55,6 @@ class PrecReal:
         object.__setattr__(self, "value", to_mpf(ctx, value))
         object.__setattr__(self, "precision_bits", precision_bits)
 
-    @classmethod
-    def from_fraction(cls, fr: Fraction, precision_bits: int) -> "PrecReal":
-        return cls(Fraction(fr), precision_bits)
-
     # -- arithmetic with min-precision propagation ----------------------
 
     def _bits_with(self, other) -> int:

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
 from .exactmath import divisor_sigma
 from .precreal import PrecReal, context, to_mpf
@@ -201,35 +202,62 @@ def jacobi_p0_product(trunc: int) -> QSeries:
     return QSeries(coeffs, trunc)
 
 
-def eval_mpoly_series(p, trunc: int) -> QSeries:
-    """Evaluate an A- or E-symbol polynomial into its exact q-series."""
-    family = p.family
+def _mul_int(a: tuple[int, ...], b: tuple[int, ...], trunc: int) -> tuple[int, ...]:
+    """Product of integer coefficient lists, truncated at q^trunc."""
+    out = [0] * (trunc + 1)
+    for i, x in enumerate(a):
+        if x:
+            for k, y in enumerate(b[: trunc + 1 - i], start=i):
+                out[k] += x * y
+    return tuple(out)
+
+
+def _series_base(family: str, i: int, trunc: int) -> QSeries:
     if family == "A":
-        def base(i: int) -> QSeries:
-            return a_series(i, trunc)
-    elif family == "E":
-        def base(i: int) -> QSeries:
-            return eisenstein_q(("E2", "E4", "E6")[i], trunc)
-    else:
+        return a_series(i, trunc)
+    return eisenstein_q(("E2", "E4", "E6")[i], trunc)
+
+
+@lru_cache(maxsize=None)
+def _monomial_series(family: str, exps: tuple, trunc: int) -> tuple[int, ...]:
+    """Integer q-series of one A- or E-monomial, shared across calls.
+
+    Every generator has integer coefficients; the monomial is the one
+    with its last exponent lowered by one, times that generator.
+    """
+    if not exps:
+        return (1,) + (0,) * trunc
+    i = len(exps) - 1
+    unit = (0,) * i + (1,)
+    if exps == unit:
+        return tuple(int(c) for c in _series_base(family, i, trunc).coeffs)
+    lower = exps[:i] + (exps[i] - 1,)
+    while lower and lower[-1] == 0:
+        lower = lower[:-1]
+    return _mul_int(
+        _monomial_series(family, lower, trunc), _monomial_series(family, unit, trunc), trunc
+    )
+
+
+def eval_mpoly_series(p, trunc: int) -> QSeries:
+    """Evaluate an A- or E-symbol polynomial into its exact q-series.
+
+    Monomials are integer series; the rational coefficients enter only
+    in the sum, which runs over their common denominator.
+    """
+    family = p.family
+    if family not in ("A", "E"):
         raise ValueError(f"cannot evaluate symbol family {family!r} as q-series")
-    base_cache: dict[int, QSeries] = {}
-    pow_cache: dict[tuple[int, int], QSeries] = {}
-    acc = QSeries.zero(trunc)
-    for exps, c in p.canonical_terms():
-        term = QSeries.const(c, trunc)
-        for i, e in enumerate(exps):
-            if not e:
-                continue
-            key = (i, e)
-            pw = pow_cache.get(key)
-            if pw is None:
-                b = base_cache.get(i)
-                if b is None:
-                    b = base_cache[i] = base(i)
-                pw = pow_cache[key] = b**e
-            term = term * pw
-        acc = acc + term
-    return acc
+    if trunc < 0:
+        raise ValueError("truncation order must be nonnegative")
+    den = lcm(*(c.denominator for c in p.terms.values()))
+    acc = [0] * (trunc + 1)
+    for exps, c in p.terms.items():
+        scale = c.numerator * (den // c.denominator)
+        for k, v in enumerate(_monomial_series(family, exps, trunc)):
+            if v:
+                acc[k] += scale * v
+    return QSeries([Fraction(v, den) for v in acc], trunc)
 
 
 @dataclass(frozen=True)
@@ -258,9 +286,15 @@ def eval_series_numeric(s: QSeries, q0, precision_bits: int) -> SeriesValue:
 
 
 @lru_cache(maxsize=None)
+def _coefficient_series(i: int, trunc: int) -> QSeries:
+    """Exact q-series of the reduced C_i, shared by every bit count."""
+    from .symcoeff import reduced_c_n
+
+    return eval_mpoly_series(reduced_c_n(i), trunc)
+
+
+@lru_cache(maxsize=None)
 def coefficient_value(i: int, q: Fraction, trunc: int, precision_bits: int) -> PrecReal:
     """Numeric C_i(q) from the reduced coefficient's truncated q-series."""
-    from .symcoeff import c_n, reduce_to_A012
-
-    series = eval_mpoly_series(reduce_to_A012(c_n(i)), trunc)
+    series = _coefficient_series(i, trunc)
     return eval_series_numeric(series, Fraction(q), precision_bits).value

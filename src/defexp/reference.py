@@ -19,7 +19,7 @@ from .symcoeff import (
     c_symbol,
     linear_part,
     p_m,
-    reduce_to_A012,
+    reduced_c_n,
     s_poly,
 )
 
@@ -185,7 +185,7 @@ def run_selftest() -> list[dict]:
         got = c_n(n)
         check(f"c{n}-raw", got == want, f"got {got!r}")
     for n, want in REFERENCE_C_REDUCED.items():
-        got = reduce_to_A012(c_n(n))
+        got = reduced_c_n(n)
         check(f"c{n}-reduced", got == want, f"got {got!r}")
 
     check("p2", p_m(2) == REFERENCE_P2, repr(p_m(2)))
@@ -209,8 +209,8 @@ def run_selftest() -> list[dict]:
     t2_detail = ""
     for n in range(2, 7):
         odd, even = bernoulli_linear_parts(n)
-        got_odd = linear_part(reduce_to_A012(c_n(2 * n - 1)))
-        got_even = linear_part(reduce_to_A012(c_n(2 * n)))
+        got_odd = linear_part(reduced_c_n(2 * n - 1))
+        got_even = linear_part(reduced_c_n(2 * n))
         if got_odd != odd or got_even != even:
             t2_ok = False
             t2_detail = f"n={n}: {got_odd} vs {odd}; {got_even} vs {even}"

@@ -9,18 +9,20 @@ converts to and from the Eisenstein generators E_2, E_4, E_6.
 Two independent routes produce the kernel coefficients:
 
 * s_poly assembles S_i(n) from the Delta(N, m) blocks with the
-  composition-sum bookkeeping, and c_n consumes them;
+  composition-sum bookkeeping, in the symbols C_1, C_2, ...;
 * kernel_expand multiplies the kernel factors out as literal truncated
   power series and reads the x^(n-1) coefficient off directly.
 
 Tests compare the two term-for-term; that cross-check is what certifies
-the index bookkeeping in s_poly.
+the index bookkeeping in s_poly.  c_n runs the same bookkeeping (one
+shared loop over the Delta blocks) on compositions built directly in
+the A-ring, so each product of lower coefficients is formed only once.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import zip_longest
+from operator import add
 
 from .exactmath import gen_binomial
 from .jpoly import (
@@ -46,6 +48,7 @@ __all__ = [
     "linear_part",
     "p_m",
     "reduce_to_A012",
+    "reduced_c_n",
     "s_poly",
     "theta",
     "to_eisenstein",
@@ -58,10 +61,31 @@ _FAMILIES = ("A", "C", "E", "a")
 
 
 def _add_exps(e1: tuple, e2: tuple) -> tuple:
-    out = tuple(a + b for a, b in zip_longest(e1, e2, fillvalue=0))
-    while out and out[-1] == 0:
-        out = out[:-1]
-    return out
+    # trimmed tuples of nonnegative exponents: the sum stays trimmed
+    if len(e1) < len(e2):
+        e1, e2 = e2, e1
+    if not e2:
+        return e1
+    return tuple(map(add, e1, e2)) + e1[len(e2) :]
+
+
+def _add_product(out: dict, t1: dict, t2: dict, scale=1) -> None:
+    """out += scale * t1 * t2 on term dicts; zero entries may remain."""
+    for e1, c1 in t1.items():
+        if scale != 1:
+            c1 = c1 * scale
+        for e2, c2 in t2.items():
+            e = _add_exps(e1, e2)
+            cur = out.get(e)
+            out[e] = c1 * c2 if cur is None else cur + c1 * c2
+
+
+def _add_scaled(out: dict, terms: dict, scale=1) -> None:
+    """out += scale * terms on term dicts; zero entries may remain."""
+    for e, c in terms.items():
+        cur = out.get(e)
+        c = c * scale if scale != 1 else c
+        out[e] = c if cur is None else cur + c
 
 
 class MPoly:
@@ -97,6 +121,14 @@ class MPoly:
     # -- constructors ---------------------------------------------------
 
     @classmethod
+    def _from_terms(cls, family: str, terms: dict) -> "MPoly":
+        """Wrap a dict of trimmed exponents, dropping zero coefficients."""
+        p = object.__new__(cls)
+        p.family = family
+        p.terms = {e: c for e, c in terms.items() if c}
+        return p
+
+    @classmethod
     def zero(cls, family: str) -> "MPoly":
         return cls(family, {})
 
@@ -114,9 +146,6 @@ class MPoly:
 
     def is_zero(self) -> bool:
         return not self.terms
-
-    def total_degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=0)
 
     def max_index(self) -> int:
         """Largest symbol slot actually used; -1 for constants."""
@@ -153,14 +182,13 @@ class MPoly:
         if o is None:
             return NotImplemented
         out = dict(self.terms)
-        for e, c in o.terms.items():
-            out[e] = out.get(e, Fraction(0)) + c
-        return MPoly(self.family, out)
+        _add_scaled(out, o.terms)
+        return MPoly._from_terms(self.family, out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "MPoly":
-        return MPoly(self.family, {e: -c for e, c in self.terms.items()})
+        return MPoly._from_terms(self.family, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -176,11 +204,8 @@ class MPoly:
         if o is None:
             return NotImplemented
         out: dict[tuple, Fraction] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in o.terms.items():
-                e = _add_exps(e1, e2)
-                out[e] = out.get(e, Fraction(0)) + c1 * c2
-        return MPoly(self.family, out)
+        _add_product(out, self.terms, o.terms)
+        return MPoly._from_terms(self.family, out)
 
     __rmul__ = __mul__
 
@@ -206,38 +231,48 @@ class MPoly:
     def __hash__(self):
         return hash((self.family, frozenset(self.terms.items())))
 
-    def substitute(self, mapping: dict[int, "MPoly"], family: str | None = None) -> "MPoly":
+    def substitute(
+        self,
+        mapping: dict[int, "MPoly"],
+        family: str | None = None,
+        powers: dict[tuple[int, int], "MPoly"] | None = None,
+    ) -> "MPoly":
         """Replace symbol slot i by mapping[i]; unmapped slots stay put.
 
         When the replacement polynomials live in a different family, pass
-        it as `family`; then every slot that occurs must be mapped.
+        it as `family`; then every slot that occurs must be mapped.  Terms
+        that share their mapped exponents are summed before the product
+        of replacement powers is applied.  `powers` caches mapping[i]**e
+        under (i, e); pass the same dict only with the same mapping.
         """
         out_family = family or self.family
-        acc = MPoly.zero(out_family)
-        pow_cache: dict[tuple[int, int], MPoly] = {}
+        for repl in mapping.values():
+            if repl.family != out_family:
+                raise ValueError("replacement family mismatch")
+        if powers is None:
+            powers = {}
+        groups: dict[tuple, dict[tuple, Fraction]] = {}
         for exps, c in self.terms.items():
-            term = MPoly.const(out_family, c)
-            for i, e in enumerate(exps):
-                if not e:
-                    continue
-                if i in mapping:
-                    key = (i, e)
-                    p = pow_cache.get(key)
-                    if p is None:
-                        repl = mapping[i]
-                        if repl.family != out_family:
-                            raise ValueError("replacement family mismatch")
-                        p = pow_cache[key] = repl**e
-                else:
-                    if out_family != self.family:
-                        raise ValueError(f"symbol slot {i} not mapped across families")
-                    key = (i, e)
-                    p = pow_cache.get(key)
-                    if p is None:
-                        p = pow_cache[key] = MPoly.symbol(out_family, i) ** e
-                term = term * p
-            acc = acc + term
-        return acc
+            moved = tuple((i, e) for i, e in enumerate(exps) if e and i in mapping)
+            kept = exps
+            if moved:
+                kept = tuple(0 if i in mapping else e for i, e in enumerate(exps))
+                while kept and kept[-1] == 0:
+                    kept = kept[:-1]
+            if kept and out_family != self.family:
+                slot = next(i for i, e in enumerate(kept) if e)
+                raise ValueError(f"symbol slot {slot} not mapped across families")
+            groups.setdefault(moved, {})[kept] = c
+        out: dict[tuple, Fraction] = {}
+        for moved, kept_terms in groups.items():
+            if not moved:
+                _add_scaled(out, kept_terms)
+                continue
+            prod = _power(powers, mapping, *moved[0])
+            for i, e in moved[1:]:
+                prod = prod * _power(powers, mapping, i, e)
+            _add_product(out, kept_terms, prod.terms)
+        return MPoly._from_terms(out_family, out)
 
     # -- presentation ---------------------------------------------------
 
@@ -267,6 +302,15 @@ class MPoly:
             )
             parts.append(f"({c})" + (f"*{syms}" if syms else ""))
         return " + ".join(parts)
+
+
+def _power(powers: dict, mapping: dict, i: int, e: int) -> MPoly:
+    """mapping[i]**e, memoised in `powers` with every lower power."""
+    p = powers.get((i, e))
+    if p is None:
+        p = mapping[i] if e == 1 else _power(powers, mapping, i, e - 1) * mapping[i]
+        powers[(i, e)] = p
+    return p
 
 
 def a_symbol(i: int) -> MPoly:
@@ -326,6 +370,8 @@ _A3_CLOSURE = MPoly(
 )
 
 _closure_cache: dict[int, MPoly] = {3: _A3_CLOSURE}
+#: reduced powers A_i^e (i >= 3) keyed by (i, e), shared by every reduction
+_closure_powers: dict[tuple[int, int], MPoly] = {}
 
 
 def _a_closure(n: int) -> MPoly:
@@ -344,7 +390,8 @@ def reduce_to_A012(p: MPoly) -> MPoly:
     mx = p.max_index()
     if mx <= 2:
         return p
-    return p.substitute({i: _a_closure(i) for i in range(3, mx + 1)})
+    closure = {i: _a_closure(i) for i in range(3, mx + 1)}
+    return p.substitute(closure, powers=_closure_powers)
 
 
 def linear_part(p: MPoly) -> tuple[Fraction, Fraction, Fraction]:
@@ -419,19 +466,20 @@ def from_eisenstein(p: MPoly) -> MPoly:
 class CoeffTable:
     """Memoized tables: the multipliers P_i, the S_i(n) and the C_n.
 
-    P_1 = A_0 and P_{m+1} = theta(P_m) - 3 A_0 P_m.  The S_i(n) are
-    assembled from the Delta blocks; the recursion
+    P_1 = A_0 and P_{m+1} = theta(P_m) - 3 A_0 P_m.  The recursion
 
         C_n = -S_0(n) + sum_{i=1}^{n} 3 * 2^i * S_i(n) * P_i
 
-    (with C_1..C_{n-1} substituted into the S-polynomials) then yields
-    C_n as a polynomial in A_0..A_{n-1}.
+    takes S_i(n) with C_1..C_{n-1} substituted, i.e. assembled from the
+    A-ring compositions of the lower coefficients; it yields C_n as a
+    polynomial in A_0..A_{n-1}.
     """
 
     def __init__(self):
         self._p: list[MPoly | None] = [None]
         self._s: dict[tuple[int, int], MPoly] = {}
         self._comp: dict[tuple[int, int], MPoly] = {}
+        self._comp_a: dict[tuple[int, int], MPoly] = {}
         self._c: list[MPoly | None] = [None]
 
     def p(self, m: int) -> MPoly:
@@ -447,47 +495,20 @@ class CoeffTable:
 
     def _compositions(self, m: int, d: int) -> MPoly:
         """Sum of C_{i_1} ... C_{i_m} over i_1 + ... + i_m = d, i_l >= 1."""
-        key = (m, d)
-        cached = self._comp.get(key)
-        if cached is not None:
-            return cached
-        if m == 0:
-            res = MPoly.const("C", 1) if d == 0 else MPoly.zero("C")
-        elif d < m:
-            res = MPoly.zero("C")
-        else:
-            acc = MPoly.zero("C")
-            for i in range(1, d - m + 2):
-                acc = acc + c_symbol(i) * self._compositions(m - 1, d - i)
-            res = acc
-        self._comp[key] = res
-        return res
+        return _composition(self._comp, "C", c_symbol, m, d)
+
+    def _compositions_a(self, m: int, d: int) -> MPoly:
+        """The same sum with each C_i replaced by its A-polynomial."""
+        return _composition(self._comp_a, "A", self.c, m, d)
 
     def s(self, i: int, n: int) -> MPoly:
-        """S_i(n) as a polynomial in the symbols C_1..C_{n-1}.
-
-        S_i(n) = [u v^i] Delta(n+1, 0)
-               + sum_{N=3}^{n+1} sum_{m=1}^{floor(N/2)}
-                   ([u v^i] Delta(N, m) + [u v^i] Delta(N-2, m-1))
-                   * sum_{i_1+...+i_m = n-N+m+1, i_l >= 1} C_{i_1}...C_{i_m}
-        """
+        """S_i(n) as a polynomial in the symbols C_1..C_{n-1}."""
         if n < 1 or not 0 <= i <= n:
             raise ValueError(f"S indices need 1 <= n and 0 <= i <= n, got i={i}, n={n}")
-        key = (i, n)
-        cached = self._s.get(key)
-        if cached is not None:
-            return cached
-        acc = MPoly.const("C", delta(n + 1, 0).coeff(i))
-        for n_order in range(3, n + 2):
-            for m in range(1, n_order // 2 + 1):
-                w = delta(n_order, m).coeff(i) + delta(n_order - 2, m - 1).coeff(i)
-                if not w:
-                    continue
-                d = n - n_order + m + 1
-                if d >= m:
-                    acc = acc + w * self._compositions(m, d)
-        self._s[key] = acc
-        return acc
+        if (i, n) not in self._s:
+            for j, poly in enumerate(_assemble_s(n, "C", self._compositions)):
+                self._s[(j, n)] = poly
+        return self._s[(i, n)]
 
     def c(self, n: int) -> MPoly:
         """C_n as a polynomial in A_0..A_{n-1}."""
@@ -495,22 +516,72 @@ class CoeffTable:
             raise ValueError("C index starts at 1")
         while len(self._c) <= n:
             m = len(self._c)
-            lower = {t: self._c[t + 1] for t in range(m - 1)}
-
-            def in_a(poly: MPoly) -> MPoly:
-                return poly.substitute(lower, family="A")
-
-            total = -in_a(self.s(0, m))
+            s_a = _assemble_s(m, "A", self._compositions_a)
+            out = {e: -c for e, c in s_a[0].terms.items()}
             for i in range(1, m + 1):
-                si = self.s(i, m)
-                if si.is_zero():
-                    continue
-                total = total + (3 * 2**i) * in_a(si) * self.p(i)
-            self._c.append(total)
+                _add_product(out, s_a[i].terms, self.p(i).terms, 3 * 2**i)
+            self._c.append(MPoly._from_terms("A", out))
         return self._c[n]
 
 
+def _assemble_s(n: int, family: str, comp_of) -> list[MPoly]:
+    """S_0(n), ..., S_n(n) from the compositions comp_of(m, d) of one family.
+
+    The single loop over the Delta blocks, shared by the C-symbol and the
+    A-ring route:
+
+    S_i(n) = [u v^i] Delta(n+1, 0)
+           + sum_{N=3}^{n+1} sum_{m=1}^{floor(N/2)}
+               ([u v^i] Delta(N, m) + [u v^i] Delta(N-2, m-1))
+               * sum_{i_1+...+i_m = n-N+m+1, i_l >= 1} C_{i_1}...C_{i_m}
+    """
+    head = delta(n + 1, 0)
+    acc: list[dict] = [{(): head.coeff(i)} for i in range(n + 1)]
+    for n_order in range(3, n + 2):
+        for m in range(1, n_order // 2 + 1):
+            d = n - n_order + m + 1
+            if d < m:
+                continue
+            outer, inner = delta(n_order, m), delta(n_order - 2, m - 1)
+            block = None
+            for i in range(n + 1):
+                w = outer.coeff(i) + inner.coeff(i)
+                if w:
+                    if block is None:
+                        block = comp_of(m, d)
+                    _add_scaled(acc[i], block.terms, w)
+    return [MPoly._from_terms(family, terms) for terms in acc]
+
+
+def _composition(memo: dict, family: str, coeff, m: int, d: int) -> MPoly:
+    """Sum of coeff(i_1) ... coeff(i_m) over i_1 + ... + i_m = d, i_l >= 1.
+
+    Built by peeling off the first factor, so comp(m, d) needs coeff(i)
+    only for i <= d - m + 1; memoised in `memo` under (m, d).
+    """
+    key = (m, d)
+    cached = memo.get(key)
+    if cached is not None:
+        return cached
+    if m == 0:
+        res = MPoly.const(family, 1) if d == 0 else MPoly.zero(family)
+    elif d < m:
+        res = MPoly.zero(family)
+    elif m == 1:
+        res = coeff(d)
+    else:
+        out: dict[tuple, Fraction] = {}
+        for i in range(1, d - m + 2):
+            rest = _composition(memo, family, coeff, m - 1, d - i)
+            _add_product(out, coeff(i).terms, rest.terms)
+        res = MPoly._from_terms(family, out)
+    memo[key] = res
+    return res
+
+
 _table = CoeffTable()
+#: reduced C_n keyed by n, each reduced once per process
+_reduced: dict[int, MPoly] = {}
 
 
 def p_m(m: int) -> MPoly:
@@ -526,6 +597,14 @@ def s_poly(i: int, n: int) -> MPoly:
 def c_n(n: int) -> MPoly:
     """The expansion coefficient C_n, raw form in A_0..A_{n-1}."""
     return _table.c(n)
+
+
+def reduced_c_n(n: int) -> MPoly:
+    """C_n rewritten in Q[A_0, A_1, A_2] (memoised reduce_to_A012(c_n(n)))."""
+    p = _reduced.get(n)
+    if p is None:
+        p = _reduced[n] = reduce_to_A012(c_n(n))
+    return p
 
 
 # ---------------------------------------------------------------------------

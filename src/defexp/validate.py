@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from .precreal import PrecReal, context, to_mpf
 from .qseries import coefficient_value, eval_mpoly_series
-from .symcoeff import MPoly, c_n, reduce_to_A012
+from .symcoeff import MPoly, c_n, reduced_c_n
 from .zeros import ZeroResult, find_zero, required_precision
 
 __all__ = [
@@ -189,7 +189,7 @@ def fj_extract(i_max: int, j_max: int, k_report: int = 20) -> FjTable:
         raise ValueError("table bounds must be positive")
     rows = []
     for i in range(1, i_max + 1):
-        series = eval_mpoly_series(reduce_to_A012(c_n(i)), j_max)
+        series = eval_mpoly_series(reduced_c_n(i), j_max)
         rows.append(tuple(series.coeff(j) for j in range(j_max + 1)))
     negatives = []
     for j in range(1, j_max + 1):

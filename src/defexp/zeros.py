@@ -152,9 +152,9 @@ def find_zero(
     symmetric relative bracket of half-width k^(-n_guess-2) doubles until
     f changes sign, capped at 1/(4k) (beyond that a neighbouring zero
     could be captured); failure raises BracketError and the caller
-    should fall back to scan_zeros.  Bisection narrows to ~60 bits, then
-    Newton steps x -= f(x)/f(qx) finish at full precision (f' = f(q x)
-    by the defining functional equation).
+    should fall back to scan_zeros.  Bisection narrows to ~60 bits (at
+    most bits - 8), then Newton steps x -= f(x)/f(qx) finish at full
+    precision (f' = f(q x) by the defining functional equation).
     """
     if k < 1:
         raise ValueError("zero index starts at 1")
@@ -186,9 +186,10 @@ def find_zero(
         delta = min(delta * 2, delta_max)
     bracket = (PrecReal(lo, bits), PrecReal(hi, bits))
 
-    # bisection to roughly 60 correct bits
+    # bisection to roughly 60 correct bits, or 8 below the working
+    # precision when that is lower (rounded midpoints get no closer)
     a, b, fa = lo, hi, flo
-    coarse = abs(guess) * ctx.mpf(2) ** (-60)
+    coarse = abs(guess) * ctx.mpf(2) ** (-min(60, bits - 8))
     while (b - a) > coarse:
         mid = (a + b) / 2
         fm = f(mid)

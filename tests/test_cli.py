@@ -1,6 +1,7 @@
 """The command surface: JSON documents, exit codes, determinism."""
 
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
@@ -180,3 +181,20 @@ def test_installed_entry_point_round_trip():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout) == eisenstein_q("E2", 3).to_json()
+
+
+def test_low_precision_zeros_call_ends():
+    """DEFEXP_PRECISION below ~62 bits once left the bisection running forever."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "defexp", "zeros", "--q", "1/2", "--k", "10"],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, DEFEXP_PRECISION="48"),
+        timeout=60,
+    )
+    doc = json.loads(proc.stdout)
+    if proc.returncode == 1:
+        assert set(doc) == {"code", "message"}
+    else:
+        assert proc.returncode == 0, proc.stderr
+        assert [(z["k"], z["precision_bits"]) for z in doc] == [(10, 48)]

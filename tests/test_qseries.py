@@ -22,6 +22,7 @@ from defexp.symcoeff import (
     c_n,
     from_eisenstein,
     reduce_to_A012,
+    reduced_c_n,
     to_eisenstein,
 )
 
@@ -165,3 +166,41 @@ def test_eval_mpoly_series_is_multiplicative():
     lhs = eval_mpoly_series(p * r, 25)
     rhs = eval_mpoly_series(p, 25) * eval_mpoly_series(r, 25)
     assert lhs == rhs
+
+
+def series_by_ring_ops(p, trunc):
+    """The q-series of p from QSeries sums and products of the generators."""
+    if p.family == "A":
+        gens = [a_series(i, trunc) for i in range(p.max_index() + 1)]
+    else:
+        gens = [eisenstein_q(name, trunc) for name in ("E2", "E4", "E6")]
+    acc = QSeries.zero(trunc)
+    for exps, c in p.terms.items():
+        term = QSeries.const(c, trunc)
+        for i, e in enumerate(exps):
+            term = term * gens[i] ** e
+        acc = acc + term
+    return acc
+
+
+@pytest.mark.parametrize("n", [4, 6])
+def test_eval_mpoly_series_matches_ring_ops(n):
+    for p in (c_n(n), reduced_c_n(n), to_eisenstein(reduced_c_n(n))):
+        for trunc in (0, 7, 25):
+            assert eval_mpoly_series(p, trunc) == series_by_ring_ops(p, trunc)
+
+
+def test_eval_mpoly_series_rejects_negative_truncation():
+    for p in (MPoly.const("E", 3), MPoly.symbol("A", 1)):
+        with pytest.raises(ValueError):
+            eval_mpoly_series(p, -1)
+
+
+def test_coefficient_value_is_horner_on_the_reduced_series():
+    q0 = Fraction(3, 7)
+    for bits in (64, 128):
+        series = eval_mpoly_series(reduce_to_A012(c_n(3)), 60)
+        want = eval_series_numeric(series, q0, bits).value
+        got = coefficient_value(3, q0, 60, bits)
+        assert got.precision_bits == want.precision_bits == bits
+        assert got.value == want.value

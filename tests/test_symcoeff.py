@@ -19,6 +19,7 @@ from defexp.symcoeff import (
     linear_part,
     p_m,
     reduce_to_A012,
+    reduced_c_n,
     s_poly,
     theta,
     to_eisenstein,
@@ -107,6 +108,44 @@ def test_c_n_raw_reference(n):
 @pytest.mark.parametrize("n", sorted(REFERENCE_C_REDUCED))
 def test_c_n_reduced_reference(n):
     assert reduce_to_A012(c_n(n)) == REFERENCE_C_REDUCED[n]
+
+
+def c_symbol_route(n):
+    """C_n from the certified S-polynomials: C_j -> c_n(j) substituted."""
+    lower = {j - 1: c_n(j) for j in range(1, n)}
+
+    def sigma(p):
+        return p.substitute(lower, family="A")
+
+    total = -sigma(s_poly(0, n))
+    for i in range(1, n + 1):
+        total = total + (3 * 2**i) * sigma(s_poly(i, n)) * p_m(i)
+    return total
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_a_ring_route_matches_c_symbol_route(n):
+    """c_n composes in the A-ring; kernel_expand certifies s_poly only."""
+    assert c_n(n) == c_symbol_route(n)
+
+
+def weight(exps):
+    """A_i has weight 2i + 2."""
+    return sum((2 * i + 2) * e for i, e in enumerate(exps))
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_weight_filtration(n):
+    weights = [weight(e) for e in reduced_c_n(n).terms]
+    assert max(weights) == 2 * n  # bounded by 2n, top part not empty
+    assert min(weights) == (2 if n % 2 else 4)
+    raw_top = [e for e in c_n(n).terms if weight(e) == 2 * n]
+    assert len(raw_top) == 1
+
+
+def test_reduced_c_n_is_memoised_reduction():
+    assert reduced_c_n(7) == reduce_to_A012(c_n(7))
+    assert reduced_c_n(7) is reduced_c_n(7)
 
 
 def test_p_chain_reference_and_recursion():

@@ -127,6 +127,17 @@ def test_find_zero_explicit_precision_override():
     assert z.precision_bits == 200
 
 
+@pytest.mark.parametrize("bits", [16, 32, 48, 61])
+def test_find_zero_below_sixty_bits_ends_near_the_zero(bits):
+    """The bisection stop width follows the working precision; a fixed
+    2^-60 width could never be reached by rounded midpoints."""
+    ref = find_zero(10, Q_HALF)
+    z = find_zero(10, Q_HALF, precision_bits=bits)
+    assert z.precision_bits == bits
+    rel = abs((z.x.value - ref.x.value) / ref.x.value)
+    assert rel < 2.0 ** (8 - bits)
+
+
 def test_find_zero_rejects_bad_index():
     with pytest.raises(ValueError):
         find_zero(0, Q_HALF)
