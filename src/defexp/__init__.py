@@ -27,7 +27,6 @@ from .jpoly import (
     uv_decompose,
 )
 from .symcoeff import (
-    CoeffTable,
     MPoly,
     c_n,
     from_eisenstein,
@@ -49,7 +48,7 @@ from .qseries import (
     jacobi_p0,
     jacobi_p0_product,
 )
-from .precreal import PrecisionError, PrecReal
+from .precreal import PrecReal
 from .zeros import (
     BracketError,
     ZeroResult,

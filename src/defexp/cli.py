@@ -3,8 +3,14 @@
 Verbs: coeff, reduce, eisenstein, series, zeros, residuals, ratio, fj,
 selftest.  Structured output goes to stdout with stable key order and
 fixed decimal rendering, so identical invocations are byte-identical
-and CI can diff them; diagnostics go to stderr.  Exit codes: 0 success,
-1 computation failure (JSON error object on stdout), 2 argument errors.
+and CI can diff them; diagnostics go to stderr.  Exit codes:
+
+* 0 success;
+* 1 computation failure, with a JSON error object {"code": ...,
+  "message": ...} on stdout, the code being "bracket-failure" or
+  "decomposition-error";
+* 2 argument errors, with the message on stderr.
+
 The environment variable DEFEXP_PRECISION (integer bits) overrides the
 default working precision of the numeric verbs.
 """
@@ -19,7 +25,6 @@ import sys
 from fractions import Fraction
 
 from .jpoly import DecompositionError
-from .precreal import PrecisionError
 from .qseries import a_series, eisenstein_q, eval_mpoly_series, jacobi_p0
 from .reference import run_selftest
 from .symcoeff import c_n, reduced_c_n, to_eisenstein
@@ -204,7 +209,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 _ERROR_CODES = (
     (BracketError, "bracket-failure"),
-    (PrecisionError, "insufficient-precision"),
     (DecompositionError, "decomposition-error"),
 )
 
@@ -214,13 +218,14 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    # structured errors first: DecompositionError is also a ValueError
     except tuple(t for t, _ in _ERROR_CODES) as exc:
         code = next(c for t, c in _ERROR_CODES if isinstance(exc, t))
         _emit({"code": code, "message": str(exc)})
         return 1
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

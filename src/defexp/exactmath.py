@@ -1,9 +1,9 @@
 """Exact scalar arithmetic: Bernoulli numbers, binomials, divisor sums.
 
-All quantities are exact rationals (`fractions.Fraction`).  Rationals
-serialize as the string ``"p/q"`` in lowest terms with the sign on the
-numerator, which is exactly what ``str(Fraction)`` produces and
-``Fraction(str)`` parses back.
+All quantities are exact rationals (`fractions.Fraction`).  Wherever the
+package writes a rational out, it is ``str(Fraction)``: ``"p/q"`` in
+lowest terms with the sign on the numerator, which ``Fraction(str)``
+parses back.
 """
 
 from __future__ import annotations
@@ -12,27 +12,11 @@ from fractions import Fraction
 from math import comb, factorial, isqrt
 
 __all__ = [
-    "Rational",
     "bernoulli",
     "divisor_sigma",
     "gen_binomial",
-    "parse_rational",
     "power_sum_poly",
-    "rational_str",
 ]
-
-Rational = Fraction
-
-
-def rational_str(r: Fraction) -> str:
-    """Canonical string form of a rational, e.g. ``-691/2730`` or ``3``."""
-    return str(Fraction(r))
-
-
-def parse_rational(s: str) -> Fraction:
-    """Inverse of rational_str; also accepts plain integers and decimals."""
-    return Fraction(s)
-
 
 _bernoulli_cache: list[Fraction] = [Fraction(1)]
 

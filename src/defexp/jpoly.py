@@ -26,7 +26,6 @@ __all__ = [
     "delta",
     "g_coeff",
     "h_coeff",
-    "jpoly_from_json",
     "q_poly",
     "sigma_poly",
     "uv_decompose",
@@ -130,36 +129,8 @@ class JPoly:
             acc = acc * x + c
         return acc
 
-    def divmod(self, other: "JPoly") -> tuple["JPoly", "JPoly"]:
-        """Exact polynomial long division: self = q*other + r."""
-        if not other:
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        dq = len(rem) - len(other.coeffs)
-        if dq < 0:
-            return JPoly(), self
-        quot = [Fraction(0)] * (dq + 1)
-        lead = other.coeffs[-1]
-        for k in range(dq, -1, -1):
-            c = rem[k + other.degree] / lead
-            quot[k] = c
-            if c:
-                for i, b in enumerate(other.coeffs):
-                    rem[k + i] -= c * b
-        return JPoly(quot), JPoly(rem)
-
-    def is_divisible_by(self, other: "JPoly") -> bool:
-        return not self.divmod(other)[1]
-
-    def to_json(self) -> list[str]:
-        return [str(c) for c in self.coeffs]
-
     def __repr__(self) -> str:
         return f"JPoly({[str(c) for c in self.coeffs]})"
-
-
-def jpoly_from_json(data) -> JPoly:
-    return JPoly(tuple(Fraction(s) for s in data))
 
 
 #: the variable j itself
@@ -206,9 +177,6 @@ class UVForm:
         for c in reversed(self.vcoeffs):
             acc = acc * V_POLY + c
         return U_POLY * acc
-
-    def to_json(self) -> dict:
-        return {"u_times": [str(c) for c in self.vcoeffs]}
 
     def __repr__(self) -> str:
         return f"UVForm({[str(c) for c in self.vcoeffs]})"

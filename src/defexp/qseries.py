@@ -9,7 +9,6 @@ Jacobi's cube P0 = prod (1-q^n)^3 = sum (-1)^(j-1) (2j-1) q^(j(j-1)/2).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
@@ -19,7 +18,6 @@ from .precreal import PrecReal, context, to_mpf
 
 __all__ = [
     "QSeries",
-    "SeriesValue",
     "a_series",
     "coefficient_value",
     "eisenstein_q",
@@ -27,8 +25,10 @@ __all__ = [
     "eval_series_numeric",
     "jacobi_p0",
     "jacobi_p0_product",
-    "qseries_from_json",
 ]
+
+#: q-series truncation behind every numeric C_i(q)
+SERIES_TRUNC = 60
 
 
 class QSeries:
@@ -60,11 +60,6 @@ class QSeries:
         if not 0 <= m <= self.trunc:
             raise IndexError(f"order {m} outside truncation {self.trunc}")
         return self.coeffs[m]
-
-    def truncate(self, new_trunc: int) -> "QSeries":
-        if new_trunc > self.trunc:
-            raise ValueError("cannot extend a truncated series")
-        return QSeries(self.coeffs[: new_trunc + 1], new_trunc)
 
     # -- ring operations, always at the weaker truncation ----------------
 
@@ -142,10 +137,6 @@ class QSeries:
         shown = ", ".join(str(c) for c in self.coeffs[:8])
         more = ", ..." if self.trunc >= 8 else ""
         return f"QSeries([{shown}{more}], trunc={self.trunc})"
-
-
-def qseries_from_json(data) -> QSeries:
-    return QSeries([Fraction(s) for s in data["coeffs"]], data["trunc"])
 
 
 def a_series(i: int, trunc: int) -> QSeries:
@@ -260,20 +251,8 @@ def eval_mpoly_series(p, trunc: int) -> QSeries:
     return QSeries([Fraction(v, den) for v in acc], trunc)
 
 
-@dataclass(frozen=True)
-class SeriesValue:
-    """Numeric value of a truncated series plus a crude tail estimate."""
-
-    value: PrecReal
-    tail_estimate: PrecReal
-
-
-def eval_series_numeric(s: QSeries, q0, precision_bits: int) -> SeriesValue:
-    """Horner evaluation at 0 < q0 < 1 with the given working precision.
-
-    The tail estimate |c_N| q0^(N+1)/(1-q0) is diagnostic only: it
-    treats the dropped coefficients as if frozen at the last kept one.
-    """
+def eval_series_numeric(s: QSeries, q0, precision_bits: int) -> PrecReal:
+    """Horner evaluation at 0 < q0 < 1 with the given working precision."""
     ctx = context(precision_bits)
     qv = to_mpf(ctx, Fraction(q0) if isinstance(q0, (int, str)) else q0)
     if not 0 < qv < 1:
@@ -281,8 +260,7 @@ def eval_series_numeric(s: QSeries, q0, precision_bits: int) -> SeriesValue:
     acc = ctx.mpf(0)
     for c in reversed(s.coeffs):
         acc = acc * qv + to_mpf(ctx, c)
-    tail = abs(to_mpf(ctx, s.coeffs[s.trunc])) * qv ** (s.trunc + 1) / (1 - qv)
-    return SeriesValue(PrecReal(acc, precision_bits), PrecReal(tail, precision_bits))
+    return PrecReal(acc, precision_bits)
 
 
 @lru_cache(maxsize=None)
@@ -297,4 +275,4 @@ def _coefficient_series(i: int, trunc: int) -> QSeries:
 def coefficient_value(i: int, q: Fraction, trunc: int, precision_bits: int) -> PrecReal:
     """Numeric C_i(q) from the reduced coefficient's truncated q-series."""
     series = _coefficient_series(i, trunc)
-    return eval_series_numeric(series, Fraction(q), precision_bits).value
+    return eval_series_numeric(series, Fraction(q), precision_bits)

@@ -22,6 +22,7 @@ the A-ring, so each product of lower coefficients is formed only once.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial
 from operator import add
 
 from .exactmath import gen_binomial
@@ -36,13 +37,11 @@ from .jpoly import (
 )
 
 __all__ = [
-    "CoeffTable",
     "KernelCoefficient",
     "MPoly",
     "a_symbol",
     "c_n",
     "c_symbol",
-    "e_symbol",
     "from_eisenstein",
     "kernel_expand",
     "linear_part",
@@ -144,18 +143,9 @@ class MPoly:
 
     # -- queries --------------------------------------------------------
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def max_index(self) -> int:
         """Largest symbol slot actually used; -1 for constants."""
         return max((len(e) - 1 for e in self.terms if e), default=-1)
-
-    def coefficient(self, exps) -> Fraction:
-        e = tuple(exps)
-        while e and e[-1] == 0:
-            e = e[:-1]
-        return self.terms.get(e, Fraction(0))
 
     def constant_term(self) -> Fraction:
         return self.terms.get((), Fraction(0))
@@ -208,18 +198,6 @@ class MPoly:
         return MPoly._from_terms(self.family, out)
 
     __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> "MPoly":
-        if n < 0:
-            raise ValueError("negative power")
-        result = MPoly.const(self.family, 1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
@@ -323,11 +301,6 @@ def c_symbol(i: int) -> MPoly:
     if i < 1:
         raise ValueError("C-symbols start at C_1")
     return MPoly.symbol("C", i - 1)
-
-
-def e_symbol(name: str) -> MPoly:
-    """E2, E4 or E6 as a one-term polynomial."""
-    return MPoly.symbol("E", _E_NAMES.index(name))
 
 
 # ---------------------------------------------------------------------------
@@ -460,68 +433,67 @@ def from_eisenstein(p: MPoly) -> MPoly:
 
 
 # ---------------------------------------------------------------------------
-# the coefficient table
+# the coefficient recursion
+#
+# P_1 = A_0 and P_{m+1} = theta(P_m) - 3 A_0 P_m.  The recursion
+#
+#     C_n = -S_0(n) + sum_{i=1}^{n} 3 * 2^i * S_i(n) * P_i
+#
+# takes S_i(n) with C_1..C_{n-1} substituted, i.e. assembled from the
+# A-ring compositions of the lower coefficients; it yields C_n as a
+# polynomial in A_0..A_{n-1}.  Everything below is memoised per process.
+
+_p: list[MPoly | None] = [None]  # P_m at index m
+_s: dict[tuple[int, int], MPoly] = {}  # S_i(n) in C-symbols, keyed (i, n)
+_comp_c: dict[tuple[int, int], MPoly] = {}  # compositions of C-symbols
+_comp_a: dict[tuple[int, int], MPoly] = {}  # compositions of the raw C_i
+_c: list[MPoly | None] = [None]  # raw C_n at index n
+_reduced: dict[int, MPoly] = {}  # reduced C_n keyed by n
 
 
-class CoeffTable:
-    """Memoized tables: the multipliers P_i, the S_i(n) and the C_n.
+def p_m(m: int) -> MPoly:
+    """P_m (P_1 = A_0, P_{m+1} = theta(P_m) - 3 A_0 P_m)."""
+    if m < 1:
+        raise ValueError("P index starts at 1")
+    while len(_p) <= m:
+        prev = _p[-1]
+        _p.append(a_symbol(0) if prev is None else theta(prev) - 3 * a_symbol(0) * prev)
+    return _p[m]
 
-    P_1 = A_0 and P_{m+1} = theta(P_m) - 3 A_0 P_m.  The recursion
 
-        C_n = -S_0(n) + sum_{i=1}^{n} 3 * 2^i * S_i(n) * P_i
+def s_poly(i: int, n: int) -> MPoly:
+    """S_i(n) as a polynomial in the symbols C_1..C_{n-1}."""
+    if n < 1 or not 0 <= i <= n:
+        raise ValueError(f"S indices need 1 <= n and 0 <= i <= n, got i={i}, n={n}")
+    if (i, n) not in _s:
+        comp = partial(_composition, _comp_c, "C", c_symbol)
+        for j, poly in enumerate(_assemble_s(n, "C", comp)):
+            _s[(j, n)] = poly
+    return _s[(i, n)]
 
-    takes S_i(n) with C_1..C_{n-1} substituted, i.e. assembled from the
-    A-ring compositions of the lower coefficients; it yields C_n as a
-    polynomial in A_0..A_{n-1}.
-    """
 
-    def __init__(self):
-        self._p: list[MPoly | None] = [None]
-        self._s: dict[tuple[int, int], MPoly] = {}
-        self._comp: dict[tuple[int, int], MPoly] = {}
-        self._comp_a: dict[tuple[int, int], MPoly] = {}
-        self._c: list[MPoly | None] = [None]
+def c_n(n: int) -> MPoly:
+    """The expansion coefficient C_n, raw form in A_0..A_{n-1}."""
+    if n < 1:
+        raise ValueError("C index starts at 1")
+    # C_m needs compositions of C_1..C_{m-1} only, all in the memo by then
+    comp = partial(_composition, _comp_a, "A", _c.__getitem__)
+    while len(_c) <= n:
+        m = len(_c)
+        s_a = _assemble_s(m, "A", comp)
+        out = {e: -c for e, c in s_a[0].terms.items()}
+        for i in range(1, m + 1):
+            _add_product(out, s_a[i].terms, p_m(i).terms, 3 * 2**i)
+        _c.append(MPoly._from_terms("A", out))
+    return _c[n]
 
-    def p(self, m: int) -> MPoly:
-        if m < 1:
-            raise ValueError("P index starts at 1")
-        while len(self._p) <= m:
-            if len(self._p) == 1:
-                self._p.append(a_symbol(0))
-            else:
-                prev = self._p[-1]
-                self._p.append(theta(prev) - 3 * a_symbol(0) * prev)
-        return self._p[m]
 
-    def _compositions(self, m: int, d: int) -> MPoly:
-        """Sum of C_{i_1} ... C_{i_m} over i_1 + ... + i_m = d, i_l >= 1."""
-        return _composition(self._comp, "C", c_symbol, m, d)
-
-    def _compositions_a(self, m: int, d: int) -> MPoly:
-        """The same sum with each C_i replaced by its A-polynomial."""
-        return _composition(self._comp_a, "A", self.c, m, d)
-
-    def s(self, i: int, n: int) -> MPoly:
-        """S_i(n) as a polynomial in the symbols C_1..C_{n-1}."""
-        if n < 1 or not 0 <= i <= n:
-            raise ValueError(f"S indices need 1 <= n and 0 <= i <= n, got i={i}, n={n}")
-        if (i, n) not in self._s:
-            for j, poly in enumerate(_assemble_s(n, "C", self._compositions)):
-                self._s[(j, n)] = poly
-        return self._s[(i, n)]
-
-    def c(self, n: int) -> MPoly:
-        """C_n as a polynomial in A_0..A_{n-1}."""
-        if n < 1:
-            raise ValueError("C index starts at 1")
-        while len(self._c) <= n:
-            m = len(self._c)
-            s_a = _assemble_s(m, "A", self._compositions_a)
-            out = {e: -c for e, c in s_a[0].terms.items()}
-            for i in range(1, m + 1):
-                _add_product(out, s_a[i].terms, self.p(i).terms, 3 * 2**i)
-            self._c.append(MPoly._from_terms("A", out))
-        return self._c[n]
+def reduced_c_n(n: int) -> MPoly:
+    """C_n rewritten in Q[A_0, A_1, A_2] (memoised reduce_to_A012(c_n(n)))."""
+    p = _reduced.get(n)
+    if p is None:
+        p = _reduced[n] = reduce_to_A012(c_n(n))
+    return p
 
 
 def _assemble_s(n: int, family: str, comp_of) -> list[MPoly]:
@@ -577,34 +549,6 @@ def _composition(memo: dict, family: str, coeff, m: int, d: int) -> MPoly:
         res = MPoly._from_terms(family, out)
     memo[key] = res
     return res
-
-
-_table = CoeffTable()
-#: reduced C_n keyed by n, each reduced once per process
-_reduced: dict[int, MPoly] = {}
-
-
-def p_m(m: int) -> MPoly:
-    """P_m from the shared table (P_1 = A_0, P_{m+1} = theta(P_m) - 3 A_0 P_m)."""
-    return _table.p(m)
-
-
-def s_poly(i: int, n: int) -> MPoly:
-    """S_i(n) from the shared table, in C-symbols."""
-    return _table.s(i, n)
-
-
-def c_n(n: int) -> MPoly:
-    """The expansion coefficient C_n, raw form in A_0..A_{n-1}."""
-    return _table.c(n)
-
-
-def reduced_c_n(n: int) -> MPoly:
-    """C_n rewritten in Q[A_0, A_1, A_2] (memoised reduce_to_A012(c_n(n)))."""
-    p = _reduced.get(n)
-    if p is None:
-        p = _reduced[n] = reduce_to_A012(c_n(n))
-    return p
 
 
 # ---------------------------------------------------------------------------
@@ -668,20 +612,8 @@ class KernelCoefficient:
         """Same as s_value but with a_i renamed to C_{i+1} (same slots)."""
         return MPoly("C", self.s_value(i).terms)
 
-    def eval_at_j(self, j0) -> MPoly:
-        """Collapse u and v at a concrete j; returns an a-polynomial."""
-        j0 = Fraction(j0)
-        u0 = 2 * j0 - 1
-        v0 = j0 * (j0 - 1)
-        acc = MPoly.zero("a")
-        scale = Fraction(1)
-        for poly in self.by_v_power:
-            acc = acc + scale * poly
-            scale = scale * v0
-        return u0 * acc
 
-
-def kernel_expand(n: int, j_symbolic: bool = True):
+def kernel_expand(n: int) -> KernelCoefficient:
     """Coefficient of x^(n-1) in (G - H)/x^2 * (1 + a(x) x^2), exactly.
 
     The factors are expanded as truncated power series in x whose
@@ -689,10 +621,8 @@ def kernel_expand(n: int, j_symbolic: bool = True):
     G = (1 + a(x) x^2)^j * sum Q_k x^k and
     H = (1 + a(x) x^2)^(1-j) * sum (-1)^k sigma_k x^k.
 
-    With j_symbolic=True the coefficient is decomposed in the (u, v)
-    basis and returned as a KernelCoefficient (raising if it is not a
-    pure u-form); with j_symbolic=False the raw mapping from a-monomials
-    to polynomials in j is returned instead.
+    The coefficient is decomposed in the (u, v) basis and returned as a
+    KernelCoefficient; a pure-v part raises DecompositionError.
     """
     if n < 1:
         raise ValueError("kernel order starts at 1")
@@ -742,8 +672,6 @@ def kernel_expand(n: int, j_symbolic: bool = True):
         one_plus[t][_unit_exps(t - 2)] = _J_ONE
     ker = _ring_mul(diff[2:], one_plus, n - 1)
     raw = ker[n - 1]
-    if not j_symbolic:
-        return dict(raw)
 
     by_v: list[dict[tuple, Fraction]] = []
     for exps, poly in raw.items():

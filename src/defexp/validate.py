@@ -17,21 +17,21 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .precreal import PrecReal, context, to_mpf
-from .qseries import coefficient_value, eval_mpoly_series
-from .symcoeff import MPoly, c_n, reduced_c_n
-from .zeros import ZeroResult, find_zero, required_precision
+from .qseries import SERIES_TRUNC, coefficient_value, eval_mpoly_series
+from .symcoeff import reduced_c_n
+from .zeros import ZeroResult, find_zero
 
 __all__ = [
     "FjTable",
     "ResidualProfile",
-    "expansion_terms",
     "fj_extract",
     "ratio_check",
     "residual_profile",
     "zero_table",
 ]
 
-_SERIES_TRUNC = 60
+#: fj_extract reports negative truncated F_j(1/k) for k = 1..K_REPORT
+_K_REPORT = 20
 
 
 def zero_table(
@@ -78,8 +78,6 @@ def residual_profile(
     n: int,
     k_values,
     zeros: dict[int, ZeroResult] | None = None,
-    series_trunc: int = _SERIES_TRUNC,
-    n_guess: int = 2,
 ) -> ResidualProfile:
     """Scaled residuals r_n(k) over the given k values.
 
@@ -95,7 +93,7 @@ def residual_profile(
     for k in ks:
         zr = zeros.get(k) if zeros else None
         if zr is None:
-            zr = find_zero(k, qf, n_guess=n_guess)
+            zr = find_zero(k, qf)
         bits = zr.precision_bits
         ctx = context(bits)
         xv = to_mpf(ctx, zr.x)
@@ -103,32 +101,15 @@ def residual_profile(
         kk = ctx.mpf(k)
         t = -xv / (kk * qv ** (1 - k)) - 1
         for i in range(1, n + 1):
-            ci = coefficient_value(i, qf, series_trunc, bits)
+            ci = coefficient_value(i, qf, SERIES_TRUNC, bits)
             t -= to_mpf(ctx, ci) * kk ** (-1 - i)
         r = t * kk ** (n + 2)
         rows.append((k, zr.x, PrecReal(r, bits)))
     return ResidualProfile(q=qf, n=n, rows=tuple(rows))
 
 
-def expansion_terms(n: int) -> dict[int, MPoly]:
-    """The order-n expansion polynomial as {power of 1/k: symbolic coefficient}.
-
-    Power 0 carries the constant 1; power i+1 carries C_i.  Successive
-    orders differ by exactly the single new term C_{n+1} k^(-n-2), the
-    algebraic fact behind the residual telescoping.
-    """
-    terms = {0: MPoly.const("A", 1)}
-    for i in range(1, n + 1):
-        terms[i + 1] = c_n(i)
-    return terms
-
-
 def ratio_check(
-    q,
-    k_min: int,
-    k_max: int,
-    zeros: dict[int, ZeroResult] | None = None,
-    n_guess: int = 2,
+    q, k_min: int, k_max: int, zeros: dict[int, ZeroResult] | None = None
 ) -> list[tuple[int, PrecReal]]:
     """Rows (k, (q x_{k+1}/x_k - 1 - 1/k) * k^2) for k in [k_min, k_max].
 
@@ -140,7 +121,7 @@ def ratio_check(
     table = dict(zeros) if zeros else {}
     for k in range(k_min, k_max + 2):
         if k not in table:
-            table[k] = find_zero(k, qf, n_guess=n_guess)
+            table[k] = find_zero(k, qf)
     for k in range(k_min, k_max + 1):
         za, zb = table[k], table[k + 1]
         bits = min(za.precision_bits, zb.precision_bits)
@@ -183,7 +164,7 @@ class FjTable:
         return "\n".join(lines) + "\n"
 
 
-def fj_extract(i_max: int, j_max: int, k_report: int = 20) -> FjTable:
+def fj_extract(i_max: int, j_max: int) -> FjTable:
     """Exact C_{ij} table from the reduced coefficients' q-series."""
     if i_max < 1 or j_max < 1:
         raise ValueError("table bounds must be positive")
@@ -193,7 +174,7 @@ def fj_extract(i_max: int, j_max: int, k_report: int = 20) -> FjTable:
         rows.append(tuple(series.coeff(j) for j in range(j_max + 1)))
     negatives = []
     for j in range(1, j_max + 1):
-        for k in range(1, k_report + 1):
+        for k in range(1, _K_REPORT + 1):
             val = sum(
                 rows[i - 1][j] * Fraction(1, k ** (i + 1)) for i in range(1, i_max + 1)
             )
@@ -202,7 +183,7 @@ def fj_extract(i_max: int, j_max: int, k_report: int = 20) -> FjTable:
     return FjTable(
         i_max=i_max,
         j_max=j_max,
-        k_report=k_report,
+        k_report=_K_REPORT,
         c=tuple(rows),
         negatives=tuple(negatives),
     )

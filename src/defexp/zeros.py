@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import ceil, factorial, log2
 
-from .precreal import PrecReal, PrecisionError, context, to_mpf
-from .qseries import coefficient_value
+from .precreal import PrecReal, context, to_mpf
+from .qseries import SERIES_TRUNC, coefficient_value
 
 __all__ = [
     "BracketError",
@@ -26,7 +26,8 @@ __all__ = [
     "scan_zeros",
 ]
 
-_DEFAULT_SERIES_TRUNC = 60
+#: grid density of scan_zeros' first pass (the rescan uses four times it)
+_SCAN_POINTS_PER_DECADE = 64
 
 
 class BracketError(RuntimeError):
@@ -39,13 +40,15 @@ def required_precision(k: int, q) -> int:
     cancels; ceil(k(k-1)/2 log2(1/q) + k log2 k) plus 64 guard bits."""
     if k < 1:
         raise ValueError("zero index starts at 1")
-    qf = float(Fraction(q) if isinstance(q, str) else q)
+    qf = Fraction(q)
     if not 0 < qf < 1:
         raise ValueError("q must lie in (0, 1)")
-    return ceil(k * (k - 1) / 2 * log2(1 / qf) + k * log2(k)) + 64
+    # log2(1/q) from the exact parts: float(q) underflows below ~1e-308
+    log2_inv_q = log2(qf.denominator) - log2(qf.numerator)
+    return ceil(k * (k - 1) / 2 * log2_inv_q + k * log2(k)) + 64
 
 
-def eval_f(x, q, precision_bits: int, strict: bool = True) -> PrecReal:
+def eval_f(x, q, precision_bits: int) -> PrecReal:
     """Evaluate f(x) at the given working precision.
 
     Terms are accumulated by the ratio recurrence t_{n+1} = t_n x q^n/(n+1);
@@ -53,8 +56,8 @@ def eval_f(x, q, precision_bits: int, strict: bool = True) -> PrecReal:
     and the current term is below 2^-precision_bits times the largest
     magnitude seen.  The result's precision metadata is the working
     precision minus the bits lost to cancellation; if nothing survives,
-    strict mode raises PrecisionError, otherwise a 1-bit value is
-    returned so sign-probing callers can treat it as noise level.
+    a 1-bit value is returned so sign-probing callers can treat it as
+    noise level.
     """
     if precision_bits < 4:
         raise ValueError("precision must be at least 4 bits")
@@ -88,14 +91,7 @@ def eval_f(x, q, precision_bits: int, strict: bool = True) -> PrecReal:
         lost = precision_bits
     else:
         lost = max(0, ctx.mag(peak) - ctx.mag(total))
-    effective = precision_bits - lost
-    if effective <= 0:
-        if strict:
-            raise PrecisionError(
-                f"f-value below cancellation noise: {lost} of {precision_bits} bits lost"
-            )
-        return PrecReal(total, 1)
-    return PrecReal(total, effective)
+    return PrecReal(total, max(1, precision_bits - lost))
 
 
 def _sign(value: PrecReal) -> int:
@@ -106,11 +102,11 @@ def _sign(value: PrecReal) -> int:
     return 0
 
 
-def _asymptotic_guess(ctx, k: int, qf: Fraction, n_guess: int, series_trunc: int, bits: int):
+def _asymptotic_guess(ctx, k: int, qf: Fraction, n_guess: int, bits: int):
     corr = ctx.mpf(1)
     kk = ctx.mpf(k)
     for i in range(1, n_guess + 1):
-        ci = coefficient_value(i, qf, series_trunc, bits)
+        ci = coefficient_value(i, qf, SERIES_TRUNC, bits)
         corr += to_mpf(ctx, ci) * kk ** (-1 - i)
     qv = to_mpf(ctx, qf)
     return -kk * qv ** (1 - k) * corr
@@ -139,13 +135,7 @@ class ZeroResult:
         }
 
 
-def find_zero(
-    k: int,
-    q,
-    n_guess: int = 2,
-    precision_bits: int | None = None,
-    series_trunc: int = _DEFAULT_SERIES_TRUNC,
-) -> ZeroResult:
+def find_zero(k: int, q, n_guess: int = 2, precision_bits: int | None = None) -> ZeroResult:
     """Locate x_k by asymptotic guess, bracket expansion, bisection, Newton.
 
     The guess is -k q^(1-k) (1 + sum_{i<=n_guess} C_i(q) k^(-1-i)).  A
@@ -164,12 +154,12 @@ def find_zero(
     bits = precision_bits if precision_bits is not None else required_precision(k, qf)
     ctx = context(bits)
 
-    guess = _asymptotic_guess(ctx, k, qf, n_guess, series_trunc, bits)
+    guess = _asymptotic_guess(ctx, k, qf, n_guess, bits)
     delta_max = ctx.mpf(1) / (4 * k)
     delta = min(ctx.mpf(k) ** (-(n_guess + 2)), delta_max)
 
     def f(t) -> PrecReal:
-        return eval_f(t, qf, bits, strict=False)
+        return eval_f(t, qf, bits)
 
     while True:
         lo = guess * (1 + delta)  # the more negative endpoint
@@ -209,7 +199,7 @@ def find_zero(
     target = ctx.mpf(2) ** (4 - bits)
     for _ in range(bits.bit_length() + 8):
         fx = f(x)
-        fpx = eval_f(qv * x, qf, bits, strict=False)
+        fpx = eval_f(qv * x, qf, bits)
         if fpx.precision_bits <= 1:
             break  # derivative lost to cancellation; x is as good as it gets
         step = to_mpf(ctx, fx) / to_mpf(ctx, fpx)
@@ -249,7 +239,7 @@ def _bisect_refine(a, b, fa_sign: int, qf: Fraction, bits: int) -> tuple:
     last = None
     while (b - a) > abs(a) * floor_width:
         mid = (a + b) / 2
-        fm = eval_f(mid, qf, bits, strict=False)
+        fm = eval_f(mid, qf, bits)
         s = _sign(fm)
         last = fm
         if s == 0 or fm.precision_bits <= 1:
@@ -261,11 +251,11 @@ def _bisect_refine(a, b, fa_sign: int, qf: Fraction, bits: int) -> tuple:
             b = mid
     mid = (a + b) / 2
     if last is None:
-        last = eval_f(mid, qf, bits, strict=False)
+        last = eval_f(mid, qf, bits)
     return mid, last
 
 
-def scan_zeros(q, x_min, count: int, points_per_decade: int = 64) -> list[ZeroResult]:
+def scan_zeros(q, x_min, count: int) -> list[ZeroResult]:
     """Find the first `count` zeros by scanning a geometric grid.
 
     Pure bisection oracle, independent of the asymptotic machinery in
@@ -291,13 +281,13 @@ def scan_zeros(q, x_min, count: int, points_per_decade: int = 64) -> list[ZeroRe
         pos = 1.0  # |x| of the current grid point
         bits = required_precision(_index_estimate(qf, pos) + 2, qf)
         prev = -pos
-        prev_sign = _sign(eval_f(prev, qf, bits, strict=False))
+        prev_sign = _sign(eval_f(prev, qf, bits))
         while len(found) < count and pos < abs(x_min):
             pos = min(pos * step, abs(x_min))
             k_here = _index_estimate(qf, pos) + 2
             bits = required_precision(k_here, qf)
             cur = -pos
-            fcur = eval_f(cur, qf, bits, strict=False)
+            fcur = eval_f(cur, qf, bits)
             s = _sign(fcur)
             if s != 0 and prev_sign != 0 and s != prev_sign:
                 k_found = len(found) + 1
@@ -319,9 +309,9 @@ def scan_zeros(q, x_min, count: int, points_per_decade: int = 64) -> list[ZeroRe
                 prev = cur
         return found
 
-    zeros = one_pass(points_per_decade)
+    zeros = one_pass(_SCAN_POINTS_PER_DECADE)
     if len(zeros) < count:
-        zeros = one_pass(points_per_decade * 4)
+        zeros = one_pass(_SCAN_POINTS_PER_DECADE * 4)
     if len(zeros) < count:
         raise BracketError(
             f"only {len(zeros)} sign changes of f before x_min={x_min} (expected {count})"

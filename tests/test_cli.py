@@ -8,7 +8,9 @@ from fractions import Fraction
 
 import pytest
 
+import defexp.cli
 from defexp.cli import main
+from defexp.jpoly import DecompositionError
 from defexp.qseries import a_series, eisenstein_q
 
 
@@ -90,6 +92,18 @@ def test_zeros_bracket_failure_is_a_json_error(capsys):
     doc = json.loads(out)
     assert doc["code"] == "bracket-failure"
     assert "k=2" in doc["message"]
+
+
+def test_decomposition_error_is_a_json_error(capsys, monkeypatch):
+    """DecompositionError is a ValueError, yet it must not exit 2."""
+
+    def broken(n):
+        raise DecompositionError("pure-v residue")
+
+    monkeypatch.setattr(defexp.cli, "c_n", broken)
+    code, out, err = run_cli(capsys, "coeff", "--n", "3")
+    assert code == 1
+    assert json.loads(out) == {"code": "decomposition-error", "message": "pure-v residue"}
 
 
 def test_zeros_guess_order_flag(capsys):

@@ -9,9 +9,7 @@ from defexp.exactmath import (
     bernoulli,
     divisor_sigma,
     gen_binomial,
-    parse_rational,
     power_sum_poly,
-    rational_str,
 )
 
 
@@ -94,9 +92,3 @@ def test_power_sum_linear_coefficient_is_signed_bernoulli():
     for m in range(2, 10):
         assert power_sum_poly(m).coeff(1) == (-1) ** m * bernoulli(m)
 
-
-def test_rational_round_trip():
-    for r in (Fraction(3, 4), Fraction(-7), Fraction(0), Fraction(22, 7)):
-        assert parse_rational(rational_str(r)) == r
-    assert rational_str(Fraction(-7)) == "-7"
-    assert rational_str(Fraction(1, 3)) == "1/3"

@@ -15,7 +15,6 @@ from defexp.qseries import (
     eval_series_numeric,
     jacobi_p0,
     jacobi_p0_product,
-    qseries_from_json,
 )
 from defexp.symcoeff import (
     MPoly,
@@ -78,8 +77,10 @@ def test_theta_multiplies_by_order():
 
 
 def test_json_round_trip():
+    """The document the series verb prints parses back to the same series."""
     s = QSeries((Fraction(1, 3), -2, 0, 7), 5)
-    assert qseries_from_json(s.to_json()) == s
+    doc = s.to_json()
+    assert QSeries([Fraction(c) for c in doc["coeffs"]], doc["trunc"]) == s
 
 
 @pytest.mark.parametrize(
@@ -134,9 +135,9 @@ def test_numeric_evaluation_matches_exact_horner():
     exact = sum(c * q0**m for m, c in enumerate(s.coeffs))
     got = eval_series_numeric(s, q0, 128)
     ctx = context(128)
-    err = abs(got.value.value - ctx.mpf(exact.numerator) / exact.denominator)
+    err = abs(got.value - ctx.mpf(exact.numerator) / exact.denominator)
     assert err < ctx.mpf(2) ** (-118)
-    assert got.tail_estimate.value > 0
+    assert got.precision_bits == 128
 
 
 def test_numeric_evaluation_rejects_bad_point():
@@ -149,7 +150,7 @@ def test_coefficient_value_converges_in_truncation():
     for n in (5, 6):
         a = coefficient_value(n, q0, 60, 160)
         b = coefficient_value(n, q0, 90, 160)
-        assert abs((a - b) / b).value < 1e-8
+        assert abs((a.value - b.value) / b.value) < 1e-8
 
 
 def test_coefficient_value_of_first_orders():
@@ -200,7 +201,7 @@ def test_coefficient_value_is_horner_on_the_reduced_series():
     q0 = Fraction(3, 7)
     for bits in (64, 128):
         series = eval_mpoly_series(reduce_to_A012(c_n(3)), 60)
-        want = eval_series_numeric(series, q0, bits).value
+        want = eval_series_numeric(series, q0, bits)
         got = coefficient_value(3, q0, 60, bits)
         assert got.precision_bits == want.precision_bits == bits
         assert got.value == want.value

@@ -199,14 +199,3 @@ def test_kernel_expansion_matches_recursion_polynomials(n):
     for i in range(0, n + 1):
         assert kc.s_in_c_symbols(i) == s_poly(i, n)
 
-
-def test_kernel_expansion_evaluates_consistently():
-    kc = kernel_expand(3)
-    for j0 in (Fraction(2), Fraction(-1, 2), Fraction(7, 3)):
-        direct = kc.eval_at_j(j0)
-        u = 2 * j0 - 1
-        v = j0 * (j0 - 1)
-        rebuilt = MPoly.symbol("a", 2)  # the bare a_2 term rides with i = 0
-        for i in range(0, 4):
-            rebuilt = rebuilt + kc.s_value(i) * v**i
-        assert direct == rebuilt * u

@@ -8,13 +8,10 @@ import pytest
 from defexp.exactmath import divisor_sigma
 from defexp.precreal import PrecReal, context, to_mpf
 from defexp.qseries import coefficient_value
-from defexp.symcoeff import MPoly, c_n
 from defexp.validate import (
-    expansion_terms,
     fj_extract,
     ratio_check,
     residual_profile,
-    zero_table,
 )
 from defexp.zeros import ZeroResult, find_zero, required_precision
 
@@ -26,18 +23,6 @@ def test_zero_table_contents(zeros_q_half):
     for k, z in zeros_q_half.items():
         assert z.k == k
         assert z.precision_bits == required_precision(k, Q_HALF)
-
-
-def test_expansion_terms_telescopes():
-    for n in range(0, 6):
-        lo = expansion_terms(n)
-        hi = expansion_terms(n + 1)
-        assert lo[0] == MPoly.const("A", 1)
-        new_keys = set(hi) - set(lo)
-        assert new_keys == {n + 2}
-        assert hi[n + 2] == c_n(n + 1)
-        for key in lo:
-            assert hi[key] == lo[key]
 
 
 def synthetic_zero(n, k, bits, series_trunc=60):
@@ -142,7 +127,8 @@ def test_fj_table_q_linear_column_alternates():
 
 
 def test_fj_truncated_sums_dip_negative_only_at_the_origin():
-    table = fj_extract(6, 8, k_report=20)
+    table = fj_extract(6, 8)
+    assert table.k_report == 20
     spots = {(item["j"], item["k"]) for item in table.negatives}
     assert spots == {(2, 1)}
 

@@ -5,7 +5,7 @@ from math import factorial
 
 import pytest
 
-from defexp.precreal import PrecisionError, context, to_mpf
+from defexp.precreal import context, to_mpf
 from defexp.qseries import a_series
 from defexp.zeros import (
     BracketError,
@@ -28,6 +28,20 @@ def test_required_precision_pinned_values():
 def test_required_precision_accepts_string_and_float():
     assert required_precision(20, "1/2") == 341
     assert required_precision(20, 0.5) == 341
+
+
+def test_required_precision_takes_q_below_the_float_range():
+    """float(1e-400) is 0.0; the budget reads log2(1/q) off the exact parts."""
+    assert required_precision(10, Fraction(1, 10**400)) == 59892
+
+
+def test_find_zero_brackets_a_sign_change_below_the_float_range():
+    q = Fraction(1, 10**400)
+    z = find_zero(2, q)
+    lo, hi = z.bracket
+    fl = eval_f(lo, q, z.precision_bits)
+    fh = eval_f(hi, q, z.precision_bits)
+    assert (fl.value > 0) != (fh.value > 0)
 
 
 def test_required_precision_grows_with_k_and_shrinking_q():
@@ -76,11 +90,9 @@ def test_eval_f_reports_cancellation_loss():
     assert v.value > 0
 
 
-def test_eval_f_strict_raises_when_budget_is_consumed():
+def test_eval_f_returns_one_bit_noise_when_budget_is_consumed():
     z = find_zero(6, Q_HALF)
-    with pytest.raises(PrecisionError):
-        eval_f(z.x, Q_HALF, 48, strict=True)
-    noise = eval_f(z.x, Q_HALF, 48, strict=False)
+    noise = eval_f(z.x, Q_HALF, 48)
     assert noise.precision_bits == 1
 
 
@@ -100,8 +112,8 @@ def test_find_zero_contract(k):
     lo, hi = z.bracket
     assert min(lo.value, hi.value) < z.x.value < max(lo.value, hi.value)
     assert abs(z.residual.value) < 2.0 ** (-z.precision_bits / 2)
-    fl = eval_f(lo, Q_HALF, z.precision_bits, strict=False)
-    fh = eval_f(hi, Q_HALF, z.precision_bits, strict=False)
+    fl = eval_f(lo, Q_HALF, z.precision_bits)
+    fh = eval_f(hi, Q_HALF, z.precision_bits)
     assert (fl.value > 0) != (fh.value > 0)
 
 
