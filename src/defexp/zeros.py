@@ -11,7 +11,26 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from math import ceil, factorial, log2
+from threading import Lock
+
+from mpmath.libmp import (
+    finf,
+    fnan,
+    fninf,
+    fone,
+    from_float,
+    from_int,
+    mpf_abs,
+    mpf_add,
+    mpf_div,
+    mpf_gt,
+    mpf_le,
+    mpf_lt,
+    mpf_mul,
+    mpf_shift,
+)
 
 from .precreal import PrecReal, context, to_mpf
 from .qseries import SERIES_TRUNC, coefficient_value
@@ -29,6 +48,10 @@ __all__ = [
 #: grid density of scan_zeros' first pass (the rescan uses four times it)
 _SCAN_POINTS_PER_DECADE = 64
 
+_NEAREST = "n"  # the rounding mode of every context(bits)
+_HALF = from_float(0.5)
+_Q_POWERS_LOCK = Lock()
+
 
 class BracketError(RuntimeError):
     """No sign change found within the allowed bracket expansion."""
@@ -43,9 +66,26 @@ def required_precision(k: int, q) -> int:
     qf = Fraction(q)
     if not 0 < qf < 1:
         raise ValueError("q must lie in (0, 1)")
-    # log2(1/q) from the exact parts: float(q) underflows below ~1e-308
-    log2_inv_q = log2(qf.denominator) - log2(qf.numerator)
-    return ceil(k * (k - 1) / 2 * log2_inv_q + k * log2(k)) + 64
+    return ceil(k * (k - 1) / 2 * _log2_inv_q(qf) + k * log2(k)) + 64
+
+
+def _log2_inv_q(qf: Fraction) -> float:
+    """log2(1/q) from the exact parts: float(q) underflows below ~1e-308."""
+    return log2(qf.denominator) - log2(qf.numerator)
+
+
+@lru_cache(maxsize=16)
+def _q_powers(q: tuple, bits: int) -> list:
+    """q^0, q^1, ... of the raw mpf q, each the product of the one before
+    and q rounded to nearest at `bits`; eval_f extends the list in place,
+    so every call at one (q, bits) shares the powers built so far."""
+    return [fone]
+
+
+def _extend_q_powers(qpows: list, q: tuple, bits: int, n: int) -> None:
+    with _Q_POWERS_LOCK:  # two threads must not append the same power twice
+        while len(qpows) <= n:
+            qpows.append(mpf_mul(qpows[-1], q, bits, _NEAREST))
 
 
 def eval_f(x, q, precision_bits: int) -> PrecReal:
@@ -58,6 +98,16 @@ def eval_f(x, q, precision_bits: int) -> PrecReal:
     precision minus the bits lost to cancellation; if nothing survives,
     a 1-bit value is returned so sign-probing callers can treat it as
     noise level.
+
+    The loop works on mpmath's raw (sign, mantissa, exponent, bitcount)
+    tuples through ``mpmath.libmp``: the same products, quotients, sums
+    and comparisons as mpf operators in a round-to-nearest context, in
+    the same order, so the result is the one those operators give,
+    without their per-operation dispatch.  The powers q^n come from a
+    table shared by all calls at the same q and precision.  The ratio
+    |x| q^n/(n+1) is a chain of monotone roundings of a decreasing
+    sequence, so once it is under 1/2 it stays there and is no longer
+    computed.
     """
     if precision_bits < 4:
         raise ValueError("precision must be at least 4 bits")
@@ -66,31 +116,49 @@ def eval_f(x, q, precision_bits: int) -> PrecReal:
     qv = to_mpf(ctx, q if not isinstance(q, str) else Fraction(q))
     if not 0 < qv < 1:
         raise ValueError("q must lie in (0, 1)")
-    one = ctx.mpf(1)
-    term = one
-    total = one
-    peak = one
-    qpow = one
-    floor = ctx.mpf(2) ** (-precision_bits)
+    X = getattr(xv, "_mpf_", None)
+    if X is None:
+        raise ValueError("x must be real")
+    if X in (finf, fninf, fnan):
+        raise ValueError("x must be finite")
+    Q = qv._mpf_
+    prec = precision_bits
+    qpows = _q_powers(Q, prec)
+    abs_x = mpf_abs(X, prec, _NEAREST)
+    term = total = peak = fone
+    floor_peak = mpf_shift(peak, -prec)  # 2^-prec * peak, exactly
+    ratio_small = False
     n = 0
     while True:
-        term = term * xv * qpow / (n + 1)
-        qpow = qpow * qv
+        if len(qpows) <= n + 1:
+            _extend_q_powers(qpows, Q, prec, n + 1)
+        term = mpf_div(
+            mpf_mul(mpf_mul(term, X, prec, _NEAREST), qpows[n], prec, _NEAREST),
+            from_int(n + 1),
+            prec,
+            _NEAREST,
+        )
         n += 1
-        total = total + term
-        mag = abs(term)
-        if mag > peak:
+        total = mpf_add(total, term, prec, _NEAREST)
+        # term and total are already rounded to prec: abs needs no rounding
+        mag = mpf_abs(term)
+        at = mpf_abs(total)
+        if mpf_gt(mag, peak):
             peak = mag
-        at = abs(total)
-        if at > peak:
+            floor_peak = mpf_shift(peak, -prec)
+        if mpf_gt(at, peak):
             peak = at
-        ratio = abs(xv) * qpow / (n + 1)
-        if ratio < 0.5 and mag <= floor * peak:
+            floor_peak = mpf_shift(peak, -prec)
+        if not ratio_small:
+            ratio = mpf_mul(abs_x, qpows[n], prec, _NEAREST)
+            ratio_small = mpf_lt(mpf_div(ratio, from_int(n + 1), prec, _NEAREST), _HALF)
+        if ratio_small and mpf_le(mag, floor_peak):
             break
+    total = ctx.make_mpf(total)
     if total == 0:
         lost = precision_bits
     else:
-        lost = max(0, ctx.mag(peak) - ctx.mag(total))
+        lost = max(0, ctx.mag(ctx.make_mpf(peak)) - ctx.mag(total))
     return PrecReal(total, max(1, precision_bits - lost))
 
 
@@ -222,10 +290,12 @@ def find_zero(k: int, q, n_guess: int = 2, precision_bits: int | None = None) ->
 
 
 def _index_estimate(qf: Fraction, x_abs: float) -> int:
-    """Smallest k with |k q^(1-k)| >= x_abs (locates the scan precision)."""
+    """Smallest k with |k q^(1-k)| >= x_abs (locates the scan precision),
+    compared in log2 so that q below the float range works."""
+    log2_inv_q = _log2_inv_q(qf)
+    log2_x = log2(x_abs)
     k = 1
-    qv = float(qf)
-    while k * qv ** (1 - k) < x_abs and k < 10_000:
+    while log2(k) + (k - 1) * log2_inv_q < log2_x and k < 10_000:
         k += 1
     return k
 

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -24,6 +25,15 @@ def run_json(capsys, *argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 0, err
     return json.loads(out)
+
+
+def subprocess_env(**extra) -> dict:
+    """The environment with the imported defexp's source directory first
+    on PYTHONPATH, so `python -m defexp` runs the package under test even
+    when pytest put src/ on sys.path itself."""
+    src = str(Path(defexp.cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return dict(os.environ, PYTHONPATH=path, **extra)
 
 
 def test_coeff_raw_lowest_orders(capsys):
@@ -192,6 +202,7 @@ def test_installed_entry_point_round_trip():
         [sys.executable, "-m", "defexp", "series", "--expr", "E2", "--trunc", "3"],
         capture_output=True,
         text=True,
+        env=subprocess_env(),
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout) == eisenstein_q("E2", 3).to_json()
@@ -203,7 +214,7 @@ def test_low_precision_zeros_call_ends():
         [sys.executable, "-m", "defexp", "zeros", "--q", "1/2", "--k", "10"],
         capture_output=True,
         text=True,
-        env=dict(os.environ, DEFEXP_PRECISION="48"),
+        env=subprocess_env(DEFEXP_PRECISION="48"),
         timeout=60,
     )
     doc = json.loads(proc.stdout)
