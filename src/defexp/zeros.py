@@ -48,6 +48,28 @@ __all__ = [
 #: grid density of scan_zeros' first pass (the rescan uses four times it)
 _SCAN_POINTS_PER_DECADE = 64
 
+# find_zero reads the sign of f(t) off a _PROBE_BITS evaluation when its
+# tag is at least _PROBE_CERT_BITS and it sums at most _PROBE_MAX_TERMS
+# terms.  Why that certifies the sign: let p = _PROBE_BITS, u = 2^-p,
+# N <= 2^15 the number of terms and P eval_f's peak (the largest |term|
+# or |partial sum|).  q^j is off by at most 2j u relative (q is rounded
+# once, then j products); t_n takes 3 roundings per step on top of
+# q^(n-1), plus n u if t itself is rounded to p bits, so it is off by at
+# most (n^2 + 3n) u.  With the N rounded partial sums and the tail left
+# at the stop (under 2 P u), the computed f(t) is off by less than
+# (N^3 + 3N^2 + N + 2) P u < 2^46 P u.  A tag T > 1 is
+# p - (mag(P) - mag(value)) and |value| >= 2^(mag(value) - 1), so
+# |value| > 2^(T-1) P u >= 2^47 P u when T >= 48: |f(t)| > 2^46 P u, and
+# the computed sign is the true one.  At p + d bits eval_f sums at most
+# 2^15 + d terms, and the same bound, now times 2^-d, stays below
+# 2^46 P u for every d >= 1: the full-budget evaluation reads that sign
+# too, so a certified probe changes no result.
+_PROBE_BITS = 160
+_PROBE_CERT_BITS = 48
+_PROBE_MAX_TERMS = 2**15
+#: the largest guess order find_zero takes (order 20 costs about 5 s cold)
+_MAX_GUESS_ORDER = 20
+
 _NEAREST = "n"  # the rounding mode of every context(bits)
 _HALF = from_float(0.5)
 _Q_POWERS_LOCK = Lock()
@@ -170,6 +192,18 @@ def _sign(value: PrecReal) -> int:
     return 0
 
 
+def _sign_at(t, qf: Fraction, bits: int, probe: bool) -> int:
+    """The sign of eval_f(t, qf, bits), read off eval_f(t, qf, _PROBE_BITS)
+    when `probe` is set and that value is non-zero with a tag of at least
+    _PROBE_CERT_BITS (the derivation is at those constants); any other
+    probe falls back to the evaluation at `bits`."""
+    if probe:
+        value = eval_f(t, qf, _PROBE_BITS)
+        if value.value != 0 and value.precision_bits >= _PROBE_CERT_BITS:
+            return _sign(value)
+    return _sign(eval_f(t, qf, bits))
+
+
 def _asymptotic_guess(ctx, k: int, qf: Fraction, n_guess: int, bits: int):
     corr = ctx.mpf(1)
     kk = ctx.mpf(k)
@@ -206,16 +240,28 @@ class ZeroResult:
 def find_zero(k: int, q, n_guess: int = 2, precision_bits: int | None = None) -> ZeroResult:
     """Locate x_k by asymptotic guess, bracket expansion, bisection, Newton.
 
-    The guess is -k q^(1-k) (1 + sum_{i<=n_guess} C_i(q) k^(-1-i)).  A
-    symmetric relative bracket of half-width k^(-n_guess-2) doubles until
-    f changes sign, capped at 1/(4k) (beyond that a neighbouring zero
-    could be captured); failure raises BracketError and the caller
-    should fall back to scan_zeros.  Bisection narrows to ~60 bits (at
-    most bits - 8), then Newton steps x -= f(x)/f(qx) finish at full
-    precision (f' = f(q x) by the defining functional equation).
+    The guess is -k q^(1-k) (1 + sum_{i<=n_guess} C_i(q) k^(-1-i)), with
+    n_guess in 0..20.  A symmetric relative bracket of half-width
+    k^(-n_guess-2) doubles until f changes sign, capped at 1/(4k) (beyond
+    that a neighbouring zero could be captured); failure raises
+    BracketError and the caller should fall back to scan_zeros.
+    Bisection narrows to ~60 bits (at most bits - 8), then Newton steps
+    x -= f(x)/f(qx) finish at full precision (f' = f(q x) by the defining
+    functional equation).
+
+    The bracket and the bisection read only the sign of f.  When the
+    working precision is above 160 bits, each sign is first read off a
+    160-bit evaluation, and taken from it when that value is non-zero
+    and its tag is at least 48 bits: by eval_f's error bound the sign is
+    then the true one, the one the full-precision evaluation gives.  Any
+    other probe falls back to the full-precision evaluation, so the
+    result is the same bit for bit; the endpoints, the midpoints, Newton
+    and the residual all stay at full precision.
     """
     if k < 1:
         raise ValueError("zero index starts at 1")
+    if not 0 <= n_guess <= _MAX_GUESS_ORDER:
+        raise ValueError(f"guess order must lie in 0..{_MAX_GUESS_ORDER}")
     qf = Fraction(q)
     if not 0 < qf < 1:
         raise ValueError("q must lie in (0, 1)")
@@ -229,12 +275,21 @@ def find_zero(k: int, q, n_guess: int = 2, precision_bits: int | None = None) ->
     def f(t) -> PrecReal:
         return eval_f(t, qf, bits)
 
+    # Every probed t has |t| <= 2|guess|: q^n |t| < 1/2, hence eval_f's
+    # ratio test, holds from n0 = log2(4|guess|)/log2(1/q) on, and after
+    # it each term at most halves, so the tail test passes within
+    # _PROBE_BITS + 1 more terms.
+    probe_terms = (ctx.mag(guess) + 2) / _log2_inv_q(qf) + _PROBE_BITS + 3
+    probe = bits > _PROBE_BITS and probe_terms <= _PROBE_MAX_TERMS
+
+    def sign(t) -> int:
+        return _sign_at(t, qf, bits, probe)
+
     while True:
         lo = guess * (1 + delta)  # the more negative endpoint
         hi = guess * (1 - delta)
-        flo = f(lo)
-        fhi = f(hi)
-        if _sign(flo) * _sign(fhi) < 0:
+        slo = sign(lo)
+        if slo * sign(hi) < 0:
             break
         if delta >= delta_max:
             raise BracketError(
@@ -246,17 +301,16 @@ def find_zero(k: int, q, n_guess: int = 2, precision_bits: int | None = None) ->
 
     # bisection to roughly 60 correct bits, or 8 below the working
     # precision when that is lower (rounded midpoints get no closer)
-    a, b, fa = lo, hi, flo
+    a, b, sa = lo, hi, slo
     coarse = abs(guess) * ctx.mpf(2) ** (-min(60, bits - 8))
     while (b - a) > coarse:
         mid = (a + b) / 2
-        fm = f(mid)
-        s = _sign(fm)
+        s = sign(mid)
         if s == 0:
             a = b = mid
             break
-        if s == _sign(fa):
-            a, fa = mid, fm
+        if s == sa:
+            a = mid
         else:
             b = mid
 

@@ -223,3 +223,20 @@ def test_low_precision_zeros_call_ends():
     else:
         assert proc.returncode == 0, proc.stderr
         assert [(z["k"], z["precision_bits"]) for z in doc] == [(10, 48)]
+
+
+@pytest.mark.parametrize("order", ["-1", "21", "40"])
+def test_zeros_guess_order_outside_0_to_20_exits_two(order):
+    """An order of 40 once ran for minutes building C_1..C_40, and -1
+    ended as a bracket failure; both are argument errors."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "defexp", "zeros", "--q", "1/2", "--k", "30"]
+        + ["--guess-order", order],
+        capture_output=True,
+        text=True,
+        env=subprocess_env(),
+        timeout=60,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    assert "guess order must lie in 0..20" in proc.stderr

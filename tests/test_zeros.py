@@ -13,6 +13,9 @@ from defexp.precreal import PrecReal, context, to_mpf
 from defexp.qseries import a_series
 from defexp.zeros import (
     BracketError,
+    ZeroResult,
+    _asymptotic_guess,
+    _sign,
     eval_f,
     find_zero,
     paired_term_gaps,
@@ -244,6 +247,189 @@ def test_q_power_table_is_not_poisoned_across_q_and_precision():
         zeros._q_powers.cache_clear()
         assert _same(w, eval_f(*c)), c
         assert _same(w, _reference_eval_f(*c)), c
+
+
+def _reference_find_zero(k: int, q, n_guess: int = 2, precision_bits=None) -> ZeroResult:
+    """find_zero as it was with every bracket and bisection sign read at
+    the full budget, kept verbatim as the reference the certified probes
+    must reproduce bit for bit."""
+    if k < 1:
+        raise ValueError("zero index starts at 1")
+    qf = Fraction(q)
+    if not 0 < qf < 1:
+        raise ValueError("q must lie in (0, 1)")
+    bits = precision_bits if precision_bits is not None else required_precision(k, qf)
+    ctx = context(bits)
+
+    guess = _asymptotic_guess(ctx, k, qf, n_guess, bits)
+    delta_max = ctx.mpf(1) / (4 * k)
+    delta = min(ctx.mpf(k) ** (-(n_guess + 2)), delta_max)
+
+    def f(t) -> PrecReal:
+        return eval_f(t, qf, bits)
+
+    while True:
+        lo = guess * (1 + delta)  # the more negative endpoint
+        hi = guess * (1 - delta)
+        flo = f(lo)
+        fhi = f(hi)
+        if _sign(flo) * _sign(fhi) < 0:
+            break
+        if delta >= delta_max:
+            raise BracketError(
+                f"no sign change within relative half-width 1/(4k) around the "
+                f"order-{n_guess} guess for k={k}, q={qf}"
+            )
+        delta = min(delta * 2, delta_max)
+    bracket = (PrecReal(lo, bits), PrecReal(hi, bits))
+
+    # bisection to roughly 60 correct bits, or 8 below the working
+    # precision when that is lower (rounded midpoints get no closer)
+    a, b, fa = lo, hi, flo
+    coarse = abs(guess) * ctx.mpf(2) ** (-min(60, bits - 8))
+    while (b - a) > coarse:
+        mid = (a + b) / 2
+        fm = f(mid)
+        s = _sign(fm)
+        if s == 0:
+            a = b = mid
+            break
+        if s == _sign(fa):
+            a, fa = mid, fm
+        else:
+            b = mid
+
+    # Newton, converging quadratically to the working precision
+    x = (a + b) / 2
+    qv = to_mpf(ctx, qf)
+    steps: list[float] = []
+    target = ctx.mpf(2) ** (4 - bits)
+    for _ in range(bits.bit_length() + 8):
+        fx = f(x)
+        fpx = eval_f(qv * x, qf, bits)
+        if fpx.precision_bits <= 1:
+            break  # derivative lost to cancellation; x is as good as it gets
+        step = to_mpf(ctx, fx) / to_mpf(ctx, fpx)
+        x = x - step
+        rel = abs(step) / abs(x)
+        steps.append(float(rel))
+        if rel < target or fx.precision_bits <= 8:
+            break
+
+    residual = abs(f(x))
+    return ZeroResult(
+        k=k,
+        q=qf,
+        x=PrecReal(x, bits),
+        bracket=bracket,
+        residual=residual,
+        precision_bits=bits,
+        newton_rel_steps=tuple(steps),
+    )
+
+
+@pytest.mark.parametrize("q", [Q_HALF, Fraction(7, 15), Fraction(6, 11)], ids=str)
+def test_probed_find_zero_is_bit_identical_to_the_full_budget_loop(q):
+    for k in (10, 25, 40, 60):
+        assert _zero_fields(find_zero(k, q)) == _zero_fields(_reference_find_zero(k, q)), k
+
+
+def test_probe_certification_threshold_covers_the_error_bound():
+    """A certified probe value exceeds 2^(T-1) P u; the error of a sum of
+    at most M terms is below (M^3 + 3M^2 + M + 2) P u.  The threshold must
+    leave the value at least twice that error (see the comment at the
+    constants in zeros)."""
+    m = zeros._PROBE_MAX_TERMS
+    assert 2 * (m**3 + 3 * m**2 + m + 2) <= 2 ** (zeros._PROBE_CERT_BITS - 1)
+
+
+@pytest.mark.parametrize(
+    "uncertified",
+    [
+        pytest.param(PrecReal(1, 1), id="one-bit"),
+        pytest.param(PrecReal(1, zeros._PROBE_CERT_BITS - 1), id="just-below-the-threshold"),
+        pytest.param(PrecReal(0, zeros._PROBE_BITS), id="exact-zero"),
+    ],
+)
+def test_uncertified_probes_fall_back_to_the_full_budget(monkeypatch, uncertified):
+    """Every probe returns one uncertified value (a constant sign, which
+    alone would never bracket a zero); each sign must then come from the
+    full-budget evaluation."""
+    k, q = 30, Fraction(6, 11)
+    want = find_zero(k, q)
+    probes = []
+
+    def patched(x, q, bits):
+        if bits != zeros._PROBE_BITS:
+            return eval_f(x, q, bits)
+        probes.append(bits)
+        return uncertified
+
+    monkeypatch.setattr(zeros, "eval_f", patched)
+    got = find_zero(k, q)
+    assert len(probes) > 40
+    assert _zero_fields(got) == _zero_fields(want)
+
+
+def test_probe_sign_near_a_zero_is_the_full_budget_sign():
+    """Within about 2^-150 of a zero the 160-bit probe is noise, often of
+    the wrong sign; at relative distances 2^-60..2^-170 the helper must
+    return the sign of the full-budget evaluation, certifying the far
+    points and falling back on the near ones."""
+    certified = fallen_back = wrong = 0
+    for k, q in ((12, Q_HALF), (20, Fraction(6, 11))):
+        z = find_zero(k, q)
+        bits = z.precision_bits
+        assert bits > zeros._PROBE_BITS
+        ctx = context(bits)
+        for j in range(60, 172, 4):
+            for side in (1, -1):
+                t = z.x.value * (1 + side * ctx.mpf(2) ** -j)
+                probe = eval_f(t, q, zeros._PROBE_BITS)
+                want = _sign(eval_f(t, q, bits))
+                assert zeros._sign_at(t, q, bits, True) == want, (k, j, side)
+                if probe.precision_bits >= zeros._PROBE_CERT_BITS:
+                    certified += 1
+                else:
+                    fallen_back += 1
+                    wrong += _sign(probe) != want
+    assert certified > 40 and fallen_back > 40 and wrong >= 3
+
+
+def test_bracket_and_bisection_make_no_full_budget_call(monkeypatch):
+    """At k = 60 the bracket and the bisection run on 160-bit probes only;
+    the full budget is spent on Newton (two calls a step) and the
+    residual."""
+    k = 60
+    bits = required_precision(k, Q_HALF)
+    calls = []
+
+    def counted(x, q, b):
+        calls.append(b)
+        return eval_f(x, q, b)
+
+    monkeypatch.setattr(zeros, "eval_f", counted)
+    z = find_zero(k, Q_HALF)
+    probes = calls.count(zeros._PROBE_BITS)
+    assert set(calls) == {zeros._PROBE_BITS, bits}
+    assert calls == [zeros._PROBE_BITS] * probes + [bits] * (len(calls) - probes)
+    assert probes >= 40
+    assert len(calls) - probes <= 2 * len(z.newton_rel_steps) + 2
+
+
+@pytest.mark.parametrize("n_guess", [-1, 21, 40])
+def test_find_zero_rejects_guess_order_outside_0_to_20(n_guess):
+    with pytest.raises(ValueError, match="guess order"):
+        find_zero(30, Q_HALF, n_guess=n_guess)
+
+
+@pytest.mark.parametrize("n_guess", [0, 20])
+def test_find_zero_takes_guess_orders_0_and_20(monkeypatch, n_guess):
+    """The ends of the range are taken (the coefficients are stubbed to
+    zero: a cold C_20 costs seconds)."""
+    monkeypatch.setattr(zeros, "coefficient_value", lambda i, q, trunc, bits: 0)
+    z = find_zero(12, Q_HALF, n_guess=n_guess)
+    assert z.k == 12
 
 
 @pytest.mark.parametrize("k", range(4, 11))
