@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import zip_longest
+from math import gcd, lcm
 
 from .exactmath import gen_binomial, power_sum_poly
 
@@ -37,49 +38,78 @@ class DecompositionError(ValueError):
 
 
 class JPoly:
-    """Dense univariate polynomial over Fraction, lowest degree first."""
+    """Dense univariate polynomial over Q, lowest degree first.
 
-    __slots__ = ("coeffs",)
+    The coefficients are integer numerators `nums` over one positive
+    denominator `den`, in canonical form: no trailing zero numerator, and
+    the gcd of the denominator and all numerators is 1 (the zero
+    polynomial has denominator 1).  `coeffs` is the Fraction view.
+    """
+
+    __slots__ = ("nums", "den")
 
     def __init__(self, coeffs=()):
         cs = [Fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self.coeffs = tuple(cs)
+        den = lcm(*(c.denominator for c in cs))
+        self._set([c.numerator * (den // c.denominator) for c in cs], den)
+
+    def _set(self, nums: list[int], den: int) -> None:
+        # pops trailing zeros off nums in place: pass a list no one else holds
+        while nums and not nums[-1]:
+            nums.pop()
+        g = gcd(den, *nums)
+        if g != 1:
+            nums = [c // g for c in nums]
+            den //= g
+        self.nums = tuple(nums)
+        self.den = den
+
+    @classmethod
+    def _from_nums(cls, nums: list[int], den: int = 1) -> "JPoly":
+        """Integer numerators over den > 0, brought to canonical form."""
+        p = object.__new__(cls)
+        p._set(nums, den)
+        return p
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(c, self.den) for c in self.nums)
 
     @property
     def degree(self) -> int:
         """Degree, with the zero polynomial at -1."""
-        return len(self.coeffs) - 1
+        return len(self.nums) - 1
 
     def coeff(self, k: int) -> Fraction:
-        if 0 <= k < len(self.coeffs):
-            return self.coeffs[k]
+        if 0 <= k < len(self.nums):
+            return Fraction(self.nums[k], self.den)
         return Fraction(0)
 
     def __bool__(self) -> bool:
-        return bool(self.coeffs)
+        return bool(self.nums)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, JPoly):
-            return self.coeffs == other.coeffs
+            return self.den == other.den and self.nums == other.nums
         if isinstance(other, (int, Fraction)):
             return self == JPoly((other,))
         return NotImplemented
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return hash((self.nums, self.den))
 
     def __neg__(self) -> "JPoly":
-        return JPoly(tuple(-c for c in self.coeffs))
+        return JPoly._from_nums([-c for c in self.nums], self.den)
 
     def __add__(self, other) -> "JPoly":
         if isinstance(other, (int, Fraction)):
             other = JPoly((other,))
         if not isinstance(other, JPoly):
             return NotImplemented
-        return JPoly(
-            tuple(a + b for a, b in zip_longest(self.coeffs, other.coeffs, fillvalue=Fraction(0)))
+        den = lcm(self.den, other.den)
+        sa, sb = den // self.den, den // other.den
+        return JPoly._from_nums(
+            [a * sa + b * sb for a, b in zip_longest(self.nums, other.nums, fillvalue=0)], den
         )
 
     __radd__ = __add__
@@ -96,17 +126,18 @@ class JPoly:
 
     def __mul__(self, other) -> "JPoly":
         if isinstance(other, (int, Fraction)):
-            return JPoly(tuple(c * other for c in self.coeffs))
+            f = Fraction(other)
+            return JPoly._from_nums([c * f.numerator for c in self.nums], self.den * f.denominator)
         if not isinstance(other, JPoly):
             return NotImplemented
-        if not self.coeffs or not other.coeffs:
+        if not self.nums or not other.nums:
             return JPoly()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
+        out = [0] * (len(self.nums) + len(other.nums) - 1)
+        for i, a in enumerate(self.nums):
             if a:
-                for k, b in enumerate(other.coeffs):
-                    out[i + k] += a * b
-        return JPoly(out)
+                for k, b in enumerate(other.nums, start=i):
+                    out[k] += a * b
+        return JPoly._from_nums(out, self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -125,9 +156,9 @@ class JPoly:
     def __call__(self, x):
         """Evaluate by Horner; x may be a scalar or another JPoly."""
         acc = Fraction(0) if not isinstance(x, JPoly) else JPoly()
-        for c in reversed(self.coeffs):
+        for c in reversed(self.nums):
             acc = acc * x + c
-        return acc
+        return acc * Fraction(1, self.den)
 
     def __repr__(self) -> str:
         return f"JPoly({[str(c) for c in self.coeffs]})"
@@ -141,42 +172,42 @@ V_POLY = JPoly((0, -1, 1))
 
 
 class UVForm:
-    """u times a polynomial in v, with u = 2j-1 and v = j(j-1)."""
+    """u times a polynomial in v, with u = 2j-1 and v = j(j-1).
 
-    __slots__ = ("vcoeffs",)
+    The polynomial in v is held as a JPoly, `vpoly`; the constructor takes
+    its coefficients or that JPoly itself.
+    """
+
+    __slots__ = ("vpoly",)
 
     def __init__(self, vcoeffs=()):
-        cs = [Fraction(c) for c in vcoeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self.vcoeffs = tuple(cs)
+        self.vpoly = vcoeffs if isinstance(vcoeffs, JPoly) else JPoly(vcoeffs)
+
+    @property
+    def vcoeffs(self) -> tuple[Fraction, ...]:
+        return self.vpoly.coeffs
 
     @property
     def vdegree(self) -> int:
-        return len(self.vcoeffs) - 1
+        return self.vpoly.degree
 
     def coeff(self, i: int) -> Fraction:
-        if 0 <= i < len(self.vcoeffs):
-            return self.vcoeffs[i]
-        return Fraction(0)
+        return self.vpoly.coeff(i)
 
     def __bool__(self) -> bool:
-        return bool(self.vcoeffs)
+        return bool(self.vpoly)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, UVForm):
-            return self.vcoeffs == other.vcoeffs
+            return self.vpoly == other.vpoly
         return NotImplemented
 
     def __hash__(self):
-        return hash(self.vcoeffs)
+        return hash(self.vpoly)
 
     def to_jpoly(self) -> JPoly:
         """Expand back to a plain polynomial in j."""
-        acc = JPoly()
-        for c in reversed(self.vcoeffs):
-            acc = acc * V_POLY + c
-        return U_POLY * acc
+        return U_POLY * self.vpoly(V_POLY)
 
     def __repr__(self) -> str:
         return f"UVForm({[str(c) for c in self.vcoeffs]})"
@@ -190,13 +221,15 @@ def uv_decompose(p: JPoly) -> tuple[list[Fraction], UVForm]:
     2i+1, so the two families together form a basis of Q[j].
 
     Reduction: j^2 = v + j lowers the j-degree until only 1 and j are
-    left with v-polynomial coefficients; then j = (u+1)/2.
+    left with v-polynomial coefficients; then j = (u+1)/2.  The rewrite
+    runs on p's integer numerators; both parts come out over 2 den(p),
+    and the even part becomes Fractions only when it is not zero.
     """
-    layers: list[list[Fraction]] = [[c] for c in p.coeffs]
+    layers: list[list[int]] = [[c] for c in p.nums]
 
-    def _add_into(dst: list[Fraction], src: list[Fraction], shift: int) -> None:
+    def _add_into(dst: list[int], src: list[int], shift: int) -> None:
         while len(dst) < len(src) + shift:
-            dst.append(Fraction(0))
+            dst.append(0)
         for i, c in enumerate(src):
             dst[i + shift] += c
 
@@ -206,12 +239,13 @@ def uv_decompose(p: JPoly) -> tuple[list[Fraction], UVForm]:
         _add_into(layers[-1], top, 0)
     alpha = layers[0] if layers else []
     beta = layers[1] if len(layers) > 1 else []
-    half_beta = [c / 2 for c in beta]
-    even = list(alpha)
-    _add_into(even, half_beta, 0)
+    # over the denominator 2 den(p): even = 2 alpha + beta, odd = beta
+    even = [2 * c for c in alpha]
+    _add_into(even, beta, 0)
     while even and even[-1] == 0:
         even.pop()
-    return even, UVForm(half_beta)
+    den = 2 * p.den
+    return [Fraction(c, den) for c in even], UVForm(JPoly._from_nums(beta, den))
 
 
 _sigma_cache: list[JPoly] = [JPoly((1,))]
@@ -243,16 +277,21 @@ def q_poly(k: int) -> JPoly:
     """Companion polynomials defined by Q_0 = 1, Q_k = -sum sigma_i Q_{k-i}.
 
     These are the series coefficients of 1 / prod_{i=1}^{j-1} (1 + i x);
-    they satisfy Q_n(1 - t) = (-1)^n sigma_n(t).
+    they satisfy Q_k(j) = (-1)^k sigma_k(1 - j), which builds each one
+    from sigma_k by a Taylor shift in integer additions.
     """
     if k < 0:
         raise ValueError("Q index must be nonnegative")
     while len(_q_cache) <= k:
         m = len(_q_cache)
-        acc = JPoly()
-        for i in range(1, m + 1):
-            acc = acc + sigma_poly(i) * _q_cache[m - i]
-        _q_cache.append(-acc)
+        s = sigma_poly(m)
+        a = list(s.nums)
+        # sigma_m(1 + t): the coefficients of a(t + 1), in place
+        for i in range(len(a) - 1):
+            for t in range(len(a) - 2, i - 1, -1):
+                a[t] += a[t + 1]
+        # then t = -j, times (-1)^m
+        _q_cache.append(JPoly._from_nums([-c if (t + m) % 2 else c for t, c in enumerate(a)], s.den))
     return _q_cache[k]
 
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
 
 from .exactmath import divisor_sigma
 from .precreal import PrecReal, context, to_mpf
@@ -233,22 +232,20 @@ def _monomial_series(family: str, exps: tuple, trunc: int) -> tuple[int, ...]:
 def eval_mpoly_series(p, trunc: int) -> QSeries:
     """Evaluate an A- or E-symbol polynomial into its exact q-series.
 
-    Monomials are integer series; the rational coefficients enter only
-    in the sum, which runs over their common denominator.
+    Monomials are integer series; the polynomial's integer numerators
+    enter the sum, and its one denominator only the final coefficients.
     """
     family = p.family
     if family not in ("A", "E"):
         raise ValueError(f"cannot evaluate symbol family {family!r} as q-series")
     if trunc < 0:
         raise ValueError("truncation order must be nonnegative")
-    den = lcm(*(c.denominator for c in p.terms.values()))
     acc = [0] * (trunc + 1)
-    for exps, c in p.terms.items():
-        scale = c.numerator * (den // c.denominator)
+    for exps, c in p.nums.items():
         for k, v in enumerate(_monomial_series(family, exps, trunc)):
             if v:
-                acc[k] += scale * v
-    return QSeries([Fraction(v, den) for v in acc], trunc)
+                acc[k] += c * v
+    return QSeries([Fraction(v, p.den) for v in acc], trunc)
 
 
 def eval_series_numeric(s: QSeries, q0, precision_bits: int) -> PrecReal:

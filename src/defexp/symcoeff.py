@@ -23,6 +23,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import partial
+from itertools import zip_longest
+from math import gcd, lcm
 from operator import add
 
 from .exactmath import gen_binomial
@@ -68,8 +70,8 @@ def _add_exps(e1: tuple, e2: tuple) -> tuple:
     return tuple(map(add, e1, e2)) + e1[len(e2) :]
 
 
-def _add_product(out: dict, t1: dict, t2: dict, scale=1) -> None:
-    """out += scale * t1 * t2 on term dicts; zero entries may remain."""
+def _add_product(out: dict, t1: dict, t2: dict, scale: int = 1) -> None:
+    """out += scale * t1 * t2 on integer numerators; zero entries may remain."""
     for e1, c1 in t1.items():
         if scale != 1:
             c1 = c1 * scale
@@ -79,24 +81,28 @@ def _add_product(out: dict, t1: dict, t2: dict, scale=1) -> None:
             out[e] = c1 * c2 if cur is None else cur + c1 * c2
 
 
-def _add_scaled(out: dict, terms: dict, scale=1) -> None:
-    """out += scale * terms on term dicts; zero entries may remain."""
-    for e, c in terms.items():
+def _add_scaled(out: dict, nums: dict, scale: int = 1) -> None:
+    """out += scale * nums on integer numerators; zero entries may remain."""
+    for e, c in nums.items():
         cur = out.get(e)
         c = c * scale if scale != 1 else c
         out[e] = c if cur is None else cur + c
 
 
 class MPoly:
-    """Sparse multivariate polynomial over Fraction in one symbol family.
+    """Sparse multivariate polynomial over Q in one symbol family.
 
-    Terms map trimmed exponent tuples to nonzero coefficients; slot i of
-    an exponent tuple refers to the i-th symbol of the family (A_i, or
-    C_{i+1}, or E2/E4/E6, or a_i).  Canonical term order for printing and
-    serialization is graded lexicographic on the exponent tuples.
+    The coefficients are integer numerators `nums` over one positive
+    denominator `den`: nums maps trimmed exponent tuples to nonzero ints,
+    and the form is canonical, with the gcd of den and all numerators 1
+    (the zero polynomial has den 1).  Slot i of an exponent tuple refers
+    to the i-th symbol of the family (A_i, or C_{i+1}, or E2/E4/E6, or
+    a_i).  `terms` is the Fraction view; canonical term order for
+    printing and serialization is graded lexicographic on the exponent
+    tuples.
     """
 
-    __slots__ = ("family", "terms")
+    __slots__ = ("family", "nums", "den")
 
     def __init__(self, family: str, terms=None):
         if family not in _FAMILIES:
@@ -114,17 +120,27 @@ class MPoly:
             if family == "E" and len(e) > 3:
                 raise ValueError("Eisenstein family has only E2, E4, E6")
             clean[e] = clean.get(e, Fraction(0)) + c
+        den = lcm(*(c.denominator for c in clean.values()))
+        self._set(family, {e: c.numerator * (den // c.denominator) for e, c in clean.items()}, den)
+
+    def _set(self, family: str, nums: dict, den: int) -> None:
+        nums = {e: c for e, c in nums.items() if c}
+        g = gcd(den, *nums.values())
+        if g != 1:
+            nums = {e: c // g for e, c in nums.items()}
+            den //= g
         self.family = family
-        self.terms = {e: c for e, c in clean.items() if c}
+        self.nums = nums
+        self.den = den
 
     # -- constructors ---------------------------------------------------
 
     @classmethod
-    def _from_terms(cls, family: str, terms: dict) -> "MPoly":
-        """Wrap a dict of trimmed exponents, dropping zero coefficients."""
+    def _from_nums(cls, family: str, nums: dict, den: int = 1) -> "MPoly":
+        """Integer numerators over den > 0 on trimmed exponents, in
+        canonical form: zero entries dropped, the common gcd divided out."""
         p = object.__new__(cls)
-        p.family = family
-        p.terms = {e: c for e, c in terms.items() if c}
+        p._set(family, nums, den)
         return p
 
     @classmethod
@@ -143,15 +159,21 @@ class MPoly:
 
     # -- queries --------------------------------------------------------
 
+    @property
+    def terms(self) -> dict[tuple, Fraction]:
+        """The coefficients as Fractions, in a fresh dict."""
+        den = self.den
+        return {e: Fraction(c, den) for e, c in self.nums.items()}
+
     def max_index(self) -> int:
         """Largest symbol slot actually used; -1 for constants."""
-        return max((len(e) - 1 for e in self.terms if e), default=-1)
+        return max((len(e) - 1 for e in self.nums if e), default=-1)
 
     def constant_term(self) -> Fraction:
-        return self.terms.get((), Fraction(0))
+        return Fraction(self.nums.get((), 0), self.den)
 
     def linear_coefficient(self, index: int) -> Fraction:
-        return self.terms.get((0,) * index + (1,), Fraction(0))
+        return Fraction(self.nums.get((0,) * index + (1,), 0), self.den)
 
     def canonical_terms(self) -> list[tuple[tuple, Fraction]]:
         return sorted(self.terms.items(), key=lambda t: (sum(t[0]), t[0]))
@@ -171,14 +193,16 @@ class MPoly:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        out = dict(self.terms)
-        _add_scaled(out, o.terms)
-        return MPoly._from_terms(self.family, out)
+        den = lcm(self.den, o.den)
+        out: dict[tuple, int] = {}
+        _add_scaled(out, self.nums, den // self.den)
+        _add_scaled(out, o.nums, den // o.den)
+        return MPoly._from_nums(self.family, out, den)
 
     __radd__ = __add__
 
     def __neg__(self) -> "MPoly":
-        return MPoly._from_terms(self.family, {e: -c for e, c in self.terms.items()})
+        return MPoly._from_nums(self.family, {e: -c for e, c in self.nums.items()}, self.den)
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -193,9 +217,9 @@ class MPoly:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        out: dict[tuple, Fraction] = {}
-        _add_product(out, self.terms, o.terms)
-        return MPoly._from_terms(self.family, out)
+        out: dict[tuple, int] = {}
+        _add_product(out, self.nums, o.nums)
+        return MPoly._from_nums(self.family, out, self.den * o.den)
 
     __rmul__ = __mul__
 
@@ -204,10 +228,10 @@ class MPoly:
             other = MPoly.const(self.family, other)
         if not isinstance(other, MPoly):
             return NotImplemented
-        return self.family == other.family and self.terms == other.terms
+        return self.family == other.family and self.den == other.den and self.nums == other.nums
 
     def __hash__(self):
-        return hash((self.family, frozenset(self.terms.items())))
+        return hash((self.family, self.den, frozenset(self.nums.items())))
 
     def substitute(
         self,
@@ -229,8 +253,8 @@ class MPoly:
                 raise ValueError("replacement family mismatch")
         if powers is None:
             powers = {}
-        groups: dict[tuple, dict[tuple, Fraction]] = {}
-        for exps, c in self.terms.items():
+        groups: dict[tuple, dict[tuple, int]] = {}
+        for exps, c in self.nums.items():
             moved = tuple((i, e) for i, e in enumerate(exps) if e and i in mapping)
             kept = exps
             if moved:
@@ -241,16 +265,22 @@ class MPoly:
                 slot = next(i for i, e in enumerate(kept) if e)
                 raise ValueError(f"symbol slot {slot} not mapped across families")
             groups.setdefault(moved, {})[kept] = c
-        out: dict[tuple, Fraction] = {}
-        for moved, kept_terms in groups.items():
-            if not moved:
-                _add_scaled(out, kept_terms)
-                continue
-            prod = _power(powers, mapping, *moved[0])
-            for i, e in moved[1:]:
-                prod = prod * _power(powers, mapping, i, e)
-            _add_product(out, kept_terms, prod.terms)
-        return MPoly._from_terms(out_family, out)
+        prods = []
+        for moved, kept_nums in groups.items():
+            prod = None
+            for i, e in moved:
+                pw = _power(powers, mapping, i, e)
+                prod = pw if prod is None else prod * pw
+            prods.append((kept_nums, prod))
+        # every group shares self.den; the products bring their own
+        den = lcm(*(prod.den for _, prod in prods if prod is not None))
+        out: dict[tuple, int] = {}
+        for kept_nums, prod in prods:
+            if prod is None:
+                _add_scaled(out, kept_nums, den)
+            else:
+                _add_product(out, kept_nums, prod.nums, den // prod.den)
+        return MPoly._from_nums(out_family, out, self.den * den)
 
     # -- presentation ---------------------------------------------------
 
@@ -270,7 +300,7 @@ class MPoly:
         }
 
     def __repr__(self) -> str:
-        if not self.terms:
+        if not self.nums:
             return "0"
         names = self.symbol_names()
         parts = []
@@ -307,29 +337,25 @@ def c_symbol(i: int) -> MPoly:
 # the theta derivation and the A_{>=3} closure
 
 
-def theta(p: MPoly, extend: bool = True) -> MPoly:
+def theta(p: MPoly) -> MPoly:
     """The derivation q d/dq on the A-ring: each A_i maps to A_{i+1}.
 
-    With extend=False the result is pushed back into Q[A_0, A_1, A_2]
-    through the closure substitution (A_3 and beyond are polynomials in
-    the first three generators).
+    The result may mention A_{max+1}; reduce_to_A012 folds it back into
+    Q[A_0, A_1, A_2].
     """
     if p.family != "A":
         raise ValueError("theta acts on A-symbols")
-    out: dict[tuple, Fraction] = {}
-    for exps, c in p.terms.items():
+    out: dict[tuple, int] = {}
+    for exps, c in p.nums.items():
         for i, e in enumerate(exps):
             if not e:
                 continue
             ne = list(exps) + [0] * (i + 2 - len(exps))
             ne[i] -= 1
             ne[i + 1] += 1
-            key = tuple(ne)
-            out[key] = out.get(key, Fraction(0)) + c * e
-    res = MPoly("A", out)
-    if not extend:
-        res = reduce_to_A012(res)
-    return res
+            key = tuple(ne)  # trimmed: slot i+1 or the old last slot ends it
+            out[key] = out.get(key, 0) + c * e
+    return MPoly._from_nums("A", out, p.den)
 
 
 #: A_3 = A_2 + 36 A_1^2 - 24 A_0 A_2, the base of the closure chain
@@ -348,10 +374,14 @@ _closure_powers: dict[tuple[int, int], MPoly] = {}
 
 
 def _a_closure(n: int) -> MPoly:
-    """A_n written in Q[A_0, A_1, A_2], for n >= 3; successors by theta."""
+    """A_n written in Q[A_0, A_1, A_2], for n >= 3; successors by theta.
+
+    theta of a reduced A_top mentions A_3 at most, whose closure is the
+    base of the chain, so the reduction here never recurses.
+    """
     top = max(_closure_cache)
     while top < n:
-        _closure_cache[top + 1] = theta(_closure_cache[top], extend=False)
+        _closure_cache[top + 1] = reduce_to_A012(theta(_closure_cache[top]))
         top += 1
     return _closure_cache[n]
 
@@ -416,13 +446,17 @@ _E_IN_A: dict[int, MPoly] = {
 }
 
 
+#: powers of the _A_IN_E polynomials keyed by (i, e), shared by every call
+_eisenstein_powers: dict[tuple[int, int], MPoly] = {}
+
+
 def to_eisenstein(p: MPoly) -> MPoly:
     """Rewrite a reduced A-polynomial in the generators E2, E4, E6."""
     if p.family != "A":
         raise ValueError("to_eisenstein acts on A-symbols")
     if p.max_index() > 2:
         raise ValueError("reduce to A_0..A_2 first")
-    return p.substitute(dict(_A_IN_E), family="E")
+    return p.substitute(_A_IN_E, family="E", powers=_eisenstein_powers)
 
 
 def from_eisenstein(p: MPoly) -> MPoly:
@@ -481,10 +515,13 @@ def c_n(n: int) -> MPoly:
     while len(_c) <= n:
         m = len(_c)
         s_a = _assemble_s(m, "A", comp)
-        out = {e: -c for e, c in s_a[0].terms.items()}
+        den = lcm(s_a[0].den, *(s_a[i].den * p_m(i).den for i in range(1, m + 1)))
+        out: dict[tuple, int] = {}
+        _add_scaled(out, s_a[0].nums, -(den // s_a[0].den))
         for i in range(1, m + 1):
-            _add_product(out, s_a[i].terms, p_m(i).terms, 3 * 2**i)
-        _c.append(MPoly._from_terms("A", out))
+            s, p = s_a[i], p_m(i)
+            _add_product(out, s.nums, p.nums, 3 * 2**i * (den // (s.den * p.den)))
+        _c.append(MPoly._from_nums("A", out, den))
     return _c[n]
 
 
@@ -506,23 +543,38 @@ def _assemble_s(n: int, family: str, comp_of) -> list[MPoly]:
            + sum_{N=3}^{n+1} sum_{m=1}^{floor(N/2)}
                ([u v^i] Delta(N, m) + [u v^i] Delta(N-2, m-1))
                * sum_{i_1+...+i_m = n-N+m+1, i_l >= 1} C_{i_1}...C_{i_m}
+
+    Each S_i(n) collects its parts first, as integer weight numerators
+    over a weight denominator, and is summed over their common
+    denominator once.
     """
-    head = delta(n + 1, 0)
-    acc: list[dict] = [{(): head.coeff(i)} for i in range(n + 1)]
+    head = delta(n + 1, 0).vpoly
+    parts: list[list[tuple[int, int, MPoly]]] = [[] for _ in range(n + 1)]
     for n_order in range(3, n + 2):
         for m in range(1, n_order // 2 + 1):
             d = n - n_order + m + 1
             if d < m:
                 continue
-            outer, inner = delta(n_order, m), delta(n_order - 2, m - 1)
+            outer, inner = delta(n_order, m).vpoly, delta(n_order - 2, m - 1).vpoly
+            wden = lcm(outer.den, inner.den)
+            so, si = wden // outer.den, wden // inner.den
+            ws = zip_longest(outer.nums, inner.nums, fillvalue=0)
             block = None
-            for i in range(n + 1):
-                w = outer.coeff(i) + inner.coeff(i)
+            for i, (wo, wi) in zip(range(n + 1), ws):
+                w = wo * so + wi * si
                 if w:
                     if block is None:
                         block = comp_of(m, d)
-                    _add_scaled(acc[i], block.terms, w)
-    return [MPoly._from_terms(family, terms) for terms in acc]
+                    parts[i].append((w, wden, block))
+    out = []
+    for i, ps in enumerate(parts):
+        h = head.nums[i] if i < len(head.nums) else 0
+        den = lcm(head.den, *(wden * block.den for _, wden, block in ps))
+        acc: dict[tuple, int] = {(): h * (den // head.den)}
+        for w, wden, block in ps:
+            _add_scaled(acc, block.nums, w * (den // (wden * block.den)))
+        out.append(MPoly._from_nums(family, acc, den))
+    return out
 
 
 def _composition(memo: dict, family: str, coeff, m: int, d: int) -> MPoly:
@@ -542,11 +594,15 @@ def _composition(memo: dict, family: str, coeff, m: int, d: int) -> MPoly:
     elif m == 1:
         res = coeff(d)
     else:
-        out: dict[tuple, Fraction] = {}
-        for i in range(1, d - m + 2):
-            rest = _composition(memo, family, coeff, m - 1, d - i)
-            _add_product(out, coeff(i).terms, rest.terms)
-        res = MPoly._from_terms(family, out)
+        pairs = [
+            (coeff(i), _composition(memo, family, coeff, m - 1, d - i))
+            for i in range(1, d - m + 2)
+        ]
+        den = lcm(*(a.den * b.den for a, b in pairs))
+        out: dict[tuple, int] = {}
+        for a, b in pairs:
+            _add_product(out, a.nums, b.nums, den // (a.den * b.den))
+        res = MPoly._from_nums(family, out, den)
     memo[key] = res
     return res
 
@@ -610,7 +666,8 @@ class KernelCoefficient:
 
     def s_in_c_symbols(self, i: int) -> MPoly:
         """Same as s_value but with a_i renamed to C_{i+1} (same slots)."""
-        return MPoly("C", self.s_value(i).terms)
+        p = self.s_value(i)
+        return MPoly._from_nums("C", p.nums, p.den)
 
 
 def kernel_expand(n: int) -> KernelCoefficient:

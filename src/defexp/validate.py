@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .precreal import PrecReal, context, to_mpf
 from .qseries import SERIES_TRUNC, coefficient_value, eval_mpoly_series
@@ -174,11 +175,15 @@ def fj_extract(i_max: int, j_max: int) -> FjTable:
         rows.append(tuple(series.coeff(j) for j in range(j_max + 1)))
     negatives = []
     for j in range(1, j_max + 1):
+        # F_j(1/k) = s(k) / (den k^(i_max+1)), s(k) = sum_i nums[i-1] k^(i_max-i)
+        den = lcm(*(row[j].denominator for row in rows))
+        nums = [row[j].numerator * (den // row[j].denominator) for row in rows]
         for k in range(1, _K_REPORT + 1):
-            val = sum(
-                rows[i - 1][j] * Fraction(1, k ** (i + 1)) for i in range(1, i_max + 1)
-            )
-            if val < 0:
+            s = 0
+            for c in nums:
+                s = s * k + c
+            if s < 0:
+                val = Fraction(s, den * k ** (i_max + 1))
                 negatives.append({"j": j, "k": k, "value": str(val)})
     return FjTable(
         i_max=i_max,

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -34,6 +35,31 @@ def subprocess_env(**extra) -> dict:
     src = str(Path(defexp.cli.__file__).resolve().parents[1])
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     return dict(os.environ, PYTHONPATH=path, **extra)
+
+
+COEFF_GOLDEN = Path(__file__).resolve().parents[1] / "bench" / "golden" / "coeff"
+
+
+def golden_argv(name: str) -> list[str]:
+    """The CLI arguments whose stdout a coeff golden file holds."""
+    stem = name.removesuffix(".json")
+    if stem.startswith("fj_"):
+        imax, jmax = re.fullmatch(r"fj_i(\d+)_j(\d+)", stem).groups()
+        return ["fj", "--imax", str(int(imax)), "--jmax", str(int(jmax))]
+    verb, n, raw = re.fullmatch(r"(coeff|reduce|eisenstein)_n(\d+)(_raw)?", stem).groups()
+    return [verb, "--n", str(int(n))] + (["--basis", "raw"] if raw else [])
+
+
+def test_coeff_goldens_are_all_present():
+    assert len(list(COEFF_GOLDEN.glob("*.json"))) == 43
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in COEFF_GOLDEN.glob("*.json")))
+def test_exact_layer_output_matches_coeff_golden(capsys, name):
+    """The benchmark's coeff workload, byte for byte, run in process."""
+    code, out, err = run_cli(capsys, *golden_argv(name))
+    assert code == 0, err
+    assert out.encode() == (COEFF_GOLDEN / name).read_bytes()
 
 
 def test_coeff_raw_lowest_orders(capsys):

@@ -1,6 +1,7 @@
 """Dense polynomial arithmetic, the (u, v) rewriting, and the block table."""
 
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
@@ -87,6 +88,22 @@ def test_q_poly_is_reciprocal_of_sigma_series():
         inv.append(-sum(prod[i] * inv[n - i] for i in range(1, n + 1)))
     for n in range(order + 1):
         assert q_poly(n)(Fraction(j)) == inv[n]
+
+
+@lru_cache(maxsize=None)
+def recursive_q_poly(k):
+    """Q_k by the defining chain Q_0 = 1, Q_k = -sum_{i=1}^{k} sigma_i Q_{k-i}."""
+    if k == 0:
+        return JPoly((1,))
+    acc = JPoly(())
+    for i in range(1, k + 1):
+        acc = acc + sigma_poly(i) * recursive_q_poly(k - i)
+    return -acc
+
+
+def test_q_poly_taylor_shift_matches_recursion():
+    for k in range(21):
+        assert q_poly(k) == recursive_q_poly(k), k
 
 
 def test_sigma_q_convolution_identity():

@@ -1,17 +1,23 @@
 """Multivariate symbol layer, the derivation, closure, and the recursion."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from defexp.jpoly import JPoly
 from defexp.reference import (
     REFERENCE_C_RAW,
     REFERENCE_C_REDUCED,
     REFERENCE_P2,
     REFERENCE_S_CONSTANTS,
+    bernoulli_linear_parts,
     reference_s12,
 )
 from defexp.symcoeff import (
+    _A_IN_E,
     MPoly,
     c_n,
     from_eisenstein,
@@ -66,11 +72,11 @@ def test_theta_is_a_derivation():
 def test_theta_shifts_symbol_index():
     assert theta(A0) == A1
     assert theta(A1) == A2
-    assert theta(A2, extend=True) == MPoly.symbol("A", 3)
+    assert theta(A2) == MPoly.symbol("A", 3)
 
 
 def test_theta_with_closure_stays_in_three_symbols():
-    closed = theta(A2, extend=False)
+    closed = reduce_to_A012(theta(A2))
     assert closed.max_index() <= 2
     assert closed == A2 + A1 * A1 * Fraction(36) - A0 * A2 * Fraction(24)
 
@@ -79,7 +85,7 @@ def test_closure_chain_consistency():
     """Reducing A_{n+1} must equal applying the closed derivation to reduced A_n."""
     for n in range(2, 6):
         lower = reduce_to_A012(MPoly.symbol("A", n))
-        lifted = reduce_to_A012(theta(lower, extend=True))
+        lifted = reduce_to_A012(theta(lower))
         assert lifted == reduce_to_A012(MPoly.symbol("A", n + 1))
 
 
@@ -134,7 +140,7 @@ def weight(exps):
     return sum((2 * i + 2) * e for i, e in enumerate(exps))
 
 
-@pytest.mark.parametrize("n", range(1, 13))
+@pytest.mark.parametrize("n", range(1, 21))
 def test_weight_filtration(n):
     weights = [weight(e) for e in reduced_c_n(n).terms]
     assert max(weights) == 2 * n  # bounded by 2n, top part not empty
@@ -165,9 +171,23 @@ def test_linear_part_of_low_order_coefficients():
     assert linear_part(reduce_to_A012(c_n(2))) == (0, -1, 0)
 
 
+@pytest.mark.parametrize("n", range(7, 11))
+def test_bernoulli_linear_parts_beyond_the_acceptance_range(n):
+    """C_13..C_20: the paper's Bernoulli pattern past criterion 2's n <= 6."""
+    odd, even = bernoulli_linear_parts(n)
+    assert linear_part(reduced_c_n(2 * n - 1)) == odd
+    assert linear_part(reduced_c_n(2 * n)) == even
+
+
 def test_linear_part_requires_reduced_input():
     with pytest.raises(ValueError):
         linear_part(c_n(4))  # raw form still mentions A_3
+
+
+def test_to_eisenstein_shared_powers_match_a_fresh_cache():
+    for n in range(1, 15):
+        p = reduced_c_n(n)
+        assert to_eisenstein(p) == p.substitute(dict(_A_IN_E), family="E", powers={})
 
 
 def test_eisenstein_round_trips():
@@ -199,3 +219,99 @@ def test_kernel_expansion_matches_recursion_polynomials(n):
     for i in range(0, n + 1):
         assert kc.s_in_c_symbols(i) == s_poly(i, n)
 
+
+
+# -- integer numerators against a Fraction reference -----------------------
+
+_coeffs = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 12))
+_exps = st.lists(st.integers(0, 2), max_size=3).map(tuple)
+_terms = st.dictionaries(_exps, _coeffs, max_size=5)
+
+
+def _trim(e):
+    while e and e[-1] == 0:
+        e = e[:-1]
+    return e
+
+
+def _ref_clean(terms):
+    out = {}
+    for e, c in terms.items():
+        e = _trim(tuple(e))
+        out[e] = out.get(e, Fraction(0)) + c
+    return {e: c for e, c in out.items() if c}
+
+
+def _ref_mul(a, b):
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            n = max(len(e1), len(e2))
+            e = tuple(x + y for x, y in zip(e1 + (0,) * (n - len(e1)), e2 + (0,) * (n - len(e2))))
+            out[e] = out.get(e, Fraction(0)) + c1 * c2
+    return _ref_clean(out)
+
+
+def _ref_substitute(terms, slot, repl):
+    out = {}
+    for e, c in terms.items():
+        kept = _trim(tuple(0 if i == slot else x for i, x in enumerate(e)))
+        part = {kept: c}
+        for _ in range(e[slot] if slot < len(e) else 0):
+            part = _ref_mul(part, repl)
+        for k, v in part.items():
+            out[k] = out.get(k, Fraction(0)) + v
+    return _ref_clean(out)
+
+
+def _ref_theta(terms):
+    out = {}
+    for e, c in terms.items():
+        for i, x in enumerate(e):
+            if x:
+                ne = list(e) + [0] * (i + 2 - len(e))
+                ne[i] -= 1
+                ne[i + 1] += 1
+                out[tuple(ne)] = out.get(tuple(ne), Fraction(0)) + c * x
+    return _ref_clean(out)
+
+
+def _canonical(p):
+    if isinstance(p, JPoly):
+        nums = p.nums
+        trimmed = not nums or nums[-1] != 0
+    else:
+        nums = tuple(p.nums.values())
+        trimmed = all(c and _trim(e) == e for e, c in p.nums.items())
+    return trimmed and p.den > 0 and gcd(p.den, *nums) == 1
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(_terms, _terms, st.integers(0, 2), st.lists(_coeffs, max_size=5), st.lists(_coeffs, max_size=5))
+def test_integer_numerators_match_fraction_reference(ta, tb, slot, ja, jb):
+    a, b = MPoly("A", ta), MPoly("A", tb)
+    ra, rb = _ref_clean(ta), _ref_clean(tb)
+    assert _canonical(a) and _canonical(b) and a.terms == ra and b.terms == rb
+    total = dict(ra)
+    for e, c in rb.items():
+        total[e] = total.get(e, Fraction(0)) + c
+    checks = [
+        (a + b, _ref_clean(total)),
+        (a - a, {}),
+        (a * b, _ref_mul(ra, rb)),
+        (a.substitute({slot: b}), _ref_substitute(ra, slot, rb)),
+        (theta(a), _ref_theta(ra)),
+    ]
+    for got, want in checks:
+        assert _canonical(got)
+        assert got.terms == want
+        assert got == MPoly("A", want) and hash(got) == hash(MPoly("A", want))
+    pa, pb = JPoly(ja), JPoly(jb)
+    prod = [Fraction(0)] * max(len(ja) + len(jb) - 1, 0)
+    for i, x in enumerate(ja):
+        for k, y in enumerate(jb):
+            prod[i + k] += x * y
+    got = pa * pb
+    assert _canonical(pa) and _canonical(got)
+    assert got == JPoly(prod)
+    assert list(got.coeffs) + [0] * (len(prod) - len(got.coeffs)) == prod
