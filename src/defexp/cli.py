@@ -23,6 +23,7 @@ import os
 import re
 import sys
 from fractions import Fraction
+from functools import lru_cache
 
 from .jpoly import DecompositionError
 from .qseries import a_series, eisenstein_q, eval_mpoly_series, jacobi_p0
@@ -213,9 +214,14 @@ _ERROR_CODES = (
 )
 
 
+@lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call rather than at import."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     # structured errors first: DecompositionError is also a ValueError

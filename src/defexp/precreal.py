@@ -1,10 +1,13 @@
 """Arbitrary-precision reals that carry their own precision metadata.
 
-Thin wrapper over mpmath.  Every precision level gets its own MPContext
-instance, so no process-global precision state is ever mutated; a
-PrecReal pairs an mpf value with the number of bits it is warranted to.
-It carries no arithmetic of its own: callers compute on the mpf values
-in a context of their choosing and tag the result themselves.
+Thin wrapper over mpmath.  Every working precision gets its own
+MPContext instance, so no process-global precision state is ever
+mutated; a PrecReal pairs an mpf value with the number of bits it is
+warranted to.  It carries no arithmetic of its own: callers compute on
+the mpf values in a context of their choosing and tag the result
+themselves.  A tag needs no context of its own: a PrecReal keeps an
+mpf in the context it came from and rounds anything else at its tag with
+mpmath.libmp into one shared context.
 """
 
 from __future__ import annotations
@@ -13,13 +16,14 @@ from fractions import Fraction
 from functools import lru_cache
 
 from mpmath.ctx_mp import MPContext
+from mpmath.libmp import from_int, mpf_abs, mpf_div, to_str
 
 __all__ = ["PrecReal", "context", "to_mpf"]
 
 _DIGITS_PER_BIT = 0.3010299956639812  # log10(2)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def context(bits: int) -> MPContext:
     """Shared context at a fixed binary precision (never mutated after creation)."""
     if bits < 2:
@@ -38,6 +42,37 @@ def to_mpf(ctx: MPContext, x):
     return ctx.convert(x)
 
 
+_VALUES = MPContext()  # holds the values not given as mpfs; never mutated
+
+
+def _round_fraction(x: Fraction, bits: int) -> tuple:
+    """x rounded as to_mpf rounds it in context(bits): numerator and
+    denominator each to nearest, then their quotient."""
+    bits = max(bits, 2)  # the precision of context(bits)
+    num = from_int(x.numerator, bits, "n")
+    den = from_int(x.denominator, bits, "n")
+    return mpf_div(num, den, bits, "n")
+
+
+def _value(x, bits: int):
+    """The mpf to_mpf(context(bits), x) would give, without that context:
+    an mpf keeps its value and its own context, ints and floats are exact,
+    a Fraction is rounded at `bits`; all but mpfs go to _VALUES."""
+    if isinstance(x, PrecReal):
+        return x.value
+    raw = getattr(x, "_mpf_", None)
+    if raw is not None:
+        return getattr(x, "context", _VALUES).make_mpf(raw)
+    if isinstance(x, Fraction):
+        return _VALUES.make_mpf(_round_fraction(x, bits))
+    if isinstance(x, (int, float)):
+        return _VALUES.convert(x)
+    value = context(bits).convert(x)  # strings and rarer types, rounded at bits
+    if not hasattr(value, "_mpf_"):
+        raise ValueError("a PrecReal holds a real value")
+    return value
+
+
 class PrecReal:
     """A real number plus the binary precision it is warranted to."""
 
@@ -47,19 +82,21 @@ class PrecReal:
         precision_bits = int(precision_bits)
         if precision_bits < 1:
             precision_bits = 1
-        ctx = context(precision_bits)
-        object.__setattr__(self, "value", to_mpf(ctx, value))
+        object.__setattr__(self, "value", _value(value, precision_bits))
         object.__setattr__(self, "precision_bits", precision_bits)
 
     def __abs__(self):
-        return PrecReal(abs(self.value), self.precision_bits)
+        """|value| rounded to nearest at the tag (at least 2 bits)."""
+        v = self.value
+        raw = mpf_abs(v._mpf_, max(self.precision_bits, 2), "n")
+        return PrecReal(v.context.make_mpf(raw), self.precision_bits)
 
     def __eq__(self, other):
         """Equal values, whatever the tags (ZeroResult's equality uses this)."""
         if isinstance(other, PrecReal):
             other = other.value
         elif isinstance(other, Fraction):
-            other = to_mpf(context(self.precision_bits), other)
+            other = _VALUES.make_mpf(_round_fraction(other, self.precision_bits))
         return self.value == other
 
     def __hash__(self):
@@ -71,8 +108,7 @@ class PrecReal:
 
     def to_decimal(self) -> str:
         """Decimal string with exactly the digits the precision warrants."""
-        ctx = context(self.precision_bits)
-        return ctx.nstr(self.value, self.warranted_digits)
+        return to_str(self.value._mpf_, self.warranted_digits)
 
     def __repr__(self) -> str:
         return f"PrecReal({self.to_decimal()}, bits={self.precision_bits})"

@@ -29,6 +29,7 @@ from mpmath.libmp import (
     mpf_le,
     mpf_lt,
     mpf_mul,
+    mpf_pos,
     mpf_shift,
 )
 
@@ -48,24 +49,29 @@ __all__ = [
 #: grid density of scan_zeros' first pass (the rescan uses four times it)
 _SCAN_POINTS_PER_DECADE = 64
 
-# find_zero reads the sign of f(t) off a _PROBE_BITS evaluation when its
-# tag is at least _PROBE_CERT_BITS and it sums at most _PROBE_MAX_TERMS
-# terms.  Why that certifies the sign: let p = _PROBE_BITS, u = 2^-p,
-# N <= 2^15 the number of terms and P eval_f's peak (the largest |term|
-# or |partial sum|).  q^j is off by at most 2j u relative (q is rounded
-# once, then j products); t_n takes 3 roundings per step on top of
-# q^(n-1), plus n u if t itself is rounded to p bits, so it is off by at
-# most (n^2 + 3n) u.  With the N rounded partial sums and the tail left
-# at the stop (under 2 P u), the computed f(t) is off by less than
-# (N^3 + 3N^2 + N + 2) P u < 2^46 P u.  A tag T > 1 is
-# p - (mag(P) - mag(value)) and |value| >= 2^(mag(value) - 1), so
-# |value| > 2^(T-1) P u >= 2^47 P u when T >= 48: |f(t)| > 2^46 P u, and
-# the computed sign is the true one.  At p + d bits eval_f sums at most
-# 2^15 + d terms, and the same bound, now times 2^-d, stays below
-# 2^46 P u for every d >= 1: the full-budget evaluation reads that sign
-# too, so a certified probe changes no result.
+# find_zero reads the sign of f(t) off _probe_sign, an integer kernel at
+# p = _PROBE_BITS, when it sums N <= _PROBE_MAX_TERMS terms and the sum
+# is at least 2^_PROBE_CERT_BITS P u, with u = 2^-p and P = 2^peak the
+# kernel's bound on every |term| and |partial sum|.  Why that certifies
+# the sign: t is rounded once to p bits (relative error <= u), q^n is
+# floor(a^n 2^s / b^n) of p or p + 1 bits (< 2u), and each step takes a
+# truncating shift (< u) and a floor division by n + 1 (< 2u).  So term n
+# is off by less than (1 + 6u)^n - 1 < 7nu relative, and the exact sum of
+# N terms by less than 7u P N(N + 1)/2.  The kernel stops once the ratio
+# |t| q^n/(n + 1), bounded above with |t| < (|mantissa| + 1) 2^exp and
+# q^n < (Q_n + 1) 2^-s, is under 1/2 and the last term is below
+# 2^(peak - p), so the tail is under 2 P u.  The kernel is thus off by
+# less than (4N(N + 1) + 2) P u < 2^33 P u: N^2, where eval_f's chained
+# q^n products give N^3.  The certified sign must also be the one eval_f
+# reads at the budget B = p + d.  Its error is below
+# (N'^3 + 3N'^2 + N' + 2) 2^-d P' u, with N' <= 2^15 + d terms (the term
+# bound find_zero checks, plus one halving term per extra bit) and its
+# peak P' < 2P; at d = 1, the largest case, that is under 2^44.001 P' u <
+# 2^45.001 P u.  A sum of at least 2^46 P u leaves |f(t)| above both
+# bounds (2^46 - 2^33 > 2^45.001), so its sign is the true one and the
+# full-budget evaluation reads it too: a certified probe changes no result.
 _PROBE_BITS = 160
-_PROBE_CERT_BITS = 48
+_PROBE_CERT_BITS = 46
 _PROBE_MAX_TERMS = 2**15
 #: the largest guess order find_zero takes (order 20 costs about 5 s cold)
 _MAX_GUESS_ORDER = 20
@@ -108,6 +114,76 @@ def _extend_q_powers(qpows: list, q: tuple, bits: int, n: int) -> None:
     with _Q_POWERS_LOCK:  # two threads must not append the same power twice
         while len(qpows) <= n:
             qpows.append(mpf_mul(qpows[-1], q, bits, _NEAREST))
+
+
+@lru_cache(maxsize=16)
+def _probe_q_powers(q: Fraction) -> list:
+    """(Q_n, s_n) for n = 0, 1, ...: Q_n = floor(a^n 2^s_n / b^n) has
+    _PROBE_BITS or _PROBE_BITS + 1 bits, each entry its own truncation of
+    the exact q^n = a^n/b^n; _probe_sign extends the list in place."""
+    return []
+
+
+def _extend_probe_q_powers(qpows: list, q: Fraction, n: int) -> None:
+    with _Q_POWERS_LOCK:
+        while len(qpows) <= n:
+            num = q.numerator ** len(qpows)
+            den = q.denominator ** len(qpows)
+            s = _PROBE_BITS + den.bit_length() - num.bit_length()
+            qpows.append(((num << s) // den, s))
+
+
+def _probe_sign(t, qf: Fraction) -> int | None:
+    """The sign of f(t) from an integer kernel at _PROBE_BITS, or None
+    when the sum does not clear the bound derived at the constants.
+
+    t (an mpf) is rounded once; each term is an int mantissa m of about
+    _PROBE_BITS bits times 2^e, advanced by t q^n/(n + 1) with truncating
+    shifts and a floor division, and added exactly into one int `total`
+    times 2^base.
+    """
+    sign, man, exp, _ = mpf_pos(t._mpf_, _PROBE_BITS, _NEAREST)
+    if not man:
+        return 1  # f(0) = 1
+    tm = -man if sign else man
+    qpows = _probe_q_powers(qf)
+    m = total = 1
+    e = base = 0
+    peak = 1  # every |term| and |partial sum| so far is below 2^peak
+    ratio_small = False
+    n = 0
+    while True:
+        if n >= _PROBE_MAX_TERMS:
+            return None
+        if len(qpows) <= n + 1:
+            _extend_probe_q_powers(qpows, qf, n + 1)
+        qm, qs = qpows[n]
+        x = m * tm * qm
+        shift = x.bit_length() - _PROBE_BITS - (n + 1).bit_length()
+        m = (x >> shift) // (n + 1)
+        e += exp - qs + shift
+        n += 1
+        if e >= base:
+            total += m << (e - base)
+        else:
+            total = (total << (base - e)) + m
+            base = e
+        mag = m.bit_length() + e
+        peak = max(peak, mag, total.bit_length() + base)
+        if not ratio_small:
+            # 2 |t| q^n < n + 1, with |t| < (man + 1) 2^exp, q^n < (Q_n + 1) 2^-s_n
+            rq, rs = qpows[n]
+            lhs = (man + 1) * (rq + 1) << 1
+            lift = exp - rs
+            if lift >= 0:
+                ratio_small = lhs << lift < n + 1
+            else:
+                ratio_small = lhs < (n + 1) << -lift
+        if ratio_small and mag <= peak - _PROBE_BITS:
+            break
+    if total.bit_length() - 1 + base < peak - _PROBE_BITS + _PROBE_CERT_BITS:
+        return None
+    return 1 if total > 0 else -1
 
 
 def eval_f(x, q, precision_bits: int) -> PrecReal:
@@ -193,14 +269,13 @@ def _sign(value: PrecReal) -> int:
 
 
 def _sign_at(t, qf: Fraction, bits: int, probe: bool) -> int:
-    """The sign of eval_f(t, qf, bits), read off eval_f(t, qf, _PROBE_BITS)
-    when `probe` is set and that value is non-zero with a tag of at least
-    _PROBE_CERT_BITS (the derivation is at those constants); any other
-    probe falls back to the evaluation at `bits`."""
+    """The sign of eval_f(t, qf, bits), read off _probe_sign when `probe`
+    is set and the kernel certifies it (the derivation is at the
+    constants); any other probe falls back to the evaluation at `bits`."""
     if probe:
-        value = eval_f(t, qf, _PROBE_BITS)
-        if value.value != 0 and value.precision_bits >= _PROBE_CERT_BITS:
-            return _sign(value)
+        s = _probe_sign(t, qf)
+        if s is not None:
+            return s
     return _sign(eval_f(t, qf, bits))
 
 
@@ -251,12 +326,14 @@ def find_zero(k: int, q, n_guess: int = 2, precision_bits: int | None = None) ->
 
     The bracket and the bisection read only the sign of f.  When the
     working precision is above 160 bits, each sign is first read off a
-    160-bit evaluation, and taken from it when that value is non-zero
-    and its tag is at least 48 bits: by eval_f's error bound the sign is
-    then the true one, the one the full-precision evaluation gives.  Any
-    other probe falls back to the full-precision evaluation, so the
-    result is the same bit for bit; the endpoints, the midpoints, Newton
-    and the residual all stay at full precision.
+    160-bit integer kernel (_probe_sign), about 6 times cheaper than a
+    160-bit eval_f, which returns a sign only when its sum clears the
+    kernel's error bound together with eval_f's at the full precision:
+    the sign is then the true one, the one the full-precision evaluation
+    gives.  Any other probe falls back to the full-precision evaluation,
+    so the result is the same bit for bit; the endpoints, the midpoints,
+    Newton and the residual all stay at full precision, and Newton and
+    the residual are what most of the time goes to.
     """
     if k < 1:
         raise ValueError("zero index starts at 1")
@@ -275,10 +352,11 @@ def find_zero(k: int, q, n_guess: int = 2, precision_bits: int | None = None) ->
     def f(t) -> PrecReal:
         return eval_f(t, qf, bits)
 
-    # Every probed t has |t| <= 2|guess|: q^n |t| < 1/2, hence eval_f's
-    # ratio test, holds from n0 = log2(4|guess|)/log2(1/q) on, and after
-    # it each term at most halves, so the tail test passes within
-    # _PROBE_BITS + 1 more terms.
+    # Every probed t has |t| <= 2|guess|: q^n |t| < 1/2, hence the ratio
+    # tests of the kernel and of eval_f, holds from n0 =
+    # log2(4|guess|)/log2(1/q) on, and after it each term at most halves,
+    # so the tail test at _PROBE_BITS passes within _PROBE_BITS + 1 more
+    # terms (the bound at the constants needs this count for eval_f too).
     probe_terms = (ctx.mag(guess) + 2) / _log2_inv_q(qf) + _PROBE_BITS + 3
     probe = bits > _PROBE_BITS and probe_terms <= _PROBE_MAX_TERMS
 

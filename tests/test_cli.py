@@ -223,6 +223,18 @@ def test_argument_errors_exit_two(capsys):
     assert exc.value.code == 2
 
 
+def test_argument_error_leaves_the_parser_usable(capsys):
+    """main builds its parser once per process; an argument error on it
+    must not change the next call's output."""
+    first = run_json(capsys, "coeff", "--n", "2")
+    with pytest.raises(SystemExit) as exc:
+        main(["coeff", "--n", "two"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    assert run_json(capsys, "coeff", "--n", "2") == first
+    assert defexp.cli._parser() is defexp.cli._parser()
+
+
 def test_installed_entry_point_round_trip():
     proc = subprocess.run(
         [sys.executable, "-m", "defexp", "series", "--expr", "E2", "--trunc", "3"],

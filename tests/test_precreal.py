@@ -2,6 +2,8 @@
 
 from fractions import Fraction
 
+import pytest
+
 from defexp.precreal import PrecReal, context, to_mpf
 
 
@@ -52,3 +54,40 @@ def test_to_decimal_length_is_bounded_by_warranty():
     pr = PrecReal(context(64).pi, 64)
     digits = sum(ch.isdigit() for ch in pr.to_decimal())
     assert digits <= pr.warranted_digits + 1  # mpmath may round the last place
+
+
+@pytest.mark.parametrize("bits", [1, 2, 3, 53, 64, 200])
+def test_values_round_as_the_tag_context_did(bits):
+    """Without a context per tag, a PrecReal still converts, compares, takes
+    abs and prints as it did through context(bits): mpfs exactly, Fractions
+    with both parts rounded first, abs and the decimal at the tag."""
+    ctx = context(bits)
+    for x in (Fraction(1, 3), Fraction(-22, 7), Fraction(10**30 + 1, 3**40)):
+        pr = PrecReal(x, bits)
+        assert pr.value == to_mpf(ctx, x)
+        assert pr == x
+    v = -context(300).mpf(2) / 3
+    pr = PrecReal(v, bits)
+    assert pr.value == v
+    assert abs(pr).value == abs(ctx.convert(v))
+    assert pr.to_decimal() == ctx.nstr(ctx.convert(v), pr.warranted_digits)
+    assert abs(pr).to_decimal() == ctx.nstr(abs(ctx.convert(v)), pr.warranted_digits)
+
+
+def test_tags_build_no_context():
+    work = context(64)
+    before = context.cache_info().misses
+    values = [PrecReal(Fraction(1, 3), 1000 + b) for b in range(5)]
+    values += [PrecReal(work.mpf(2) / 3, 777), PrecReal(5, 999), PrecReal(0.25, 998)]
+    for v in values:
+        v.to_decimal()
+        abs(v)
+        assert v == v.value
+    assert values[0] == Fraction(1, 3)  # the Fraction rounded at the tag too
+    assert context.cache_info().misses == before
+
+
+def test_strings_round_at_the_tag_and_complex_values_are_refused():
+    assert PrecReal("0.1", 20).value == context(20).mpf("0.1")
+    with pytest.raises(ValueError, match="real"):
+        PrecReal(complex(1, 2), 64)

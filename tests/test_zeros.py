@@ -1,11 +1,14 @@
 """Series evaluation, both zero finders, and the paired-term gap check."""
 
+import functools
 import sys
 import threading
 from fractions import Fraction
-from math import factorial
+from math import factorial, floor, lgamma, log, log2
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from mpmath.libmp import mpf_mul
 
 import defexp.zeros as zeros
@@ -330,53 +333,138 @@ def _reference_find_zero(k: int, q, n_guess: int = 2, precision_bits=None) -> Ze
 
 @pytest.mark.parametrize("q", [Q_HALF, Fraction(7, 15), Fraction(6, 11)], ids=str)
 def test_probed_find_zero_is_bit_identical_to_the_full_budget_loop(q):
-    for k in (10, 25, 40, 60):
+    ks = (10, 25, 40, 60) + ((100,) if q == Q_HALF else ())
+    for k in ks:
         assert _zero_fields(find_zero(k, q)) == _zero_fields(_reference_find_zero(k, q)), k
 
 
 def test_probe_certification_threshold_covers_the_error_bound():
-    """A certified probe value exceeds 2^(T-1) P u; the error of a sum of
-    at most M terms is below (M^3 + 3M^2 + M + 2) P u.  The threshold must
-    leave the value at least twice that error (see the comment at the
-    constants in zeros)."""
+    """In units of P u (see the comment at the constants), the kernel is
+    off by less than 4M(M + 1) + 2 and eval_f at _PROBE_BITS + d bits by
+    less than twice ((M + d)^3 + 3(M + d)^2 + (M + d) + 2) 2^-d, for at
+    most M terms.  A certified sum, at least 2^_PROBE_CERT_BITS, must
+    exceed both together, and the constant is the least that does."""
     m = zeros._PROBE_MAX_TERMS
-    assert 2 * (m**3 + 3 * m**2 + m + 2) <= 2 ** (zeros._PROBE_CERT_BITS - 1)
+    kernel = 4 * m * (m + 1) + 2
+    budget = max(
+        Fraction((m + d) ** 3 + 3 * (m + d) ** 2 + (m + d) + 2, 2**d) for d in range(1, 64)
+    )
+    bound = kernel + 2 * budget
+    assert 2**zeros._PROBE_CERT_BITS >= bound
+    assert 2 ** (zeros._PROBE_CERT_BITS - 1) < bound
+
+
+@pytest.mark.parametrize("q", [Q_HALF, Fraction(9, 19), Fraction(1, 10**40)], ids=str)
+def test_probe_q_powers_truncate_each_exact_power(q):
+    """Entry n is floor(q^n 2^s) with _PROBE_BITS or _PROBE_BITS + 1 bits,
+    its own truncation of the exact power and not a chain of products."""
+    zeros._probe_q_powers.cache_clear()
+    table = zeros._probe_q_powers(q)
+    zeros._extend_probe_q_powers(table, q, 300)
+    p = zeros._PROBE_BITS
+    assert len(table) == 301
+    for n, (qm, s) in enumerate(table):
+        assert qm == floor(q**n * 2**s), n
+        assert 2 ** (p - 1) <= qm < 2 ** (p + 1), n
+
+
+def _exact_f_sign(t, q: Fraction) -> int | None:
+    """The sign of f(t) at an mpf t from the exact sum of its terms T_0..T_N
+    over one common denominator, when that sum exceeds the tail bound |T_N|
+    (every later ratio is under 1/2); None when it does not."""
+    sign, man, exp, _ = t._mpf_
+    if not man:
+        return 1
+    # t = num / den with den a power of two
+    num, den = (-man if sign else man) << max(exp, 0), 1 << max(-exp, 0)
+    # N: the ratio |t| q^N/(N + 1) under 1/2 and T_N below 2^-224 of the
+    # largest term, from float estimates of log2 |T_n|
+    log_t, log_q = log2(man) + exp, log2(q)
+    abs_t = abs(Fraction(num, den))
+    logs = [0.0]
+    big = 0
+    while abs_t * q**big / (big + 1) >= Fraction(1, 2) or logs[-1] >= max(logs) - 224:
+        big += 1
+        logs.append(big * log_t + big * (big - 1) / 2 * log_q - lgamma(big + 1) / log(2))
+    a, b = q.numerator, q.denominator
+    # T_j times D = b^(N(N-1)/2) N! den^N, an integer for every j <= N
+    scaled = []
+    for j in range(big + 1):
+        rest = (big * (big - 1) - j * (j - 1)) // 2
+        scaled.append(
+            num**j * den ** (big - j) * a ** (j * (j - 1) // 2) * b**rest
+            * (factorial(big) // factorial(j))
+        )
+    total = sum(scaled)
+    if abs(total) <= abs(scaled[-1]):
+        return None
+    return 1 if total > 0 else -1
+
+
+@functools.lru_cache(maxsize=None)
+def _zero_near(k: int, q: Fraction):
+    try:
+        return find_zero(k, q).x.value
+    except BracketError:
+        return None
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    k=st.integers(1, 12),
+    q=st.sampled_from([Q_HALF, Fraction(7, 15), Fraction(6, 11), Fraction(9, 19)]),
+    j=st.integers(20, 200),
+    side=st.sampled_from([1, -1]),
+    wiggle=st.integers(0, 2**32 - 1),
+)
+def test_probe_kernel_sign_is_the_exact_sign(k, q, j, side, wiggle):
+    """A certified kernel sign is the sign of the exact sum of f at dyadic
+    t = x_k (1 + side 2^-j (1 + wiggle 2^-32)), t rounded to x_k's budget."""
+    x = _zero_near(k, q)
+    assume(x is not None)
+    bits = required_precision(k, q)
+    ctx = context(bits)
+    t = ctx.mpf(x) * (1 + side * ctx.mpf(2) ** -j * (1 + ctx.mpf(wiggle) / 2**32))
+    got = zeros._probe_sign(t, q)
+    if got is not None:
+        assert got == _exact_f_sign(t, q)
 
 
 @pytest.mark.parametrize(
-    "uncertified",
+    "uncertify",
     [
-        pytest.param(PrecReal(1, 1), id="one-bit"),
-        pytest.param(PrecReal(1, zeros._PROBE_CERT_BITS - 1), id="just-below-the-threshold"),
-        pytest.param(PrecReal(0, zeros._PROBE_BITS), id="exact-zero"),
+        pytest.param("kernel", id="kernel-gives-up"),
+        pytest.param("threshold", id="threshold-at-the-peak"),
     ],
 )
-def test_uncertified_probes_fall_back_to_the_full_budget(monkeypatch, uncertified):
-    """Every probe returns one uncertified value (a constant sign, which
-    alone would never bracket a zero); each sign must then come from the
-    full-budget evaluation."""
+def test_uncertified_probes_fall_back_to_the_full_budget(monkeypatch, uncertify):
+    """Every probe comes back uncertified, either because the kernel gives
+    up or because no sum reaches a threshold raised to its peak; each sign
+    must then come from the full-budget evaluation, to the same result."""
     k, q = 30, Fraction(6, 11)
     want = find_zero(k, q)
+    kernel = zeros._probe_sign
     probes = []
 
-    def patched(x, q, bits):
-        if bits != zeros._PROBE_BITS:
-            return eval_f(x, q, bits)
-        probes.append(bits)
-        return uncertified
+    def counted(t, q):
+        got = None if uncertify == "kernel" else kernel(t, q)
+        probes.append(got)
+        return got
 
-    monkeypatch.setattr(zeros, "eval_f", patched)
+    if uncertify == "threshold":
+        monkeypatch.setattr(zeros, "_PROBE_CERT_BITS", zeros._PROBE_BITS)
+    monkeypatch.setattr(zeros, "_probe_sign", counted)
     got = find_zero(k, q)
     assert len(probes) > 40
+    assert set(probes) == {None}
     assert _zero_fields(got) == _zero_fields(want)
 
 
 def test_probe_sign_near_a_zero_is_the_full_budget_sign():
-    """Within about 2^-150 of a zero the 160-bit probe is noise, often of
-    the wrong sign; at relative distances 2^-60..2^-170 the helper must
-    return the sign of the full-budget evaluation, certifying the far
-    points and falling back on the near ones."""
-    certified = fallen_back = wrong = 0
+    """At relative distances 2^-60..2^-170 from a zero the helper must
+    return the sign of the full-budget evaluation; the kernel certifies
+    the far points and gives up on the near ones."""
+    certified = fallen_back = 0
     for k, q in ((12, Q_HALF), (20, Fraction(6, 11))):
         z = find_zero(k, q)
         bits = z.precision_bits
@@ -384,37 +472,56 @@ def test_probe_sign_near_a_zero_is_the_full_budget_sign():
         ctx = context(bits)
         for j in range(60, 172, 4):
             for side in (1, -1):
-                t = z.x.value * (1 + side * ctx.mpf(2) ** -j)
-                probe = eval_f(t, q, zeros._PROBE_BITS)
+                t = ctx.mpf(z.x.value) * (1 + side * ctx.mpf(2) ** -j)
                 want = _sign(eval_f(t, q, bits))
                 assert zeros._sign_at(t, q, bits, True) == want, (k, j, side)
-                if probe.precision_bits >= zeros._PROBE_CERT_BITS:
-                    certified += 1
-                else:
+                probe = zeros._probe_sign(t, q)
+                if probe is None:
                     fallen_back += 1
-                    wrong += _sign(probe) != want
-    assert certified > 40 and fallen_back > 40 and wrong >= 3
+                else:
+                    assert probe == want, (k, j, side)
+                    certified += 1
+    assert certified > 40 and fallen_back > 40
 
 
 def test_bracket_and_bisection_make_no_full_budget_call(monkeypatch):
-    """At k = 60 the bracket and the bisection run on 160-bit probes only;
-    the full budget is spent on Newton (two calls a step) and the
-    residual."""
+    """At k = 60 the bracket and the bisection run on the integer kernel
+    only: every eval_f call of find_zero is at the full budget, for Newton
+    (two calls a step) and the residual."""
     k = 60
     bits = required_precision(k, Q_HALF)
     calls = []
+    probes = []
+    kernel = zeros._probe_sign
 
     def counted(x, q, b):
         calls.append(b)
         return eval_f(x, q, b)
 
+    def counted_probe(t, q):
+        probes.append(t)
+        return kernel(t, q)
+
     monkeypatch.setattr(zeros, "eval_f", counted)
+    monkeypatch.setattr(zeros, "_probe_sign", counted_probe)
     z = find_zero(k, Q_HALF)
-    probes = calls.count(zeros._PROBE_BITS)
-    assert set(calls) == {zeros._PROBE_BITS, bits}
-    assert calls == [zeros._PROBE_BITS] * probes + [bits] * (len(calls) - probes)
-    assert probes >= 40
-    assert len(calls) - probes <= 2 * len(z.newton_rel_steps) + 2
+    assert set(calls) == {bits}
+    assert len(probes) >= 40
+    assert len(calls) <= 2 * len(z.newton_rel_steps) + 2
+
+
+def test_scan_oracle_does_not_read_the_probe_kernel(monkeypatch, scanned_q_half):
+    """scan_zeros checks find_zero independently: with the kernel broken
+    it still finds the same zeros, while find_zero stops on it."""
+
+    def broken(t, q):
+        raise RuntimeError("probe kernel called")
+
+    monkeypatch.setattr(zeros, "_probe_sign", broken)
+    with pytest.raises(RuntimeError, match="probe kernel"):
+        find_zero(12, Q_HALF)
+    again = scan_zeros(Q_HALF, -300, 6)
+    assert [_zero_fields(z) for z in again] == [_zero_fields(z) for z in scanned_q_half]
 
 
 @pytest.mark.parametrize("n_guess", [-1, 21, 40])
