@@ -9,6 +9,7 @@ parses back.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from math import comb, factorial, isqrt
 
 __all__ = [
@@ -18,23 +19,27 @@ __all__ = [
     "power_sum_poly",
 ]
 
-_bernoulli_cache: list[Fraction] = [Fraction(1)]
-
 
 def bernoulli(n: int) -> Fraction:
     """n-th Bernoulli number, convention B_1 = -1/2.
 
     Computed from the defining recurrence sum_{k=0}^{n} C(n+1,k) B_k = 0
-    and cached; the cache only grows, so repeated calls behave as if each
-    value were recomputed.
+    and cached per index.
     """
     if n < 0:
         raise ValueError("Bernoulli index must be nonnegative")
-    while len(_bernoulli_cache) <= n:
-        m = len(_bernoulli_cache)
-        acc = sum(comb(m + 1, k) * _bernoulli_cache[k] for k in range(m))
-        _bernoulli_cache.append(Fraction(-acc, m + 1))
-    return _bernoulli_cache[n]
+    return _bernoulli(n)
+
+
+@cache
+def _bernoulli(n: int) -> Fraction:
+    if n == 0:
+        return Fraction(1)
+    acc = Fraction(0)
+    # ascending k: each B_k is cached before B_(k+1) asks for it
+    for k in range(n):
+        acc += _bernoulli(k) * comb(n + 1, k)
+    return -acc / (n + 1)
 
 
 def gen_binomial(alpha, k: int):
@@ -42,17 +47,14 @@ def gen_binomial(alpha, k: int):
 
     alpha may be an exact scalar (int or Fraction) or any ring element
     supporting subtraction of ints and multiplication by Fractions (e.g. a
-    polynomial); the result has the matching kind.  gen_binomial(alpha, 0)
-    is 1 for every alpha.
+    polynomial); the result has the matching kind, for k = 0 as well, where
+    it is alpha**0.
     """
     if k < 0:
         raise ValueError("lower index must be nonnegative")
-    result = None
+    result = alpha**0
     for i in range(k):
-        factor = alpha - i
-        result = factor if result is None else result * factor
-    if result is None:
-        return Fraction(1)
+        result = result * (alpha - i)
     return result * Fraction(1, factorial(k))
 
 
@@ -83,6 +85,6 @@ def power_sum_poly(m: int):
 
     coeffs = [Fraction(0)] * (m + 2)
     for i in range(m + 1):
-        coeffs[m + 1 - i] = Fraction((-1) ** i * comb(m + 1, i), m + 1) * bernoulli(i)
+        coeffs[m + 1 - i] = Fraction((-1) ** i * comb(m + 1, i), m + 1) * _bernoulli(i)
     coeffs[m] -= 1
     return JPoly(coeffs)

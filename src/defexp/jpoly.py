@@ -15,6 +15,7 @@ delta() insists on it.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from itertools import zip_longest
 from math import gcd, lcm
 
@@ -248,9 +249,6 @@ def uv_decompose(p: JPoly) -> tuple[list[Fraction], UVForm]:
     return [Fraction(c, den) for c in even], UVForm(JPoly._from_nums(beta, den))
 
 
-_sigma_cache: list[JPoly] = [JPoly((1,))]
-
-
 def sigma_poly(i: int) -> JPoly:
     """Elementary symmetric sum of degree i over {1, ..., j-1}, in Q[j].
 
@@ -260,17 +258,20 @@ def sigma_poly(i: int) -> JPoly:
     """
     if i < 0:
         raise ValueError("sigma index must be nonnegative")
-    while len(_sigma_cache) <= i:
-        m = len(_sigma_cache)
-        acc = JPoly()
-        for k in range(1, m + 1):
-            term = power_sum_poly(k) * _sigma_cache[m - k]
-            acc = acc + term if k % 2 else acc - term
-        _sigma_cache.append(acc * Fraction(1, m))
-    return _sigma_cache[i]
+    return _sigma(i)
 
 
-_q_cache: list[JPoly] = [JPoly((1,))]
+@cache
+def _sigma(m: int) -> JPoly:
+    if m == 0:
+        return JPoly((1,))
+    acc = JPoly()
+    # descending k asks for sigma_0, sigma_1, ... in turn, so a cold build
+    # recurses one level deep, not m
+    for k in range(m, 0, -1):
+        term = power_sum_poly(k) * _sigma(m - k)
+        acc = acc + term if k % 2 else acc - term
+    return acc * Fraction(1, m)
 
 
 def q_poly(k: int) -> JPoly:
@@ -282,17 +283,19 @@ def q_poly(k: int) -> JPoly:
     """
     if k < 0:
         raise ValueError("Q index must be nonnegative")
-    while len(_q_cache) <= k:
-        m = len(_q_cache)
-        s = sigma_poly(m)
-        a = list(s.nums)
-        # sigma_m(1 + t): the coefficients of a(t + 1), in place
-        for i in range(len(a) - 1):
-            for t in range(len(a) - 2, i - 1, -1):
-                a[t] += a[t + 1]
-        # then t = -j, times (-1)^m
-        _q_cache.append(JPoly._from_nums([-c if (t + m) % 2 else c for t, c in enumerate(a)], s.den))
-    return _q_cache[k]
+    return _q(k)
+
+
+@cache
+def _q(m: int) -> JPoly:
+    s = _sigma(m)
+    a = list(s.nums)
+    # sigma_m(1 + t): the coefficients of a(t + 1), in place
+    for i in range(len(a) - 1):
+        for t in range(len(a) - 2, i - 1, -1):
+            a[t] += a[t + 1]
+    # then t = -j, times (-1)^m
+    return JPoly._from_nums([-c if (t + m) % 2 else c for t, c in enumerate(a)], s.den)
 
 
 def _check_block_indices(n_order: int, m: int) -> None:
@@ -303,19 +306,14 @@ def _check_block_indices(n_order: int, m: int) -> None:
 def g_coeff(n_order: int, m: int) -> JPoly:
     """Kernel block G(N, m) = C(j, m) * Q_{N-2m}(j)."""
     _check_block_indices(n_order, m)
-    b = gen_binomial(J, m)
-    return (b if isinstance(b, JPoly) else JPoly((b,))) * q_poly(n_order - 2 * m)
+    return gen_binomial(J, m) * _q(n_order - 2 * m)
 
 
 def h_coeff(n_order: int, m: int) -> JPoly:
     """Kernel block H(N, m) = (-1)^N * C(1-j, m) * sigma_{N-2m}(j)."""
     _check_block_indices(n_order, m)
-    b = gen_binomial(JPoly((1, -1)), m)
-    p = (b if isinstance(b, JPoly) else JPoly((b,))) * sigma_poly(n_order - 2 * m)
+    p = gen_binomial(JPoly((1, -1)), m) * _sigma(n_order - 2 * m)
     return -p if n_order % 2 else p
-
-
-_delta_cache: dict[tuple[int, int], UVForm] = {}
 
 
 def delta(n_order: int, m: int) -> UVForm:
@@ -326,13 +324,17 @@ def delta(n_order: int, m: int) -> UVForm:
     DecompositionError.
     """
     _check_block_indices(n_order, m)
-    key = (n_order, m)
-    cached = _delta_cache.get(key)
-    if cached is None:
-        even, odd = uv_decompose(g_coeff(n_order, m) - h_coeff(n_order, m))
-        if any(even):
-            raise DecompositionError(
-                f"G-H for N={n_order}, m={m} has a pure-v part {[str(c) for c in even]}"
-            )
-        cached = _delta_cache[key] = odd
-    return cached
+    return _delta(n_order, m)
+
+
+@cache
+def _delta(n_order: int, m: int) -> UVForm:
+    # H first: it builds sigma_(N-2m), which G's Q_(N-2m) reads, one call
+    # nearer the top of a cold build's stack
+    h = h_coeff(n_order, m)
+    even, odd = uv_decompose(g_coeff(n_order, m) - h)
+    if any(even):
+        raise DecompositionError(
+            f"G-H for N={n_order}, m={m} has a pure-v part {[str(c) for c in even]}"
+        )
+    return odd

@@ -38,7 +38,7 @@ def to_mpf(ctx: MPContext, x):
     if isinstance(x, PrecReal):
         return ctx.convert(x.value)
     if isinstance(x, Fraction):
-        return ctx.mpf(x.numerator) / ctx.mpf(x.denominator)
+        return ctx.make_mpf(_round_fraction(x, ctx.prec))
     return ctx.convert(x)
 
 
@@ -46,7 +46,7 @@ _VALUES = MPContext()  # holds the values not given as mpfs; never mutated
 
 
 def _round_fraction(x: Fraction, bits: int) -> tuple:
-    """x rounded as to_mpf rounds it in context(bits): numerator and
+    """x rounded at `bits`, the one rule for Fractions: numerator and
     denominator each to nearest, then their quotient."""
     bits = max(bits, 2)  # the precision of context(bits)
     num = from_int(x.numerator, bits, "n")

@@ -22,7 +22,7 @@ the A-ring, so each product of lower coefficients is formed only once.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import partial
+from functools import cache, partial
 from itertools import zip_longest
 from math import gcd, lcm
 from operator import add
@@ -39,7 +39,6 @@ from .jpoly import (
 )
 
 __all__ = [
-    "KernelCoefficient",
     "MPoly",
     "a_symbol",
     "c_n",
@@ -56,9 +55,8 @@ __all__ = [
 ]
 
 _E_NAMES = ("E2", "E4", "E6")
-#: symbol families: A_i (i >= 0), C_i (i >= 1), Eisenstein, and the
-#: kernel's shifted alias a_i = C_{i+1} (i >= 0)
-_FAMILIES = ("A", "C", "E", "a")
+#: symbol families: A_i (i >= 0), C_i (i >= 1), Eisenstein
+_FAMILIES = ("A", "C", "E")
 
 
 def _add_exps(e1: tuple, e2: tuple) -> tuple:
@@ -96,10 +94,9 @@ class MPoly:
     denominator `den`: nums maps trimmed exponent tuples to nonzero ints,
     and the form is canonical, with the gcd of den and all numerators 1
     (the zero polynomial has den 1).  Slot i of an exponent tuple refers
-    to the i-th symbol of the family (A_i, or C_{i+1}, or E2/E4/E6, or
-    a_i).  `terms` is the Fraction view; canonical term order for
-    printing and serialization is graded lexicographic on the exponent
-    tuples.
+    to the i-th symbol of the family (A_i, or C_{i+1}, or E2/E4/E6).
+    `terms` is the Fraction view; canonical term order for printing and
+    serialization is graded lexicographic on the exponent tuples.
     """
 
     __slots__ = ("family", "nums", "den")
@@ -236,18 +233,18 @@ class MPoly:
     def substitute(
         self,
         mapping: dict[int, "MPoly"],
-        family: str | None = None,
         powers: dict[tuple[int, int], "MPoly"] | None = None,
     ) -> "MPoly":
         """Replace symbol slot i by mapping[i]; unmapped slots stay put.
 
-        When the replacement polynomials live in a different family, pass
-        it as `family`; then every slot that occurs must be mapped.  Terms
-        that share their mapped exponents are summed before the product
-        of replacement powers is applied.  `powers` caches mapping[i]**e
+        The result lives in the family the replacements share (the
+        receiver's own for an empty mapping); when that differs from the
+        receiver's, every slot that occurs must be mapped.  Terms that
+        share their mapped exponents are summed before the product of
+        replacement powers is applied.  `powers` caches mapping[i]**e
         under (i, e); pass the same dict only with the same mapping.
         """
-        out_family = family or self.family
+        out_family = next(iter(mapping.values())).family if mapping else self.family
         for repl in mapping.values():
             if repl.family != out_family:
                 raise ValueError("replacement family mismatch")
@@ -368,22 +365,22 @@ _A3_CLOSURE = MPoly(
     },
 )
 
-_closure_cache: dict[int, MPoly] = {3: _A3_CLOSURE}
 #: reduced powers A_i^e (i >= 3) keyed by (i, e), shared by every reduction
 _closure_powers: dict[tuple[int, int], MPoly] = {}
 
 
+@cache
 def _a_closure(n: int) -> MPoly:
     """A_n written in Q[A_0, A_1, A_2], for n >= 3; successors by theta.
 
-    theta of a reduced A_top mentions A_3 at most, whose closure is the
-    base of the chain, so the reduction here never recurses.
+    theta of a reduced A_(n-1) mentions A_3 at most, whose closure is the
+    base of the chain, so the reduction here recurses no further;
+    reduce_to_A012 asks for A_3, A_4, ... in ascending order, so A_(n-1)
+    is cached by the time A_n is built.
     """
-    top = max(_closure_cache)
-    while top < n:
-        _closure_cache[top + 1] = reduce_to_A012(theta(_closure_cache[top]))
-        top += 1
-    return _closure_cache[n]
+    if n == 3:
+        return _A3_CLOSURE
+    return reduce_to_A012(theta(_a_closure(n - 1)))
 
 
 def reduce_to_A012(p: MPoly) -> MPoly:
@@ -456,14 +453,14 @@ def to_eisenstein(p: MPoly) -> MPoly:
         raise ValueError("to_eisenstein acts on A-symbols")
     if p.max_index() > 2:
         raise ValueError("reduce to A_0..A_2 first")
-    return p.substitute(_A_IN_E, family="E", powers=_eisenstein_powers)
+    return p.substitute(_A_IN_E, powers=_eisenstein_powers)
 
 
 def from_eisenstein(p: MPoly) -> MPoly:
     """Rewrite an E-polynomial in terms of A_0, A_1, A_2."""
     if p.family != "E":
         raise ValueError("from_eisenstein acts on E-symbols")
-    return p.substitute(dict(_E_IN_A), family="A")
+    return p.substitute(_E_IN_A)
 
 
 # ---------------------------------------------------------------------------
@@ -475,62 +472,65 @@ def from_eisenstein(p: MPoly) -> MPoly:
 #
 # takes S_i(n) with C_1..C_{n-1} substituted, i.e. assembled from the
 # A-ring compositions of the lower coefficients; it yields C_n as a
-# polynomial in A_0..A_{n-1}.  Everything below is memoised per process.
-
-_p: list[MPoly | None] = [None]  # P_m at index m
-_s: dict[tuple[int, int], MPoly] = {}  # S_i(n) in C-symbols, keyed (i, n)
-_comp_c: dict[tuple[int, int], MPoly] = {}  # compositions of C-symbols
-_comp_a: dict[tuple[int, int], MPoly] = {}  # compositions of the raw C_i
-_c: list[MPoly | None] = [None]  # raw C_n at index n
-_reduced: dict[int, MPoly] = {}  # reduced C_n keyed by n
+# polynomial in A_0..A_{n-1}.  Everything below is cached per process,
+# keyed by its indices.
 
 
 def p_m(m: int) -> MPoly:
     """P_m (P_1 = A_0, P_{m+1} = theta(P_m) - 3 A_0 P_m)."""
     if m < 1:
         raise ValueError("P index starts at 1")
-    while len(_p) <= m:
-        prev = _p[-1]
-        _p.append(a_symbol(0) if prev is None else theta(prev) - 3 * a_symbol(0) * prev)
-    return _p[m]
+    return _p(m)
+
+
+@cache
+def _p(m: int) -> MPoly:
+    if m == 1:
+        return a_symbol(0)
+    prev = _p(m - 1)
+    return theta(prev) - 3 * a_symbol(0) * prev
 
 
 def s_poly(i: int, n: int) -> MPoly:
     """S_i(n) as a polynomial in the symbols C_1..C_{n-1}."""
     if n < 1 or not 0 <= i <= n:
         raise ValueError(f"S indices need 1 <= n and 0 <= i <= n, got i={i}, n={n}")
-    if (i, n) not in _s:
-        comp = partial(_composition, _comp_c, "C", c_symbol)
-        for j, poly in enumerate(_assemble_s(n, "C", comp)):
-            _s[(j, n)] = poly
-    return _s[(i, n)]
+    return _s(n)[i]
+
+
+@cache
+def _s(n: int) -> tuple[MPoly, ...]:
+    return tuple(_assemble_s(n, "C", partial(_composition, c_symbol, "C")))
 
 
 def c_n(n: int) -> MPoly:
     """The expansion coefficient C_n, raw form in A_0..A_{n-1}."""
     if n < 1:
         raise ValueError("C index starts at 1")
-    # C_m needs compositions of C_1..C_{m-1} only, all in the memo by then
-    comp = partial(_composition, _comp_a, "A", _c.__getitem__)
-    while len(_c) <= n:
-        m = len(_c)
-        s_a = _assemble_s(m, "A", comp)
-        den = lcm(s_a[0].den, *(s_a[i].den * p_m(i).den for i in range(1, m + 1)))
-        out: dict[tuple, int] = {}
-        _add_scaled(out, s_a[0].nums, -(den // s_a[0].den))
-        for i in range(1, m + 1):
-            s, p = s_a[i], p_m(i)
-            _add_product(out, s.nums, p.nums, 3 * 2**i * (den // (s.den * p.den)))
-        _c.append(MPoly._from_nums("A", out, den))
-    return _c[n]
+    # ascending, so every build finds C_1..C_{m-1} cached and a cold
+    # call's stack depth does not grow with n
+    for m in range(1, n):
+        _c(m)
+    return _c(n)
 
 
+@cache
+def _c(m: int) -> MPoly:
+    # C_m needs compositions of C_1..C_{m-1} only
+    s_a = _assemble_s(m, "A", partial(_composition, _c, "A"))
+    den = lcm(s_a[0].den, *(s_a[i].den * p_m(i).den for i in range(1, m + 1)))
+    out: dict[tuple, int] = {}
+    _add_scaled(out, s_a[0].nums, -(den // s_a[0].den))
+    for i in range(1, m + 1):
+        s, p = s_a[i], p_m(i)
+        _add_product(out, s.nums, p.nums, 3 * 2**i * (den // (s.den * p.den)))
+    return MPoly._from_nums("A", out, den)
+
+
+@cache
 def reduced_c_n(n: int) -> MPoly:
-    """C_n rewritten in Q[A_0, A_1, A_2] (memoised reduce_to_A012(c_n(n)))."""
-    p = _reduced.get(n)
-    if p is None:
-        p = _reduced[n] = reduce_to_A012(c_n(n))
-    return p
+    """C_n rewritten in Q[A_0, A_1, A_2] (cached reduce_to_A012(c_n(n)))."""
+    return reduce_to_A012(c_n(n))
 
 
 def _assemble_s(n: int, family: str, comp_of) -> list[MPoly]:
@@ -577,34 +577,27 @@ def _assemble_s(n: int, family: str, comp_of) -> list[MPoly]:
     return out
 
 
-def _composition(memo: dict, family: str, coeff, m: int, d: int) -> MPoly:
+@cache
+def _composition(coeff, family: str, m: int, d: int) -> MPoly:
     """Sum of coeff(i_1) ... coeff(i_m) over i_1 + ... + i_m = d, i_l >= 1.
 
     Built by peeling off the first factor, so comp(m, d) needs coeff(i)
-    only for i <= d - m + 1; memoised in `memo` under (m, d).
+    only for i <= d - m + 1; cached under (coeff, family, m, d).
     """
-    key = (m, d)
-    cached = memo.get(key)
-    if cached is not None:
-        return cached
     if m == 0:
-        res = MPoly.const(family, 1) if d == 0 else MPoly.zero(family)
-    elif d < m:
-        res = MPoly.zero(family)
-    elif m == 1:
-        res = coeff(d)
-    else:
-        pairs = [
-            (coeff(i), _composition(memo, family, coeff, m - 1, d - i))
-            for i in range(1, d - m + 2)
-        ]
-        den = lcm(*(a.den * b.den for a, b in pairs))
-        out: dict[tuple, int] = {}
-        for a, b in pairs:
-            _add_product(out, a.nums, b.nums, den // (a.den * b.den))
-        res = MPoly._from_nums(family, out, den)
-    memo[key] = res
-    return res
+        return MPoly.const(family, 1) if d == 0 else MPoly.zero(family)
+    if d < m:
+        return MPoly.zero(family)
+    if m == 1:
+        return coeff(d)
+    pairs = [
+        (coeff(i), _composition(coeff, family, m - 1, d - i)) for i in range(1, d - m + 2)
+    ]
+    den = lcm(*(a.den * b.den for a, b in pairs))
+    out: dict[tuple, int] = {}
+    for a, b in pairs:
+        _add_product(out, a.nums, b.nums, den // (a.den * b.den))
+    return MPoly._from_nums(family, out, den)
 
 
 # ---------------------------------------------------------------------------
@@ -618,7 +611,7 @@ def _unit_exps(i: int) -> tuple:
 
 
 def _ring_mul(a_ser, b_ser, top: int):
-    """Multiply truncated series whose coefficients map a-monomials to JPoly."""
+    """Multiply truncated series whose coefficients map monomials to JPoly."""
     out = [dict() for _ in range(top + 1)]
     for s, da in enumerate(a_ser):
         if s > top:
@@ -642,44 +635,19 @@ def _ring_mul(a_ser, b_ser, top: int):
     return out
 
 
-class KernelCoefficient:
-    """The x^(n-1) coefficient of the kernel, u * (a_{n-1} + sum S_i v^i).
+def kernel_expand(n: int) -> tuple[MPoly, ...]:
+    """S_0(n), ..., S_n(n) read off the kernel's x^(n-1) coefficient, exactly.
 
-    by_v_power[i] is the full v^i coefficient as a polynomial in the
-    a-symbols; slot 0 includes the lone a_{n-1} term.
-    """
-
-    __slots__ = ("n", "by_v_power")
-
-    def __init__(self, n: int, by_v_power: tuple[MPoly, ...]):
-        self.n = n
-        self.by_v_power = by_v_power
-
-    def s_value(self, i: int) -> MPoly:
-        """S_i(n) in a-symbols: the v^i slot, minus a_{n-1} when i = 0."""
-        poly = (
-            self.by_v_power[i] if i < len(self.by_v_power) else MPoly.zero("a")
-        )
-        if i == 0:
-            poly = poly - MPoly.symbol("a", self.n - 1)
-        return poly
-
-    def s_in_c_symbols(self, i: int) -> MPoly:
-        """Same as s_value but with a_i renamed to C_{i+1} (same slots)."""
-        p = self.s_value(i)
-        return MPoly._from_nums("C", p.nums, p.den)
-
-
-def kernel_expand(n: int) -> KernelCoefficient:
-    """Coefficient of x^(n-1) in (G - H)/x^2 * (1 + a(x) x^2), exactly.
-
-    The factors are expanded as truncated power series in x whose
-    coefficients are JPoly-valued polynomials in a_0, a_1, ...:
+    The kernel is (G - H)/x^2 * (1 + a(x) x^2) with a(x) = sum a_t x^t and
+    a_t = C_{t+1}, so a_t is written as the C-symbol in slot t.  Its
+    factors are expanded as truncated power series in x whose
+    coefficients are JPoly-valued polynomials in those symbols:
     G = (1 + a(x) x^2)^j * sum Q_k x^k and
     H = (1 + a(x) x^2)^(1-j) * sum (-1)^k sigma_k x^k.
 
-    The coefficient is decomposed in the (u, v) basis and returned as a
-    KernelCoefficient; a pure-v part raises DecompositionError.
+    The x^(n-1) coefficient is u * (C_n + sum_i S_i(n) v^i); it is
+    decomposed in the (u, v) basis, and a pure-v part raises
+    DecompositionError.
     """
     if n < 1:
         raise ValueError("kernel order starts at 1")
@@ -698,8 +666,7 @@ def kernel_expand(n: int) -> KernelCoefficient:
     def binom_series(alpha: JPoly):
         acc = [dict() for _ in range(top + 1)]
         for m in range(max_m + 1):
-            b = gen_binomial(alpha, m)
-            bp = b if isinstance(b, JPoly) else JPoly((b,))
+            bp = gen_binomial(alpha, m)
             if not bp:
                 continue
             for t, bucket in enumerate(pow_ax2[m]):
@@ -730,7 +697,8 @@ def kernel_expand(n: int) -> KernelCoefficient:
     ker = _ring_mul(diff[2:], one_plus, n - 1)
     raw = ker[n - 1]
 
-    by_v: list[dict[tuple, Fraction]] = []
+    # the j-degree is at most 2n + 1, so v^n is the top power
+    by_v: list[dict[tuple, Fraction]] = [{} for _ in range(n + 1)]
     for exps, poly in raw.items():
         even, odd = uv_decompose(poly)
         if any(even):
@@ -738,9 +706,8 @@ def kernel_expand(n: int) -> KernelCoefficient:
                 f"kernel coefficient at order {n} has a pure-v part on monomial {exps}"
             )
         for i, cv in enumerate(odd.vcoeffs):
-            if not cv:
-                continue
-            while len(by_v) <= i:
-                by_v.append({})
-            by_v[i][exps] = cv
-    return KernelCoefficient(n, tuple(MPoly("a", d) for d in by_v))
+            if cv:
+                by_v[i][exps] = cv
+    s_table = [MPoly("C", d) for d in by_v]
+    s_table[0] = s_table[0] - c_symbol(n)
+    return tuple(s_table)

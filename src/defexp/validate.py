@@ -49,6 +49,23 @@ def zero_table(
     }
 
 
+def _check_q(q) -> Fraction:
+    qf = Fraction(q)
+    if not 0 < qf < 1:
+        raise ValueError("q must lie in (0, 1)")
+    return qf
+
+
+def _supplied_zero(zeros: dict[int, ZeroResult] | None, k: int, qf: Fraction):
+    """zeros[k] checked to be x_k at qf, or None when the table lacks k."""
+    zr = zeros.get(k) if zeros else None
+    if zr is not None and (zr.k != k or zr.q != qf):
+        raise ValueError(
+            f"zero table entry {k} holds x_{zr.k} at q = {zr.q}, not x_{k} at q = {qf}"
+        )
+    return zr
+
+
 @dataclass(frozen=True)
 class ResidualProfile:
     """Rows (k, x_k, r_n(k)) for one truncation order n."""
@@ -83,16 +100,16 @@ def residual_profile(
     """Scaled residuals r_n(k) over the given k values.
 
     Zeros are taken from `zeros` when provided (so several orders n can
-    share one expensive table), otherwise computed here at
-    required_precision(k, q) bits.
+    share one expensive table; an entry keyed k must be x_k at this q),
+    otherwise computed here at required_precision(k, q) bits.
     """
     if n < 0:
         raise ValueError("truncation order must be nonnegative")
-    qf = Fraction(q)
+    qf = _check_q(q)
     ks = sorted(k_values)
     rows = []
     for k in ks:
-        zr = zeros.get(k) if zeros else None
+        zr = _supplied_zero(zeros, k, qf)
         if zr is None:
             zr = find_zero(k, qf)
         bits = zr.precision_bits
@@ -115,14 +132,11 @@ def ratio_check(
     """Rows (k, (q x_{k+1}/x_k - 1 - 1/k) * k^2) for k in [k_min, k_max].
 
     Needs x_{k_max+1}; the deviation times k^2 should stay bounded with
-    no growth trend.
+    no growth trend.  Zeros come from `zeros` as in residual_profile.
     """
-    qf = Fraction(q)
+    qf = _check_q(q)
     out = []
-    table = dict(zeros) if zeros else {}
-    for k in range(k_min, k_max + 2):
-        if k not in table:
-            table[k] = find_zero(k, qf)
+    table = {k: _supplied_zero(zeros, k, qf) or find_zero(k, qf) for k in range(k_min, k_max + 2)}
     for k in range(k_min, k_max + 1):
         za, zb = table[k], table[k + 1]
         bits = min(za.precision_bits, zb.precision_bits)

@@ -11,6 +11,7 @@ from defexp.exactmath import (
     gen_binomial,
     power_sum_poly,
 )
+from defexp.jpoly import J, JPoly
 
 
 def akiyama_tanigawa(n):
@@ -51,9 +52,12 @@ def test_divisor_sigma_rejects_nonpositive():
 
 
 def test_gen_binomial_integer_orders_match_comb():
-    for a in range(0, 8):
-        for k in range(0, 12):
+    for k in range(0, 12):
+        poly = gen_binomial(J, k)  # the same binomial as a polynomial in j
+        assert isinstance(poly, JPoly)  # k = 0 included
+        for a in range(0, 8):
             assert gen_binomial(a, k) == comb(a, k)
+            assert poly(a) == comb(a, k)
 
 
 def test_gen_binomial_half_order():

@@ -21,6 +21,11 @@ def test_to_mpf_accepts_fractions_exactly():
     ctx = context(200)
     v = to_mpf(ctx, Fraction(1, 3))
     assert abs(v * 3 - 1) < ctx.mpf(2) ** (-190)
+    # the rule is the context's own: both parts rounded, then divided
+    for bits in (2, 3, 53, 200):
+        ctx = context(bits)
+        for x in (Fraction(1, 3), Fraction(-22, 7), Fraction(10**30 + 1, 3**40)):
+            assert to_mpf(ctx, x) == ctx.mpf(x.numerator) / ctx.mpf(x.denominator)
 
 
 def test_to_mpf_unwraps_precreal():

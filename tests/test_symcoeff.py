@@ -1,7 +1,12 @@
 """Multivariate symbol layer, the derivation, closure, and the recursion."""
 
+import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from math import gcd
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -39,7 +44,7 @@ A2 = MPoly.symbol("A", 2)
 def constant_eval(p, values):
     """Evaluate an A-polynomial at rational symbol values."""
     mapping = {i: MPoly.const("A", v) for i, v in enumerate(values)}
-    out = p.substitute(mapping, family="A")
+    out = p.substitute(mapping)
     assert out.max_index() == -1
     return out.constant_term()
 
@@ -121,7 +126,8 @@ def c_symbol_route(n):
     lower = {j - 1: c_n(j) for j in range(1, n)}
 
     def sigma(p):
-        return p.substitute(lower, family="A")
+        # an empty mapping (n = 1) keeps the C family; S_i(1) are constants
+        return p.substitute(lower) if lower else MPoly.const("A", p.constant_term())
 
     total = -sigma(s_poly(0, n))
     for i in range(1, n + 1):
@@ -152,6 +158,92 @@ def test_weight_filtration(n):
 def test_reduced_c_n_is_memoised_reduction():
     assert reduced_c_n(7) == reduce_to_A012(c_n(7))
     assert reduced_c_n(7) is reduced_c_n(7)
+
+
+# Four threads on a barrier build C_1..C_8 at once in a fresh process,
+# switching every microsecond; "warm" builds the Bernoulli numbers and the
+# Delta blocks first, so the threads race on the recursion's own caches.
+_THREAD_RACE = """
+import json, sys, threading
+from defexp.exactmath import bernoulli
+from defexp.jpoly import delta
+from defexp.symcoeff import c_n
+
+if sys.argv[1] == "warm":
+    bernoulli(12)
+    for n_order in range(2, 10):
+        for m in range(n_order // 2 + 1):
+            delta(n_order, m)
+barrier = threading.Barrier(4)
+results = [None] * 4
+
+def work(slot):
+    barrier.wait()
+    try:
+        results[slot] = [c_n(n).to_json() for n in range(1, 9)]
+    except Exception as exc:
+        results[slot] = repr(exc)
+
+sys.setswitchinterval(1e-6)
+threads = [threading.Thread(target=work, args=(slot,)) for slot in range(4)]
+for t in threads:
+    t.start()
+for t in threads:
+    t.join(60)
+print(json.dumps({"alive": sum(t.is_alive() for t in threads), "results": results}))
+"""
+
+
+def _fresh_python(script, *args):
+    """stdout of `script` run in a new interpreter on the defexp under test."""
+    src = str(Path(sys.modules["defexp"].__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *args],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+@pytest.mark.parametrize("start", ["cold", "warm"])
+def test_c_n_from_several_threads_matches_one_thread(start):
+    doc = json.loads(_fresh_python(_THREAD_RACE, start))
+    assert doc["alive"] == 0
+    want = [c_n(n).to_json() for n in range(1, 9)]
+    for n, ref in REFERENCE_C_RAW.items():
+        assert want[n - 1] == ref.to_json()
+    assert doc["results"] == [want] * 4
+
+
+_PEAK_DEPTH = """
+import sys
+from defexp.symcoeff import c_n
+
+depth = peak = 0
+
+def count(frame, event, arg):
+    global depth, peak
+    if event == "call":
+        depth += 1
+        peak = max(peak, depth)
+    elif event == "return":
+        depth -= 1
+
+sys.setprofile(count)
+c_n(int(sys.argv[1]))
+sys.setprofile(None)
+print(peak)
+"""
+
+
+def test_cold_c_n_stack_depth_does_not_grow_with_n():
+    """C_1..C_n are built in ascending order, so a cold C_12 needs no
+    deeper a stack than a cold C_4."""
+    assert int(_fresh_python(_PEAK_DEPTH, "12")) <= int(_fresh_python(_PEAK_DEPTH, "4"))
 
 
 def test_p_chain_reference_and_recursion():
@@ -187,7 +279,7 @@ def test_linear_part_requires_reduced_input():
 def test_to_eisenstein_shared_powers_match_a_fresh_cache():
     for n in range(1, 15):
         p = reduced_c_n(n)
-        assert to_eisenstein(p) == p.substitute(dict(_A_IN_E), family="E", powers={})
+        assert to_eisenstein(p) == p.substitute(dict(_A_IN_E), powers={})
 
 
 def test_eisenstein_round_trips():
@@ -215,9 +307,9 @@ def test_s0_is_a_coefficient_convolution():
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_kernel_expansion_matches_recursion_polynomials(n):
-    kc = kernel_expand(n)
+    s_table = kernel_expand(n)
     for i in range(0, n + 1):
-        assert kc.s_in_c_symbols(i) == s_poly(i, n)
+        assert s_table[i] == s_poly(i, n)
 
 
 

@@ -1,6 +1,7 @@
 """Residual profiles, the ratio law, and the q-coefficient table."""
 
 import json
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -89,6 +90,38 @@ def test_residual_profile_reports_are_stable_under_extra_precision(zeros_q_half)
 def test_residual_profile_validation():
     with pytest.raises(ValueError):
         residual_profile(Q_HALF, -1, [10])
+
+
+@pytest.mark.parametrize(
+    "case, match",
+    [
+        pytest.param(case, match, id=case)
+        for case, match in [
+            ("table-for-another-q", "zero table entry 10 holds x_10 at q = 1/2"),
+            ("entry-under-the-wrong-k", "zero table entry 10 holds x_11"),
+            ("q-above-one", "q must lie in"),
+            ("q-zero", "q must lie in"),
+        ]
+    ],
+)
+def test_supplied_zero_tables_are_checked(zeros_q_half, case, match):
+    """A supplied table is checked against the q and k asked for, and q
+    against (0, 1), rather than read as if it were the right zeros."""
+    q, table = Q_HALF, zeros_q_half
+    if case == "table-for-another-q":
+        q = Fraction(1, 3)
+    elif case == "entry-under-the-wrong-k":
+        table = {**zeros_q_half, 10: zeros_q_half[11]}
+    elif case == "q-above-one":
+        # every entry claims q = 3/2, so only the range check can refuse it
+        q = Fraction(3, 2)
+        table = {k: replace(z, q=q) for k, z in zeros_q_half.items()}
+    else:
+        q = 0
+    with pytest.raises(ValueError, match=match):
+        residual_profile(q, 1, [10, 11], zeros=table)
+    with pytest.raises(ValueError, match=match):
+        ratio_check(q, 10, 11, zeros=table)
 
 
 def test_profile_serialization(zeros_q_half):
