@@ -29,7 +29,6 @@ from .jpoly import (
 from .symcoeff import (
     MPoly,
     c_n,
-    from_eisenstein,
     kernel_expand,
     linear_part,
     p_m,

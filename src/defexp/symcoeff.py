@@ -43,7 +43,6 @@ __all__ = [
     "a_symbol",
     "c_n",
     "c_symbol",
-    "from_eisenstein",
     "kernel_expand",
     "linear_part",
     "p_m",
@@ -422,26 +421,6 @@ _A_IN_E: dict[int, MPoly] = {
     ),
 }
 
-_E_IN_A: dict[int, MPoly] = {
-    # E2 = 1 - 24 A_0
-    0: MPoly("A", {(): 1, (1,): -24}),
-    # E4 = 1 - 48 A_0 + 576 A_0^2 + 288 A_1
-    1: MPoly("A", {(): 1, (1,): -48, (2,): 576, (0, 1): 288}),
-    # E6 = 1 - 72 A_0 + 1728 A_0^2 - 13824 A_0^3 + 432 A_1 - 10368 A_0 A_1 - 864 A_2
-    2: MPoly(
-        "A",
-        {
-            (): 1,
-            (1,): -72,
-            (2,): 1728,
-            (3,): -13824,
-            (0, 1): 432,
-            (1, 1): -10368,
-            (0, 0, 1): -864,
-        },
-    ),
-}
-
 
 #: powers of the _A_IN_E polynomials keyed by (i, e), shared by every call
 _eisenstein_powers: dict[tuple[int, int], MPoly] = {}
@@ -454,13 +433,6 @@ def to_eisenstein(p: MPoly) -> MPoly:
     if p.max_index() > 2:
         raise ValueError("reduce to A_0..A_2 first")
     return p.substitute(_A_IN_E, powers=_eisenstein_powers)
-
-
-def from_eisenstein(p: MPoly) -> MPoly:
-    """Rewrite an E-polynomial in terms of A_0, A_1, A_2."""
-    if p.family != "E":
-        raise ValueError("from_eisenstein acts on E-symbols")
-    return p.substitute(_E_IN_A)
 
 
 # ---------------------------------------------------------------------------

@@ -15,23 +15,7 @@ from functools import lru_cache
 from math import ceil, factorial, log2
 from threading import Lock
 
-from mpmath.libmp import (
-    finf,
-    fnan,
-    fninf,
-    fone,
-    from_float,
-    from_int,
-    mpf_abs,
-    mpf_add,
-    mpf_div,
-    mpf_gt,
-    mpf_le,
-    mpf_lt,
-    mpf_mul,
-    mpf_pos,
-    mpf_shift,
-)
+from mpmath.libmp import finf, fnan, fninf, fone, from_man_exp, mpf_mul, mpf_pos
 
 from .precreal import PrecReal, context, to_mpf
 from .qseries import SERIES_TRUNC, coefficient_value
@@ -49,7 +33,7 @@ __all__ = [
 #: grid density of scan_zeros' first pass (the rescan uses four times it)
 _SCAN_POINTS_PER_DECADE = 64
 
-# find_zero reads the sign of f(t) off _probe_sign, an integer kernel at
+# find_zero reads the sign of f(t) off _probe_sum, an integer kernel at
 # p = _PROBE_BITS, when it sums N <= _PROBE_MAX_TERMS terms and the sum
 # is at least 2^_PROBE_CERT_BITS P u, with u = 2^-p and P = 2^peak the
 # kernel's bound on every |term| and |partial sum|.  Why that certifies
@@ -77,7 +61,6 @@ _PROBE_MAX_TERMS = 2**15
 _MAX_GUESS_ORDER = 20
 
 _NEAREST = "n"  # the rounding mode of every context(bits)
-_HALF = from_float(0.5)
 _Q_POWERS_LOCK = Lock()
 
 
@@ -133,9 +116,10 @@ def _extend_probe_q_powers(qpows: list, q: Fraction, n: int) -> None:
             qpows.append(((num << s) // den, s))
 
 
-def _probe_sign(t, qf: Fraction) -> int | None:
-    """The sign of f(t) from an integer kernel at _PROBE_BITS, or None
-    when the sum does not clear the bound derived at the constants.
+def _probe_sum(t, qf: Fraction) -> tuple[int, int, int, int] | None:
+    """The integer kernel at _PROBE_BITS: (total, base, peak, n) with the
+    sum total 2^base of the terms T_0..T_n, and every |term| and |partial
+    sum| below 2^peak; None when it reaches _PROBE_MAX_TERMS terms.
 
     t (an mpf) is rounded once; each term is an int mantissa m of about
     _PROBE_BITS bits times 2^e, advanced by t q^n/(n + 1) with truncating
@@ -144,7 +128,7 @@ def _probe_sign(t, qf: Fraction) -> int | None:
     """
     sign, man, exp, _ = mpf_pos(t._mpf_, _PROBE_BITS, _NEAREST)
     if not man:
-        return 1  # f(0) = 1
+        return 1, 0, 1, 0  # f(0) = 1
     tm = -man if sign else man
     qpows = _probe_q_powers(qf)
     m = total = 1
@@ -180,10 +164,59 @@ def _probe_sign(t, qf: Fraction) -> int | None:
             else:
                 ratio_small = lhs < (n + 1) << -lift
         if ratio_small and mag <= peak - _PROBE_BITS:
-            break
+            return total, base, peak, n
+
+
+def _probe_sign(t, qf: Fraction) -> int | None:
+    """The sign of f(t) from _probe_sum, or None when the kernel gives up
+    or its sum does not clear the bound derived at the constants."""
+    probe = _probe_sum(t, qf)
+    if probe is None:
+        return None
+    total, base, peak, _ = probe
     if total.bit_length() - 1 + base < peak - _PROBE_BITS + _PROBE_CERT_BITS:
         return None
     return 1 if total > 0 else -1
+
+
+def _round(man: int, exp: int, prec: int) -> tuple[int, int]:
+    """man 2^exp (man >= 0) rounded to prec bits, half to even, as libmp's
+    normalize rounds; the mantissa may come out as 2^prec after a carry."""
+    shift = man.bit_length() - prec
+    if shift <= 0:
+        return man, exp
+    r = man >> (shift - 1)  # the kept bits and the round bit
+    if r & 1 and (r & 2 or man & ((1 << (shift - 1)) - 1)):
+        r += 2
+    return r >> 1, exp + shift
+
+
+def _exceeds(a: int, ea: int, b: int, eb: int) -> bool:
+    """a 2^ea > b 2^eb for a, b >= 0, b > 0: bit lengths first, then an
+    aligned compare (the shift is at most the longer mantissa)."""
+    if not a:
+        return False
+    la = a.bit_length() + ea
+    lb = b.bit_length() + eb
+    if la != lb:
+        return la > lb
+    if ea >= eb:
+        return a << (ea - eb) > b
+    return a > b << (eb - ea)
+
+
+def _divide(man: int, exp: int, d: int, prec: int) -> tuple[int, int]:
+    """man 2^exp / d rounded as _round rounds (man > 0 of at most prec + 1
+    bits, d >= 1): an exact shift when d is a power of two, else a
+    quotient of at least prec + 1 bits with a sticky bit for a remainder."""
+    if not d & (d - 1):
+        return man, exp - d.bit_length() + 1
+    k = prec + d.bit_length() + 1 - man.bit_length()
+    quot, rem = divmod(man << k, d)
+    if rem:
+        quot = quot << 1 | 1
+        k += 1
+    return _round(quot, exp - k, prec)
 
 
 def eval_f(x, q, precision_bits: int) -> PrecReal:
@@ -197,15 +230,23 @@ def eval_f(x, q, precision_bits: int) -> PrecReal:
     a 1-bit value is returned so sign-probing callers can treat it as
     noise level.
 
-    The loop works on mpmath's raw (sign, mantissa, exponent, bitcount)
-    tuples through ``mpmath.libmp``: the same products, quotients, sums
-    and comparisons as mpf operators in a round-to-nearest context, in
-    the same order, so the result is the one those operators give,
-    without their per-operation dispatch.  The powers q^n come from a
-    table shared by all calls at the same q and precision.  The ratio
-    |x| q^n/(n+1) is a chain of monotone roundings of a decreasing
-    sequence, so once it is under 1/2 it stays there and is no longer
-    computed.
+    The loop runs on Python ints and calls no libmp arithmetic: the
+    term, the running total and the peak are each a mantissa times a
+    power of two.  Each step (the products by x and by q^n, the quotient
+    by n + 1, the sum, and the ratio |x| q^n/(n + 1)) is formed exactly,
+    or as a quotient with a sticky bit, and rounded once to
+    precision_bits, half to even.  Every mpf operation in a
+    round-to-nearest context is correctly rounded that way, so the result
+    is bit for bit the one the mpf operators give, in the same order.  A
+    sum of operands whose exponents lie more than 100 bits and whose
+    magnitudes lie more than precision_bits + 4 bits apart takes libmp's
+    shortcut: the larger operand, nudged by one unit precision_bits + 4
+    bits below it, is rounded, so a tiny x builds no shift as long as its
+    exponent.  The comparisons with the peak are exact, bit lengths
+    first.  The powers q^n come from a table of mpfs shared by all calls
+    at the same q and precision.  The ratio is a chain of monotone
+    roundings of a decreasing sequence, so once it is under 1/2 it stays
+    there and is no longer computed.
     """
     if precision_bits < 4:
         raise ValueError("precision must be at least 4 bits")
@@ -222,41 +263,64 @@ def eval_f(x, q, precision_bits: int) -> PrecReal:
     Q = qv._mpf_
     prec = precision_bits
     qpows = _q_powers(Q, prec)
-    abs_x = mpf_abs(X, prec, _NEAREST)
-    term = total = peak = fone
-    floor_peak = mpf_shift(peak, -prec)  # 2^-prec * peak, exactly
+    x_neg, xm, xe, _ = X
+    if not xm:
+        return PrecReal(ctx.make_mpf(fone), prec)  # f(0) = 1
+    am, ae = _round(xm, xe, prec)  # |x| at prec, for the ratio
+    far = prec + 4  # libmp's far-offset shortcut nudges at this depth
+    tm, te, t_neg = 1, 0, False  # the term: (-1)^t_neg tm 2^te
+    sm, se = 1, 0  # the running total: sm 2^se, sm signed
+    pm, pe = 1, 0  # the peak of |term| and |total|: pm 2^pe
+    peak_mag = 1  # pm.bit_length() + pe, so most compares need no call
     ratio_small = False
     n = 0
     while True:
         if len(qpows) <= n + 1:
             _extend_q_powers(qpows, Q, prec, n + 1)
-        term = mpf_div(
-            mpf_mul(mpf_mul(term, X, prec, _NEAREST), qpows[n], prec, _NEAREST),
-            from_int(n + 1),
-            prec,
-            _NEAREST,
-        )
+        tm, te = _round(tm * xm, te + xe, prec)
+        _, qm, qe, _ = qpows[n]
+        tm, te = _round(tm * qm, te + qe, prec)
+        t_neg ^= x_neg
         n += 1
-        total = mpf_add(total, term, prec, _NEAREST)
-        # term and total are already rounded to prec: abs needs no rounding
-        mag = mpf_abs(term)
-        at = mpf_abs(total)
-        if mpf_gt(mag, peak):
-            peak = mag
-            floor_peak = mpf_shift(peak, -prec)
-        if mpf_gt(at, peak):
-            peak = at
-            floor_peak = mpf_shift(peak, -prec)
+        tm, te = _divide(tm, te, n, prec)
+        mag = tm.bit_length() + te
+        # total += term, rounded once
+        tv = -tm if t_neg else tm
+        if not sm:
+            sm, se = tv, te
+        else:
+            gap = sm.bit_length() + se - mag
+            if se - te > 100 and gap > far:
+                s, e = (sm << far) + (-1 if t_neg else 1), se - far
+            elif te - se > 100 and -gap > far:
+                s, e = (tv << far) + (1 if sm > 0 else -1), te - far
+            elif se >= te:
+                s, e = (sm << (se - te)) + tv, te
+            else:
+                s, e = sm + (tv << (te - se)), se
+            if s < 0:
+                sm, se = _round(-s, e, prec)
+                sm = -sm
+            else:
+                sm, se = _round(s, e, prec)
+        if mag >= peak_mag and _exceeds(tm, te, pm, pe):
+            pm, pe, peak_mag = tm, te, mag
+        total_mag = sm.bit_length() + se
+        if total_mag >= peak_mag and _exceeds(abs(sm), se, pm, pe):
+            pm, pe, peak_mag = abs(sm), se, total_mag
         if not ratio_small:
-            ratio = mpf_mul(abs_x, qpows[n], prec, _NEAREST)
-            ratio_small = mpf_lt(mpf_div(ratio, from_int(n + 1), prec, _NEAREST), _HALF)
-        if ratio_small and mpf_le(mag, floor_peak):
+            _, qm, qe, _ = qpows[n]
+            rm, re = _round(am * qm, ae + qe, prec)
+            rm, re = _divide(rm, re, n + 1, prec)
+            ratio_small = rm.bit_length() + re <= -1  # rm 2^re < 1/2
+        # stop once |term| <= 2^-prec peak
+        if ratio_small and mag <= peak_mag - prec and not _exceeds(tm, te, pm, pe - prec):
             break
-    total = ctx.make_mpf(total)
-    if total == 0:
+    total = ctx.make_mpf(from_man_exp(sm, se))
+    if not sm:
         lost = precision_bits
     else:
-        lost = max(0, ctx.mag(ctx.make_mpf(peak)) - ctx.mag(total))
+        lost = max(0, peak_mag - sm.bit_length() - se)
     return PrecReal(total, max(1, precision_bits - lost))
 
 

@@ -19,7 +19,6 @@ from defexp.qseries import (
 from defexp.symcoeff import (
     MPoly,
     c_n,
-    from_eisenstein,
     reduce_to_A012,
     reduced_c_n,
     to_eisenstein,
@@ -104,7 +103,7 @@ def test_theta_ladder_on_a_series():
         assert a_series(i, T).theta() == a_series(i + 1, T)
 
 
-def test_basis_conversions_hold_as_series():
+def test_basis_conversions_hold_as_series(from_eisenstein):
     for i in range(3):
         sym = MPoly.symbol("A", i)
         assert eval_mpoly_series(to_eisenstein(sym), T) == a_series(i, T)

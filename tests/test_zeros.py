@@ -3,17 +3,21 @@
 import functools
 import sys
 import threading
+import time
+import tracemalloc
 from fractions import Fraction
 from math import factorial, floor, lgamma, log, log2
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from mpmath.libmp import mpf_mul
+from mpmath import mpf
+from mpmath.libmp import from_man_exp, mpf_mul
 
 import defexp.zeros as zeros
 from defexp.precreal import PrecReal, context, to_mpf
 from defexp.qseries import a_series
+from defexp.validate import ratio_check, residual_profile
 from defexp.zeros import (
     BracketError,
     ZeroResult,
@@ -125,7 +129,7 @@ def test_eval_f_rejects_non_finite_x(x):
 
 def _reference_eval_f(x, q, precision_bits: int) -> PrecReal:
     """eval_f as it was written on mpf operators, kept verbatim as the
-    reference the raw-tuple kernel must reproduce bit for bit."""
+    reference the integer kernel must reproduce bit for bit."""
     if precision_bits < 4:
         raise ValueError("precision must be at least 4 bits")
     ctx = context(precision_bits)
@@ -204,6 +208,79 @@ def test_eval_f_kernel_is_bit_identical_to_the_operator_loop(q):
             assert _same(eval_f(x, q, bits), want), (q, bits, x)
 
 
+def _edge_cases() -> list:
+    """eval_f arguments on each path of the integer loop.  A sum of
+    operands more than bits + 4 bits apart in magnitude, with exponents
+    more than 100 apart, takes libmp's far-offset shortcut: the total over
+    a tiny first term (x = -2^-200, +-1e-1000000000) and a huge first term
+    over the total (x = 2^200, +-1e3000).  x = 3 and -12.375 at 4 bits meet
+    exact ties (3 at q = 1/2: 4 + 9/4 lies halfway between 6 and 6.5), and
+    every point with a term past n = 8 divides by n + 1 = 1, 2, 4, 8 with
+    an exact shift and by the other n + 1 with a rounded quotient."""
+    tiny = mpf("1e-1000000000")
+    groups = [
+        ("zero", [(0, q, bits) for q in (Q_HALF, Fraction(1, 10)) for bits in (4, 53, 647)]),
+        (
+            "tiny",
+            [(s * tiny, q, bits) for s in (1, -1) for q in (Q_HALF, "3/7") for bits in (4, 64, 2189)],
+        ),
+        ("minus-2^-200", [(-(mpf(2) ** -200), q, b) for q in (Q_HALF, Fraction(9, 19)) for b in (4, 8)]),
+        ("2^200", [(mpf(2) ** 200, Q_HALF, bits) for bits in (4, 8, 64)]),
+        ("1e3000", [(s * mpf("1e3000"), Q_HALF, 64) for s in (1, -1)]),
+        ("ties", [(x, q, 4) for x in (3, -12.375) for q in (Q_HALF, Fraction(1, 10))]),
+    ]
+    return [
+        pytest.param(x, q, bits, name == "tiny", id=f"{name}-{i}")
+        for name, cases in groups
+        for i, (x, q, bits) in enumerate(cases)
+    ]
+
+
+@pytest.mark.parametrize("x, q, bits, timed", _edge_cases())
+def test_eval_f_kernel_edge_paths_are_bit_identical(x, q, bits, timed):
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    before, _ = tracemalloc.get_traced_memory()
+    tracemalloc.reset_peak()
+    start = time.perf_counter()
+    got = eval_f(x, q, bits)
+    took = time.perf_counter() - start
+    _, peak = tracemalloc.get_traced_memory()
+    if not tracing:
+        tracemalloc.stop()
+    assert _same(got, _reference_eval_f(x, q, bits)), (x, q, bits)
+    if timed:  # the far-offset shortcut builds no shift as long as the exponent
+        assert took < 0.5, took
+        assert peak - before < 2**20, peak - before
+
+
+@st.composite
+def _dyadic_points(draw):
+    """(x, q, bits) with x = m 2^e exact, m up to bits + 20 bits, |e| <= 400,
+    and at most about 2,000 terms (the bound a q near 1 puts on |x|)."""
+    bits = draw(st.integers(4, 700))
+    man = draw(st.integers(1, 2 ** (bits + 20) - 1)) * draw(st.sampled_from([1, -1]))
+    exp = draw(st.integers(-400, 400))
+    q = draw(st.sampled_from(KERNEL_QS))
+    assume((man.bit_length() + exp) / -log2(float(Fraction(q))) < 2000)
+    return context(bits + 20).make_mpf(from_man_exp(man, exp)), q, bits
+
+
+@settings(max_examples=200, deadline=None)
+@given(point=_dyadic_points())
+def test_eval_f_kernel_matches_the_operator_loop_on_dyadic_points(point):
+    x, q, bits = point
+    try:
+        want = _reference_eval_f(x, q, bits)
+    except ValueError:  # 99/100 rounds to 1 at 4 bits
+        with pytest.raises(ValueError, match="q must lie"):
+            eval_f(x, q, bits)
+        return
+    got = eval_f(x, q, bits)
+    assert (got.value._mpf_, got.precision_bits) == (want.value._mpf_, want.precision_bits)
+
+
 def _zero_fields(z) -> tuple:
     parts = (z.x, *z.bracket, z.residual)
     return (
@@ -215,17 +292,35 @@ def _zero_fields(z) -> tuple:
     )
 
 
+def _check_rows(zs: list) -> list:
+    """The residual profiles n = 0..3 and the ratio row k = 10 at q = 7/15
+    off a zero table, as raw tuples."""
+    q = Fraction(7, 15)
+    table = {z.k: z for z in zs}
+
+    def raw(p: PrecReal) -> tuple:
+        return p.value._mpf_, p.precision_bits
+
+    rows = [
+        (k, raw(x), raw(r))
+        for n in range(4)
+        for k, x, r in residual_profile(q, n, list(table), zeros=table).rows
+    ]
+    return rows + [(k, raw(r)) for k, r in ratio_check(q, 10, 10, zeros=table)]
+
+
 def test_zero_finders_are_unchanged_on_the_reference_kernel(monkeypatch, scanned_q_half):
     q = Fraction(7, 15)
-    fast = [find_zero(k, q) for k in (10, 25, 40)]
+    fast = [find_zero(k, q) for k in (10, 11, 25, 40)]
     monkeypatch.setattr(zeros, "eval_f", _reference_eval_f)
-    slow = [find_zero(k, q) for k in (10, 25, 40)]
+    slow = [find_zero(k, q) for k in (10, 11, 25, 40)]
     slow_scan = scan_zeros(Q_HALF, -300, 6)
     assert fast == slow
     assert slow_scan == scanned_q_half
     assert [z.newton_rel_steps for z in fast] == [z.newton_rel_steps for z in slow]
     for a, b in zip(fast + scanned_q_half, slow + slow_scan):
         assert _zero_fields(a) == _zero_fields(b)
+    assert _check_rows(fast) == _check_rows(slow)
 
 
 def test_q_power_table_is_not_poisoned_across_q_and_precision():
@@ -482,6 +577,79 @@ def test_probe_sign_near_a_zero_is_the_full_budget_sign():
                     assert probe == want, (k, j, side)
                     certified += 1
     assert certified > 40 and fallen_back > 40
+
+
+def _replica_probe_sum(t, q: Fraction) -> tuple:
+    """_probe_sum's truncations restated on exact values: t rounded once
+    to _PROBE_BITS in an mpf context, Q_n = floor(q^n 2^s_n), each new
+    mantissa floor(m t Q_n / (2^shift (n + 1))) in one floor division, the
+    terms summed as Fractions, and the stopping rule with Fraction bounds.
+    Returns the sum, the peak, the term count and whether the tail test
+    held before the ratio test did (so the ratio test decided the stop)."""
+    p = zeros._PROBE_BITS
+    sign, man, exp, _ = context(p).mpf(t)._mpf_
+    abs_t_bound = (man + 1) * Fraction(2) ** exp
+    tnum = -man if sign else man
+
+    def q_power(n: int) -> tuple[int, int]:
+        s = p + (q.denominator**n).bit_length() - (q.numerator**n).bit_length()
+        return floor(q**n * 2**s), s
+
+    def mag(v: Fraction) -> int:  # floor(log2 |v|) + 1 of a dyadic v != 0
+        return abs(v.numerator).bit_length() - v.denominator.bit_length() + 1
+
+    m, e, n = 1, 0, 0
+    total = Fraction(1)
+    peak = 1
+    ratio_small = tail_first = False
+    while True:
+        qm, qs = q_power(n)
+        x = m * tnum * qm
+        shift = x.bit_length() - p - (n + 1).bit_length()
+        m = x // ((n + 1) << shift)
+        e += exp - qs + shift
+        n += 1
+        total += m * Fraction(2) ** e
+        term_mag = m.bit_length() + e
+        peak = max(peak, term_mag, mag(total))
+        tail_small = term_mag <= peak - p
+        if not ratio_small:
+            qm, qs = q_power(n)
+            ratio_small = 2 * abs_t_bound * Fraction(qm + 1, 2**qs) < n + 1
+            tail_first = tail_first or (tail_small and not ratio_small)
+        if ratio_small and tail_small:
+            return total, peak, n, tail_first
+
+
+#: three points each near x_12 and x_20 at q = 9/19, as (k, j, side) for
+#: t = x_k (1 + side 2^-j), and two at q = 999/1000 where the terms fall
+#: _PROBE_BITS below the peak while the ratio is still above 1/2, so the
+#: ratio test decides where the sum ends
+PROBE_SUM_POINTS = [
+    *(
+        pytest.param(Fraction(9, 19), (k, j, side), False, id=f"x{k}-2^-{j}")
+        for k in (12, 20)
+        for j, side in ((40, 1), (100, -1), (150, 1))
+    ),
+    *(pytest.param(Fraction(999, 1000), x, True, id=f"{x}-q999/1000") for x in (-3000, 2000)),
+]
+
+
+@pytest.mark.parametrize("q, where, ratio_decides", PROBE_SUM_POINTS)
+def test_probe_sum_is_the_exact_sum_of_its_truncated_terms(q, where, ratio_decides):
+    """The kernel's integer total, its peak and its term count equal the
+    replica's, so neither a missing term nor a stop before the ratio test
+    can hide under the certification margin."""
+    if isinstance(where, tuple):
+        k, j, side = where
+        ctx = context(required_precision(k, q))
+        t = ctx.mpf(_zero_near(k, q)) * (1 + side * ctx.mpf(2) ** -j)
+    else:
+        t = mpf(where)
+    total, base, peak, n = zeros._probe_sum(t, q)
+    want_total, want_peak, want_n, tail_first = _replica_probe_sum(t, q)
+    assert tail_first == ratio_decides
+    assert (total * Fraction(2) ** base, peak, n) == (want_total, want_peak, want_n)
 
 
 def test_bracket_and_bisection_make_no_full_budget_call(monkeypatch):
