@@ -496,41 +496,77 @@ def _index_estimate(qf: Fraction, x_abs: float) -> int:
     return k
 
 
-def _bisect_refine(a, b, fa_sign: int, qf: Fraction, bits: int) -> tuple:
-    """Plain bisection of a sign change down to the precision floor."""
+def _refine_sign_change(a, b, qf: Fraction, bits: int) -> tuple:
+    """Narrow the sign change of f between grid points a < b < 0 by
+    safeguarded Illinois regula falsi (Dowell & Jarratt, BIT 11, 1971)
+    until the bracket is at most |a| 2^(8 - bits) wide, or until f comes
+    back at noise level; returns (x, f(x)) at the last iterate.
+
+    Both ends are first read at `bits`, the refinement's own precision
+    (the grid read them at its own), and BracketError is raised when
+    their signs are not opposite there.  Each step evaluates f at the
+    secant point of the ends' values, and halves the value of an end
+    kept twice in a row (Illinois).  It takes the midpoint instead when
+    the secant point is not strictly inside the bracket, or when three
+    secant steps in a row each failed to halve the bracket: from a plain
+    start the third is the first to use a halved value, so Illinois gets
+    one try before the midpoint, and no more than four calls go to any
+    halving.
+    """
     ctx = context(bits)
     a = to_mpf(ctx, a)
     b = to_mpf(ctx, b)
+    fa = eval_f(a, qf, bits)
+    fb = eval_f(b, qf, bits)
+    sa = _sign(fa)
+    if sa * _sign(fb) >= 0:
+        raise BracketError(
+            f"the sign change of f between {ctx.nstr(a, 8)} and {ctx.nstr(b, 8)} "
+            f"does not survive at {bits} bits"
+        )
+    wa, wb = fa.value, fb.value  # the ends' secant weights: f, halved while kept
+    moved = 0  # the end the last step replaced: -1 for a, 1 for b
+    misses = 0  # secant steps in a row that failed to halve the bracket
     floor_width = ctx.mpf(2) ** (8 - bits)
-    last = None
+    x, fx = a, fa
     while (b - a) > abs(a) * floor_width:
-        mid = (a + b) / 2
-        fm = eval_f(mid, qf, bits)
-        s = _sign(fm)
-        last = fm
-        if s == 0 or fm.precision_bits <= 1:
-            a = b = mid
+        width = b - a
+        x = b - wb * width / (wb - wa)
+        secant = misses < 3 and a < x < b
+        if not secant:
+            x = (a + b) / 2
+        fx = eval_f(x, qf, bits)
+        s = _sign(fx)
+        if s == 0 or fx.precision_bits <= 1:
             break
-        if s == fa_sign:
-            a = mid
+        if s == sa:
+            a, wa = x, fx.value
+            if moved == -1:
+                wb /= 2
+            moved = -1
         else:
-            b = mid
-    mid = (a + b) / 2
-    if last is None:
-        last = eval_f(mid, qf, bits)
-    return mid, last
+            b, wb = x, fx.value
+            if moved == 1:
+                wa /= 2
+            moved = 1
+        misses = misses + 1 if secant and b - a > width / 2 else 0
+    return x, fx
 
 
 def scan_zeros(q, x_min, count: int) -> list[ZeroResult]:
     """Find the first `count` zeros by scanning a geometric grid.
 
-    Pure bisection oracle, independent of the asymptotic machinery in
-    find_zero.  The grid runs from -1 toward x_min (f has no zeros in
+    An oracle of a grid plus safeguarded Illinois refinement, independent
+    of the asymptotic machinery in find_zero: no guess, no sign-probe
+    kernel.  The grid runs from -1 toward x_min (f has no zeros in
     [-1, 0]: the alternating series at x = -1 is positive for every q).
     Consecutive zeros are separated by a factor >= 1/q > the grid step,
     so a cell holds at most one sign change at the default density; if
     the pass still comes up short against the expected -k q^(1-k)
-    locations, one denser rescan is attempted before giving up.
+    locations, one denser rescan is attempted before giving up.  The k-th
+    sign change is refined at required_precision(k, q) bits
+    (_refine_sign_change), which raises BracketError when the change is
+    lost there; x is the last iterate and the residual is |f(x)|.
     """
     qf = Fraction(q)
     if not 0 < qf < 1:
@@ -558,14 +594,14 @@ def scan_zeros(q, x_min, count: int) -> list[ZeroResult]:
             if s != 0 and prev_sign != 0 and s != prev_sign:
                 k_found = len(found) + 1
                 zbits = required_precision(k_found, qf)
-                mid, fmid = _bisect_refine(cur, prev, s, qf, zbits)
+                x, fx = _refine_sign_change(cur, prev, qf, zbits)
                 found.append(
                     ZeroResult(
                         k=k_found,
                         q=qf,
-                        x=PrecReal(mid, zbits),
+                        x=PrecReal(x, zbits),
                         bracket=(PrecReal(cur, zbits), PrecReal(prev, zbits)),
-                        residual=abs(fmid),
+                        residual=abs(fx),
                         precision_bits=zbits,
                     )
                 )

@@ -785,6 +785,133 @@ def test_scan_zeros_raises_when_window_is_short():
         scan_zeros(Q_HALF, -100, 6)  # the sixth zero sits near -201
 
 
+def test_scan_zeros_raises_when_a_sign_change_is_lost_at_the_zero_precision():
+    """At q = 99/100 the grid finds sign changes near -40, -43 and -45, but
+    at the 64..69 bits of k = 1..3 f is noise there (at 4000 bits it changes
+    sign in (-39.9, -39.5), (-42.9, -42) and (-46, -44.6)).  Trusting the
+    grid's signs gave three zeros about 1% off, tagged 64..69 bits."""
+    q = Fraction(99, 100)
+    with pytest.raises(BracketError, match="does not survive at 64 bits"):
+        scan_zeros(q, -2 * 3 * float(q) ** -2 * 50, 3)
+
+
+SCAN_CASES = [(Q_HALF, 16), (Fraction(9, 19), 16), (Fraction(1, 10), 8)]
+
+
+@functools.cache
+def _counted_scan(q: Fraction, count: int) -> tuple:
+    """scan_zeros for the first `count` zeros, with x_min twice the
+    leading-order |x_count|, and the eval_f calls of each refinement."""
+    calls: list[int] = []
+    made = [0]
+    real_eval, real_refine = zeros.eval_f, zeros._refine_sign_change
+
+    def counted(*args):
+        made[0] += 1
+        return real_eval(*args)
+
+    def refine(*args):
+        before = made[0]
+        out = real_refine(*args)
+        calls.append(made[0] - before)
+        return out
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(zeros, "eval_f", counted)
+        patch.setattr(zeros, "_refine_sign_change", refine)
+        found = scan_zeros(q, -2 * count * float(q) ** (1 - count), count)
+    return found, calls
+
+
+@pytest.mark.parametrize("q, count", SCAN_CASES, ids=str)
+def test_scan_refinement_takes_at_most_20_evaluations_per_zero(q, count):
+    """Bisection took one call per bit, 52..250 per zero here; the Illinois
+    refinement took 7..15, the reads of the two grid ends included."""
+    found, calls = _counted_scan(q, count)
+    assert len(calls) == len(found) == count
+    assert max(calls) <= 20, calls
+
+
+@pytest.mark.parametrize("q, count", SCAN_CASES, ids=str)
+def test_scan_zeros_change_sign_within_their_tag(q, count):
+    """f changes sign across x (1 -+ 2^-(tag - 12)), read by the reference
+    loop at 2 tag + 64 bits; the worst case measured is tag - 7."""
+    found, _ = _counted_scan(q, count)
+    for z in found:
+        tag = z.precision_bits
+        bits = 2 * tag + 64
+        ctx = context(bits)
+        x = to_mpf(ctx, z.x)
+        eps = ctx.ldexp(1, 12 - tag)
+        inner = _reference_eval_f(x * (1 - eps), q, bits)
+        outer = _reference_eval_f(x * (1 + eps), q, bits)
+        want = 1 if z.k % 2 else -1
+        assert (_sign(inner), _sign(outer)) == (want, -want), z.k
+        assert min(inner.precision_bits, outer.precision_bits) > 32, z.k
+
+
+@pytest.mark.parametrize("q, count", SCAN_CASES, ids=str)
+def test_scan_residual_is_f_at_the_returned_x(q, count):
+    found, _ = _counted_scan(q, count)
+    for z in found:
+        assert _same(z.residual, abs(eval_f(z.x, q, z.precision_bits))), z.k
+
+
+def _one_sided_flat(r, flat_side: int):
+    """A stand-in for eval_f with its one root at r: sign(t - r) |t - r|^9
+    on the side sign(t - r) = flat_side, flat there, and t - r on the other."""
+
+    def f(t, q, bits):
+        d = to_mpf(context(bits), t) - r
+        if (d > 0) - (d < 0) == flat_side:
+            d = flat_side * abs(d) ** 9
+        return PrecReal(d, bits)
+
+    return f
+
+
+def _bisection_calls(f, a, b, bits: int) -> int:
+    """The calls plain bisection makes to narrow [a, b] to the refinement's
+    floor, the reads of both ends included."""
+    ctx = context(bits)
+    a, b = ctx.mpf(a), ctx.mpf(b)
+    sa = _sign(f(a, Q_HALF, bits))
+    f(b, Q_HALF, bits)
+    calls = 2
+    while b - a > abs(a) * ctx.ldexp(1, 8 - bits):
+        mid = (a + b) / 2
+        calls += 1
+        if _sign(f(mid, Q_HALF, bits)) == sa:
+            a = mid
+        else:
+            b = mid
+    return calls
+
+
+@pytest.mark.parametrize("bits", [64, 200])
+@pytest.mark.parametrize("flat_side", [-1, 1])
+@pytest.mark.parametrize("a, b", [(-8, -5), (-5.4, -5)])
+def test_refinement_safeguard_on_a_one_sided_flat_function(monkeypatch, bits, flat_side, a, b):
+    """Where one end's value is tiny against the other's, the secant point
+    crawls from the flat side; the midpoint steps keep the count within
+    twice bisection's plus 4, and the result still pins the root."""
+    ctx = context(bits)
+    r = ctx.mpf(-5.3)
+    f = _one_sided_flat(r, flat_side)
+    calls = []
+
+    def counted(t, q, p):
+        calls.append(t)
+        return f(t, q, p)
+
+    monkeypatch.setattr(zeros, "eval_f", counted)
+    x, fx = zeros._refine_sign_change(a, b, Q_HALF, bits)
+    assert a < x < b
+    assert abs(x - r) <= abs(r) * ctx.ldexp(1, 9 - bits)
+    assert _same(fx, f(x, Q_HALF, bits))
+    assert len(calls) <= 2 * _bisection_calls(f, a, b, bits) + 4
+
+
 def test_q_power_table_survives_concurrent_extension():
     """Threads that extend one shared table at once must not append a
     power twice: every entry is the one before it times q."""
