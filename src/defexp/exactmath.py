@@ -1,4 +1,5 @@
-"""Exact scalar arithmetic: Bernoulli numbers, binomials, divisor sums.
+"""Exact scalar arithmetic: Bernoulli numbers, binomials, divisor sums,
+and the dense product and power shared by the polynomial and series types.
 
 All quantities are exact rationals (`fractions.Fraction`).  Wherever the
 package writes a rational out, it is ``str(Fraction)``: ``"p/q"`` in
@@ -70,6 +71,31 @@ def divisor_sigma(m: int, power: int = 1) -> int:
             if e != d:
                 total += e**power
     return total
+
+
+def truncated_product(a, b, trunc: int) -> list:
+    """Coefficients 0..trunc of the product of the dense coefficient lists
+    a and b (lowest order first), on ints or Fractions alike."""
+    out = [0] * (trunc + 1)
+    for i, x in enumerate(a[: trunc + 1]):
+        if x:
+            for k, y in enumerate(b[: trunc + 1 - i], start=i):
+                out[k] += x * y
+    return out
+
+
+def ring_power(base, n: int, one):
+    """base**n by repeated squaring, starting from the unit `one`."""
+    if n < 0:
+        raise ValueError("negative power")
+    result = one
+    while n:
+        if n & 1:
+            result = result * base
+        n >>= 1
+        if n:
+            base = base * base
+    return result
 
 
 def power_sum_poly(m: int):

@@ -19,7 +19,7 @@ from functools import cache
 from itertools import zip_longest
 from math import gcd, lcm
 
-from .exactmath import gen_binomial, power_sum_poly
+from .exactmath import gen_binomial, power_sum_poly, ring_power, truncated_product
 
 __all__ = [
     "DecompositionError",
@@ -131,28 +131,13 @@ class JPoly:
             return JPoly._from_nums([c * f.numerator for c in self.nums], self.den * f.denominator)
         if not isinstance(other, JPoly):
             return NotImplemented
-        if not self.nums or not other.nums:
-            return JPoly()
-        out = [0] * (len(self.nums) + len(other.nums) - 1)
-        for i, a in enumerate(self.nums):
-            if a:
-                for k, b in enumerate(other.nums, start=i):
-                    out[k] += a * b
-        return JPoly._from_nums(out, self.den * other.den)
+        top = len(self.nums) + len(other.nums) - 2
+        return JPoly._from_nums(truncated_product(self.nums, other.nums, top), self.den * other.den)
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "JPoly":
-        if n < 0:
-            raise ValueError("negative polynomial power")
-        result = JPoly((1,))
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return ring_power(self, n, JPoly((1,)))
 
     def __call__(self, x):
         """Evaluate by Horner; x may be a scalar or another JPoly."""

@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .exactmath import divisor_sigma
+from .exactmath import divisor_sigma, ring_power, truncated_product
 from .precreal import PrecReal, context, to_mpf
 
 __all__ = [
@@ -94,28 +94,12 @@ class QSeries:
         if not isinstance(other, QSeries):
             return NotImplemented
         n = min(self.trunc, other.trunc)
-        out = [Fraction(0)] * (n + 1)
-        for i, a in enumerate(self.coeffs[: n + 1]):
-            if a:
-                for k in range(n + 1 - i):
-                    b = other.coeffs[k]
-                    if b:
-                        out[i + k] += a * b
-        return QSeries(out, n)
+        return QSeries(truncated_product(self.coeffs, other.coeffs, n), n)
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "QSeries":
-        if n < 0:
-            raise ValueError("negative series power")
-        result = QSeries.const(1, self.trunc)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return ring_power(self, n, QSeries.const(1, self.trunc))
 
     def theta(self) -> "QSeries":
         """q d/dq, term by term; truncation is preserved."""
@@ -192,16 +176,6 @@ def jacobi_p0_product(trunc: int) -> QSeries:
     return QSeries(coeffs, trunc)
 
 
-def _mul_int(a: tuple[int, ...], b: tuple[int, ...], trunc: int) -> tuple[int, ...]:
-    """Product of integer coefficient lists, truncated at q^trunc."""
-    out = [0] * (trunc + 1)
-    for i, x in enumerate(a):
-        if x:
-            for k, y in enumerate(b[: trunc + 1 - i], start=i):
-                out[k] += x * y
-    return tuple(out)
-
-
 def _series_base(family: str, i: int, trunc: int) -> QSeries:
     if family == "A":
         return a_series(i, trunc)
@@ -224,9 +198,8 @@ def _monomial_series(family: str, exps: tuple, trunc: int) -> tuple[int, ...]:
     lower = exps[:i] + (exps[i] - 1,)
     while lower and lower[-1] == 0:
         lower = lower[:-1]
-    return _mul_int(
-        _monomial_series(family, lower, trunc), _monomial_series(family, unit, trunc), trunc
-    )
+    series = _monomial_series(family, lower, trunc)
+    return tuple(truncated_product(series, _monomial_series(family, unit, trunc), trunc))
 
 
 def eval_mpoly_series(p, trunc: int) -> QSeries:

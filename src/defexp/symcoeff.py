@@ -23,7 +23,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache, partial
-from itertools import zip_longest
 from math import gcd, lcm
 from operator import add
 
@@ -76,14 +75,6 @@ def _add_product(out: dict, t1: dict, t2: dict, scale: int = 1) -> None:
             e = _add_exps(e1, e2)
             cur = out.get(e)
             out[e] = c1 * c2 if cur is None else cur + c1 * c2
-
-
-def _add_scaled(out: dict, nums: dict, scale: int = 1) -> None:
-    """out += scale * nums on integer numerators; zero entries may remain."""
-    for e, c in nums.items():
-        cur = out.get(e)
-        c = c * scale if scale != 1 else c
-        out[e] = c if cur is None else cur + c
 
 
 class MPoly:
@@ -189,11 +180,7 @@ class MPoly:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        den = lcm(self.den, o.den)
-        out: dict[tuple, int] = {}
-        _add_scaled(out, self.nums, den // self.den)
-        _add_scaled(out, o.nums, den // o.den)
-        return MPoly._from_nums(self.family, out, den)
+        return _weighted_sum(self.family, ((1, self, None), (1, o, None)))
 
     __radd__ = __add__
 
@@ -267,15 +254,12 @@ class MPoly:
             for i, e in moved:
                 pw = _power(powers, mapping, i, e)
                 prod = pw if prod is None else prod * pw
-            prods.append((kept_nums, prod))
+            prods.append((kept_nums, prod if moved else MPoly._from_nums(out_family, {(): 1})))
         # every group shares self.den; the products bring their own
-        den = lcm(*(prod.den for _, prod in prods if prod is not None))
+        den = lcm(*(prod.den for _, prod in prods))
         out: dict[tuple, int] = {}
         for kept_nums, prod in prods:
-            if prod is None:
-                _add_scaled(out, kept_nums, den)
-            else:
-                _add_product(out, kept_nums, prod.nums, den // prod.den)
+            _add_product(out, kept_nums, prod.nums, den // prod.den)
         return MPoly._from_nums(out_family, out, self.den * den)
 
     # -- presentation ---------------------------------------------------
@@ -306,6 +290,24 @@ class MPoly:
             )
             parts.append(f"({c})" + (f"*{syms}" if syms else ""))
         return " + ".join(parts)
+
+
+def _weighted_sum(family: str, terms) -> MPoly:
+    """Sum of w * a * b over (w, a, b) in `terms`, over one common
+    denominator: w is an int or a Fraction, a and b are MPolys, and b is
+    None where the term is w * a alone."""
+    terms = [(w, a, b, w.denominator * a.den * (1 if b is None else b.den)) for w, a, b in terms]
+    den = lcm(*(d for *_, d in terms))
+    out: dict[tuple, int] = {}
+    for w, a, b, d in terms:
+        scale = w.numerator * (den // d)
+        if b is not None:
+            _add_product(out, a.nums, b.nums, scale)
+            continue
+        for e, c in a.nums.items():
+            cur = out.get(e)
+            out[e] = c * scale if cur is None else cur + c * scale
+    return MPoly._from_nums(family, out, den)
 
 
 def _power(powers: dict, mapping: dict, i: int, e: int) -> MPoly:
@@ -490,13 +492,8 @@ def c_n(n: int) -> MPoly:
 def _c(m: int) -> MPoly:
     # C_m needs compositions of C_1..C_{m-1} only
     s_a = _assemble_s(m, "A", partial(_composition, _c, "A"))
-    den = lcm(s_a[0].den, *(s_a[i].den * p_m(i).den for i in range(1, m + 1)))
-    out: dict[tuple, int] = {}
-    _add_scaled(out, s_a[0].nums, -(den // s_a[0].den))
-    for i in range(1, m + 1):
-        s, p = s_a[i], p_m(i)
-        _add_product(out, s.nums, p.nums, 3 * 2**i * (den // (s.den * p.den)))
-    return MPoly._from_nums("A", out, den)
+    terms = [(3 * 2**i, s_a[i], p_m(i)) for i in range(1, m + 1)]
+    return _weighted_sum("A", [(-1, s_a[0], None)] + terms)
 
 
 @cache
@@ -516,37 +513,29 @@ def _assemble_s(n: int, family: str, comp_of) -> list[MPoly]:
                ([u v^i] Delta(N, m) + [u v^i] Delta(N-2, m-1))
                * sum_{i_1+...+i_m = n-N+m+1, i_l >= 1} C_{i_1}...C_{i_m}
 
-    Each S_i(n) collects its parts first, as integer weight numerators
-    over a weight denominator, and is summed over their common
-    denominator once.
+    Each S_i(n) collects its weighted parts first and is summed over
+    their common denominator once.
     """
-    head = delta(n + 1, 0).vpoly
-    parts: list[list[tuple[int, int, MPoly]]] = [[] for _ in range(n + 1)]
+    one, head = MPoly._from_nums(family, {(): 1}), delta(n + 1, 0).vpoly
+    parts = [[(head.coeff(i), one, None)] for i in range(n + 1)]
     for n_order in range(3, n + 2):
         for m in range(1, n_order // 2 + 1):
             d = n - n_order + m + 1
             if d < m:
                 continue
-            outer, inner = delta(n_order, m).vpoly, delta(n_order - 2, m - 1).vpoly
-            wden = lcm(outer.den, inner.den)
-            so, si = wden // outer.den, wden // inner.den
-            ws = zip_longest(outer.nums, inner.nums, fillvalue=0)
             block = None
-            for i, (wo, wi) in zip(range(n + 1), ws):
-                w = wo * so + wi * si
+            for i, w in enumerate(_block_weights(n_order, m)[: n + 1]):
                 if w:
                     if block is None:
                         block = comp_of(m, d)
-                    parts[i].append((w, wden, block))
-    out = []
-    for i, ps in enumerate(parts):
-        h = head.nums[i] if i < len(head.nums) else 0
-        den = lcm(head.den, *(wden * block.den for _, wden, block in ps))
-        acc: dict[tuple, int] = {(): h * (den // head.den)}
-        for w, wden, block in ps:
-            _add_scaled(acc, block.nums, w * (den // (wden * block.den)))
-        out.append(MPoly._from_nums(family, acc, den))
-    return out
+                    parts[i].append((w, block, None))
+    return [_weighted_sum(family, ps) for ps in parts]
+
+
+@cache
+def _block_weights(n_order: int, m: int) -> tuple[Fraction, ...]:
+    """[u v^i] Delta(N, m) + [u v^i] Delta(N-2, m-1) for i = 0, 1, ..."""
+    return (delta(n_order, m).vpoly + delta(n_order - 2, m - 1).vpoly).coeffs
 
 
 @cache
@@ -562,14 +551,10 @@ def _composition(coeff, family: str, m: int, d: int) -> MPoly:
         return MPoly.zero(family)
     if m == 1:
         return coeff(d)
-    pairs = [
-        (coeff(i), _composition(coeff, family, m - 1, d - i)) for i in range(1, d - m + 2)
-    ]
-    den = lcm(*(a.den * b.den for a, b in pairs))
-    out: dict[tuple, int] = {}
-    for a, b in pairs:
-        _add_product(out, a.nums, b.nums, den // (a.den * b.den))
-    return MPoly._from_nums(family, out, den)
+    return _weighted_sum(
+        family,
+        [(1, coeff(i), _composition(coeff, family, m - 1, d - i)) for i in range(1, d - m + 2)],
+    )
 
 
 # ---------------------------------------------------------------------------

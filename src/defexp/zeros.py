@@ -496,6 +496,14 @@ def _index_estimate(qf: Fraction, x_abs: float) -> int:
     return k
 
 
+def _past_zero(x, qf: Fraction) -> float:
+    """|x|/q rounded down to a float, from the exact parts of q (so q below
+    the float range works; a point past the float range comes back inf)."""
+    ctx = context(53)
+    num = ctx.fmul(abs(x), qf.denominator, exact=True)
+    return float(ctx.fdiv(num, qf.numerator, rounding="d"))
+
+
 def _refine_sign_change(a, b, qf: Fraction, bits: int) -> tuple:
     """Narrow the sign change of f between grid points a < b < 0 by
     safeguarded Illinois regula falsi (Dowell & Jarratt, BIT 11, 1971)
@@ -560,11 +568,17 @@ def scan_zeros(q, x_min, count: int) -> list[ZeroResult]:
     of the asymptotic machinery in find_zero: no guess, no sign-probe
     kernel.  The grid runs from -1 toward x_min (f has no zeros in
     [-1, 0]: the alternating series at x = -1 is positive for every q).
-    Consecutive zeros are separated by a factor >= 1/q > the grid step,
-    so a cell holds at most one sign change at the default density; if
-    the pass still comes up short against the expected -k q^(1-k)
-    locations, one denser rescan is attempted before giving up.  The k-th
-    sign change is refined at required_precision(k, q) bits
+    Consecutive zeros lie a factor above 1/q apart, x_(k+1) < x_k/q < x_k:
+    f'(x) = f(qx), and as f has order zero and only real simple zeros,
+    f'/f = sum_j 1/(x - x_j) is positive on (x_1, 0) and falls strictly
+    from +inf to -inf on each (x_(k+1), x_k), so the zeros x_j/q of f'
+    lie one in each such interval, in order.  So a cell holds at most one
+    sign change at the default density (step < 1/q), and f keeps one sign
+    from x_k to x_k/q: after each zero the grid resumes at |x_k|/q,
+    rounded down, with the sign read just past x_k.  If the
+    pass still comes up short against the expected -k q^(1-k) locations,
+    one denser rescan is attempted before giving up.  The k-th sign
+    change is refined at required_precision(k, q) bits
     (_refine_sign_change), which raises BracketError when the change is
     lost there; x is the last iterate and the residual is |f(x)|.
     """
@@ -605,6 +619,8 @@ def scan_zeros(q, x_min, count: int) -> list[ZeroResult]:
                         precision_bits=zbits,
                     )
                 )
+                pos = max(pos, min(_past_zero(x, qf), abs(x_min)))
+                cur = -pos
             if s != 0:
                 prev, prev_sign = cur, s
             else:

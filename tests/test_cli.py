@@ -3,6 +3,7 @@
 import json
 import os
 import re
+import runpy
 import subprocess
 import sys
 from fractions import Fraction
@@ -60,6 +61,30 @@ def test_exact_layer_output_matches_coeff_golden(capsys, name):
     code, out, err = run_cli(capsys, *golden_argv(name))
     assert code == 0, err
     assert out.encode() == (COEFF_GOLDEN / name).read_bytes()
+
+
+README_GOLDEN = COEFF_GOLDEN.parent / "readme"
+#: the globals of bench/make_goldens.py, the script that writes the README
+#: goldens, read for its table of invocations (run_path writes no bytecode)
+MAKE_GOLDENS = runpy.run_path(str(COEFF_GOLDEN.parents[1] / "make_goldens.py"))
+#: each README invocation, keyed by its golden stdout (and CSV) file name
+README_INVOCATIONS = dict(MAKE_GOLDENS["README_INVOCATIONS"])
+
+
+@pytest.mark.parametrize("name", sorted(README_INVOCATIONS))
+def test_readme_invocation_matches_its_golden(capsys, monkeypatch, tmp_path, name):
+    """Each README invocation at the default precision, byte for byte,
+    run in process from tmp_path, where the CSV lands."""
+    monkeypatch.delenv(defexp.cli.PRECISION_ENV, raising=False)
+    monkeypatch.chdir(tmp_path)
+    csv = tmp_path / MAKE_GOLDENS["CSV_NAME"]
+    code, out, err = run_cli(capsys, *README_INVOCATIONS[name])
+    assert code == 0, err
+    assert out.encode() == (README_GOLDEN / f"{name}.stdout").read_bytes()
+    csv_golden = README_GOLDEN / f"{name}.csv"
+    assert csv.exists() == csv_golden.exists()
+    if csv_golden.exists():
+        assert csv.read_bytes() == csv_golden.read_bytes()
 
 
 def test_coeff_raw_lowest_orders(capsys):

@@ -12,7 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from defexp.exactmath import truncated_product
 from defexp.jpoly import JPoly
+from defexp.qseries import QSeries
 from defexp.reference import (
     REFERENCE_C_RAW,
     REFERENCE_C_REDUCED,
@@ -24,6 +26,7 @@ from defexp.reference import (
 from defexp.symcoeff import (
     _A_IN_E,
     MPoly,
+    _weighted_sum,
     c_n,
     kernel_expand,
     linear_part,
@@ -343,6 +346,14 @@ def _ref_mul(a, b):
     return _ref_clean(out)
 
 
+def _ref_product(x, y):
+    prod = [0] * max(len(x) + len(y) - 1, 0)
+    for i, a in enumerate(x):
+        for k, b in enumerate(y):
+            prod[i + k] += a * b
+    return prod
+
+
 def _ref_substitute(terms, slot, repl):
     out = {}
     for e, c in terms.items():
@@ -377,17 +388,37 @@ def _canonical(p):
     return trimmed and p.den > 0 and gcd(p.den, *nums) == 1
 
 
+_weights = st.one_of(st.integers(-6, 6), _coeffs)
+
+
+def _ref_scaled(w, terms):
+    return {e: w * c for e, c in terms.items()}
+
+
 @settings(max_examples=100, deadline=None, database=None)
-@given(_terms, _terms, st.integers(0, 2), st.lists(_coeffs, max_size=5), st.lists(_coeffs, max_size=5))
-def test_integer_numerators_match_fraction_reference(ta, tb, slot, ja, jb):
+@given(
+    _terms,
+    _terms,
+    st.integers(0, 2),
+    st.lists(_coeffs, max_size=5),
+    st.lists(_coeffs, max_size=5),
+    st.tuples(_weights, _weights),
+    st.integers(0, 9),
+    st.integers(-1, 5),
+)
+def test_integer_numerators_match_fraction_reference(ta, tb, slot, ja, jb, ws, trunc, n):
     a, b = MPoly("A", ta), MPoly("A", tb)
     ra, rb = _ref_clean(ta), _ref_clean(tb)
     assert _canonical(a) and _canonical(b) and a.terms == ra and b.terms == rb
     total = dict(ra)
     for e, c in rb.items():
         total[e] = total.get(e, Fraction(0)) + c
+    weighted = _ref_scaled(ws[0], _ref_mul(ra, rb))
+    for e, c in _ref_scaled(ws[1], rb).items():
+        weighted[e] = weighted.get(e, Fraction(0)) + c
     checks = [
         (a + b, _ref_clean(total)),
+        (_weighted_sum("A", [(ws[0], a, b), (ws[1], b, None)]), _ref_clean(weighted)),
         (a - a, {}),
         (a * b, _ref_mul(ra, rb)),
         (a.substitute({slot: b}), _ref_substitute(ra, slot, rb)),
@@ -398,11 +429,21 @@ def test_integer_numerators_match_fraction_reference(ta, tb, slot, ja, jb):
         assert got.terms == want
         assert got == MPoly("A", want) and hash(got) == hash(MPoly("A", want))
     pa, pb = JPoly(ja), JPoly(jb)
-    prod = [Fraction(0)] * max(len(ja) + len(jb) - 1, 0)
-    for i, x in enumerate(ja):
-        for k, y in enumerate(jb):
-            prod[i + k] += x * y
+    prod = _ref_product(ja, jb)
     got = pa * pb
     assert _canonical(pa) and _canonical(got)
     assert got == JPoly(prod)
     assert list(got.coeffs) + [0] * (len(prod) - len(got.coeffs)) == prod
+    for x, y in ((ja, jb), ([c.numerator for c in ja], [c.numerator for c in jb])):
+        want = (_ref_product(x, y) + [0] * (trunc + 1))[: trunc + 1]
+        assert truncated_product(x, y, trunc) == want
+    qa = QSeries(ja[: trunc + 1], trunc)
+    for base, one in ((pa, JPoly((1,))), (qa, QSeries.const(1, trunc))):
+        if n < 0:
+            with pytest.raises(ValueError):
+                base**n
+            continue
+        want = one
+        for _ in range(n):
+            want = want * base
+        assert base**n == want

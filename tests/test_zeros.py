@@ -801,7 +801,8 @@ SCAN_CASES = [(Q_HALF, 16), (Fraction(9, 19), 16), (Fraction(1, 10), 8)]
 @functools.cache
 def _counted_scan(q: Fraction, count: int) -> tuple:
     """scan_zeros for the first `count` zeros, with x_min twice the
-    leading-order |x_count|, and the eval_f calls of each refinement."""
+    leading-order |x_count|, the eval_f calls of each refinement and the
+    eval_f calls of the whole scan."""
     calls: list[int] = []
     made = [0]
     real_eval, real_refine = zeros.eval_f, zeros._refine_sign_change
@@ -820,23 +821,69 @@ def _counted_scan(q: Fraction, count: int) -> tuple:
         patch.setattr(zeros, "eval_f", counted)
         patch.setattr(zeros, "_refine_sign_change", refine)
         found = scan_zeros(q, -2 * count * float(q) ** (1 - count), count)
-    return found, calls
+    return found, calls, made[0]
 
 
 @pytest.mark.parametrize("q, count", SCAN_CASES, ids=str)
 def test_scan_refinement_takes_at_most_20_evaluations_per_zero(q, count):
     """Bisection took one call per bit, 52..250 per zero here; the Illinois
     refinement took 7..15, the reads of the two grid ends included."""
-    found, calls = _counted_scan(q, count)
+    found, calls, _ = _counted_scan(q, count)
     assert len(calls) == len(found) == count
     assert max(calls) <= 20, calls
+
+
+PREMISE_CASES = SCAN_CASES + [
+    (Fraction(3, 4), 12),
+    (Fraction(17, 20), 16),
+    (Fraction(9, 10), 16),
+    (Fraction(97, 100), 16),
+]
+
+
+@pytest.mark.parametrize("q, count", PREMISE_CASES, ids=str)
+def test_consecutive_scan_zeros_lie_a_factor_above_1_over_q_apart(q, count):
+    """The premise of the scan's skip past each zero: q x_(k+1)/x_k > 1
+    (the scan_zeros docstring proves it).  The ratio falls toward 1 about
+    as 1 + 1/k (x_k is near -k q^(1-k)); the smallest over these cases is
+    1.032, at q = 97/100 and k = 15, where the scan's tags over-claim.
+    The sign of f halfway (geometrically) between x_k and x_(k+1) is
+    (-1)^k, so no zero was passed over."""
+    found, _, _ = _counted_scan(q, count)
+    for a, b in zip(found, found[1:]):
+        bits = 2 * b.precision_bits + 64
+        ctx = context(bits)
+        xa, xb = to_mpf(ctx, a.x), to_mpf(ctx, b.x)
+        assert to_mpf(ctx, q) * xb / xa > 1, a.k
+        assert _sign(_reference_eval_f(-ctx.sqrt(xa * xb), q, bits)) == (-1) ** a.k, a.k
+
+
+@pytest.mark.parametrize("q", [Q_HALF, Fraction(9, 19), Fraction(3, 7), Fraction(1, 10**400)])
+def test_scan_resumes_at_or_below_x_over_q(q):
+    """|x|/q from the exact q, rounded down: never past the next zero."""
+    ctx = context(200)
+    for x in (ctx.mpf(-1), -ctx.pi * 1000, ctx.mpf(-2) ** 1000 / 3):
+        man, exp = x.man_exp
+        exact = abs(man) * Fraction(2) ** exp / q
+        past = zeros._past_zero(x, q)
+        if exact >= 2**1024:
+            assert past == float("inf")
+        else:
+            assert Fraction(past) <= exact < Fraction(past) * (1 + Fraction(1, 2**50))
+
+
+def test_scan_skips_the_zero_free_stretch_after_each_zero():
+    """Resuming the grid at |x_k|/q leaves 265 eval_f calls for the first
+    16 zeros at q = 1/2; a grid run through every stretch made 549."""
+    _, _, made = _counted_scan(Q_HALF, 16)
+    assert made <= 300, made
 
 
 @pytest.mark.parametrize("q, count", SCAN_CASES, ids=str)
 def test_scan_zeros_change_sign_within_their_tag(q, count):
     """f changes sign across x (1 -+ 2^-(tag - 12)), read by the reference
     loop at 2 tag + 64 bits; the worst case measured is tag - 7."""
-    found, _ = _counted_scan(q, count)
+    found, _, _ = _counted_scan(q, count)
     for z in found:
         tag = z.precision_bits
         bits = 2 * tag + 64
@@ -852,7 +899,7 @@ def test_scan_zeros_change_sign_within_their_tag(q, count):
 
 @pytest.mark.parametrize("q, count", SCAN_CASES, ids=str)
 def test_scan_residual_is_f_at_the_returned_x(q, count):
-    found, _ = _counted_scan(q, count)
+    found, _, _ = _counted_scan(q, count)
     for z in found:
         assert _same(z.residual, abs(eval_f(z.x, q, z.precision_bits))), z.k
 
