@@ -9,7 +9,8 @@ and CI can diff them; diagnostics go to stderr.  Exit codes:
 * 1 computation failure, with a JSON error object {"code": ...,
   "message": ...} on stdout, the code being "bracket-failure" or
   "decomposition-error";
-* 2 argument errors, with the message on stderr.
+* 2 argument errors, an unwritable --csv path among them, with the
+  message on stderr and nothing on stdout.
 
 The environment variable DEFEXP_PRECISION (integer bits) overrides the
 default working precision of the numeric verbs.
@@ -57,8 +58,11 @@ def _parse_q(text: str) -> Fraction:
 
 def _emit(doc, csv_text: str | None = None, csv_path: str | None = None) -> None:
     if csv_text is not None and csv_path:
-        with open(csv_path, "w", encoding="ascii") as fh:
-            fh.write(csv_text)
+        try:
+            with open(csv_path, "w", encoding="ascii") as fh:
+                fh.write(csv_text)
+        except OSError as exc:  # an argument error: exit 2, nothing on stdout
+            raise ValueError(f"cannot write --csv {csv_path}: {exc.strerror or exc}") from exc
         print(f"wrote {csv_path}", file=sys.stderr)
     json.dump(doc, sys.stdout, indent=2)
     sys.stdout.write("\n")

@@ -20,7 +20,7 @@ from math import lcm
 from .precreal import PrecReal, context, to_mpf
 from .qseries import SERIES_TRUNC, coefficient_value, eval_mpoly_series
 from .symcoeff import reduced_c_n
-from .zeros import ZeroResult, find_zero
+from .zeros import ZeroResult, _q_fraction, find_zero
 
 __all__ = [
     "FjTable",
@@ -49,17 +49,13 @@ def zero_table(
     }
 
 
-def _check_q(q) -> Fraction:
-    qf = Fraction(q)
-    if not 0 < qf < 1:
-        raise ValueError("q must lie in (0, 1)")
-    return qf
-
-
-def _supplied_zero(zeros: dict[int, ZeroResult] | None, k: int, qf: Fraction):
-    """zeros[k] checked to be x_k at qf, or None when the table lacks k."""
+def _supplied_zero(zeros: dict[int, ZeroResult] | None, k: int, qf: Fraction) -> ZeroResult:
+    """zeros[k] checked to be x_k at qf, or find_zero(k, qf) when the
+    table lacks k."""
     zr = zeros.get(k) if zeros else None
-    if zr is not None and (zr.k != k or zr.q != qf):
+    if zr is None:
+        return find_zero(k, qf)
+    if zr.k != k or zr.q != qf:
         raise ValueError(
             f"zero table entry {k} holds x_{zr.k} at q = {zr.q}, not x_{k} at q = {qf}"
         )
@@ -105,13 +101,10 @@ def residual_profile(
     """
     if n < 0:
         raise ValueError("truncation order must be nonnegative")
-    qf = _check_q(q)
-    ks = sorted(k_values)
+    qf = _q_fraction(q)
     rows = []
-    for k in ks:
+    for k in sorted(k_values):
         zr = _supplied_zero(zeros, k, qf)
-        if zr is None:
-            zr = find_zero(k, qf)
         bits = zr.precision_bits
         ctx = context(bits)
         xv = to_mpf(ctx, zr.x)
@@ -134,9 +127,9 @@ def ratio_check(
     Needs x_{k_max+1}; the deviation times k^2 should stay bounded with
     no growth trend.  Zeros come from `zeros` as in residual_profile.
     """
-    qf = _check_q(q)
+    qf = _q_fraction(q)
     out = []
-    table = {k: _supplied_zero(zeros, k, qf) or find_zero(k, qf) for k in range(k_min, k_max + 2)}
+    table = {k: _supplied_zero(zeros, k, qf) for k in range(k_min, k_max + 2)}
     for k in range(k_min, k_max + 1):
         za, zb = table[k], table[k + 1]
         bits = min(za.precision_bits, zb.precision_bits)

@@ -30,7 +30,7 @@ __all__ = [
     "scan_zeros",
 ]
 
-#: grid density of scan_zeros' first pass (the rescan uses four times it)
+#: grid density of scan_zeros (each step is also capped at a factor 1/q)
 _SCAN_POINTS_PER_DECADE = 64
 
 # find_zero reads the sign of f(t) off _probe_sum, an integer kernel at
@@ -68,15 +68,21 @@ class BracketError(RuntimeError):
     """No sign change found within the allowed bracket expansion."""
 
 
-def required_precision(k: int, q) -> int:
-    """Working bits needed to resolve the k-th zero: the peak term of the
-    series near x_k has magnitude ~ q^(-k(k-1)/2) k^k/k!, all of which
-    cancels; ceil(k(k-1)/2 log2(1/q) + k log2 k) plus 64 guard bits."""
-    if k < 1:
-        raise ValueError("zero index starts at 1")
+def _q_fraction(q) -> Fraction:
+    """q as an exact Fraction, checked to lie in (0, 1)."""
     qf = Fraction(q)
     if not 0 < qf < 1:
         raise ValueError("q must lie in (0, 1)")
+    return qf
+
+
+def required_precision(k: int, q) -> int:
+    """The default working bits for the k-th zero: log2 of the peak term
+    ~ q^(-k(k-1)/2) k^k/k! of the series near x_k, plus 64 guard bits.
+    mpf exponents absorb that size; only the cancellation costs bits."""
+    if k < 1:
+        raise ValueError("zero index starts at 1")
+    qf = _q_fraction(q)
     return ceil(k * (k - 1) / 2 * _log2_inv_q(qf) + k * log2(k)) + 64
 
 
@@ -403,9 +409,7 @@ def find_zero(k: int, q, n_guess: int = 2, precision_bits: int | None = None) ->
         raise ValueError("zero index starts at 1")
     if not 0 <= n_guess <= _MAX_GUESS_ORDER:
         raise ValueError(f"guess order must lie in 0..{_MAX_GUESS_ORDER}")
-    qf = Fraction(q)
-    if not 0 < qf < 1:
-        raise ValueError("q must lie in (0, 1)")
+    qf = _q_fraction(q)
     bits = precision_bits if precision_bits is not None else required_precision(k, qf)
     ctx = context(bits)
 
@@ -572,69 +576,60 @@ def scan_zeros(q, x_min, count: int) -> list[ZeroResult]:
     f'(x) = f(qx), and as f has order zero and only real simple zeros,
     f'/f = sum_j 1/(x - x_j) is positive on (x_1, 0) and falls strictly
     from +inf to -inf on each (x_(k+1), x_k), so the zeros x_j/q of f'
-    lie one in each such interval, in order.  So a cell holds at most one
-    sign change at the default density (step < 1/q), and f keeps one sign
-    from x_k to x_k/q: after each zero the grid resumes at |x_k|/q,
-    rounded down, with the sign read just past x_k.  If the
-    pass still comes up short against the expected -k q^(1-k) locations,
-    one denser rescan is attempted before giving up.  The k-th sign
+    lie one in each such interval, in order.  So one grid pass, of
+    _SCAN_POINTS_PER_DECADE points per decade and each step capped at
+    |x|/q rounded down (binding only for q above 10^(-1/64)), has no cell
+    wider than a factor 1/q, hence none with two zeros; and as f keeps
+    one sign from x_k to x_k/q, after each zero the grid resumes at
+    |x_k|/q, rounded down, with the sign read just past x_k.  Fewer than
+    `count` sign changes before x_min is a BracketError.  The k-th sign
     change is refined at required_precision(k, q) bits
     (_refine_sign_change), which raises BracketError when the change is
     lost there; x is the last iterate and the residual is |f(x)|.
     """
-    qf = Fraction(q)
-    if not 0 < qf < 1:
-        raise ValueError("q must lie in (0, 1)")
+    qf = _q_fraction(q)
     if count < 1:
         raise ValueError("count must be positive")
     x_min = float(x_min)
-    if x_min >= -1:
+    if not x_min < -1:
         raise ValueError("x_min must be below -1")
 
-    def one_pass(density: int) -> list[ZeroResult]:
-        found: list[ZeroResult] = []
-        step = 10 ** (1 / density)
-        pos = 1.0  # |x| of the current grid point
+    found: list[ZeroResult] = []
+    step = 10 ** (1 / _SCAN_POINTS_PER_DECADE)
+    pos = 1.0  # |x| of the current grid point
+    bits = required_precision(_index_estimate(qf, pos) + 2, qf)
+    prev = -pos
+    prev_sign = _sign(eval_f(prev, qf, bits))
+    while len(found) < count and pos < abs(x_min):
+        pos = min(pos * step, _past_zero(pos, qf), abs(x_min))
         bits = required_precision(_index_estimate(qf, pos) + 2, qf)
-        prev = -pos
-        prev_sign = _sign(eval_f(prev, qf, bits))
-        while len(found) < count and pos < abs(x_min):
-            pos = min(pos * step, abs(x_min))
-            k_here = _index_estimate(qf, pos) + 2
-            bits = required_precision(k_here, qf)
-            cur = -pos
-            fcur = eval_f(cur, qf, bits)
-            s = _sign(fcur)
-            if s != 0 and prev_sign != 0 and s != prev_sign:
-                k_found = len(found) + 1
-                zbits = required_precision(k_found, qf)
-                x, fx = _refine_sign_change(cur, prev, qf, zbits)
-                found.append(
-                    ZeroResult(
-                        k=k_found,
-                        q=qf,
-                        x=PrecReal(x, zbits),
-                        bracket=(PrecReal(cur, zbits), PrecReal(prev, zbits)),
-                        residual=abs(fx),
-                        precision_bits=zbits,
-                    )
+        cur = -pos
+        s = _sign(eval_f(cur, qf, bits))
+        if s != 0 and prev_sign != 0 and s != prev_sign:
+            k_found = len(found) + 1
+            zbits = required_precision(k_found, qf)
+            x, fx = _refine_sign_change(cur, prev, qf, zbits)
+            found.append(
+                ZeroResult(
+                    k=k_found,
+                    q=qf,
+                    x=PrecReal(x, zbits),
+                    bracket=(PrecReal(cur, zbits), PrecReal(prev, zbits)),
+                    residual=abs(fx),
+                    precision_bits=zbits,
                 )
-                pos = max(pos, min(_past_zero(x, qf), abs(x_min)))
-                cur = -pos
-            if s != 0:
-                prev, prev_sign = cur, s
-            else:
-                prev = cur
-        return found
-
-    zeros = one_pass(_SCAN_POINTS_PER_DECADE)
-    if len(zeros) < count:
-        zeros = one_pass(_SCAN_POINTS_PER_DECADE * 4)
-    if len(zeros) < count:
+            )
+            pos = max(pos, min(_past_zero(x, qf), abs(x_min)))
+            cur = -pos
+        if s != 0:
+            prev, prev_sign = cur, s
+        else:
+            prev = cur
+    if len(found) < count:
         raise BracketError(
-            f"only {len(zeros)} sign changes of f before x_min={x_min} (expected {count})"
+            f"only {len(found)} sign changes of f before x_min={x_min} (expected {count})"
         )
-    return zeros
+    return found
 
 
 def paired_term_gaps(k: int, q, a) -> list[Fraction]:
@@ -648,10 +643,8 @@ def paired_term_gaps(k: int, q, a) -> list[Fraction]:
     """
     if k < 1:
         raise ValueError("zero index starts at 1")
-    qf = Fraction(q)
+    qf = _q_fraction(q)
     af = Fraction(a)
-    if not 0 < qf < 1:
-        raise ValueError("q must lie in (0, 1)")
     base = Fraction(k) + af / k
 
     def u(n: int) -> Fraction:

@@ -210,6 +210,17 @@ def test_residuals_document_and_csv(capsys, tmp_path):
     assert len(lines) == 4
 
 
+def test_unwritable_csv_path_is_an_argument_error(capsys, tmp_path):
+    """Exit 2 and an error line naming the path, not a traceback with
+    exit 1 (reserved for the JSON error object); stdout stays empty."""
+    target = tmp_path / "missing" / "rows.csv"
+    code, out, err = run_cli(capsys, "fj", "--imax", "2", "--jmax", "3", "--csv", str(target))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and str(target) in err
+    assert not target.parent.exists()
+
+
 def test_ratio_document(capsys):
     doc = run_json(capsys, "ratio", "--q", "1/2", "--kmin", "10", "--kmax", "12")
     ks = [row["k"] for row in doc["rows"]]

@@ -780,9 +780,19 @@ def test_scan_agrees_with_find(scanned_q_half):
         assert rel < 2.0 ** (-50)
 
 
-def test_scan_zeros_raises_when_window_is_short():
+def test_scan_zeros_raises_when_window_is_short(monkeypatch):
+    """The scan gives up after one grid pass: 93 eval_f calls here."""
+    made = []
+    real_eval = zeros.eval_f
+
+    def counted(*args):
+        made.append(args)
+        return real_eval(*args)
+
+    monkeypatch.setattr(zeros, "eval_f", counted)
     with pytest.raises(BracketError):
         scan_zeros(Q_HALF, -100, 6)  # the sixth zero sits near -201
+    assert len(made) <= 120, len(made)
 
 
 def test_scan_zeros_raises_when_a_sign_change_is_lost_at_the_zero_precision():
@@ -801,19 +811,25 @@ SCAN_CASES = [(Q_HALF, 16), (Fraction(9, 19), 16), (Fraction(1, 10), 8)]
 @functools.cache
 def _counted_scan(q: Fraction, count: int) -> tuple:
     """scan_zeros for the first `count` zeros, with x_min twice the
-    leading-order |x_count|, the eval_f calls of each refinement and the
-    eval_f calls of the whole scan."""
+    leading-order |x_count|, the eval_f calls of each refinement, the
+    eval_f calls of the whole scan, and the |x| of the grid reads (every
+    call outside a refinement), one list per stretch between refinements."""
     calls: list[int] = []
     made = [0]
+    grid: list[list] = [[]]  # the last entry is None while a refinement runs
     real_eval, real_refine = zeros.eval_f, zeros._refine_sign_change
 
     def counted(*args):
         made[0] += 1
+        if grid[-1] is not None:
+            grid[-1].append(abs(args[0]))
         return real_eval(*args)
 
     def refine(*args):
         before = made[0]
+        grid.append(None)
         out = real_refine(*args)
+        grid[-1] = []
         calls.append(made[0] - before)
         return out
 
@@ -821,14 +837,14 @@ def _counted_scan(q: Fraction, count: int) -> tuple:
         patch.setattr(zeros, "eval_f", counted)
         patch.setattr(zeros, "_refine_sign_change", refine)
         found = scan_zeros(q, -2 * count * float(q) ** (1 - count), count)
-    return found, calls, made[0]
+    return found, calls, made[0], grid
 
 
 @pytest.mark.parametrize("q, count", SCAN_CASES, ids=str)
 def test_scan_refinement_takes_at_most_20_evaluations_per_zero(q, count):
     """Bisection took one call per bit, 52..250 per zero here; the Illinois
     refinement took 7..15, the reads of the two grid ends included."""
-    found, calls, _ = _counted_scan(q, count)
+    found, calls, _, _ = _counted_scan(q, count)
     assert len(calls) == len(found) == count
     assert max(calls) <= 20, calls
 
@@ -849,13 +865,26 @@ def test_consecutive_scan_zeros_lie_a_factor_above_1_over_q_apart(q, count):
     1.032, at q = 97/100 and k = 15, where the scan's tags over-claim.
     The sign of f halfway (geometrically) between x_k and x_(k+1) is
     (-1)^k, so no zero was passed over."""
-    found, _, _ = _counted_scan(q, count)
+    found, _, _, _ = _counted_scan(q, count)
     for a, b in zip(found, found[1:]):
         bits = 2 * b.precision_bits + 64
         ctx = context(bits)
         xa, xb = to_mpf(ctx, a.x), to_mpf(ctx, b.x)
         assert to_mpf(ctx, q) * xb / xa > 1, a.k
         assert _sign(_reference_eval_f(-ctx.sqrt(xa * xb), q, bits)) == (-1) ** a.k, a.k
+
+
+def test_scan_grid_steps_at_most_a_factor_1_over_q():
+    """At q = 97/100, 1/q = 1.0309 is below the 64-per-decade step 1.0366,
+    so the cap |x|/q sets every step: consecutive grid reads with no
+    refinement between them lie at most a factor 1/q apart, and no cell
+    can hold two zeros."""
+    q = Fraction(97, 100)
+    found, _, _, grid = _counted_scan(q, 16)
+    assert len(found) == 16
+    for stretch in grid:
+        for a, b in zip(stretch, stretch[1:]):
+            assert Fraction(b) * q <= Fraction(a), (a, b)
 
 
 @pytest.mark.parametrize("q", [Q_HALF, Fraction(9, 19), Fraction(3, 7), Fraction(1, 10**400)])
@@ -875,7 +904,7 @@ def test_scan_resumes_at_or_below_x_over_q(q):
 def test_scan_skips_the_zero_free_stretch_after_each_zero():
     """Resuming the grid at |x_k|/q leaves 265 eval_f calls for the first
     16 zeros at q = 1/2; a grid run through every stretch made 549."""
-    _, _, made = _counted_scan(Q_HALF, 16)
+    _, _, made, _ = _counted_scan(Q_HALF, 16)
     assert made <= 300, made
 
 
@@ -883,7 +912,7 @@ def test_scan_skips_the_zero_free_stretch_after_each_zero():
 def test_scan_zeros_change_sign_within_their_tag(q, count):
     """f changes sign across x (1 -+ 2^-(tag - 12)), read by the reference
     loop at 2 tag + 64 bits; the worst case measured is tag - 7."""
-    found, _, _ = _counted_scan(q, count)
+    found, _, _, _ = _counted_scan(q, count)
     for z in found:
         tag = z.precision_bits
         bits = 2 * tag + 64
@@ -899,7 +928,7 @@ def test_scan_zeros_change_sign_within_their_tag(q, count):
 
 @pytest.mark.parametrize("q, count", SCAN_CASES, ids=str)
 def test_scan_residual_is_f_at_the_returned_x(q, count):
-    found, _, _ = _counted_scan(q, count)
+    found, _, _, _ = _counted_scan(q, count)
     for z in found:
         assert _same(z.residual, abs(eval_f(z.x, q, z.precision_bits))), z.k
 
@@ -1009,6 +1038,8 @@ def test_scan_zeros_input_validation():
         scan_zeros(Q_HALF, -0.5, 1)
     with pytest.raises(ValueError):
         scan_zeros(Q_HALF, -10, 0)
+    with pytest.raises(ValueError):
+        scan_zeros(Q_HALF, float("nan"), 1)
 
 
 def test_zero_result_json_shape():
