@@ -97,6 +97,8 @@ class JPoly:
         return NotImplemented
 
     def __hash__(self):
+        if self.degree < 1:  # equal to a number, so hash as one
+            return hash(self.coeff(0))
         return hash((self.nums, self.den))
 
     def __neg__(self) -> "JPoly":

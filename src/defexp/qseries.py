@@ -14,6 +14,7 @@ from functools import lru_cache
 
 from .exactmath import divisor_sigma, ring_power, truncated_product
 from .precreal import PrecReal, context, to_mpf
+from .symcoeff import _unpack, reduced_c_n
 
 __all__ = [
     "QSeries",
@@ -214,8 +215,8 @@ def eval_mpoly_series(p, trunc: int) -> QSeries:
     if trunc < 0:
         raise ValueError("truncation order must be nonnegative")
     acc = [0] * (trunc + 1)
-    for exps, c in p.nums.items():
-        for k, v in enumerate(_monomial_series(family, exps, trunc)):
+    for key, c in p.nums.items():
+        for k, v in enumerate(_monomial_series(family, _unpack(key), trunc)):
             if v:
                 acc[k] += c * v
     return QSeries([Fraction(v, p.den) for v in acc], trunc)
@@ -236,8 +237,6 @@ def eval_series_numeric(s: QSeries, q0, precision_bits: int) -> PrecReal:
 @lru_cache(maxsize=None)
 def _coefficient_series(i: int, trunc: int) -> QSeries:
     """Exact q-series of the reduced C_i, shared by every bit count."""
-    from .symcoeff import reduced_c_n
-
     return eval_mpoly_series(reduced_c_n(i), trunc)
 
 

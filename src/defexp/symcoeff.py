@@ -22,9 +22,9 @@ the A-ring, so each product of lower coefficients is formed only once.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache, partial
+from functools import cache, partial, reduce
 from math import gcd, lcm
-from operator import add
+from operator import add, or_
 
 from .exactmath import gen_binomial
 from .jpoly import (
@@ -57,22 +57,39 @@ _E_NAMES = ("E2", "E4", "E6")
 _FAMILIES = ("A", "C", "E")
 
 
-def _add_exps(e1: tuple, e2: tuple) -> tuple:
-    # trimmed tuples of nonnegative exponents: the sum stays trimmed
-    if len(e1) < len(e2):
-        e1, e2 = e2, e1
-    if not e2:
-        return e1
-    return tuple(map(add, e1, e2)) + e1[len(e2) :]
+#: bits per exponent field of a packed monomial key (one byte, so _pack and
+#: _unpack go through bytes); the top bit of each field is a guard, so
+#: exponents stay below _FIELD_LIMIT
+_FIELD_BITS = 8
+_FIELD_MASK = (1 << _FIELD_BITS) - 1
+_FIELD_LIMIT = 1 << (_FIELD_BITS - 1)
+
+
+def _pack(exps) -> int:
+    """The packed key of an exponent tuple: slot i in bits 8i..8i+7."""
+    exps = tuple(exps)
+    if any(x < 0 for x in exps):
+        raise ValueError("negative exponent")
+    if any(x >= _FIELD_LIMIT for x in exps):
+        raise ValueError(f"exponent {max(exps)} is past the packed limit {_FIELD_LIMIT - 1}")
+    return int.from_bytes(bytes(exps), "little")
+
+
+def _unpack(key: int) -> tuple:
+    """The trimmed exponent tuple of a packed key."""
+    return tuple(key.to_bytes((key.bit_length() + 7) // 8, "little"))
 
 
 def _add_product(out: dict, t1: dict, t2: dict, scale: int = 1) -> None:
-    """out += scale * t1 * t2 on integer numerators; zero entries may remain."""
+    """out += scale * t1 * t2 on integer numerators; zero entries may remain.
+
+    Keys are packed monomials below the guard bits, so each monomial
+    product is one int addition that no field carries out of."""
     for e1, c1 in t1.items():
         if scale != 1:
             c1 = c1 * scale
         for e2, c2 in t2.items():
-            e = _add_exps(e1, e2)
+            e = e1 + e2
             cur = out.get(e)
             out[e] = c1 * c2 if cur is None else cur + c1 * c2
 
@@ -81,12 +98,21 @@ class MPoly:
     """Sparse multivariate polynomial over Q in one symbol family.
 
     The coefficients are integer numerators `nums` over one positive
-    denominator `den`: nums maps trimmed exponent tuples to nonzero ints,
-    and the form is canonical, with the gcd of den and all numerators 1
-    (the zero polynomial has den 1).  Slot i of an exponent tuple refers
-    to the i-th symbol of the family (A_i, or C_{i+1}, or E2/E4/E6).
-    `terms` is the Fraction view; canonical term order for printing and
-    serialization is graded lexicographic on the exponent tuples.
+    denominator `den`, and the form is canonical, with the gcd of den and
+    all numerators 1 (the zero polynomial has den 1).  Slot i of an
+    exponent tuple refers to the i-th symbol of the family (A_i, or
+    C_{i+1}, or E2/E4/E6).
+
+    nums maps packed monomial keys to nonzero ints: the exponent of slot i
+    sits in the 8-bit field at bit 8i, so a monomial product is one int
+    addition.  The top bit of every field is a guard: exponents are at
+    most 127, and a constructor, product, substitution or theta that
+    would reach 128 in any slot raises ValueError.  (The weight of C_n is
+    2n, so no exponent met while building C_n exceeds n.)  Exponent
+    tuples appear only at the boundary: the constructor takes them, and
+    `terms` (the Fraction view) and `canonical_terms` return trimmed
+    tuples; canonical term order for printing and serialization is
+    graded lexicographic on those tuples.
     """
 
     __slots__ = ("family", "nums", "den")
@@ -94,17 +120,12 @@ class MPoly:
     def __init__(self, family: str, terms=None):
         if family not in _FAMILIES:
             raise ValueError(f"unknown symbol family {family!r}")
-        clean: dict[tuple, Fraction] = {}
+        clean: dict[int, Fraction] = {}
         for exps, c in (terms or {}).items():
-            c = Fraction(c)
+            e, c = _pack(exps), Fraction(c)
             if not c:
                 continue
-            e = tuple(exps)
-            while e and e[-1] == 0:
-                e = e[:-1]
-            if any(x < 0 for x in e):
-                raise ValueError("negative exponent")
-            if family == "E" and len(e) > 3:
+            if family == "E" and e >> (3 * _FIELD_BITS):
                 raise ValueError("Eisenstein family has only E2, E4, E6")
             clean[e] = clean.get(e, Fraction(0)) + c
         den = lcm(*(c.denominator for c in clean.values()))
@@ -112,6 +133,9 @@ class MPoly:
 
     def _set(self, family: str, nums: dict, den: int) -> None:
         nums = {e: c for e, c in nums.items() if c}
+        # a field of the keys' bitwise or holds the or of that slot's exponents
+        if max(_unpack(reduce(or_, nums, 0)), default=0) >= _FIELD_LIMIT:
+            raise ValueError(f"an exponent passed the packed limit {_FIELD_LIMIT - 1}")
         g = gcd(den, *nums.values())
         if g != 1:
             nums = {e: c // g for e, c in nums.items()}
@@ -124,8 +148,8 @@ class MPoly:
 
     @classmethod
     def _from_nums(cls, family: str, nums: dict, den: int = 1) -> "MPoly":
-        """Integer numerators over den > 0 on trimmed exponents, in
-        canonical form: zero entries dropped, the common gcd divided out."""
+        """Integer numerators over den > 0 on packed keys, in canonical
+        form: zero entries dropped, the common gcd divided out."""
         p = object.__new__(cls)
         p._set(family, nums, den)
         return p
@@ -150,17 +174,17 @@ class MPoly:
     def terms(self) -> dict[tuple, Fraction]:
         """The coefficients as Fractions, in a fresh dict."""
         den = self.den
-        return {e: Fraction(c, den) for e, c in self.nums.items()}
+        return {_unpack(e): Fraction(c, den) for e, c in self.nums.items()}
 
     def max_index(self) -> int:
         """Largest symbol slot actually used; -1 for constants."""
-        return max((len(e) - 1 for e in self.nums if e), default=-1)
+        return len(_unpack(max(self.nums, default=0))) - 1
 
     def constant_term(self) -> Fraction:
-        return Fraction(self.nums.get((), 0), self.den)
+        return Fraction(self.nums.get(0, 0), self.den)
 
     def linear_coefficient(self, index: int) -> Fraction:
-        return Fraction(self.nums.get((0,) * index + (1,), 0), self.den)
+        return Fraction(self.nums.get(1 << (_FIELD_BITS * index), 0), self.den)
 
     def canonical_terms(self) -> list[tuple[tuple, Fraction]]:
         return sorted(self.terms.items(), key=lambda t: (sum(t[0]), t[0]))
@@ -200,7 +224,7 @@ class MPoly:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        out: dict[tuple, int] = {}
+        out: dict[int, int] = {}
         _add_product(out, self.nums, o.nums)
         return MPoly._from_nums(self.family, out, self.den * o.den)
 
@@ -214,6 +238,8 @@ class MPoly:
         return self.family == other.family and self.den == other.den and self.nums == other.nums
 
     def __hash__(self):
+        if self.max_index() < 0:  # equal to a number, so hash as one
+            return hash(self.constant_term())
         return hash((self.family, self.den, frozenset(self.nums.items())))
 
     def substitute(
@@ -236,28 +262,25 @@ class MPoly:
                 raise ValueError("replacement family mismatch")
         if powers is None:
             powers = {}
-        groups: dict[tuple, dict[tuple, int]] = {}
+        moved_mask = sum(_FIELD_MASK << (_FIELD_BITS * i) for i in mapping)
+        groups: dict[int, dict[int, int]] = {}
         for exps, c in self.nums.items():
-            moved = tuple((i, e) for i, e in enumerate(exps) if e and i in mapping)
-            kept = exps
-            if moved:
-                kept = tuple(0 if i in mapping else e for i, e in enumerate(exps))
-                while kept and kept[-1] == 0:
-                    kept = kept[:-1]
+            kept = exps & ~moved_mask
             if kept and out_family != self.family:
-                slot = next(i for i, e in enumerate(kept) if e)
+                slot = next(i for i, e in enumerate(_unpack(kept)) if e)
                 raise ValueError(f"symbol slot {slot} not mapped across families")
-            groups.setdefault(moved, {})[kept] = c
+            groups.setdefault(exps & moved_mask, {})[kept] = c
         prods = []
         for moved, kept_nums in groups.items():
             prod = None
-            for i, e in moved:
-                pw = _power(powers, mapping, i, e)
-                prod = pw if prod is None else prod * pw
-            prods.append((kept_nums, prod if moved else MPoly._from_nums(out_family, {(): 1})))
+            for i, e in enumerate(_unpack(moved)):
+                if e:
+                    pw = _power(powers, mapping, i, e)
+                    prod = pw if prod is None else prod * pw
+            prods.append((kept_nums, prod if moved else MPoly._from_nums(out_family, {0: 1})))
         # every group shares self.den; the products bring their own
         den = lcm(*(prod.den for _, prod in prods))
-        out: dict[tuple, int] = {}
+        out: dict[int, int] = {}
         for kept_nums, prod in prods:
             _add_product(out, kept_nums, prod.nums, den // prod.den)
         return MPoly._from_nums(out_family, out, self.den * den)
@@ -298,7 +321,7 @@ def _weighted_sum(family: str, terms) -> MPoly:
     None where the term is w * a alone."""
     terms = [(w, a, b, w.denominator * a.den * (1 if b is None else b.den)) for w, a, b in terms]
     den = lcm(*(d for *_, d in terms))
-    out: dict[tuple, int] = {}
+    out: dict[int, int] = {}
     for w, a, b, d in terms:
         scale = w.numerator * (den // d)
         if b is not None:
@@ -343,16 +366,13 @@ def theta(p: MPoly) -> MPoly:
     """
     if p.family != "A":
         raise ValueError("theta acts on A-symbols")
-    out: dict[tuple, int] = {}
+    out: dict[int, int] = {}
     for exps, c in p.nums.items():
-        for i, e in enumerate(exps):
-            if not e:
-                continue
-            ne = list(exps) + [0] * (i + 2 - len(exps))
-            ne[i] -= 1
-            ne[i + 1] += 1
-            key = tuple(ne)  # trimmed: slot i+1 or the old last slot ends it
-            out[key] = out.get(key, 0) + c * e
+        for i, e in enumerate(_unpack(exps)):
+            if e:
+                # one unit from field i to field i+1: add 2^(8(i+1)) - 2^(8i)
+                key = exps + (_FIELD_MASK << (_FIELD_BITS * i))
+                out[key] = out.get(key, 0) + c * e
     return MPoly._from_nums("A", out, p.den)
 
 
@@ -516,7 +536,7 @@ def _assemble_s(n: int, family: str, comp_of) -> list[MPoly]:
     Each S_i(n) collects its weighted parts first and is summed over
     their common denominator once.
     """
-    one, head = MPoly._from_nums(family, {(): 1}), delta(n + 1, 0).vpoly
+    one, head = MPoly._from_nums(family, {0: 1}), delta(n + 1, 0).vpoly
     parts = [[(head.coeff(i), one, None)] for i in range(n + 1)]
     for n_order in range(3, n + 2):
         for m in range(1, n_order // 2 + 1):
@@ -565,6 +585,16 @@ _J_ONE = JPoly((1,))
 
 def _unit_exps(i: int) -> tuple:
     return (0,) * i + (1,)
+
+
+def _add_exps(e1: tuple, e2: tuple) -> tuple:
+    # the oracle keys its monomials by trimmed exponent tuples, apart from
+    # MPoly's packed keys; the sum of two trimmed tuples stays trimmed
+    if len(e1) < len(e2):
+        e1, e2 = e2, e1
+    if not e2:
+        return e1
+    return tuple(map(add, e1, e2)) + e1[len(e2) :]
 
 
 def _ring_mul(a_ser, b_ser, top: int):

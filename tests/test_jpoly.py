@@ -33,6 +33,15 @@ def test_degree_and_trim():
     assert JPoly((0, 1, 0)).degree == 1
 
 
+def test_constant_polynomials_hash_as_the_numbers_they_equal():
+    for value in (0, 3, Fraction(-7, 4)):
+        for p in (JPoly((value,)), JPoly((value, 0, 0)), JPoly((1, 2)) - JPoly((1, 2)) + value):
+            assert p == value and hash(p) == hash(value)
+            assert value in {p} and p in {value}
+    assert JPoly() == 0 and hash(JPoly()) == hash(0) and 0 in {JPoly()}
+    assert JPoly((0, 1)) not in {0}
+
+
 @pytest.mark.parametrize("p", SAMPLES)
 @pytest.mark.parametrize("r", SAMPLES)
 def test_ring_ops_agree_with_evaluation(p, r):

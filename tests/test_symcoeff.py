@@ -68,6 +68,39 @@ def test_mpoly_canonical_order_and_json():
     assert degrees == sorted(degrees)
 
 
+def test_packed_exponents_stop_at_127():
+    """Each exponent has an 8-bit field under a guard bit: reaching 128
+    raises instead of carrying into the next slot."""
+    p = A0
+    for _ in range(126):
+        p = p * A0
+    assert p.terms == {(127,): 1}
+    assert (p * A1).terms == {(127, 1): 1}  # a full field does not carry
+    with pytest.raises(ValueError):
+        p * A0
+    with pytest.raises(ValueError):
+        _weighted_sum("A", [(1, p, A0)])
+    with pytest.raises(ValueError):
+        theta(MPoly("A", {(1, 127): 1}))
+    with pytest.raises(ValueError):
+        MPoly("A", {(1, 127): 1}).substitute({0: A1})
+    assert MPoly("A", {(0, 0, 127): 2}).max_index() == 2
+    for exps in ((128,), (0, 0, 128), (1, 200)):
+        with pytest.raises(ValueError):
+            MPoly("A", {exps: 1})
+    with pytest.raises(ValueError):
+        MPoly("A", {(128,): 0})  # checked even where the coefficient is zero
+
+
+def test_constant_polynomials_hash_as_the_numbers_they_equal():
+    for value in (0, 3, Fraction(-7, 4)):
+        for p in (MPoly.const("A", value), MPoly.const("E", value), A0 - A0 + value):
+            assert p == value and hash(p) == hash(value)
+            assert value in {p} and p in {value}
+    assert MPoly.zero("C") == 0 and hash(MPoly.zero("C")) == hash(0)
+    assert 0 in {MPoly.zero("C")} and A0 not in {0}
+
+
 def test_theta_is_a_derivation():
     p = A0 * A1
     q = A0 + A2
@@ -137,7 +170,7 @@ def c_symbol_route(n):
     return total
 
 
-@pytest.mark.parametrize("n", range(1, 10))
+@pytest.mark.parametrize("n", range(1, 13))
 def test_a_ring_route_matches_c_symbol_route(n):
     """c_n composes in the A-ring; kernel_expand certifies s_poly only."""
     assert c_n(n) == c_symbol_route(n)
@@ -148,7 +181,7 @@ def weight(exps):
     return sum((2 * i + 2) * e for i, e in enumerate(exps))
 
 
-@pytest.mark.parametrize("n", range(1, 21))
+@pytest.mark.parametrize("n", range(1, 23))
 def test_weight_filtration(n):
     weights = [weight(e) for e in reduced_c_n(n).terms]
     assert max(weights) == 2 * n  # bounded by 2n, top part not empty
@@ -265,9 +298,9 @@ def test_linear_part_of_low_order_coefficients():
     assert linear_part(reduce_to_A012(c_n(2))) == (0, -1, 0)
 
 
-@pytest.mark.parametrize("n", range(7, 11))
+@pytest.mark.parametrize("n", range(7, 12))
 def test_bernoulli_linear_parts_beyond_the_acceptance_range(n):
-    """C_13..C_20: the paper's Bernoulli pattern past criterion 2's n <= 6."""
+    """C_13..C_22: the paper's Bernoulli pattern past criterion 2's n <= 6."""
     odd, even = bernoulli_linear_parts(n)
     assert linear_part(reduced_c_n(2 * n - 1)) == odd
     assert linear_part(reduced_c_n(2 * n)) == even
@@ -307,7 +340,7 @@ def test_s0_is_a_coefficient_convolution():
         assert s_poly(0, n) == want
 
 
-@pytest.mark.parametrize("n", range(1, 7))
+@pytest.mark.parametrize("n", range(1, 13))
 def test_kernel_expansion_matches_recursion_polynomials(n):
     s_table = kernel_expand(n)
     for i in range(0, n + 1):
@@ -320,6 +353,12 @@ def test_kernel_expansion_matches_recursion_polynomials(n):
 _coeffs = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 12))
 _exps = st.lists(st.integers(0, 2), max_size=3).map(tuple)
 _terms = st.dictionaries(_exps, _coeffs, max_size=5)
+# small exponents and exponents next to the packed limit of 127
+_edge_exps = st.lists(st.integers(0, 2) | st.integers(125, 127), max_size=3).map(tuple)
+_edge_terms = st.dictionaries(_edge_exps, _coeffs, max_size=5)
+
+#: the guard (top) bit of each 8-bit exponent field of a packed key
+_GUARD_BITS = int.from_bytes(b"\x80" * 16, "little")
 
 
 def _trim(e):
@@ -381,11 +420,18 @@ def _ref_theta(terms):
 def _canonical(p):
     if isinstance(p, JPoly):
         nums = p.nums
-        trimmed = not nums or nums[-1] != 0
+        well_formed = not nums or nums[-1] != 0
     else:
+        # packed keys: nonnegative ints with every field's guard bit clear
         nums = tuple(p.nums.values())
-        trimmed = all(c and _trim(e) == e for e, c in p.nums.items())
-    return trimmed and p.den > 0 and gcd(p.den, *nums) == 1
+        well_formed = all(
+            c and isinstance(e, int) and e >= 0 and not e & _GUARD_BITS for e, c in p.nums.items()
+        )
+    return well_formed and p.den > 0 and gcd(p.den, *nums) == 1
+
+
+def _overflows(terms):
+    return any(x >= 128 for e in terms for x in e)
 
 
 _weights = st.one_of(st.integers(-6, 6), _coeffs)
@@ -397,7 +443,7 @@ def _ref_scaled(w, terms):
 
 @settings(max_examples=100, deadline=None, database=None)
 @given(
-    _terms,
+    _edge_terms,
     _terms,
     st.integers(0, 2),
     st.lists(_coeffs, max_size=5),
@@ -416,15 +462,23 @@ def test_integer_numerators_match_fraction_reference(ta, tb, slot, ja, jb, ws, t
     weighted = _ref_scaled(ws[0], _ref_mul(ra, rb))
     for e, c in _ref_scaled(ws[1], rb).items():
         weighted[e] = weighted.get(e, Fraction(0)) + c
+    # the substitution raises b to a's exponent in `slot`: keep that small
+    ra_sub = {e: c for e, c in ra.items() if (e[slot] if slot < len(e) else 0) <= 2}
+    a_sub = MPoly("A", ra_sub)
     checks = [
-        (a + b, _ref_clean(total)),
-        (_weighted_sum("A", [(ws[0], a, b), (ws[1], b, None)]), _ref_clean(weighted)),
-        (a - a, {}),
-        (a * b, _ref_mul(ra, rb)),
-        (a.substitute({slot: b}), _ref_substitute(ra, slot, rb)),
-        (theta(a), _ref_theta(ra)),
+        (lambda: a + b, _ref_clean(total)),
+        (lambda: _weighted_sum("A", [(ws[0], a, b), (ws[1], b, None)]), _ref_clean(weighted)),
+        (lambda: a - a, {}),
+        (lambda: a * b, _ref_mul(ra, rb)),
+        (lambda: a_sub.substitute({slot: b}), _ref_substitute(ra_sub, slot, rb)),
+        (lambda: theta(a), _ref_theta(ra)),
     ]
-    for got, want in checks:
+    for op, want in checks:
+        if _overflows(want):  # a result past the packed limit raises
+            with pytest.raises(ValueError):
+                op()
+            continue
+        got = op()
         assert _canonical(got)
         assert got.terms == want
         assert got == MPoly("A", want) and hash(got) == hash(MPoly("A", want))
