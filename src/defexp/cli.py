@@ -115,6 +115,8 @@ def _cmd_zeros(args) -> int:
 def _cmd_residuals(args) -> int:
     if args.kmax < args.kmin:
         raise ValueError("--kmax must be at least --kmin")
+    if args.n < 0:  # checked before the zero table, which takes seconds
+        raise ValueError("truncation order must be nonnegative")
     table = zero_table(args.q, args.kmin, args.kmax, precision_bits=_env_precision())
     profile = residual_profile(args.q, args.n, range(args.kmin, args.kmax + 1), zeros=table)
     _emit(profile.to_json(), csv_text=profile.to_csv(), csv_path=args.csv)

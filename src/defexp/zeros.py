@@ -13,9 +13,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import ceil, factorial, log2
+from operator import index
 from threading import Lock
 
-from mpmath.libmp import finf, fnan, fninf, fone, from_man_exp, mpf_mul, mpf_pos
+from mpmath.libmp import finf, fnan, fninf, fone, from_man_exp, mpf_pos
 
 from .precreal import PrecReal, context, to_mpf
 from .qseries import SERIES_TRUNC, coefficient_value
@@ -37,17 +38,19 @@ _SCAN_POINTS_PER_DECADE = 64
 # p = _PROBE_BITS, when it sums N <= _PROBE_MAX_TERMS terms and the sum
 # is at least 2^_PROBE_CERT_BITS P u, with u = 2^-p and P = 2^peak the
 # kernel's bound on every |term| and |partial sum|.  Why that certifies
-# the sign: t is rounded once to p bits (relative error <= u), q^n is
-# floor(a^n 2^s / b^n) of p or p + 1 bits (< 2u), and each step takes a
-# truncating shift (< u) and a floor division by n + 1 (< 2u).  So term n
-# is off by less than (1 + 6u)^n - 1 < 7nu relative, and the exact sum of
-# N terms by less than 7u P N(N + 1)/2.  The kernel stops once the ratio
-# |t| q^n/(n + 1), bounded above with |t| < (|mantissa| + 1) 2^exp and
-# q^n < (Q_n + 1) 2^-s, is under 1/2 and the last term is below
-# 2^(peak - p), so the tail is under 2 P u.  The kernel is thus off by
-# less than (4N(N + 1) + 2) P u < 2^33 P u: N^2, where eval_f's chained
-# q^n products give N^3.  The certified sign must also be the one eval_f
-# reads at the budget B = p + d.  Its error is below
+# the sign: term n + 1 is term n times u_n/(n + 1), where u_n = t q^n is
+# carried with G = _PROBE_GUARD_BITS guard bits.  Each step is off by
+# t's one rounding to p bits (< u), u_n's n floors to at least p + G bits
+# (< n 2^(1 - G) u <= u, as n < 2^15), a truncating shift (< u) and a
+# floor division by n + 1 (< 2u), less than 5u in all, so term n is off
+# by less than (1 + 5u)^n - 1 < 7nu relative, and the exact sum of N
+# terms by less than 7u P N(N + 1)/2.  The kernel stops once the ratio
+# |t| q^n/(n + 1), bounded above with |t| q^n < |u_n| (1 + 2^(2 - p)),
+# is under 1/2 and the last term is below 2^(peak - p), so the tail is
+# under 2 P u.  The kernel is thus off by less than (4N(N + 1) + 2) P u
+# < 2^33 P u: N^2, where eval_f's chained q^n products give N^3.  The
+# certified sign must also be the one eval_f reads at the budget
+# B = p + d.  Its error is below
 # (N'^3 + 3N'^2 + N' + 2) 2^-d P' u, with N' <= 2^15 + d terms (the term
 # bound find_zero checks, plus one halving term per extra bit) and its
 # peak P' < 2P; at d = 1, the largest case, that is under 2^44.001 P' u <
@@ -57,6 +60,7 @@ _SCAN_POINTS_PER_DECADE = 64
 _PROBE_BITS = 160
 _PROBE_CERT_BITS = 46
 _PROBE_MAX_TERMS = 2**15
+_PROBE_GUARD_BITS = _PROBE_MAX_TERMS.bit_length()
 #: the largest guess order find_zero takes (order 20 costs about 5 s cold)
 _MAX_GUESS_ORDER = 20
 
@@ -76,12 +80,23 @@ def _q_fraction(q) -> Fraction:
     return qf
 
 
+def _positive_index(k, what: str = "zero index") -> int:
+    """k as an int of at least 1; anything else (0, 2.5, even 12.0) is a
+    ValueError naming `what`."""
+    try:
+        k = index(k)
+    except TypeError:
+        raise ValueError(f"{what} must be an integer, got {k!r}") from None
+    if k < 1:
+        raise ValueError(f"{what} starts at 1, got {k}")
+    return k
+
+
 def required_precision(k: int, q) -> int:
     """The default working bits for the k-th zero: log2 of the peak term
     ~ q^(-k(k-1)/2) k^k/k! of the series near x_k, plus 64 guard bits.
     mpf exponents absorb that size; only the cancellation costs bits."""
-    if k < 1:
-        raise ValueError("zero index starts at 1")
+    k = _positive_index(k)
     qf = _q_fraction(q)
     return ceil(k * (k - 1) / 2 * _log2_inv_q(qf) + k * log2(k)) + 64
 
@@ -93,33 +108,19 @@ def _log2_inv_q(qf: Fraction) -> float:
 
 @lru_cache(maxsize=16)
 def _q_powers(q: tuple, bits: int) -> list:
-    """q^0, q^1, ... of the raw mpf q, each the product of the one before
-    and q rounded to nearest at `bits`; eval_f extends the list in place,
-    so every call at one (q, bits) shares the powers built so far."""
-    return [fone]
+    """q^0, q^1, ... of the raw mpf q as (mantissa, exponent) pairs, each
+    the product of the one before and q rounded to nearest at `bits`;
+    eval_f extends the list in place, so every call at one (q, bits)
+    shares the powers built so far."""
+    return [(1, 0)]
 
 
 def _extend_q_powers(qpows: list, q: tuple, bits: int, n: int) -> None:
+    _, qm, qe, _ = q
     with _Q_POWERS_LOCK:  # two threads must not append the same power twice
         while len(qpows) <= n:
-            qpows.append(mpf_mul(qpows[-1], q, bits, _NEAREST))
-
-
-@lru_cache(maxsize=16)
-def _probe_q_powers(q: Fraction) -> list:
-    """(Q_n, s_n) for n = 0, 1, ...: Q_n = floor(a^n 2^s_n / b^n) has
-    _PROBE_BITS or _PROBE_BITS + 1 bits, each entry its own truncation of
-    the exact q^n = a^n/b^n; _probe_sign extends the list in place."""
-    return []
-
-
-def _extend_probe_q_powers(qpows: list, q: Fraction, n: int) -> None:
-    with _Q_POWERS_LOCK:
-        while len(qpows) <= n:
-            num = q.numerator ** len(qpows)
-            den = q.denominator ** len(qpows)
-            s = _PROBE_BITS + den.bit_length() - num.bit_length()
-            qpows.append(((num << s) // den, s))
+            m, e = qpows[-1]
+            qpows.append(_round(m * qm, e + qe, bits))
 
 
 def _probe_sum(t, qf: Fraction) -> tuple[int, int, int, int] | None:
@@ -127,16 +128,21 @@ def _probe_sum(t, qf: Fraction) -> tuple[int, int, int, int] | None:
     sum total 2^base of the terms T_0..T_n, and every |term| and |partial
     sum| below 2^peak; None when it reaches _PROBE_MAX_TERMS terms.
 
-    t (an mpf) is rounded once; each term is an int mantissa m of about
-    _PROBE_BITS bits times 2^e, advanced by t q^n/(n + 1) with truncating
-    shifts and a floor division, and added exactly into one int `total`
-    times 2^base.
+    t (an mpf) is rounded once; u = t q^n is carried as a signed int
+    mantissa of at least _PROBE_BITS + G bits times 2^ue, advanced by
+    q = a/b in one floor division.  Each term is an int mantissa m of
+    about _PROBE_BITS bits times 2^e, advanced by u/(n + 1) with one
+    truncating shift and a floor division, and added exactly into one
+    int `total` times 2^base.
     """
     sign, man, exp, _ = mpf_pos(t._mpf_, _PROBE_BITS, _NEAREST)
     if not man:
         return 1, 0, 1, 0  # f(0) = 1
-    tm = -man if sign else man
-    qpows = _probe_q_powers(qf)
+    a, b = qf.numerator, qf.denominator
+    scale = _PROBE_BITS + _PROBE_GUARD_BITS + 1 + b.bit_length() - a.bit_length()
+    lift = _PROBE_BITS + _PROBE_GUARD_BITS - man.bit_length()  # u_0: p + G bits
+    u = (-man if sign else man) << lift
+    ue = exp - lift
     m = total = 1
     e = base = 0
     peak = 1  # every |term| and |partial sum| so far is below 2^peak
@@ -145,13 +151,10 @@ def _probe_sum(t, qf: Fraction) -> tuple[int, int, int, int] | None:
     while True:
         if n >= _PROBE_MAX_TERMS:
             return None
-        if len(qpows) <= n + 1:
-            _extend_probe_q_powers(qpows, qf, n + 1)
-        qm, qs = qpows[n]
-        x = m * tm * qm
+        x = m * u
         shift = x.bit_length() - _PROBE_BITS - (n + 1).bit_length()
         m = (x >> shift) // (n + 1)
-        e += exp - qs + shift
+        e += ue + shift
         n += 1
         if e >= base:
             total += m << (e - base)
@@ -160,15 +163,14 @@ def _probe_sum(t, qf: Fraction) -> tuple[int, int, int, int] | None:
             base = e
         mag = m.bit_length() + e
         peak = max(peak, mag, total.bit_length() + base)
+        # u = t q^n: the quotient has _PROBE_BITS + G to + G + 2 bits
+        s = scale - u.bit_length()
+        u = (u * a << s) // b if s >= 0 else u * a // (b << -s)
+        ue -= s
         if not ratio_small:
-            # 2 |t| q^n < n + 1, with |t| < (man + 1) 2^exp, q^n < (Q_n + 1) 2^-s_n
-            rq, rs = qpows[n]
-            lhs = (man + 1) * (rq + 1) << 1
-            lift = exp - rs
-            if lift >= 0:
-                ratio_small = lhs << lift < n + 1
-            else:
-                ratio_small = lhs < (n + 1) << -lift
+            # 2 |t| q^n < n + 1, with |t| q^n < |u| (1 + 2^(2 - p)) 2^ue
+            lhs = (abs(u) + (abs(u) >> (_PROBE_BITS - 2)) + 1) << 1
+            ratio_small = lhs << ue < n + 1 if ue >= 0 else lhs < (n + 1) << -ue
         if ratio_small and mag <= peak - _PROBE_BITS:
             return total, base, peak, n
 
@@ -249,10 +251,10 @@ def eval_f(x, q, precision_bits: int) -> PrecReal:
     shortcut: the larger operand, nudged by one unit precision_bits + 4
     bits below it, is rounded, so a tiny x builds no shift as long as its
     exponent.  The comparisons with the peak are exact, bit lengths
-    first.  The powers q^n come from a table of mpfs shared by all calls
-    at the same q and precision.  The ratio is a chain of monotone
-    roundings of a decreasing sequence, so once it is under 1/2 it stays
-    there and is no longer computed.
+    first.  The powers q^n come from a table of (mantissa, exponent)
+    pairs shared by all calls at the same q and precision.  The ratio is
+    a chain of monotone roundings of a decreasing sequence, so once it is
+    under 1/2 it stays there and is no longer computed.
     """
     if precision_bits < 4:
         raise ValueError("precision must be at least 4 bits")
@@ -284,7 +286,7 @@ def eval_f(x, q, precision_bits: int) -> PrecReal:
         if len(qpows) <= n + 1:
             _extend_q_powers(qpows, Q, prec, n + 1)
         tm, te = _round(tm * xm, te + xe, prec)
-        _, qm, qe, _ = qpows[n]
+        qm, qe = qpows[n]
         tm, te = _round(tm * qm, te + qe, prec)
         t_neg ^= x_neg
         n += 1
@@ -315,7 +317,7 @@ def eval_f(x, q, precision_bits: int) -> PrecReal:
         if total_mag >= peak_mag and _exceeds(abs(sm), se, pm, pe):
             pm, pe, peak_mag = abs(sm), se, total_mag
         if not ratio_small:
-            _, qm, qe, _ = qpows[n]
+            qm, qe = qpows[n]
             rm, re = _round(am * qm, ae + qe, prec)
             rm, re = _divide(rm, re, n + 1, prec)
             ratio_small = rm.bit_length() + re <= -1  # rm 2^re < 1/2
@@ -396,7 +398,7 @@ def find_zero(k: int, q, n_guess: int = 2, precision_bits: int | None = None) ->
 
     The bracket and the bisection read only the sign of f.  When the
     working precision is above 160 bits, each sign is first read off a
-    160-bit integer kernel (_probe_sign), about 6 times cheaper than a
+    160-bit integer kernel (_probe_sign), about 3 times cheaper than a
     160-bit eval_f, which returns a sign only when its sum clears the
     kernel's error bound together with eval_f's at the full precision:
     the sign is then the true one, the one the full-precision evaluation
@@ -405,8 +407,7 @@ def find_zero(k: int, q, n_guess: int = 2, precision_bits: int | None = None) ->
     Newton and the residual all stay at full precision, and Newton and
     the residual are what most of the time goes to.
     """
-    if k < 1:
-        raise ValueError("zero index starts at 1")
+    k = _positive_index(k)
     if not 0 <= n_guess <= _MAX_GUESS_ORDER:
         raise ValueError(f"guess order must lie in 0..{_MAX_GUESS_ORDER}")
     qf = _q_fraction(q)
@@ -588,8 +589,7 @@ def scan_zeros(q, x_min, count: int) -> list[ZeroResult]:
     lost there; x is the last iterate and the residual is |f(x)|.
     """
     qf = _q_fraction(q)
-    if count < 1:
-        raise ValueError("count must be positive")
+    count = _positive_index(count, "count")
     x_min = float(x_min)
     if not x_min < -1:
         raise ValueError("x_min must be below -1")
@@ -641,8 +641,7 @@ def paired_term_gaps(k: int, q, a) -> list[Fraction]:
     so everything stays rational.  Positivity of all v_j forces the sign
     of f at the trial point.
     """
-    if k < 1:
-        raise ValueError("zero index starts at 1")
+    k = _positive_index(k)
     qf = _q_fraction(q)
     af = Fraction(a)
     base = Fraction(k) + af / k

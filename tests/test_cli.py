@@ -210,6 +210,22 @@ def test_residuals_document_and_csv(capsys, tmp_path):
     assert len(lines) == 4
 
 
+def test_residuals_reject_a_negative_order_before_any_zero(capsys, monkeypatch):
+    """A bad --n exits 2 before the zero table is built (the stub raises
+    if it is), with nothing on stdout."""
+
+    def no_table(*args, **kwargs):
+        raise AssertionError("zero table built for a bad --n")
+
+    monkeypatch.setattr(defexp.cli, "zero_table", no_table)
+    code, out, err = run_cli(
+        capsys, "residuals", "--q", "1/2", "--n", "-1", "--kmin", "10", "--kmax", "60"
+    )
+    assert code == 2
+    assert out == ""
+    assert "truncation order must be nonnegative" in err
+
+
 def test_unwritable_csv_path_is_an_argument_error(capsys, tmp_path):
     """Exit 2 and an error line naming the path, not a traceback with
     exit 1 (reserved for the JSON error object); stdout stays empty."""

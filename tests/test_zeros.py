@@ -31,6 +31,7 @@ from defexp.zeros import (
 )
 
 Q_HALF = Fraction(1, 2)
+Q_TINY = Fraction(1, 10**40)
 
 
 def test_required_precision_pinned_values():
@@ -426,9 +427,18 @@ def _reference_find_zero(k: int, q, n_guess: int = 2, precision_bits=None) -> Ze
     )
 
 
-@pytest.mark.parametrize("q", [Q_HALF, Fraction(7, 15), Fraction(6, 11)], ids=str)
+@pytest.mark.parametrize(
+    "q",
+    [Q_HALF, Fraction(7, 15), Fraction(6, 11), pytest.param(Q_TINY, id="1/10^40")],
+    ids=str,
+)
 def test_probed_find_zero_is_bit_identical_to_the_full_budget_loop(q):
-    ks = (10, 25, 40, 60) + ((100,) if q == Q_HALF else ())
+    """q = 10^-40 divides a 133-bit denominator out of u_n at every term;
+    its zeros x_3..x_5 take about 10 ms each."""
+    if q == Q_TINY:
+        ks = (3, 4, 5)
+    else:
+        ks = (10, 25, 40, 60) + ((100,) if q == Q_HALF else ())
     for k in ks:
         assert _zero_fields(find_zero(k, q)) == _zero_fields(_reference_find_zero(k, q)), k
 
@@ -447,20 +457,6 @@ def test_probe_certification_threshold_covers_the_error_bound():
     bound = kernel + 2 * budget
     assert 2**zeros._PROBE_CERT_BITS >= bound
     assert 2 ** (zeros._PROBE_CERT_BITS - 1) < bound
-
-
-@pytest.mark.parametrize("q", [Q_HALF, Fraction(9, 19), Fraction(1, 10**40)], ids=str)
-def test_probe_q_powers_truncate_each_exact_power(q):
-    """Entry n is floor(q^n 2^s) with _PROBE_BITS or _PROBE_BITS + 1 bits,
-    its own truncation of the exact power and not a chain of products."""
-    zeros._probe_q_powers.cache_clear()
-    table = zeros._probe_q_powers(q)
-    zeros._extend_probe_q_powers(table, q, 300)
-    p = zeros._PROBE_BITS
-    assert len(table) == 301
-    for n, (qm, s) in enumerate(table):
-        assert qm == floor(q**n * 2**s), n
-        assert 2 ** (p - 1) <= qm < 2 ** (p + 1), n
 
 
 def _exact_f_sign(t, q: Fraction) -> int | None:
@@ -581,19 +577,20 @@ def test_probe_sign_near_a_zero_is_the_full_budget_sign():
 
 def _replica_probe_sum(t, q: Fraction) -> tuple:
     """_probe_sum's truncations restated on exact values: t rounded once
-    to _PROBE_BITS in an mpf context, Q_n = floor(q^n 2^s_n), each new
-    mantissa floor(m t Q_n / (2^shift (n + 1))) in one floor division, the
-    terms summed as Fractions, and the stopping rule with Fraction bounds.
-    Returns the sum, the peak, the term count and whether the tail test
-    held before the ratio test did (so the ratio test decided the stop)."""
+    to _PROBE_BITS in an mpf context, u_0 its mantissa lifted to p + G
+    bits (G = _PROBE_MAX_TERMS.bit_length()), each u_(n+1) =
+    floor(u_n q 2^s) with s such that u_(n+1) has p + G to p + G + 2
+    bits, each new mantissa floor(m u_n / (2^shift (n + 1))) in one floor
+    division, the terms summed as Fractions, and the stopping rule with
+    Fraction bounds.  Returns the sum, the peak, the term count and
+    whether the tail test held before the ratio test did (so the ratio
+    test decided the stop)."""
     p = zeros._PROBE_BITS
+    g = zeros._PROBE_MAX_TERMS.bit_length()
     sign, man, exp, _ = context(p).mpf(t)._mpf_
-    abs_t_bound = (man + 1) * Fraction(2) ** exp
-    tnum = -man if sign else man
-
-    def q_power(n: int) -> tuple[int, int]:
-        s = p + (q.denominator**n).bit_length() - (q.numerator**n).bit_length()
-        return floor(q**n * 2**s), s
+    lift = p + g - man.bit_length()
+    um, ue = (-man if sign else man) << lift, exp - lift  # u_n = um 2^ue
+    lead = p + g + 1 + q.denominator.bit_length() - q.numerator.bit_length()
 
     def mag(v: Fraction) -> int:  # floor(log2 |v|) + 1 of a dyadic v != 0
         return abs(v.numerator).bit_length() - v.denominator.bit_length() + 1
@@ -603,32 +600,35 @@ def _replica_probe_sum(t, q: Fraction) -> tuple:
     peak = 1
     ratio_small = tail_first = False
     while True:
-        qm, qs = q_power(n)
-        x = m * tnum * qm
+        x = m * um
         shift = x.bit_length() - p - (n + 1).bit_length()
         m = x // ((n + 1) << shift)
-        e += exp - qs + shift
+        e += ue + shift
         n += 1
         total += m * Fraction(2) ** e
         term_mag = m.bit_length() + e
         peak = max(peak, term_mag, mag(total))
         tail_small = term_mag <= peak - p
+        s = lead - um.bit_length()
+        um, ue = floor(um * q * Fraction(2) ** s), ue - s
         if not ratio_small:
-            qm, qs = q_power(n)
-            ratio_small = 2 * abs_t_bound * Fraction(qm + 1, 2**qs) < n + 1
+            bound = abs(um) * (1 + Fraction(1, 2 ** (p - 2))) * Fraction(2) ** ue
+            ratio_small = 2 * bound < n + 1
             tail_first = tail_first or (tail_small and not ratio_small)
         if ratio_small and tail_small:
             return total, peak, n, tail_first
 
 
-#: three points each near x_12 and x_20 at q = 9/19, as (k, j, side) for
-#: t = x_k (1 + side 2^-j), and two at q = 999/1000 where the terms fall
-#: _PROBE_BITS below the peak while the ratio is still above 1/2, so the
-#: ratio test decides where the sum ends
+#: three points each near x_12 and x_20 at q = 9/19 and near x_4 and x_6
+#: at q = 10^-40 (a 133-bit denominator, divided out at every term), as
+#: (k, j, side) for t = x_k (1 + side 2^-j), and two at q = 999/1000 where
+#: the terms fall _PROBE_BITS below the peak while the ratio is still
+#: above 1/2, so the ratio test decides where the sum ends
 PROBE_SUM_POINTS = [
     *(
-        pytest.param(Fraction(9, 19), (k, j, side), False, id=f"x{k}-2^-{j}")
-        for k in (12, 20)
+        pytest.param(q, (k, j, side), False, id=f"x{k}-2^-{j}{tag}")
+        for q, ks, tag in ((Fraction(9, 19), (12, 20), ""), (Q_TINY, (4, 6), "-q1/10^40"))
+        for k in ks
         for j, side in ((40, 1), (100, -1), (150, 1))
     ),
     *(pytest.param(Fraction(999, 1000), x, True, id=f"{x}-q999/1000") for x in (-3000, 2000)),
@@ -757,6 +757,21 @@ def test_find_zero_below_sixty_bits_ends_near_the_zero(bits):
 def test_find_zero_rejects_bad_index():
     with pytest.raises(ValueError):
         find_zero(0, Q_HALF)
+
+
+@pytest.mark.parametrize("k", [12.0, 2.5, 0], ids=repr)
+def test_zero_index_and_count_must_be_positive_integers(k):
+    """One check behind all four entry points: an integral float is no
+    index either (find_zero(12.0, q) once reported "k": 12.0, and
+    scan_zeros(q, -300, 2.5) three zeros)."""
+    with pytest.raises(ValueError, match="zero index"):
+        required_precision(k, Q_HALF)
+    with pytest.raises(ValueError, match="zero index"):
+        find_zero(k, Q_HALF)
+    with pytest.raises(ValueError, match="zero index"):
+        paired_term_gaps(k, Q_HALF, 1)
+    with pytest.raises(ValueError, match="count"):
+        scan_zeros(Q_HALF, -300, k)
 
 
 def test_scan_zeros_indices_and_ordering(scanned_q_half):
@@ -1014,7 +1029,7 @@ def test_q_power_table_survives_concurrent_extension():
                 t.join(timeout=60)
             assert not any(t.is_alive() for t in threads)
             assert all(_same(g, w) for g, w in zip(got, want))
-            table = zeros._q_powers(qv, bits)
+            table = [from_man_exp(m, e) for m, e in zeros._q_powers(qv, bits)]
             assert all(b == mpf_mul(a, qv, bits, "n") for a, b in zip(table, table[1:]))
     finally:
         sys.setswitchinterval(interval)
