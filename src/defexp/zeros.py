@@ -9,14 +9,18 @@ and reports the bits that survive cancellation.
 
 from __future__ import annotations
 
+import atexit
+import marshal
+import os
+import signal
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import ceil, factorial, log2
 from operator import index
-from threading import Lock
+from threading import Lock, active_count
 
-from mpmath.libmp import finf, fnan, fninf, fone, from_man_exp, mpf_pos
+from mpmath.libmp import MPZ, finf, fnan, fninf, fone, from_man_exp, mpf_pos
 
 from .precreal import PrecReal, context, to_mpf
 from .qseries import SERIES_TRUNC, coefficient_value
@@ -66,6 +70,28 @@ _MAX_GUESS_ORDER = 20
 
 _NEAREST = "n"  # the rounding mode of every context(bits)
 _Q_POWERS_LOCK = Lock()
+
+# _eval_pair hands its second evaluation to the helper process from this
+# many working bits on.  Measured at q = 9/19 on a shared 2-core machine
+# (Python 3.11, mpmath's pure-Python backend), medians of 15 pairs, the
+# serial pair against the paired one: 0.86 / 0.74 ms at 356 bits, 1.23 /
+# 0.91 ms at 537, 1.44 / 1.13 ms at 681, 3.25 / 2.16 ms at 1,118, 10.5 /
+# 6.5 ms at 2,327 and 27.8 / 17.3 ms at 3,977 (the two vCPUs slow each
+# other's big-int work, hence not 0.5x).  A pair wins from about 400 bits,
+# but the first one also pays the fork (about 1 ms), the stop at exit
+# (about 1 ms) and the copy-on-write faults in between: one zero in a
+# fresh process, medians of 7, took 19.0 / 24.3 ms at k = 30 (681 bits)
+# and 31.6 / 30.5 ms at k = 40 (1,118 bits).  So the helper starts only
+# where a lone zero breaks even, above every budget of the paper's check
+# at k <= 26 and q >= 9/20 (561 bits at most).
+_PAIR_MIN_BITS = 1024
+
+# The helper: (pid, request fd, reply fd) while it runs, None before it
+# starts or after it is stopped, False in a forked child (which never
+# starts one).  _helper_lock guards the pipes; a caller that finds it
+# held evaluates locally.
+_helper: tuple[int, int, int] | None | bool = None
+_helper_lock = Lock()
 
 
 class BracketError(RuntimeError):
@@ -332,6 +358,141 @@ def eval_f(x, q, precision_bits: int) -> PrecReal:
     return PrecReal(total, max(1, precision_bits - lost))
 
 
+def _eval_pair(t1, t2, qf: Fraction, bits: int) -> tuple[PrecReal, PrecReal]:
+    """(eval_f(t1, qf, bits), eval_f(t2, qf, bits)), bit for bit.
+
+    From _PAIR_MIN_BITS on, t2 goes to one persistent helper process,
+    forked at the first such call, and t1 is evaluated here while it
+    works.  Below that, or without os.fork, in a forked child, in a
+    process that had other threads when the helper was due to start, or
+    while another thread holds the pipes, both are evaluated here.  The
+    value crosses the pipe as a raw mpf tuple and its tag, and is rebuilt
+    in context(bits), where eval_f builds it.
+    """
+    if bits < _PAIR_MIN_BITS or not _helper_lock.acquire(blocking=False):
+        return eval_f(t1, qf, bits), eval_f(t2, qf, bits)
+    try:
+        helper = _start_helper() if _helper is None else _helper
+        if not helper:
+            return eval_f(t1, qf, bits), eval_f(t2, qf, bits)
+        ctx = context(bits)
+        sign, man, exp, bc = to_mpf(ctx, t2)._mpf_
+        try:
+            sent = _send(helper[1], (sign, int(man), exp, bc, qf.numerator, qf.denominator, bits))
+            first = eval_f(t1, qf, bits)
+            reply = _receive(helper[2]) if sent else None
+        except BaseException:  # a late reply must not answer the next request
+            _stop_helper()
+            raise
+        if reply is None:  # eval_f raised there (it raises here too), or the helper died
+            _stop_helper()
+            return first, eval_f(t2, qf, bits)
+        (sign, man, exp, bc), tag = reply
+        return first, PrecReal(ctx.make_mpf((sign, MPZ(man), exp, bc)), tag)
+    finally:
+        _helper_lock.release()
+
+
+def _start_helper() -> tuple[int, int, int] | None:
+    """Fork the helper, only while this is the process's one thread: a
+    lock another thread holds (say _Q_POWERS_LOCK) would stay held in it."""
+    global _helper
+    if not hasattr(os, "fork") or active_count() != 1:
+        return None
+    requests_r, requests_w = os.pipe()
+    replies_r, replies_w = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        for fd in (requests_r, requests_w, replies_r, replies_w):
+            os.close(fd)
+        return None
+    if pid == 0:
+        code = 1
+        try:
+            os.close(requests_w)
+            os.close(replies_r)
+            _serve(requests_r, replies_w)
+            code = 0
+        finally:
+            os._exit(code)  # no atexit handlers, no stdio flush
+    os.close(requests_r)
+    os.close(replies_w)
+    _helper = (pid, requests_w, replies_r)
+    return _helper
+
+
+def _serve(requests: int, replies: int) -> None:
+    """The helper's loop: one eval_f per request, until EOF."""
+    while (request := _receive(requests)) is not None:
+        sign, man, exp, bc, a, b, bits = request
+        try:
+            value = eval_f(context(bits).make_mpf((sign, MPZ(man), exp, bc)), Fraction(a, b), bits)
+            sign, man, exp, bc = value.value._mpf_
+            reply = ((sign, int(man), exp, bc), value.precision_bits)
+        except Exception:
+            reply = None
+        _send(replies, reply)
+
+
+def _stop_helper() -> None:
+    """Kill the helper, reap it and close its pipes; the next pair starts
+    a new one."""
+    global _helper
+    if not _helper:
+        return
+    (pid, requests, replies), _helper = _helper, None
+    try:
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+    except (ProcessLookupError, ChildProcessError):
+        pass  # reaped already
+    os.close(requests)
+    os.close(replies)
+
+
+def _forget_helper() -> None:
+    """In a forked child: close the parent's pipe ends and never start a
+    helper (a fork-based pool already has the cores at work)."""
+    global _helper, _helper_lock
+    if _helper:  # raw fds: closing them takes no lock a parent thread may hold
+        os.close(_helper[1])
+        os.close(_helper[2])
+    _helper = False
+    _helper_lock = Lock()
+
+
+def _send(fd: int, message) -> bool:
+    """Write message, marshalled after its length in 8 bytes; False when
+    the reading end is closed."""
+    data = marshal.dumps(message)
+    data = len(data).to_bytes(8, "little") + data
+    try:
+        while data:
+            data = data[os.write(fd, data) :]
+    except BrokenPipeError:
+        return False
+    return True
+
+
+def _receive(fd: int):
+    """The next message on fd, or None at EOF."""
+    data, size = b"", 8
+    while len(data) < size:
+        chunk = os.read(fd, size - len(data))
+        if not chunk:
+            return None
+        data += chunk
+        if size == 8 == len(data):
+            size += int.from_bytes(data, "little")
+    return marshal.loads(data[8:])
+
+
+atexit.register(_stop_helper)
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_helper)
+
+
 def _sign(value: PrecReal) -> int:
     if value.value > 0:
         return 1
@@ -406,6 +567,15 @@ def find_zero(k: int, q, n_guess: int = 2, precision_bits: int | None = None) ->
     so the result is the same bit for bit; the endpoints, the midpoints,
     Newton and the residual all stay at full precision, and Newton and
     the residual are what most of the time goes to.
+
+    Each Newton step's f(x) and f(qx) are independent, and _eval_pair
+    evaluates them side by side from _PAIR_MIN_BITS = 1024 working bits
+    on: a single-threaded POSIX process forks one helper process at the
+    first such step, which serves f(qx) while f(x) is evaluated here
+    (about 0.6x the time of a large-k zero on two cores).  Elsewhere,
+    and below that budget, both are evaluated here.  Both routes give
+    eval_f's values bit for bit, so the result does not depend on which
+    one ran.
     """
     k = _positive_index(k)
     if not 0 <= n_guess <= _MAX_GUESS_ORDER:
@@ -467,8 +637,7 @@ def find_zero(k: int, q, n_guess: int = 2, precision_bits: int | None = None) ->
     steps: list[float] = []
     target = ctx.mpf(2) ** (4 - bits)
     for _ in range(bits.bit_length() + 8):
-        fx = f(x)
-        fpx = eval_f(qv * x, qf, bits)
+        fx, fpx = _eval_pair(x, qv * x, qf, bits)
         if fpx.precision_bits <= 1:
             break  # derivative lost to cancellation; x is as good as it gets
         step = to_mpf(ctx, fx) / to_mpf(ctx, fpx)

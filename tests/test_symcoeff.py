@@ -181,7 +181,7 @@ def weight(exps):
     return sum((2 * i + 2) * e for i, e in enumerate(exps))
 
 
-@pytest.mark.parametrize("n", range(1, 23))
+@pytest.mark.parametrize("n", range(1, 25))
 def test_weight_filtration(n):
     weights = [weight(e) for e in reduced_c_n(n).terms]
     assert max(weights) == 2 * n  # bounded by 2n, top part not empty
@@ -298,9 +298,9 @@ def test_linear_part_of_low_order_coefficients():
     assert linear_part(reduce_to_A012(c_n(2))) == (0, -1, 0)
 
 
-@pytest.mark.parametrize("n", range(7, 12))
+@pytest.mark.parametrize("n", range(7, 13))
 def test_bernoulli_linear_parts_beyond_the_acceptance_range(n):
-    """C_13..C_22: the paper's Bernoulli pattern past criterion 2's n <= 6."""
+    """C_13..C_24: the paper's Bernoulli pattern past criterion 2's n <= 6."""
     odd, even = bernoulli_linear_parts(n)
     assert linear_part(reduced_c_n(2 * n - 1)) == odd
     assert linear_part(reduced_c_n(2 * n)) == even

@@ -1,12 +1,17 @@
 """Series evaluation, both zero finders, and the paired-term gap check."""
 
 import functools
+import multiprocessing
+import os
+import signal
+import subprocess
 import sys
 import threading
 import time
 import tracemalloc
 from fractions import Fraction
 from math import factorial, floor, lgamma, log, log2
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
@@ -32,6 +37,7 @@ from defexp.zeros import (
 
 Q_HALF = Fraction(1, 2)
 Q_TINY = Fraction(1, 10**40)
+Q_9_19 = Fraction(9, 19)
 
 
 def test_required_precision_pinned_values():
@@ -314,6 +320,7 @@ def test_zero_finders_are_unchanged_on_the_reference_kernel(monkeypatch, scanned
     q = Fraction(7, 15)
     fast = [find_zero(k, q) for k in (10, 11, 25, 40)]
     monkeypatch.setattr(zeros, "eval_f", _reference_eval_f)
+    monkeypatch.setattr(zeros, "_PAIR_MIN_BITS", 1 << 62)  # every f(qx) here, too
     slow = [find_zero(k, q) for k in (10, 11, 25, 40)]
     slow_scan = scan_zeros(Q_HALF, -300, 6)
     assert fast == slow
@@ -1033,6 +1040,174 @@ def test_q_power_table_survives_concurrent_extension():
             assert all(b == mpf_mul(a, qv, bits, "n") for a, b in zip(table, table[1:]))
     finally:
         sys.setswitchinterval(interval)
+
+
+def _helper_pid() -> int:
+    """The pid of the running helper, started by a pair at 1,057 bits."""
+    find_zero(40, Q_HALF)
+    assert zeros._helper, "no helper started"
+    return zeros._helper[0]
+
+
+def _reaped(pid: int) -> bool:
+    try:
+        os.waitpid(pid, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
+
+
+@pytest.mark.parametrize("q", [Q_HALF, Q_9_19, Fraction(10, 19)], ids=str)
+@pytest.mark.parametrize("k", [60, 80, 100])
+def test_paired_newton_is_bit_identical_to_local_evaluation(monkeypatch, k, q):
+    """f(qx) from the helper is eval_f's value bit for bit: x, bracket,
+    residual, their tags and the Newton steps all equal a run with the
+    threshold above the budget."""
+    with monkeypatch.context() as local:
+        local.setattr(zeros, "_PAIR_MIN_BITS", required_precision(k, q) + 1)
+        want = find_zero(k, q)
+    got = find_zero(k, q)
+    assert zeros._helper
+    assert got.to_json() == want.to_json()
+    assert _zero_fields(got) == _zero_fields(want)
+
+
+class _Interrupt(BaseException):
+    """Stands for a KeyboardInterrupt or a benchmark's timeout signal."""
+
+
+def test_an_exception_inside_an_exchange_reaps_the_helper(monkeypatch):
+    """The helper working on a request when the local evaluation raises is
+    killed and reaped, so its late reply cannot answer the next request;
+    the next pair starts a new helper and the zero is the reference one."""
+    pid = _helper_pid()
+    calls = []
+    kernel = zeros.eval_f
+
+    def interrupted(x, q, bits):
+        calls.append(bits)
+        if len(calls) == 2:  # the local half of Newton's second pair
+            raise _Interrupt
+        return kernel(x, q, bits)
+
+    monkeypatch.setattr(zeros, "eval_f", interrupted)
+    with pytest.raises(_Interrupt):
+        find_zero(60, Q_HALF)
+    assert zeros._helper is None
+    assert _reaped(pid)
+    monkeypatch.setattr(zeros, "eval_f", kernel)
+    z = find_zero(60, Q_HALF)
+    assert zeros._helper and zeros._helper[0] != pid
+    assert _zero_fields(z) == _zero_fields(_reference_find_zero(60, Q_HALF))
+
+
+def test_a_failing_helper_evaluation_is_raised_locally(monkeypatch):
+    """A request eval_f rejects comes back empty: the helper is retired and
+    the evaluation is repeated here, raising eval_f's own error."""
+    pid = _helper_pid()
+    ctx = context(2048)
+    with pytest.raises(ValueError, match="finite"):
+        zeros._eval_pair(ctx.mpf(-3), ctx.inf, Q_HALF, 2048)
+    assert zeros._helper is None
+    assert _reaped(pid)
+
+
+def test_a_dead_helper_is_replaced():
+    """A helper killed from outside costs no result: the pair is finished
+    here and the next one starts a new helper."""
+    pid = _helper_pid()
+    os.kill(pid, signal.SIGKILL)
+    z = find_zero(60, Q_HALF)
+    assert _reaped(pid)
+    assert zeros._helper and zeros._helper[0] != pid
+    assert _zero_fields(z) == _zero_fields(_reference_find_zero(60, Q_HALF))
+
+
+def test_no_helper_outlives_its_process():
+    """The exit hook closes the pipe and reaps the helper, so its pid is
+    gone once the process that started it has exited."""
+    src = str(Path(zeros.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    script = "import defexp.zeros as z; z.find_zero(100, 1/2); print(z._helper[0])"
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    with pytest.raises(ProcessLookupError):
+        os.kill(int(proc.stdout), 0)
+
+
+def _pool_zero(k: int) -> tuple:
+    return _zero_fields(find_zero(k, Q_9_19)), zeros._helper
+
+
+def test_a_fork_pool_never_shares_the_helper():
+    """Forked workers drop the parent's helper and evaluate locally; their
+    zeros equal the parent's, and the parent's helper still serves."""
+    want = [_zero_fields(find_zero(k, Q_9_19)) for k in (60, 80)]
+    pid = zeros._helper[0]
+    pool = multiprocessing.get_context("fork").Pool(2)
+    try:
+        got = pool.map(_pool_zero, (60, 80))
+    finally:
+        pool.close()
+        pool.join()
+    assert got == [(w, False) for w in want]
+    assert _zero_fields(find_zero(60, Q_9_19)) == want[0]
+    assert zeros._helper[0] == pid
+
+
+def test_threads_share_one_helper_or_evaluate_locally():
+    """Four threads (more than the machine's two cores) switching every
+    10 us: a thread that finds the pipes busy evaluates both values
+    itself, and every zero equals the serial one, so no reply went to
+    the wrong request."""
+    want = _zero_fields(find_zero(40, Q_HALF))
+    assert zeros._helper
+    got = [[] for _ in range(4)]
+    start = threading.Barrier(len(got))
+
+    def work(i):
+        start.wait(timeout=60)
+        for _ in range(3):
+            got[i].append(_zero_fields(find_zero(40, Q_HALF)))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(len(got))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert got == [[want] * 3] * len(got)
+
+
+@pytest.mark.parametrize("setup", ["no fork", "other threads"])
+def test_no_helper_starts_without_fork_or_with_other_threads(monkeypatch, setup):
+    zeros._stop_helper()
+    want = _zero_fields(_reference_find_zero(40, Q_HALF))
+    release = threading.Event()
+    other = threading.Thread(target=release.wait, args=(60,))
+    if setup == "no fork":
+        monkeypatch.delattr(os, "fork")
+    else:
+        other.start()
+    try:
+        assert _zero_fields(find_zero(40, Q_HALF)) == want
+        assert zeros._helper is None
+    finally:
+        release.set()
+        if other.is_alive():
+            other.join(timeout=60)
+    assert not other.is_alive()
 
 
 def test_scan_zeros_takes_q_below_the_float_range():
