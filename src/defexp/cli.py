@@ -2,18 +2,20 @@
 
 Verbs: coeff, reduce, eisenstein, series, zeros, residuals, ratio, fj,
 selftest.  Structured output goes to stdout with stable key order and
-fixed decimal rendering, so identical invocations are byte-identical
-and CI can diff them; diagnostics go to stderr.  Exit codes:
+fixed decimal rendering, so identical invocations in the same
+environment are byte-identical and CI can diff them; diagnostics go to
+stderr.  Exit codes:
 
 * 0 success;
 * 1 computation failure, with a JSON error object {"code": ...,
   "message": ...} on stdout, the code being "bracket-failure" or
   "decomposition-error";
-* 2 argument errors, an unwritable --csv path among them, with the
-  message on stderr and nothing on stdout.
+* 2 argument errors, an unwritable or empty --csv path among them,
+  with the message on stderr and nothing on stdout.
 
 The environment variable DEFEXP_PRECISION (integer bits) overrides the
-default working precision of the numeric verbs.
+default working precision of the numeric verbs; the zeros module sets
+its floor of 8 bits.
 """
 
 from __future__ import annotations
@@ -41,12 +43,9 @@ def _env_precision() -> int | None:
     if raw is None:
         return None
     try:
-        bits = int(raw)
+        return int(raw)  # zero_table checks the floor
     except ValueError as exc:
         raise ValueError(f"{PRECISION_ENV} must be an integer, got {raw!r}") from exc
-    if bits < 8:
-        raise ValueError(f"{PRECISION_ENV} must be at least 8 bits")
-    return bits
 
 
 def _parse_q(text: str) -> Fraction:
@@ -57,15 +56,14 @@ def _parse_q(text: str) -> Fraction:
 
 
 def _emit(doc, csv_text: str | None = None, csv_path: str | None = None) -> None:
-    if csv_text is not None and csv_path:
+    if csv_text is not None and csv_path is not None:
         try:
             with open(csv_path, "w", encoding="ascii") as fh:
                 fh.write(csv_text)
         except OSError as exc:  # an argument error: exit 2, nothing on stdout
             raise ValueError(f"cannot write --csv {csv_path}: {exc.strerror or exc}") from exc
         print(f"wrote {csv_path}", file=sys.stderr)
-    json.dump(doc, sys.stdout, indent=2)
-    sys.stdout.write("\n")
+    sys.stdout.write(json.dumps(doc, indent=2) + "\n")
 
 
 def _cmd_coeff(args) -> int:

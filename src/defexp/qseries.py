@@ -240,7 +240,7 @@ def _coefficient_series(i: int, trunc: int) -> QSeries:
     return eval_mpoly_series(reduced_c_n(i), trunc)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)  # keyed by bits, which every k sets anew
 def coefficient_value(i: int, q: Fraction, trunc: int, precision_bits: int) -> PrecReal:
     """Numeric C_i(q) from the reduced coefficient's truncated q-series."""
     series = _coefficient_series(i, trunc)

@@ -4,11 +4,11 @@ The scaled residual
 
     r_n(k) = (-x_k/(k q^(1-k)) - 1 - sum_{i=1}^n C_i(q) k^(-1-i)) * k^(n+2)
 
-tends to C_{n+1}(q) as k grows; residual_profile tabulates it from
-independently computed zeros.  ratio_check probes the consecutive-zero
-ratio law q x_{k+1}/x_k = 1 + 1/k + o(k^-2), and fj_extract repackages
-the reduced coefficients by powers of q to report on the positivity of
-the truncated F_j(1/k).
+tends to C_{n+1}(q) as k grows; residual_profile tabulates it from a
+zero_table of independently computed zeros.  ratio_check probes the
+consecutive-zero ratio law q x_{k+1}/x_k = 1 + 1/k + o(k^-2) on the same
+table, and fj_extract repackages the reduced coefficients by powers of q
+to report on the positivity of the truncated F_j(1/k).
 """
 
 from __future__ import annotations
@@ -42,19 +42,20 @@ def zero_table(
     n_guess: int = 2,
     precision_bits: int | None = None,
 ) -> dict[int, ZeroResult]:
-    """find_zero over a k range, keyed by k (shared by the checks below)."""
+    """find_zero over a k range, keyed by k: the checks below read zeros
+    only from such a table.  find_zero checks every argument, an explicit
+    precision_bits (an int of at least 8) included, before any work."""
     return {
         k: find_zero(k, q, n_guess=n_guess, precision_bits=precision_bits)
         for k in range(k_min, k_max + 1)
     }
 
 
-def _supplied_zero(zeros: dict[int, ZeroResult] | None, k: int, qf: Fraction) -> ZeroResult:
-    """zeros[k] checked to be x_k at qf, or find_zero(k, qf) when the
-    table lacks k."""
-    zr = zeros.get(k) if zeros else None
+def _supplied_zero(zeros: dict[int, ZeroResult], k: int, qf: Fraction) -> ZeroResult:
+    """zeros[k], checked to be x_k at qf; a table lacking k is a ValueError."""
+    zr = zeros.get(k)
     if zr is None:
-        return find_zero(k, qf)
+        raise ValueError(f"zero table lacks x_{k} at q = {qf}")
     if zr.k != k or zr.q != qf:
         raise ValueError(
             f"zero table entry {k} holds x_{zr.k} at q = {zr.q}, not x_{k} at q = {qf}"
@@ -87,25 +88,20 @@ class ResidualProfile:
         return "\n".join(lines) + "\n"
 
 
-def residual_profile(
-    q,
-    n: int,
-    k_values,
-    zeros: dict[int, ZeroResult] | None = None,
-) -> ResidualProfile:
-    """Scaled residuals r_n(k) over the given k values.
+def residual_profile(q, n: int, k_values, zeros: dict[int, ZeroResult]) -> ResidualProfile:
+    """Scaled residuals r_n(k) over the given k values, each at its zero's
+    working precision.
 
-    Zeros are taken from `zeros` when provided (so several orders n can
-    share one expensive table; an entry keyed k must be x_k at this q),
-    otherwise computed here at required_precision(k, q) bits.
+    The zeros are read only from `zeros` (a zero_table, so several orders
+    n share one expensive table): the entry keyed k must be x_k at this q,
+    and a k the table lacks is a ValueError raised before any row.
     """
     if n < 0:
         raise ValueError("truncation order must be nonnegative")
     qf = _q_fraction(q)
     rows = []
-    for k in sorted(k_values):
-        zr = _supplied_zero(zeros, k, qf)
-        bits = zr.precision_bits
+    for zr in [_supplied_zero(zeros, k, qf) for k in sorted(k_values)]:
+        k, bits = zr.k, zr.precision_bits
         ctx = context(bits)
         xv = to_mpf(ctx, zr.x)
         qv = to_mpf(ctx, qf)
@@ -120,12 +116,14 @@ def residual_profile(
 
 
 def ratio_check(
-    q, k_min: int, k_max: int, zeros: dict[int, ZeroResult] | None = None
+    q, k_min: int, k_max: int, zeros: dict[int, ZeroResult]
 ) -> list[tuple[int, PrecReal]]:
     """Rows (k, (q x_{k+1}/x_k - 1 - 1/k) * k^2) for k in [k_min, k_max].
 
     Needs x_{k_max+1}; the deviation times k^2 should stay bounded with
-    no growth trend.  Zeros come from `zeros` as in residual_profile.
+    no growth trend.  Zeros are read only from `zeros`, as in
+    residual_profile: a table lacking any of k_min..k_max + 1 is a
+    ValueError raised before any row.
     """
     qf = _q_fraction(q)
     out = []

@@ -106,15 +106,15 @@ def _q_fraction(q) -> Fraction:
     return qf
 
 
-def _positive_index(k, what: str = "zero index") -> int:
-    """k as an int of at least 1; anything else (0, 2.5, even 12.0) is a
-    ValueError naming `what`."""
+def _positive_index(k, what: str = "zero index", least: int = 1) -> int:
+    """k as an int of at least `least`; anything else (0, 2.5, even 12.0
+    for the default 1) is a ValueError naming `what`."""
     try:
         k = index(k)
     except TypeError:
         raise ValueError(f"{what} must be an integer, got {k!r}") from None
-    if k < 1:
-        raise ValueError(f"{what} starts at 1, got {k}")
+    if k < least:
+        raise ValueError(f"{what} starts at {least}, got {k}")
     return k
 
 
@@ -282,8 +282,7 @@ def eval_f(x, q, precision_bits: int) -> PrecReal:
     a chain of monotone roundings of a decreasing sequence, so once it is
     under 1/2 it stays there and is no longer computed.
     """
-    if precision_bits < 4:
-        raise ValueError("precision must be at least 4 bits")
+    precision_bits = _positive_index(precision_bits, "working precision in bits", 4)
     ctx = context(precision_bits)
     xv = to_mpf(ctx, x)
     qv = to_mpf(ctx, q if not isinstance(q, str) else Fraction(q))
@@ -548,11 +547,13 @@ class ZeroResult:
 def find_zero(k: int, q, n_guess: int = 2, precision_bits: int | None = None) -> ZeroResult:
     """Locate x_k by asymptotic guess, bracket expansion, bisection, Newton.
 
-    The guess is -k q^(1-k) (1 + sum_{i<=n_guess} C_i(q) k^(-1-i)), with
-    n_guess in 0..20.  A symmetric relative bracket of half-width
-    k^(-n_guess-2) doubles until f changes sign, capped at 1/(4k) (beyond
-    that a neighbouring zero could be captured); failure raises
-    BracketError and the caller should fall back to scan_zeros.
+    The working precision is precision_bits (an int of at least 8, checked
+    before any work) or else required_precision(k, q).  The guess is
+    -k q^(1-k) (1 + sum_{i<=n_guess} C_i(q) k^(-1-i)), with n_guess in
+    0..20.  A symmetric relative bracket of half-width k^(-n_guess-2)
+    doubles until f changes sign, capped at 1/(4k) (beyond that a
+    neighbouring zero could be captured); failure raises BracketError and
+    the caller should fall back to scan_zeros.
     Bisection narrows to ~60 bits (at most bits - 8), then Newton steps
     x -= f(x)/f(qx) finish at full precision (f' = f(q x) by the defining
     functional equation).
@@ -581,7 +582,8 @@ def find_zero(k: int, q, n_guess: int = 2, precision_bits: int | None = None) ->
     if not 0 <= n_guess <= _MAX_GUESS_ORDER:
         raise ValueError(f"guess order must lie in 0..{_MAX_GUESS_ORDER}")
     qf = _q_fraction(q)
-    bits = precision_bits if precision_bits is not None else required_precision(k, qf)
+    bits = required_precision(k, qf) if precision_bits is None else precision_bits
+    bits = _positive_index(bits, "working precision in bits", 8)
     ctx = context(bits)
 
     guess = _asymptotic_guess(ctx, k, qf, n_guess, bits)

@@ -186,6 +186,15 @@ def test_precision_env_override(capsys, monkeypatch):
     assert doc[0]["precision_bits"] == 200
 
 
+def test_precision_env_below_8_bits_is_an_argument_error(capsys, monkeypatch):
+    """The floor is the zeros module's; the CLI parses the integer only."""
+    monkeypatch.setenv("DEFEXP_PRECISION", "7")
+    code, out, err = run_cli(capsys, "zeros", "--q", "1/2", "--k", "10")
+    assert code == 2
+    assert out == ""
+    assert "starts at 8, got 7" in err
+
+
 def test_precision_env_rejects_garbage(capsys, monkeypatch):
     monkeypatch.setenv("DEFEXP_PRECISION", "not-a-number")
     code, out, err = run_cli(capsys, "zeros", "--q", "1/2", "--k", "8")
@@ -235,6 +244,11 @@ def test_unwritable_csv_path_is_an_argument_error(capsys, tmp_path):
     assert out == ""
     assert err.startswith("error:") and str(target) in err
     assert not target.parent.exists()
+    # an empty path is no path: it once exited 0 and wrote nothing
+    code, out, err = run_cli(capsys, "fj", "--imax", "1", "--jmax", "2", "--csv", "")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: cannot write --csv")
 
 
 def test_ratio_document(capsys):

@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import pytest
 
+import defexp.validate
+import defexp.zeros
 from defexp.exactmath import divisor_sigma
 from defexp.precreal import PrecReal, context, to_mpf
 from defexp.qseries import coefficient_value
@@ -87,9 +89,26 @@ def test_residual_profile_reports_are_stable_under_extra_precision(zeros_q_half)
             assert rel < ctx.mpf(2) ** (-32)
 
 
-def test_residual_profile_validation():
-    with pytest.raises(ValueError):
-        residual_profile(Q_HALF, -1, [10])
+def test_residual_profile_validation(zeros_q_half):
+    with pytest.raises(ValueError, match="truncation order"):
+        residual_profile(Q_HALF, -1, [10], zeros=zeros_q_half)
+
+
+def test_a_table_lacking_k_is_an_error_not_a_search(monkeypatch, zeros_q_half):
+    """The checks read zeros only from the table: a missing k is a
+    ValueError naming k and q, never a find_zero at the default budget."""
+
+    def no_search(*args, **kwargs):
+        raise AssertionError("a zero was searched for outside zero_table")
+
+    monkeypatch.setattr(defexp.validate, "find_zero", no_search)
+    monkeypatch.setattr(defexp.zeros, "find_zero", no_search)
+    with pytest.raises(ValueError, match=r"zero table lacks x_31 at q = 1/2"):
+        residual_profile(Q_HALF, 1, [29, 30, 31], zeros=zeros_q_half)
+    with pytest.raises(ValueError, match=r"zero table lacks x_31 at q = 1/2"):
+        ratio_check(Q_HALF, 29, 30, zeros=zeros_q_half)
+    with pytest.raises(ValueError, match=r"zero table lacks x_10 at q = 1/2"):
+        residual_profile(Q_HALF, 0, [10], zeros={})
 
 
 @pytest.mark.parametrize(

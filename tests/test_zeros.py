@@ -22,7 +22,7 @@ from mpmath.libmp import from_man_exp, mpf_mul
 import defexp.zeros as zeros
 from defexp.precreal import PrecReal, context, to_mpf
 from defexp.qseries import a_series
-from defexp.validate import ratio_check, residual_profile
+from defexp.validate import ratio_check, residual_profile, zero_table
 from defexp.zeros import (
     BracketError,
     ZeroResult,
@@ -779,6 +779,34 @@ def test_zero_index_and_count_must_be_positive_integers(k):
         paired_term_gaps(k, Q_HALF, 1)
     with pytest.raises(ValueError, match="count"):
         scan_zeros(Q_HALF, -300, k)
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("work done before the working precision was checked")
+
+
+@pytest.mark.parametrize("bits", [100.5, 7, 0], ids=repr)
+def test_zero_precision_is_an_integer_of_at_least_8_bits(monkeypatch, bits):
+    """find_zero, and so zero_table, check an explicit precision at entry,
+    with the floor DEFEXP_PRECISION had: 100.5 once built the guess and
+    died with a TypeError in the rounding kernel."""
+    monkeypatch.setattr(zeros, "eval_f", _refuse)
+    monkeypatch.setattr(zeros, "coefficient_value", _refuse)
+    match = "working precision in bits " + ("must be an integer" if bits == 100.5 else "starts at 8")
+    with pytest.raises(ValueError, match=match):
+        find_zero(10, Q_HALF, precision_bits=bits)
+    with pytest.raises(ValueError, match=match):
+        zero_table(Q_HALF, 10, 12, precision_bits=bits)
+
+
+def test_eval_f_precision_is_an_integer(monkeypatch):
+    """An integral float is no precision either; the check comes before
+    the context is built."""
+    monkeypatch.setattr(zeros, "context", _refuse)
+    with pytest.raises(ValueError, match="working precision in bits must be an integer"):
+        eval_f(-1, Q_HALF, 64.0)
+    with pytest.raises(ValueError, match="working precision in bits starts at 4, got 3"):
+        eval_f(-1, Q_HALF, 3)
 
 
 def test_scan_zeros_indices_and_ordering(scanned_q_half):
