@@ -20,9 +20,21 @@ from math import ceil, factorial, log2
 from operator import index
 from threading import Lock, active_count
 
-from mpmath.libmp import MPZ, finf, fnan, fninf, fone, from_man_exp, mpf_pos
+from mpmath.libmp import (
+    finf,
+    fnan,
+    fninf,
+    from_man_exp,
+    mpf_abs,
+    mpf_div,
+    mpf_lt,
+    mpf_mul,
+    mpf_pos,
+    mpf_sub,
+    to_float,
+)
 
-from .precreal import PrecReal, context, to_mpf
+from .precreal import PrecReal, _round_fraction, context, to_mpf
 from .qseries import SERIES_TRUNC, coefficient_value
 
 __all__ = [
@@ -85,6 +97,18 @@ _Q_POWERS_LOCK = Lock()
 # where a lone zero breaks even, above every budget of the paper's check
 # at k <= 26 and q >= 9/20 (561 bits at most).
 _PAIR_MIN_BITS = 1024
+
+# find_zero runs Newton on a precision ladder from this many working bits
+# on: rungs p_0 = B, p_(i+1) = p_i // 2 + 32 down to the last one of at
+# least _LADDER_BASE_BITS, where the guess's C_i are evaluated too.  One
+# step from x correct to about p_(i+1) - 6 bits leaves it correct to
+# about 2 p_(i+1) - 12 > p_i bits (Brent & Zimmermann, Modern Computer
+# Arithmetic, 2010, section 4.2).  Every README budget is at most 647 bits
+# (test_readme_budgets_are_below_the_newton_ladder), so no golden zero
+# takes the ladder.  The threshold is kept apart from _PAIR_MIN_BITS so
+# that the helper can be switched off alone.
+_LADDER_MIN_BITS = 1024
+_LADDER_BASE_BITS = 128
 
 # The helper: (pid, request fd, reply fd) while it runs, None before it
 # starts or after it is stopped, False in a forked child (which never
@@ -264,7 +288,8 @@ def eval_f(x, q, precision_bits: int) -> PrecReal:
     a 1-bit value is returned so sign-probing callers can treat it as
     noise level.
 
-    The loop runs on Python ints and calls no libmp arithmetic: the
+    The loop (_f_raw, which Newton calls on raw mpfs with no context)
+    runs on Python ints and calls no libmp arithmetic: the
     term, the running total and the peak are each a mantissa times a
     power of two.  Each step (the products by x and by q^n, the quotient
     by n + 1, the sum, and the ratio |x| q^n/(n + 1)) is formed exactly,
@@ -291,14 +316,20 @@ def eval_f(x, q, precision_bits: int) -> PrecReal:
     X = getattr(xv, "_mpf_", None)
     if X is None:
         raise ValueError("x must be real")
+    man, exp, tag = _f_raw(X, qv._mpf_, precision_bits)
+    return PrecReal(ctx.make_mpf(from_man_exp(man, exp)), tag)
+
+
+def _f_raw(X: tuple, Q: tuple, prec: int) -> tuple[int, int, int]:
+    """eval_f's integer loop on raw mpfs x and q (0 < q < 1) at prec bits:
+    (man, exp, tag) with f(x) = man 2^exp, man signed, and tag its bits.
+    A non-finite x is a ValueError."""
     if X in (finf, fninf, fnan):
         raise ValueError("x must be finite")
-    Q = qv._mpf_
-    prec = precision_bits
     qpows = _q_powers(Q, prec)
     x_neg, xm, xe, _ = X
     if not xm:
-        return PrecReal(ctx.make_mpf(fone), prec)  # f(0) = 1
+        return 1, 0, prec  # f(0) = 1
     am, ae = _round(xm, xe, prec)  # |x| at prec, for the ratio
     far = prec + 4  # libmp's far-offset shortcut nudges at this depth
     tm, te, t_neg = 1, 0, False  # the term: (-1)^t_neg tm 2^te
@@ -349,47 +380,49 @@ def eval_f(x, q, precision_bits: int) -> PrecReal:
         # stop once |term| <= 2^-prec peak
         if ratio_small and mag <= peak_mag - prec and not _exceeds(tm, te, pm, pe - prec):
             break
-    total = ctx.make_mpf(from_man_exp(sm, se))
     if not sm:
-        lost = precision_bits
+        lost = prec
     else:
         lost = max(0, peak_mag - sm.bit_length() - se)
-    return PrecReal(total, max(1, precision_bits - lost))
+    return sm, se, max(1, prec - lost)
 
 
-def _eval_pair(t1, t2, qf: Fraction, bits: int) -> tuple[PrecReal, PrecReal]:
-    """(eval_f(t1, qf, bits), eval_f(t2, qf, bits)), bit for bit.
+def _eval_pair(X1: tuple, X2: tuple, Q: tuple, bits: int) -> tuple[tuple, tuple]:
+    """(_f_raw(X1, Q, bits), _f_raw(X2, Q, bits)), bit for bit.
 
-    From _PAIR_MIN_BITS on, t2 goes to one persistent helper process,
-    forked at the first such call, and t1 is evaluated here while it
+    From _PAIR_MIN_BITS on, X2 goes to one persistent helper process,
+    forked at the first such call, and X1 is evaluated here while it
     works.  Below that, or without os.fork, in a forked child, in a
     process that had other threads when the helper was due to start, or
     while another thread holds the pipes, both are evaluated here.  The
-    value crosses the pipe as a raw mpf tuple and its tag, and is rebuilt
-    in context(bits), where eval_f builds it.
+    request and the reply cross the pipe as raw tuples of ints; neither
+    side builds an mpf or a context.
     """
     if bits < _PAIR_MIN_BITS or not _helper_lock.acquire(blocking=False):
-        return eval_f(t1, qf, bits), eval_f(t2, qf, bits)
+        return _f_raw(X1, Q, bits), _f_raw(X2, Q, bits)
     try:
         helper = _start_helper() if _helper is None else _helper
         if not helper:
-            return eval_f(t1, qf, bits), eval_f(t2, qf, bits)
-        ctx = context(bits)
-        sign, man, exp, bc = to_mpf(ctx, t2)._mpf_
+            return _f_raw(X1, Q, bits), _f_raw(X2, Q, bits)
         try:
-            sent = _send(helper[1], (sign, int(man), exp, bc, qf.numerator, qf.denominator, bits))
-            first = eval_f(t1, qf, bits)
+            sent = _send(helper[1], (_plain(X2), _plain(Q), bits))
+            first = _f_raw(X1, Q, bits)
             reply = _receive(helper[2]) if sent else None
         except BaseException:  # a late reply must not answer the next request
             _stop_helper()
             raise
-        if reply is None:  # eval_f raised there (it raises here too), or the helper died
+        if reply is None:  # _f_raw raised there (it raises here too), or the helper died
             _stop_helper()
-            return first, eval_f(t2, qf, bits)
-        (sign, man, exp, bc), tag = reply
-        return first, PrecReal(ctx.make_mpf((sign, MPZ(man), exp, bc)), tag)
+            return first, _f_raw(X2, Q, bits)
+        return first, reply
     finally:
         _helper_lock.release()
+
+
+def _plain(X: tuple) -> tuple:
+    """A raw mpf with a plain int mantissa, as marshal takes it."""
+    sign, man, exp, bc = X
+    return sign, int(man), exp, bc
 
 
 def _start_helper() -> tuple[int, int, int] | None:
@@ -422,13 +455,11 @@ def _start_helper() -> tuple[int, int, int] | None:
 
 
 def _serve(requests: int, replies: int) -> None:
-    """The helper's loop: one eval_f per request, until EOF."""
+    """The helper's loop: one _f_raw per request, until EOF."""
     while (request := _receive(requests)) is not None:
-        sign, man, exp, bc, a, b, bits = request
         try:
-            value = eval_f(context(bits).make_mpf((sign, MPZ(man), exp, bc)), Fraction(a, b), bits)
-            sign, man, exp, bc = value.value._mpf_
-            reply = ((sign, int(man), exp, bc), value.precision_bits)
+            man, exp, tag = _f_raw(*request)
+            reply = int(man), exp, tag
         except Exception:
             reply = None
         _send(replies, reply)
@@ -521,6 +552,28 @@ def _asymptotic_guess(ctx, k: int, qf: Fraction, n_guess: int, bits: int):
     return -kk * qv ** (1 - k) * corr
 
 
+def _newton(x: tuple, qf: Fraction, prec: int, steps: list, limit: int) -> tuple:
+    """At most `limit` Newton steps x -= f(x)/f(qx) at prec bits on the
+    raw mpf x (f' = f(qx) by the defining functional equation), each
+    relative step appended to `steps`.  It stops once a step is below
+    2^(4 - prec) relative or f(x) keeps 8 bits or fewer, and before a
+    step when f(qx) is lost to cancellation (x is as good as it gets).
+    Each operation rounds to nearest at prec, as context(prec) does."""
+    Q = _round_fraction(qf, prec)
+    target = from_man_exp(1, 4 - prec)
+    for _ in range(limit):
+        (fm, fe, ftag), (dm, de, dtag) = _eval_pair(x, mpf_mul(Q, x, prec, _NEAREST), Q, prec)
+        if dtag <= 1:
+            break
+        step = mpf_div(from_man_exp(fm, fe), from_man_exp(dm, de), prec, _NEAREST)
+        x = mpf_sub(x, step, prec, _NEAREST)
+        rel = mpf_div(mpf_abs(step), mpf_abs(x), prec, _NEAREST)
+        steps.append(to_float(rel, rnd=_NEAREST))
+        if mpf_lt(rel, target) or ftag <= 8:
+            break
+    return x
+
+
 @dataclass(frozen=True)
 class ZeroResult:
     """One located zero with its bracket and acceptance residual."""
@@ -565,9 +618,19 @@ def find_zero(k: int, q, n_guess: int = 2, precision_bits: int | None = None) ->
     kernel's error bound together with eval_f's at the full precision:
     the sign is then the true one, the one the full-precision evaluation
     gives.  Any other probe falls back to the full-precision evaluation,
-    so the result is the same bit for bit; the endpoints, the midpoints,
-    Newton and the residual all stay at full precision, and Newton and
-    the residual are what most of the time goes to.
+    so the result is the same bit for bit; the endpoints, the midpoints
+    and the residual all stay at full precision.
+
+    Below _LADDER_MIN_BITS = 1024 working bits, Newton steps at the full
+    budget B until a step is below 2^(4 - B) relative.  From there on it
+    runs on a precision ladder p_0 = B, p_(i+1) = p_i // 2 + 32, down to
+    the last rung of at least 128 bits: to convergence on the bottom rung
+    from the bisection's 60 bits, one step on each rung above it, each
+    about doubling the correct bits, then at B as below the threshold,
+    which then takes two steps where it took 6 to 10 (a k = 100 zero
+    takes about 0.45x the time).  The guess's C_i are then evaluated at
+    128 bits, not at B: the bracket needs far fewer.  x comes out
+    correct to within a few bits of B either way.
 
     Each Newton step's f(x) and f(qx) are independent, and _eval_pair
     evaluates them side by side from _PAIR_MIN_BITS = 1024 working bits
@@ -586,12 +649,10 @@ def find_zero(k: int, q, n_guess: int = 2, precision_bits: int | None = None) ->
     bits = _positive_index(bits, "working precision in bits", 8)
     ctx = context(bits)
 
-    guess = _asymptotic_guess(ctx, k, qf, n_guess, bits)
+    guess_bits = _LADDER_BASE_BITS if bits >= _LADDER_MIN_BITS else bits
+    guess = _asymptotic_guess(ctx, k, qf, n_guess, guess_bits)
     delta_max = ctx.mpf(1) / (4 * k)
     delta = min(ctx.mpf(k) ** (-(n_guess + 2)), delta_max)
-
-    def f(t) -> PrecReal:
-        return eval_f(t, qf, bits)
 
     # Every probed t has |t| <= 2|guess|: q^n |t| < 1/2, hence the ratio
     # tests of the kernel and of eval_f, holds from n0 =
@@ -633,23 +694,18 @@ def find_zero(k: int, q, n_guess: int = 2, precision_bits: int | None = None) ->
         else:
             b = mid
 
-    # Newton, converging quadratically to the working precision
-    x = (a + b) / 2
-    qv = to_mpf(ctx, qf)
+    # Newton at the working precision, or on the ladder from its bottom
+    # rung up: to convergence at the ends, one step at each rung between
+    rungs = [bits]
+    while bits >= _LADDER_MIN_BITS and rungs[-1] // 2 + 32 >= _LADDER_BASE_BITS:
+        rungs.append(rungs[-1] // 2 + 32)
+    x = ((a + b) / 2)._mpf_
     steps: list[float] = []
-    target = ctx.mpf(2) ** (4 - bits)
-    for _ in range(bits.bit_length() + 8):
-        fx, fpx = _eval_pair(x, qv * x, qf, bits)
-        if fpx.precision_bits <= 1:
-            break  # derivative lost to cancellation; x is as good as it gets
-        step = to_mpf(ctx, fx) / to_mpf(ctx, fpx)
-        x = x - step
-        rel = abs(step) / abs(x)
-        steps.append(float(rel))
-        if rel < target or fx.precision_bits <= 8:
-            break
+    for p in reversed(rungs):
+        x = _newton(x, qf, p, steps, p.bit_length() + 8 if p in (bits, rungs[-1]) else 1)
+    x = ctx.make_mpf(x)
 
-    residual = abs(f(x))
+    residual = abs(eval_f(x, qf, bits))
     return ZeroResult(
         k=k,
         q=qf,

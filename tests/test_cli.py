@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import defexp.cli
+import defexp.zeros as zeros
 from defexp.cli import main
 from defexp.jpoly import DecompositionError
 from defexp.qseries import a_series, eisenstein_q
@@ -85,6 +86,28 @@ def test_readme_invocation_matches_its_golden(capsys, monkeypatch, tmp_path, nam
     assert csv.exists() == csv_golden.exists()
     if csv_golden.exists():
         assert csv.read_bytes() == csv_golden.read_bytes()
+
+
+def test_readme_budgets_are_below_the_newton_ladder(capsys, monkeypatch, tmp_path):
+    """Every evaluation of f in the README invocations is at 647 bits or
+    fewer, below the threshold of find_zero's precision ladder (which
+    would move the digits of a golden zero): a threshold lowered that far
+    fails here by name, not only as a golden diff."""
+    monkeypatch.delenv(defexp.cli.PRECISION_ENV, raising=False)
+    monkeypatch.chdir(tmp_path)
+    seen = set()
+    kernel = zeros._f_raw
+
+    def counted(X, Q, bits):
+        seen.add(bits)
+        return kernel(X, Q, bits)
+
+    monkeypatch.setattr(zeros, "_f_raw", counted)
+    for argv in README_INVOCATIONS.values():
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 0, err
+    assert max(seen) == 647
+    assert max(seen) < zeros._LADDER_MIN_BITS
 
 
 def test_coeff_raw_lowest_orders(capsys):

@@ -17,10 +17,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from mpmath import mpf
-from mpmath.libmp import from_man_exp, mpf_mul
+from mpmath.libmp import finf, from_int, from_man_exp, mpf_mul
 
 import defexp.zeros as zeros
-from defexp.precreal import PrecReal, context, to_mpf
+from defexp.precreal import PrecReal, _round_fraction, context, to_mpf
 from defexp.qseries import a_series
 from defexp.validate import ratio_check, residual_profile, zero_table
 from defexp.zeros import (
@@ -316,12 +316,29 @@ def _check_rows(zs: list) -> list:
     return rows + [(k, raw(r)) for k, r in ratio_check(q, 10, 10, zeros=table)]
 
 
+def _reference_f_raw(X: tuple, Q: tuple, bits: int) -> tuple:
+    """_f_raw on the operator loop, for raw mpfs x and q."""
+    ctx = context(bits)
+    v = _reference_eval_f(ctx.make_mpf(X), ctx.make_mpf(Q), bits)
+    sign, man, exp, _ = v.value._mpf_
+    return -man if sign else man, exp, v.precision_bits
+
+
 def test_zero_finders_are_unchanged_on_the_reference_kernel(monkeypatch, scanned_q_half):
+    """Every evaluation of f, eval_f's and each Newton rung's alike, on the
+    operator loop: x_40 at q = 7/15 climbs the ladder from 1,135 bits."""
     q = Fraction(7, 15)
     fast = [find_zero(k, q) for k in (10, 11, 25, 40)]
-    monkeypatch.setattr(zeros, "eval_f", _reference_eval_f)
+    seen = set()
+
+    def reference(X, Q, bits):
+        seen.add(bits)
+        return _reference_f_raw(X, Q, bits)
+
+    monkeypatch.setattr(zeros, "_f_raw", reference)
     monkeypatch.setattr(zeros, "_PAIR_MIN_BITS", 1 << 62)  # every f(qx) here, too
     slow = [find_zero(k, q) for k in (10, 11, 25, 40)]
+    assert {1135, 599, 331, 197, 130} <= seen  # its rungs
     slow_scan = scan_zeros(Q_HALF, -300, 6)
     assert fast == slow
     assert slow_scan == scanned_q_half
@@ -356,9 +373,11 @@ def test_q_power_table_is_not_poisoned_across_q_and_precision():
 
 
 def _reference_find_zero(k: int, q, n_guess: int = 2, precision_bits=None) -> ZeroResult:
-    """find_zero as it was with every bracket and bisection sign read at
-    the full budget, kept verbatim as the reference the certified probes
-    must reproduce bit for bit."""
+    """find_zero with every bracket and bisection sign read at the full
+    budget and Newton written on contexts and eval_f, the reference that
+    the certified probes and the raw Newton steps must reproduce bit for
+    bit.  From 1,024 bits Newton climbs the ladder of rungs p // 2 + 32
+    and the guess's C_i are at 128 bits."""
     if k < 1:
         raise ValueError("zero index starts at 1")
     qf = Fraction(q)
@@ -366,8 +385,12 @@ def _reference_find_zero(k: int, q, n_guess: int = 2, precision_bits=None) -> Ze
         raise ValueError("q must lie in (0, 1)")
     bits = precision_bits if precision_bits is not None else required_precision(k, qf)
     ctx = context(bits)
+    rungs = [bits]
+    if bits >= 1024:
+        while rungs[-1] // 2 + 32 >= 128:
+            rungs.append(rungs[-1] // 2 + 32)
 
-    guess = _asymptotic_guess(ctx, k, qf, n_guess, bits)
+    guess = _asymptotic_guess(ctx, k, qf, n_guess, bits if len(rungs) == 1 else 128)
     delta_max = ctx.mpf(1) / (4 * k)
     delta = min(ctx.mpf(k) ** (-(n_guess + 2)), delta_max)
 
@@ -405,22 +428,26 @@ def _reference_find_zero(k: int, q, n_guess: int = 2, precision_bits=None) -> Ze
         else:
             b = mid
 
-    # Newton, converging quadratically to the working precision
+    # Newton, converging quadratically on the bottom rung and on the full
+    # budget, one step on each rung between
     x = (a + b) / 2
-    qv = to_mpf(ctx, qf)
     steps: list[float] = []
-    target = ctx.mpf(2) ** (4 - bits)
-    for _ in range(bits.bit_length() + 8):
-        fx = f(x)
-        fpx = eval_f(qv * x, qf, bits)
-        if fpx.precision_bits <= 1:
-            break  # derivative lost to cancellation; x is as good as it gets
-        step = to_mpf(ctx, fx) / to_mpf(ctx, fpx)
-        x = x - step
-        rel = abs(step) / abs(x)
-        steps.append(float(rel))
-        if rel < target or fx.precision_bits <= 8:
-            break
+    for p in reversed(rungs):
+        pctx = context(p)
+        x = pctx.convert(x)  # no rounding: the first step rounds x - step
+        qv = to_mpf(pctx, qf)
+        target = pctx.mpf(2) ** (4 - p)
+        for _ in range(p.bit_length() + 8 if p in (bits, rungs[-1]) else 1):
+            fx = eval_f(x, qf, p)
+            fpx = eval_f(qv * x, qf, p)
+            if fpx.precision_bits <= 1:
+                break  # derivative lost to cancellation; x is as good as it gets
+            step = to_mpf(pctx, fx) / to_mpf(pctx, fpx)
+            x = x - step
+            rel = abs(step) / abs(x)
+            steps.append(float(rel))
+            if rel < target or fx.precision_bits <= 8:
+                break
 
     residual = abs(f(x))
     return ZeroResult(
@@ -660,29 +687,42 @@ def test_probe_sum_is_the_exact_sum_of_its_truncated_terms(q, where, ratio_decid
 
 
 def test_bracket_and_bisection_make_no_full_budget_call(monkeypatch):
-    """At k = 60 the bracket and the bisection run on the integer kernel
-    only: every eval_f call of find_zero is at the full budget, for Newton
-    (two calls a step) and the residual."""
-    k = 60
-    bits = required_precision(k, Q_HALF)
+    """At k = 60 and 100 the bracket and the bisection run on the integer
+    kernel only: the one eval_f call of find_zero is the residual, and of
+    its f evaluations at the full budget (all local here) at most two
+    Newton pairs and the residual remain; the rest are on the ladder's
+    lower rungs, at B // 2 + 32 bits or fewer."""
     calls = []
+    raw = []
     probes = []
-    kernel = zeros._probe_sign
+    kernel, loop, prober = zeros.eval_f, zeros._f_raw, zeros._probe_sign
 
     def counted(x, q, b):
         calls.append(b)
-        return eval_f(x, q, b)
+        return kernel(x, q, b)
+
+    def counted_raw(X, Q, b):
+        raw.append(b)
+        return loop(X, Q, b)
 
     def counted_probe(t, q):
         probes.append(t)
-        return kernel(t, q)
+        return prober(t, q)
 
     monkeypatch.setattr(zeros, "eval_f", counted)
+    monkeypatch.setattr(zeros, "_f_raw", counted_raw)
     monkeypatch.setattr(zeros, "_probe_sign", counted_probe)
-    z = find_zero(k, Q_HALF)
-    assert set(calls) == {bits}
-    assert len(probes) >= 40
-    assert len(calls) <= 2 * len(z.newton_rel_steps) + 2
+    for k in (60, 100):
+        bits = required_precision(k, Q_HALF)
+        monkeypatch.setattr(zeros, "_PAIR_MIN_BITS", bits + 1)
+        calls.clear()
+        raw.clear()
+        probes.clear()
+        find_zero(k, Q_HALF)
+        assert calls == [bits], k
+        assert len(probes) >= 40, k
+        assert raw.count(bits) <= 2 * 2 + 1, k
+        assert max(b for b in raw if b < bits) <= bits // 2 + 32, k
 
 
 def test_scan_oracle_does_not_read_the_probe_kernel(monkeypatch, scanned_q_half):
@@ -735,6 +775,28 @@ def test_find_zero_newton_converges_quadratically():
     for early, late in zip(steps, steps[1:]):
         assert late < early
         assert late < early**2 * 1e6  # quadratic up to a modest constant
+
+
+@pytest.mark.parametrize(
+    "k, q",
+    [(60, Q_HALF), (100, Q_HALF), (60, Q_9_19), (100, Q_9_19), (40, Fraction(1, 10))],
+    ids=str,
+)
+def test_ladder_zeros_change_sign_within_16_bits_of_the_budget(k, q):
+    """A check that runs no Newton step: f, read by eval_f at B + 64 bits,
+    changes sign across x (1 -+ 2^-(B - 16)) for zeros found on the ladder
+    (measured: x is correct to within 7 bits of B, as before the ladder)."""
+    z = find_zero(k, q)
+    bits = z.precision_bits
+    assert bits >= zeros._LADDER_MIN_BITS
+    ctx = context(bits + 64)
+    x = to_mpf(ctx, z.x)
+    eps = ctx.ldexp(1, 16 - bits)
+    inner = eval_f(x * (1 - eps), q, bits + 64)
+    outer = eval_f(x * (1 + eps), q, bits + 64)
+    want = 1 if k % 2 else -1
+    assert (_sign(inner), _sign(outer)) == (want, -want)
+    assert min(inner.precision_bits, outer.precision_bits) > 32
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
@@ -791,6 +853,7 @@ def test_zero_precision_is_an_integer_of_at_least_8_bits(monkeypatch, bits):
     with the floor DEFEXP_PRECISION had: 100.5 once built the guess and
     died with a TypeError in the rounding kernel."""
     monkeypatch.setattr(zeros, "eval_f", _refuse)
+    monkeypatch.setattr(zeros, "_f_raw", _refuse)
     monkeypatch.setattr(zeros, "coefficient_value", _refuse)
     match = "working precision in bits " + ("must be an integer" if bits == 100.5 else "starts at 8")
     with pytest.raises(ValueError, match=match):
@@ -1110,32 +1173,32 @@ def test_an_exception_inside_an_exchange_reaps_the_helper(monkeypatch):
     the next pair starts a new helper and the zero is the reference one."""
     pid = _helper_pid()
     calls = []
-    kernel = zeros.eval_f
+    kernel = zeros._f_raw
 
-    def interrupted(x, q, bits):
-        calls.append(bits)
-        if len(calls) == 2:  # the local half of Newton's second pair
-            raise _Interrupt
-        return kernel(x, q, bits)
+    def interrupted(X, Q, bits):
+        if bits >= zeros._PAIR_MIN_BITS:
+            calls.append(bits)
+            if len(calls) == 2:  # the local half of Newton's second paired step
+                raise _Interrupt
+        return kernel(X, Q, bits)
 
-    monkeypatch.setattr(zeros, "eval_f", interrupted)
+    monkeypatch.setattr(zeros, "_f_raw", interrupted)
     with pytest.raises(_Interrupt):
         find_zero(60, Q_HALF)
     assert zeros._helper is None
     assert _reaped(pid)
-    monkeypatch.setattr(zeros, "eval_f", kernel)
+    monkeypatch.setattr(zeros, "_f_raw", kernel)
     z = find_zero(60, Q_HALF)
     assert zeros._helper and zeros._helper[0] != pid
     assert _zero_fields(z) == _zero_fields(_reference_find_zero(60, Q_HALF))
 
 
 def test_a_failing_helper_evaluation_is_raised_locally(monkeypatch):
-    """A request eval_f rejects comes back empty: the helper is retired and
-    the evaluation is repeated here, raising eval_f's own error."""
+    """A request _f_raw rejects comes back empty: the helper is retired and
+    the evaluation is repeated here, raising _f_raw's own error."""
     pid = _helper_pid()
-    ctx = context(2048)
     with pytest.raises(ValueError, match="finite"):
-        zeros._eval_pair(ctx.mpf(-3), ctx.inf, Q_HALF, 2048)
+        zeros._eval_pair(from_int(-3), finf, _round_fraction(Q_HALF, 2048), 2048)
     assert zeros._helper is None
     assert _reaped(pid)
 
