@@ -9,16 +9,12 @@ and reports the bits that survive cancellation.
 
 from __future__ import annotations
 
-import atexit
-import marshal
-import os
-import signal
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import ceil, factorial, log2
+from math import ceil, factorial, inf, log2
 from operator import index
-from threading import Lock, active_count
+from threading import Lock
 
 from mpmath.libmp import (
     finf,
@@ -31,7 +27,6 @@ from mpmath.libmp import (
     mpf_mul,
     mpf_pos,
     mpf_sub,
-    to_float,
 )
 
 from .precreal import PrecReal, _round_fraction, context, to_mpf
@@ -83,39 +78,17 @@ _MAX_GUESS_ORDER = 20
 _NEAREST = "n"  # the rounding mode of every context(bits)
 _Q_POWERS_LOCK = Lock()
 
-# _eval_pair hands its second evaluation to the helper process from this
-# many working bits on.  Measured at q = 9/19 on a shared 2-core machine
-# (Python 3.11, mpmath's pure-Python backend), medians of 15 pairs, the
-# serial pair against the paired one: 0.86 / 0.74 ms at 356 bits, 1.23 /
-# 0.91 ms at 537, 1.44 / 1.13 ms at 681, 3.25 / 2.16 ms at 1,118, 10.5 /
-# 6.5 ms at 2,327 and 27.8 / 17.3 ms at 3,977 (the two vCPUs slow each
-# other's big-int work, hence not 0.5x).  A pair wins from about 400 bits,
-# but the first one also pays the fork (about 1 ms), the stop at exit
-# (about 1 ms) and the copy-on-write faults in between: one zero in a
-# fresh process, medians of 7, took 19.0 / 24.3 ms at k = 30 (681 bits)
-# and 31.6 / 30.5 ms at k = 40 (1,118 bits).  So the helper starts only
-# where a lone zero breaks even, above every budget of the paper's check
-# at k <= 26 and q >= 9/20 (561 bits at most).
-_PAIR_MIN_BITS = 1024
-
 # find_zero runs Newton on a precision ladder from this many working bits
 # on: rungs p_0 = B, p_(i+1) = p_i // 2 + 32 down to the last one of at
 # least _LADDER_BASE_BITS, where the guess's C_i are evaluated too.  One
 # step from x correct to about p_(i+1) - 6 bits leaves it correct to
 # about 2 p_(i+1) - 12 > p_i bits (Brent & Zimmermann, Modern Computer
-# Arithmetic, 2010, section 4.2).  Every README budget is at most 647 bits
-# (test_readme_budgets_are_below_the_newton_ladder), so no golden zero
-# takes the ladder.  The threshold is kept apart from _PAIR_MIN_BITS so
-# that the helper can be switched off alone.
+# Arithmetic, 2010, section 4.2).  That step needs f'(x) = f(qx) only to
+# about the bits x has, so a rung reads it at the rung below.  Every README
+# budget is at most 647 bits (test_readme_budgets_are_below_the_newton_ladder),
+# so no golden zero takes the ladder.
 _LADDER_MIN_BITS = 1024
 _LADDER_BASE_BITS = 128
-
-# The helper: (pid, request fd, reply fd) while it runs, None before it
-# starts or after it is stopped, False in a forked child (which never
-# starts one).  _helper_lock guards the pipes; a caller that finds it
-# held evaluates locally.
-_helper: tuple[int, int, int] | None | bool = None
-_helper_lock = Lock()
 
 
 class BracketError(RuntimeError):
@@ -316,7 +289,11 @@ def eval_f(x, q, precision_bits: int) -> PrecReal:
     X = getattr(xv, "_mpf_", None)
     if X is None:
         raise ValueError("x must be real")
-    man, exp, tag = _f_raw(X, qv._mpf_, precision_bits)
+    return _prec_real(ctx, *_f_raw(X, qv._mpf_, precision_bits))
+
+
+def _prec_real(ctx, man: int, exp: int, tag: int) -> PrecReal:
+    """_f_raw's (man, exp, tag) as eval_f returns it."""
     return PrecReal(ctx.make_mpf(from_man_exp(man, exp)), tag)
 
 
@@ -387,142 +364,6 @@ def _f_raw(X: tuple, Q: tuple, prec: int) -> tuple[int, int, int]:
     return sm, se, max(1, prec - lost)
 
 
-def _eval_pair(X1: tuple, X2: tuple, Q: tuple, bits: int) -> tuple[tuple, tuple]:
-    """(_f_raw(X1, Q, bits), _f_raw(X2, Q, bits)), bit for bit.
-
-    From _PAIR_MIN_BITS on, X2 goes to one persistent helper process,
-    forked at the first such call, and X1 is evaluated here while it
-    works.  Below that, or without os.fork, in a forked child, in a
-    process that had other threads when the helper was due to start, or
-    while another thread holds the pipes, both are evaluated here.  The
-    request and the reply cross the pipe as raw tuples of ints; neither
-    side builds an mpf or a context.
-    """
-    if bits < _PAIR_MIN_BITS or not _helper_lock.acquire(blocking=False):
-        return _f_raw(X1, Q, bits), _f_raw(X2, Q, bits)
-    try:
-        helper = _start_helper() if _helper is None else _helper
-        if not helper:
-            return _f_raw(X1, Q, bits), _f_raw(X2, Q, bits)
-        try:
-            sent = _send(helper[1], (_plain(X2), _plain(Q), bits))
-            first = _f_raw(X1, Q, bits)
-            reply = _receive(helper[2]) if sent else None
-        except BaseException:  # a late reply must not answer the next request
-            _stop_helper()
-            raise
-        if reply is None:  # _f_raw raised there (it raises here too), or the helper died
-            _stop_helper()
-            return first, _f_raw(X2, Q, bits)
-        return first, reply
-    finally:
-        _helper_lock.release()
-
-
-def _plain(X: tuple) -> tuple:
-    """A raw mpf with a plain int mantissa, as marshal takes it."""
-    sign, man, exp, bc = X
-    return sign, int(man), exp, bc
-
-
-def _start_helper() -> tuple[int, int, int] | None:
-    """Fork the helper, only while this is the process's one thread: a
-    lock another thread holds (say _Q_POWERS_LOCK) would stay held in it."""
-    global _helper
-    if not hasattr(os, "fork") or active_count() != 1:
-        return None
-    requests_r, requests_w = os.pipe()
-    replies_r, replies_w = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        for fd in (requests_r, requests_w, replies_r, replies_w):
-            os.close(fd)
-        return None
-    if pid == 0:
-        code = 1
-        try:
-            os.close(requests_w)
-            os.close(replies_r)
-            _serve(requests_r, replies_w)
-            code = 0
-        finally:
-            os._exit(code)  # no atexit handlers, no stdio flush
-    os.close(requests_r)
-    os.close(replies_w)
-    _helper = (pid, requests_w, replies_r)
-    return _helper
-
-
-def _serve(requests: int, replies: int) -> None:
-    """The helper's loop: one _f_raw per request, until EOF."""
-    while (request := _receive(requests)) is not None:
-        try:
-            man, exp, tag = _f_raw(*request)
-            reply = int(man), exp, tag
-        except Exception:
-            reply = None
-        _send(replies, reply)
-
-
-def _stop_helper() -> None:
-    """Kill the helper, reap it and close its pipes; the next pair starts
-    a new one."""
-    global _helper
-    if not _helper:
-        return
-    (pid, requests, replies), _helper = _helper, None
-    try:
-        os.kill(pid, signal.SIGKILL)
-        os.waitpid(pid, 0)
-    except (ProcessLookupError, ChildProcessError):
-        pass  # reaped already
-    os.close(requests)
-    os.close(replies)
-
-
-def _forget_helper() -> None:
-    """In a forked child: close the parent's pipe ends and never start a
-    helper (a fork-based pool already has the cores at work)."""
-    global _helper, _helper_lock
-    if _helper:  # raw fds: closing them takes no lock a parent thread may hold
-        os.close(_helper[1])
-        os.close(_helper[2])
-    _helper = False
-    _helper_lock = Lock()
-
-
-def _send(fd: int, message) -> bool:
-    """Write message, marshalled after its length in 8 bytes; False when
-    the reading end is closed."""
-    data = marshal.dumps(message)
-    data = len(data).to_bytes(8, "little") + data
-    try:
-        while data:
-            data = data[os.write(fd, data) :]
-    except BrokenPipeError:
-        return False
-    return True
-
-
-def _receive(fd: int):
-    """The next message on fd, or None at EOF."""
-    data, size = b"", 8
-    while len(data) < size:
-        chunk = os.read(fd, size - len(data))
-        if not chunk:
-            return None
-        data += chunk
-        if size == 8 == len(data):
-            size += int.from_bytes(data, "little")
-    return marshal.loads(data[8:])
-
-
-atexit.register(_stop_helper)
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_helper)
-
-
 def _sign(value: PrecReal) -> int:
     if value.value > 0:
         return 1
@@ -552,31 +393,42 @@ def _asymptotic_guess(ctx, k: int, qf: Fraction, n_guess: int, bits: int):
     return -kk * qv ** (1 - k) * corr
 
 
-def _newton(x: tuple, qf: Fraction, prec: int, steps: list, limit: int) -> tuple:
-    """At most `limit` Newton steps x -= f(x)/f(qx) at prec bits on the
-    raw mpf x (f' = f(qx) by the defining functional equation), each
-    relative step appended to `steps`.  It stops once a step is below
-    2^(4 - prec) relative or f(x) keeps 8 bits or fewer, and before a
-    step when f(qx) is lost to cancellation (x is as good as it gets).
-    Each operation rounds to nearest at prec, as context(prec) does."""
+def _newton(x: tuple, qf: Fraction, prec: int, below: int, steps: list, limit: int) -> tuple:
+    """At most `limit` Newton steps x -= f(x)/f(qx) on the raw mpf x (f' =
+    f(qx) by the defining functional equation), f(x) read at prec bits
+    and f(qx) at `below` <= prec, every other operation rounded to nearest
+    at prec, as context(prec) rounds it; log2 of each relative step
+    |step|/|x - step| is appended to `steps`.  It stops once a step is
+    below 2^(4 - prec) relative or f(x) keeps 8 bits or fewer, and before
+    a step when f(qx) is lost to cancellation (x is as good as it gets).
+    Returns (x, None), or on a ladder rung (below < prec), where that last
+    step is not taken, x with the f(x) that ended the loop, as _f_raw
+    gives it."""
     Q = _round_fraction(qf, prec)
+    Q_below = _round_fraction(qf, below)
     target = from_man_exp(1, 4 - prec)
     for _ in range(limit):
-        (fm, fe, ftag), (dm, de, dtag) = _eval_pair(x, mpf_mul(Q, x, prec, _NEAREST), Q, prec)
+        fx = _f_raw(x, Q, prec)
+        dm, de, dtag = _f_raw(mpf_mul(Q_below, x, below, _NEAREST), Q_below, below)
         if dtag <= 1:
             break
-        step = mpf_div(from_man_exp(fm, fe), from_man_exp(dm, de), prec, _NEAREST)
-        x = mpf_sub(x, step, prec, _NEAREST)
-        rel = mpf_div(mpf_abs(step), mpf_abs(x), prec, _NEAREST)
-        steps.append(to_float(rel, rnd=_NEAREST))
-        if mpf_lt(rel, target) or ftag <= 8:
+        step = mpf_div(from_man_exp(fx[0], fx[1]), from_man_exp(dm, de), prec, _NEAREST)
+        new = mpf_sub(x, step, prec, _NEAREST)
+        _, rm, re, _ = rel = mpf_div(mpf_abs(step), mpf_abs(new), prec, _NEAREST)
+        steps.append(log2(rm) + re if rm else -inf)
+        done = mpf_lt(rel, target) or fx[2] <= 8
+        if done and below < prec:
+            return x, fx
+        x = new
+        if done:
             break
-    return x
+    return x, None
 
 
 @dataclass(frozen=True)
 class ZeroResult:
-    """One located zero with its bracket and acceptance residual."""
+    """One located zero with its bracket and acceptance residual;
+    newton_rel_steps holds log2 of each relative Newton step."""
 
     k: int
     q: Fraction
@@ -622,24 +474,20 @@ def find_zero(k: int, q, n_guess: int = 2, precision_bits: int | None = None) ->
     and the residual all stay at full precision.
 
     Below _LADDER_MIN_BITS = 1024 working bits, Newton steps at the full
-    budget B until a step is below 2^(4 - B) relative.  From there on it
-    runs on a precision ladder p_0 = B, p_(i+1) = p_i // 2 + 32, down to
-    the last rung of at least 128 bits: to convergence on the bottom rung
-    from the bisection's 60 bits, one step on each rung above it, each
-    about doubling the correct bits, then at B as below the threshold,
-    which then takes two steps where it took 6 to 10 (a k = 100 zero
-    takes about 0.45x the time).  The guess's C_i are then evaluated at
-    128 bits, not at B: the bracket needs far fewer.  x comes out
-    correct to within a few bits of B either way.
-
-    Each Newton step's f(x) and f(qx) are independent, and _eval_pair
-    evaluates them side by side from _PAIR_MIN_BITS = 1024 working bits
-    on: a single-threaded POSIX process forks one helper process at the
-    first such step, which serves f(qx) while f(x) is evaluated here
-    (about 0.6x the time of a large-k zero on two cores).  Elsewhere,
-    and below that budget, both are evaluated here.  Both routes give
-    eval_f's values bit for bit, so the result does not depend on which
-    one ran.
+    budget B until a step is below 2^(4 - B) relative, and the residual
+    is one more evaluation at B.  From there on it runs on a precision
+    ladder p_0 = B, p_(i+1) = p_i // 2 + 32, down to the last rung of at
+    least 128 bits: to convergence on the bottom rung from the
+    bisection's 60 bits, then one step on each rung above it, each about
+    doubling the correct bits and reading f(x) at its own bits and f(qx)
+    at the rung below.  At B one step takes x to within a few bits of B,
+    and f(x) is read there once more: when the step it implies is below
+    2^(4 - B) relative, or f(x) keeps 8 bits or fewer, the step is not
+    taken and that f(x) is the residual; else Newton steps on, bounded as
+    below the threshold.  So a ladder
+    zero evaluates f at B twice.  The guess's C_i are then evaluated at
+    128 bits, not at B: the bracket needs far fewer.  x comes out correct
+    to within a few bits of B either way.
     """
     k = _positive_index(k)
     if not 0 <= n_guess <= _MAX_GUESS_ORDER:
@@ -695,17 +543,19 @@ def find_zero(k: int, q, n_guess: int = 2, precision_bits: int | None = None) ->
             b = mid
 
     # Newton at the working precision, or on the ladder from its bottom
-    # rung up: to convergence at the ends, one step at each rung between
+    # rung up: to convergence at the ends, one step at each rung between,
+    # each f(qx) read at the rung below
     rungs = [bits]
     while bits >= _LADDER_MIN_BITS and rungs[-1] // 2 + 32 >= _LADDER_BASE_BITS:
         rungs.append(rungs[-1] // 2 + 32)
     x = ((a + b) / 2)._mpf_
     steps: list[float] = []
-    for p in reversed(rungs):
-        x = _newton(x, qf, p, steps, p.bit_length() + 8 if p in (bits, rungs[-1]) else 1)
+    for p, below in reversed(list(zip(rungs, rungs[1:] + rungs[-1:]))):
+        limit = p.bit_length() + 8 if p in (bits, rungs[-1]) else 1
+        x, fx = _newton(x, qf, p, below, steps, limit)
     x = ctx.make_mpf(x)
 
-    residual = abs(eval_f(x, qf, bits))
+    residual = abs(eval_f(x, qf, bits) if fx is None else _prec_real(ctx, *fx))
     return ZeroResult(
         k=k,
         q=qf,

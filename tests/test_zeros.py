@@ -1,26 +1,21 @@
 """Series evaluation, both zero finders, and the paired-term gap check."""
 
 import functools
-import multiprocessing
-import os
-import signal
-import subprocess
 import sys
 import threading
 import time
 import tracemalloc
 from fractions import Fraction
-from math import factorial, floor, lgamma, log, log2
-from pathlib import Path
+from math import factorial, floor, inf, isfinite, lgamma, log, log2
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from mpmath import mpf
-from mpmath.libmp import finf, from_int, from_man_exp, mpf_mul
+from mpmath.libmp import from_man_exp, mpf_mul
 
 import defexp.zeros as zeros
-from defexp.precreal import PrecReal, _round_fraction, context, to_mpf
+from defexp.precreal import PrecReal, context, to_mpf
 from defexp.qseries import a_series
 from defexp.validate import ratio_check, residual_profile, zero_table
 from defexp.zeros import (
@@ -336,7 +331,6 @@ def test_zero_finders_are_unchanged_on_the_reference_kernel(monkeypatch, scanned
         return _reference_f_raw(X, Q, bits)
 
     monkeypatch.setattr(zeros, "_f_raw", reference)
-    monkeypatch.setattr(zeros, "_PAIR_MIN_BITS", 1 << 62)  # every f(qx) here, too
     slow = [find_zero(k, q) for k in (10, 11, 25, 40)]
     assert {1135, 599, 331, 197, 130} <= seen  # its rungs
     slow_scan = scan_zeros(Q_HALF, -300, 6)
@@ -376,8 +370,9 @@ def _reference_find_zero(k: int, q, n_guess: int = 2, precision_bits=None) -> Ze
     """find_zero with every bracket and bisection sign read at the full
     budget and Newton written on contexts and eval_f, the reference that
     the certified probes and the raw Newton steps must reproduce bit for
-    bit.  From 1,024 bits Newton climbs the ladder of rungs p // 2 + 32
-    and the guess's C_i are at 128 bits."""
+    bit.  From 1,024 bits Newton climbs the ladder of rungs p // 2 + 32,
+    reading each f(qx) at the rung below, and the guess's C_i are at 128
+    bits; the residual is read afresh at the returned x."""
     if k < 1:
         raise ValueError("zero index starts at 1")
     qf = Fraction(q)
@@ -429,24 +424,29 @@ def _reference_find_zero(k: int, q, n_guess: int = 2, precision_bits=None) -> Ze
             b = mid
 
     # Newton, converging quadratically on the bottom rung and on the full
-    # budget, one step on each rung between
+    # budget, one step on each rung between; f(qx) at the rung below, and
+    # above the bottom rung the step that shows convergence is not taken
     x = (a + b) / 2
     steps: list[float] = []
-    for p in reversed(rungs):
-        pctx = context(p)
+    for i in reversed(range(len(rungs))):
+        p, below = rungs[i], rungs[min(i + 1, len(rungs) - 1)]
+        pctx, bctx = context(p), context(below)
         x = pctx.convert(x)  # no rounding: the first step rounds x - step
-        qv = to_mpf(pctx, qf)
+        qb = to_mpf(bctx, qf)
         target = pctx.mpf(2) ** (4 - p)
         for _ in range(p.bit_length() + 8 if p in (bits, rungs[-1]) else 1):
             fx = eval_f(x, qf, p)
-            fpx = eval_f(qv * x, qf, p)
+            fpx = eval_f(bctx.fmul(qb, x), qf, below)
             if fpx.precision_bits <= 1:
                 break  # derivative lost to cancellation; x is as good as it gets
             step = to_mpf(pctx, fx) / to_mpf(pctx, fpx)
-            x = x - step
-            rel = abs(step) / abs(x)
-            steps.append(float(rel))
-            if rel < target or fx.precision_bits <= 8:
+            new = x - step
+            rel = abs(step) / abs(new)
+            steps.append(log2(rel.man) + rel.exp if rel else -inf)
+            done = rel < target or fx.precision_bits <= 8
+            if not done or below == p:
+                x = new
+            if done:
                 break
 
     residual = abs(f(x))
@@ -687,19 +687,15 @@ def test_probe_sum_is_the_exact_sum_of_its_truncated_terms(q, where, ratio_decid
 
 
 def test_bracket_and_bisection_make_no_full_budget_call(monkeypatch):
-    """At k = 60 and 100 the bracket and the bisection run on the integer
-    kernel only: the one eval_f call of find_zero is the residual, and of
-    its f evaluations at the full budget (all local here) at most two
-    Newton pairs and the residual remain; the rest are on the ladder's
-    lower rungs, at B // 2 + 32 bits or fewer."""
-    calls = []
+    """At k = 60 and 100 find_zero runs on the integer kernel and the raw
+    Newton ladder alone: no eval_f call, so no probe falls back and the
+    residual is not read afresh.  f is read at the full budget twice,
+    for the one step at B and for the check whose f(x) is the residual,
+    and each f(qx) at the rung below its f(x) (the bottom rung's at its
+    own bits)."""
     raw = []
     probes = []
-    kernel, loop, prober = zeros.eval_f, zeros._f_raw, zeros._probe_sign
-
-    def counted(x, q, b):
-        calls.append(b)
-        return kernel(x, q, b)
+    loop, prober = zeros._f_raw, zeros._probe_sign
 
     def counted_raw(X, Q, b):
         raw.append(b)
@@ -709,20 +705,31 @@ def test_bracket_and_bisection_make_no_full_budget_call(monkeypatch):
         probes.append(t)
         return prober(t, q)
 
-    monkeypatch.setattr(zeros, "eval_f", counted)
-    monkeypatch.setattr(zeros, "_f_raw", counted_raw)
-    monkeypatch.setattr(zeros, "_probe_sign", counted_probe)
+    def no_eval_f(*args):
+        raise AssertionError("eval_f called on the ladder")
+
     for k in (60, 100):
         bits = required_precision(k, Q_HALF)
-        monkeypatch.setattr(zeros, "_PAIR_MIN_BITS", bits + 1)
-        calls.clear()
+        rungs = [bits]
+        while rungs[-1] // 2 + 32 >= 128:
+            rungs.append(rungs[-1] // 2 + 32)
+        below = dict(zip(rungs, rungs[1:] + rungs[-1:]))
         raw.clear()
         probes.clear()
-        find_zero(k, Q_HALF)
-        assert calls == [bits], k
+        with monkeypatch.context() as counted:
+            counted.setattr(zeros, "eval_f", no_eval_f)
+            counted.setattr(zeros, "_f_raw", counted_raw)
+            counted.setattr(zeros, "_probe_sign", counted_probe)
+            z = find_zero(k, Q_HALF)
         assert len(probes) >= 40, k
-        assert raw.count(bits) <= 2 * 2 + 1, k
-        assert max(b for b in raw if b < bits) <= bits // 2 + 32, k
+        assert raw.count(bits) == 2, k
+        assert len(raw) % 2 == 0 and raw[::2] == sorted(raw[::2]), k
+        assert [below[p] for p in raw[::2]] == raw[1::2], k  # (f(x), f(qx)) pairs
+        want = abs(eval_f(z.x, Q_HALF, bits))
+        assert (z.residual.value._mpf_, z.residual.precision_bits) == (
+            want.value._mpf_,
+            want.precision_bits,
+        ), k
 
 
 def test_scan_oracle_does_not_read_the_probe_kernel(monkeypatch, scanned_q_half):
@@ -769,12 +776,25 @@ def test_find_zero_contract(k):
 
 
 def test_find_zero_newton_converges_quadratically():
+    """newton_rel_steps holds log2 of each relative step: each about
+    doubles the one before, up to a modest constant."""
     z = find_zero(8, Q_HALF)
     steps = z.newton_rel_steps
     assert len(steps) >= 2
     for early, late in zip(steps, steps[1:]):
         assert late < early
-        assert late < early**2 * 1e6  # quadratic up to a modest constant
+        assert late < 2 * early + log2(1e6)  # quadratic up to a modest constant
+
+
+def test_ladder_newton_steps_stay_finite_below_the_float_range():
+    """At 5,679 bits the converged steps lie far below 2^-1074, where a
+    float step read 0.0; their log2 stays finite, and the last entry is
+    the check at B whose step was not taken, below 2^(4 - B)."""
+    z = find_zero(100, Q_HALF)
+    steps = z.newton_rel_steps
+    assert all(isfinite(s) for s in steps)
+    assert min(steps) < -1100
+    assert steps[-1] < 4 - z.precision_bits
 
 
 @pytest.mark.parametrize(
@@ -1133,141 +1153,22 @@ def test_q_power_table_survives_concurrent_extension():
         sys.setswitchinterval(interval)
 
 
-def _helper_pid() -> int:
-    """The pid of the running helper, started by a pair at 1,057 bits."""
-    find_zero(40, Q_HALF)
-    assert zeros._helper, "no helper started"
-    return zeros._helper[0]
-
-
-def _reaped(pid: int) -> bool:
-    try:
-        os.waitpid(pid, os.WNOHANG)
-    except ChildProcessError:
-        return True
-    return False
-
-
-@pytest.mark.parametrize("q", [Q_HALF, Q_9_19, Fraction(10, 19)], ids=str)
-@pytest.mark.parametrize("k", [60, 80, 100])
-def test_paired_newton_is_bit_identical_to_local_evaluation(monkeypatch, k, q):
-    """f(qx) from the helper is eval_f's value bit for bit: x, bracket,
-    residual, their tags and the Newton steps all equal a run with the
-    threshold above the budget."""
-    with monkeypatch.context() as local:
-        local.setattr(zeros, "_PAIR_MIN_BITS", required_precision(k, q) + 1)
-        want = find_zero(k, q)
-    got = find_zero(k, q)
-    assert zeros._helper
-    assert got.to_json() == want.to_json()
-    assert _zero_fields(got) == _zero_fields(want)
-
-
-class _Interrupt(BaseException):
-    """Stands for a KeyboardInterrupt or a benchmark's timeout signal."""
-
-
-def test_an_exception_inside_an_exchange_reaps_the_helper(monkeypatch):
-    """The helper working on a request when the local evaluation raises is
-    killed and reaped, so its late reply cannot answer the next request;
-    the next pair starts a new helper and the zero is the reference one."""
-    pid = _helper_pid()
-    calls = []
-    kernel = zeros._f_raw
-
-    def interrupted(X, Q, bits):
-        if bits >= zeros._PAIR_MIN_BITS:
-            calls.append(bits)
-            if len(calls) == 2:  # the local half of Newton's second paired step
-                raise _Interrupt
-        return kernel(X, Q, bits)
-
-    monkeypatch.setattr(zeros, "_f_raw", interrupted)
-    with pytest.raises(_Interrupt):
-        find_zero(60, Q_HALF)
-    assert zeros._helper is None
-    assert _reaped(pid)
-    monkeypatch.setattr(zeros, "_f_raw", kernel)
-    z = find_zero(60, Q_HALF)
-    assert zeros._helper and zeros._helper[0] != pid
-    assert _zero_fields(z) == _zero_fields(_reference_find_zero(60, Q_HALF))
-
-
-def test_a_failing_helper_evaluation_is_raised_locally(monkeypatch):
-    """A request _f_raw rejects comes back empty: the helper is retired and
-    the evaluation is repeated here, raising _f_raw's own error."""
-    pid = _helper_pid()
-    with pytest.raises(ValueError, match="finite"):
-        zeros._eval_pair(from_int(-3), finf, _round_fraction(Q_HALF, 2048), 2048)
-    assert zeros._helper is None
-    assert _reaped(pid)
-
-
-def test_a_dead_helper_is_replaced():
-    """A helper killed from outside costs no result: the pair is finished
-    here and the next one starts a new helper."""
-    pid = _helper_pid()
-    os.kill(pid, signal.SIGKILL)
-    z = find_zero(60, Q_HALF)
-    assert _reaped(pid)
-    assert zeros._helper and zeros._helper[0] != pid
-    assert _zero_fields(z) == _zero_fields(_reference_find_zero(60, Q_HALF))
-
-
-def test_no_helper_outlives_its_process():
-    """The exit hook closes the pipe and reaps the helper, so its pid is
-    gone once the process that started it has exited."""
-    src = str(Path(zeros.__file__).resolve().parents[1])
-    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    script = "import defexp.zeros as z; z.find_zero(100, 1/2); print(z._helper[0])"
-    proc = subprocess.run(
-        [sys.executable, "-c", script],
-        capture_output=True,
-        text=True,
-        env=dict(os.environ, PYTHONPATH=path),
-        timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
-    with pytest.raises(ProcessLookupError):
-        os.kill(int(proc.stdout), 0)
-
-
-def _pool_zero(k: int) -> tuple:
-    return _zero_fields(find_zero(k, Q_9_19)), zeros._helper
-
-
-def test_a_fork_pool_never_shares_the_helper():
-    """Forked workers drop the parent's helper and evaluate locally; their
-    zeros equal the parent's, and the parent's helper still serves."""
-    want = [_zero_fields(find_zero(k, Q_9_19)) for k in (60, 80)]
-    pid = zeros._helper[0]
-    pool = multiprocessing.get_context("fork").Pool(2)
-    try:
-        got = pool.map(_pool_zero, (60, 80))
-    finally:
-        pool.close()
-        pool.join()
-    assert got == [(w, False) for w in want]
-    assert _zero_fields(find_zero(60, Q_9_19)) == want[0]
-    assert zeros._helper[0] == pid
-
-
 def test_threads_share_one_helper_or_evaluate_locally():
-    """Four threads (more than the machine's two cores) switching every
-    10 us: a thread that finds the pipes busy evaluates both values
-    itself, and every zero equals the serial one, so no reply went to
-    the wrong request."""
-    want = _zero_fields(find_zero(40, Q_HALF))
-    assert zeros._helper
+    """Every thread evaluates locally (there is no helper process): four
+    threads (more than the machine's two cores) switching every 10 us
+    build the per-(q, rung) power tables of x_40 and x_100 at q = 1/2
+    from cold together, and every zero equals the serial one."""
+    want = [_zero_fields(find_zero(k, Q_HALF)) for k in (40, 100)]
     got = [[] for _ in range(4)]
     start = threading.Barrier(len(got))
 
     def work(i):
         start.wait(timeout=60)
-        for _ in range(3):
-            got[i].append(_zero_fields(find_zero(40, Q_HALF)))
+        for _ in range(2):
+            got[i].append([_zero_fields(find_zero(k, Q_HALF)) for k in (40, 100)])
 
     interval = sys.getswitchinterval()
+    zeros._q_powers.cache_clear()
     sys.setswitchinterval(1e-5)
     try:
         threads = [threading.Thread(target=work, args=(i,)) for i in range(len(got))]
@@ -1278,27 +1179,7 @@ def test_threads_share_one_helper_or_evaluate_locally():
     finally:
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
-    assert got == [[want] * 3] * len(got)
-
-
-@pytest.mark.parametrize("setup", ["no fork", "other threads"])
-def test_no_helper_starts_without_fork_or_with_other_threads(monkeypatch, setup):
-    zeros._stop_helper()
-    want = _zero_fields(_reference_find_zero(40, Q_HALF))
-    release = threading.Event()
-    other = threading.Thread(target=release.wait, args=(60,))
-    if setup == "no fork":
-        monkeypatch.delattr(os, "fork")
-    else:
-        other.start()
-    try:
-        assert _zero_fields(find_zero(40, Q_HALF)) == want
-        assert zeros._helper is None
-    finally:
-        release.set()
-        if other.is_alive():
-            other.join(timeout=60)
-    assert not other.is_alive()
+    assert got == [[want] * 2] * len(got)
 
 
 def test_scan_zeros_takes_q_below_the_float_range():
