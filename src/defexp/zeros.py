@@ -45,23 +45,23 @@ __all__ = [
 #: grid density of scan_zeros (each step is also capped at a factor 1/q)
 _SCAN_POINTS_PER_DECADE = 64
 
-# find_zero reads the sign of f(t) off _probe_sum, an integer kernel at
-# p = _PROBE_BITS, when it sums N <= _PROBE_MAX_TERMS terms and the sum
-# is at least 2^_PROBE_CERT_BITS P u, with u = 2^-p and P = 2^peak the
-# kernel's bound on every |term| and |partial sum|.  Why that certifies
-# the sign: term n + 1 is term n times u_n/(n + 1), where u_n = t q^n is
-# carried with G = _PROBE_GUARD_BITS guard bits.  Each step is off by
-# t's one rounding to p bits (< u), u_n's n floors to at least p + G bits
-# (< n 2^(1 - G) u <= u, as n < 2^15), a truncating shift (< u) and a
-# floor division by n + 1 (< 2u), less than 5u in all, so term n is off
-# by less than (1 + 5u)^n - 1 < 7nu relative, and the exact sum of N
-# terms by less than 7u P N(N + 1)/2.  The kernel stops once the ratio
-# |t| q^n/(n + 1), bounded above with |t| q^n < |u_n| (1 + 2^(2 - p)),
-# is under 1/2 and the last term is below 2^(peak - p), so the tail is
-# under 2 P u.  The kernel is thus off by less than (4N(N + 1) + 2) P u
-# < 2^33 P u: N^2, where eval_f's chained q^n products give N^3.  The
-# certified sign must also be the one eval_f reads at the budget
-# B = p + d.  Its error is below
+# _probe_sum, one integer kernel for f at any working precision p, gives
+# find_zero its sign probes at p = _PROBE_BITS and every f on the Newton
+# ladder at the rung's p.  Let u = 2^-p and P = 2^peak, its bound on every
+# |term| and |partial sum|.  Term n + 1 is term n times u_n/(n + 1), with
+# u_n = t q^n carried with G = _PROBE_GUARD_BITS guard bits.  Each step is
+# off by t's one rounding to p bits (< u), u_n's n floors to at least
+# p + G bits (< n 2^(1 - G) u <= u, as n < 2^15 at every p), a truncating
+# shift (< u) and a floor division by n + 1 (< 2u), less than 5u in all,
+# so term n is off by less than (1 + 5u)^n - 1 < 7nu relative, and the
+# exact sum of N terms by less than 7u P N(N + 1)/2.  The kernel stops
+# once the ratio |t| q^n/(n + 1), bounded above with
+# |t| q^n < |u_n| (1 + 2^(2 - p)), is under 1/2 and the last term is below
+# 2^(peak - p), so the tail is under 2 P u.  The kernel is thus off by
+# less than (4N(N + 1) + 2) P u < 2^33 P u at every p: N^2, where eval_f's
+# chained q^n products give N^3.  A probe certifies the sign of a sum of
+# at least 2^_PROBE_CERT_BITS P u, which must also be the sign eval_f
+# reads at the budget B = p + d.  Its error is below
 # (N'^3 + 3N'^2 + N' + 2) 2^-d P' u, with N' <= 2^15 + d terms (the term
 # bound find_zero checks, plus one halving term per extra bit) and its
 # peak P' < 2P; at d = 1, the largest case, that is under 2^44.001 P' u <
@@ -84,10 +84,10 @@ _Q_POWERS_LOCK = Lock()
 # step from x correct to about p_(i+1) - 6 bits leaves it correct to
 # about 2 p_(i+1) - 12 > p_i bits (Brent & Zimmermann, Modern Computer
 # Arithmetic, 2010, section 4.2).  That step needs f'(x) = f(qx) only to
-# about the bits x has, so a rung reads it at the rung below.  Every README
-# budget is at most 647 bits (test_readme_budgets_are_below_the_newton_ladder),
-# so no golden zero takes the ladder.
-_LADDER_MIN_BITS = 1024
+# about the bits x has, so a rung reads it at the rung below.  The ladder
+# starts just above every README budget (647 bits at most,
+# test_readme_budgets_are_below_the_newton_ladder): no golden zero takes it.
+_LADDER_MIN_BITS = 648
 _LADDER_BASE_BITS = 128
 
 
@@ -146,24 +146,23 @@ def _extend_q_powers(qpows: list, q: tuple, bits: int, n: int) -> None:
             qpows.append(_round(m * qm, e + qe, bits))
 
 
-def _probe_sum(t, qf: Fraction) -> tuple[int, int, int, int] | None:
-    """The integer kernel at _PROBE_BITS: (total, base, peak, n) with the
-    sum total 2^base of the terms T_0..T_n, and every |term| and |partial
-    sum| below 2^peak; None when it reaches _PROBE_MAX_TERMS terms.
+def _probe_sum(X: tuple, qf: Fraction, p: int) -> tuple[int, int, int, int] | None:
+    """The integer kernel at p bits: (total, base, peak, n), the sum total
+    2^base of the terms T_0..T_n of f at the raw mpf t, every |term| and
+    |partial sum| below 2^peak; None when it reaches _PROBE_MAX_TERMS terms.
 
-    t (an mpf) is rounded once; u = t q^n is carried as a signed int
-    mantissa of at least _PROBE_BITS + G bits times 2^ue, advanced by
-    q = a/b in one floor division.  Each term is an int mantissa m of
-    about _PROBE_BITS bits times 2^e, advanced by u/(n + 1) with one
-    truncating shift and a floor division, and added exactly into one
-    int `total` times 2^base.
+    t is rounded once to p bits; u = t q^n is carried as a signed int
+    mantissa of at least p + G bits times 2^ue, advanced by q = a/b in
+    one floor division.  Each term is an int mantissa m of about p bits
+    times 2^e, advanced by u/(n + 1) with one truncating shift and a floor
+    division, and added exactly into one int `total` times 2^base.
     """
-    sign, man, exp, _ = mpf_pos(t._mpf_, _PROBE_BITS, _NEAREST)
+    sign, man, exp, _ = mpf_pos(X, p, _NEAREST)
     if not man:
         return 1, 0, 1, 0  # f(0) = 1
     a, b = qf.numerator, qf.denominator
-    scale = _PROBE_BITS + _PROBE_GUARD_BITS + 1 + b.bit_length() - a.bit_length()
-    lift = _PROBE_BITS + _PROBE_GUARD_BITS - man.bit_length()  # u_0: p + G bits
+    scale = p + _PROBE_GUARD_BITS + 1 + b.bit_length() - a.bit_length()
+    lift = p + _PROBE_GUARD_BITS - man.bit_length()  # u_0: p + G bits
     u = (-man if sign else man) << lift
     ue = exp - lift
     m = total = 1
@@ -175,7 +174,7 @@ def _probe_sum(t, qf: Fraction) -> tuple[int, int, int, int] | None:
         if n >= _PROBE_MAX_TERMS:
             return None
         x = m * u
-        shift = x.bit_length() - _PROBE_BITS - (n + 1).bit_length()
+        shift = x.bit_length() - p - (n + 1).bit_length()
         m = (x >> shift) // (n + 1)
         e += ue + shift
         n += 1
@@ -186,28 +185,41 @@ def _probe_sum(t, qf: Fraction) -> tuple[int, int, int, int] | None:
             base = e
         mag = m.bit_length() + e
         peak = max(peak, mag, total.bit_length() + base)
-        # u = t q^n: the quotient has _PROBE_BITS + G to + G + 2 bits
+        # u = t q^n: the quotient has p + G to p + G + 2 bits
         s = scale - u.bit_length()
         u = (u * a << s) // b if s >= 0 else u * a // (b << -s)
         ue -= s
         if not ratio_small:
             # 2 |t| q^n < n + 1, with |t| q^n < |u| (1 + 2^(2 - p)) 2^ue
-            lhs = (abs(u) + (abs(u) >> (_PROBE_BITS - 2)) + 1) << 1
+            lhs = (abs(u) + (abs(u) >> (p - 2)) + 1) << 1
             ratio_small = lhs << ue < n + 1 if ue >= 0 else lhs < (n + 1) << -ue
-        if ratio_small and mag <= peak - _PROBE_BITS:
+        if ratio_small and mag <= peak - p:
             return total, base, peak, n
 
 
 def _probe_sign(t, qf: Fraction) -> int | None:
-    """The sign of f(t) from _probe_sum, or None when the kernel gives up
-    or its sum does not clear the bound derived at the constants."""
-    probe = _probe_sum(t, qf)
+    """The sign of f(t) off _probe_sum at _PROBE_BITS, or None when it gives
+    up or its sum does not clear the bound derived at the constants."""
+    probe = _probe_sum(t._mpf_, qf, _PROBE_BITS)
     if probe is None:
         return None
     total, base, peak, _ = probe
     if total.bit_length() - 1 + base < peak - _PROBE_BITS + _PROBE_CERT_BITS:
         return None
     return 1 if total > 0 else -1
+
+
+def _read(X: tuple, qf: Fraction, prec: int, kernel: bool) -> tuple[int, int, int]:
+    """f(x) at prec bits as _f_raw's (man, exp, tag): off _probe_sum when
+    `kernel` is set, rounded to prec bits and tagged prec minus the bits
+    lost below the peak; from _f_raw otherwise or when the kernel gives up."""
+    probe = _probe_sum(X, qf, prec) if kernel else None
+    if probe is None:
+        return _f_raw(X, _round_fraction(qf, prec), prec)
+    total, base, peak, _ = probe
+    man, exp = _round(abs(total), base, prec)
+    lost = max(0, peak - total.bit_length() - base) if total else prec
+    return (man if total > 0 else -man), exp, max(1, prec - lost)
 
 
 def _round(man: int, exp: int, prec: int) -> tuple[int, int]:
@@ -393,23 +405,27 @@ def _asymptotic_guess(ctx, k: int, qf: Fraction, n_guess: int, bits: int):
     return -kk * qv ** (1 - k) * corr
 
 
-def _newton(x: tuple, qf: Fraction, prec: int, below: int, steps: list, limit: int) -> tuple:
+def _newton(
+    x: tuple, qf: Fraction, prec: int, below: int, steps: list, limit: int, kernel: bool
+) -> tuple:
     """At most `limit` Newton steps x -= f(x)/f(qx) on the raw mpf x (f' =
-    f(qx) by the defining functional equation), f(x) read at prec bits
-    and f(qx) at `below` <= prec, every other operation rounded to nearest
-    at prec, as context(prec) rounds it; log2 of each relative step
-    |step|/|x - step| is appended to `steps`.  It stops once a step is
-    below 2^(4 - prec) relative or f(x) keeps 8 bits or fewer, and before
-    a step when f(qx) is lost to cancellation (x is as good as it gets).
-    Returns (x, None), or on a ladder rung (below < prec), where that last
-    step is not taken, x with the f(x) that ended the loop, as _f_raw
-    gives it."""
-    Q = _round_fraction(qf, prec)
+    f(qx) by the defining functional equation), f(x) read by _read at prec
+    bits and f(qx) at `below` <= prec, every other operation rounded to
+    nearest at prec, as context(prec) rounds it; log2 of each relative
+    step |step|/|x - step| is appended to `steps`.  It stops once a step
+    is below 2^(4 - prec) relative or f(x) keeps 8 bits or fewer, and
+    before a step when f(qx) is lost to cancellation.  A ladder rung
+    (below < prec) reads f(qx) once, sizes every step with it, does not
+    take the last step and returns x with the f(x) that ended the loop;
+    otherwise it returns (x, None)."""
     Q_below = _round_fraction(qf, below)
     target = from_man_exp(1, 4 - prec)
+    dfx = None
     for _ in range(limit):
-        fx = _f_raw(x, Q, prec)
-        dm, de, dtag = _f_raw(mpf_mul(Q_below, x, below, _NEAREST), Q_below, below)
+        fx = _read(x, qf, prec, kernel)
+        if dfx is None or below == prec:
+            dfx = _read(mpf_mul(Q_below, x, below, _NEAREST), qf, below, kernel)
+        dm, de, dtag = dfx
         if dtag <= 1:
             break
         step = mpf_div(from_man_exp(fx[0], fx[1]), from_man_exp(dm, de), prec, _NEAREST)
@@ -473,21 +489,18 @@ def find_zero(k: int, q, n_guess: int = 2, precision_bits: int | None = None) ->
     so the result is the same bit for bit; the endpoints, the midpoints
     and the residual all stay at full precision.
 
-    Below _LADDER_MIN_BITS = 1024 working bits, Newton steps at the full
-    budget B until a step is below 2^(4 - B) relative, and the residual
-    is one more evaluation at B.  From there on it runs on a precision
-    ladder p_0 = B, p_(i+1) = p_i // 2 + 32, down to the last rung of at
-    least 128 bits: to convergence on the bottom rung from the
-    bisection's 60 bits, then one step on each rung above it, each about
-    doubling the correct bits and reading f(x) at its own bits and f(qx)
-    at the rung below.  At B one step takes x to within a few bits of B,
-    and f(x) is read there once more: when the step it implies is below
-    2^(4 - B) relative, or f(x) keeps 8 bits or fewer, the step is not
-    taken and that f(x) is the residual; else Newton steps on, bounded as
-    below the threshold.  So a ladder
-    zero evaluates f at B twice.  The guess's C_i are then evaluated at
-    128 bits, not at B: the bracket needs far fewer.  x comes out correct
-    to within a few bits of B either way.
+    Below _LADDER_MIN_BITS = 648 working bits, Newton steps on eval_f's
+    loop at the full budget B until a step is below 2^(4 - B) relative,
+    and the residual is one more evaluation at B.  From there on every f
+    is read off _probe_sum at the rung's bits, on a ladder p_0 = B,
+    p_(i+1) = p_i // 2 + 32 down to the last rung of at least 128 bits:
+    to convergence on the bottom rung, then one step on each rung above,
+    each about doubling the correct bits with f(qx) read once, at the
+    rung below.  At B, f(x) is read once more and sizes the step with
+    that f(qx): when it is below 2^(4 - B) relative, or f(x) keeps 8 bits
+    or fewer, it is not taken and f(x) is the residual.  The guess's C_i
+    are then at 128 bits.  x comes out correct to within about 8 bits of
+    B either way.
     """
     k = _positive_index(k)
     if not 0 <= n_guess <= _MAX_GUESS_ORDER:
@@ -552,7 +565,7 @@ def find_zero(k: int, q, n_guess: int = 2, precision_bits: int | None = None) ->
     steps: list[float] = []
     for p, below in reversed(list(zip(rungs, rungs[1:] + rungs[-1:]))):
         limit = p.bit_length() + 8 if p in (bits, rungs[-1]) else 1
-        x, fx = _newton(x, qf, p, below, steps, limit)
+        x, fx = _newton(x, qf, p, below, steps, limit, len(rungs) > 1)
     x = ctx.make_mpf(x)
 
     residual = abs(eval_f(x, qf, bits) if fx is None else _prec_real(ctx, *fx))

@@ -319,10 +319,31 @@ def _reference_f_raw(X: tuple, Q: tuple, bits: int) -> tuple:
     return -man if sign else man, exp, v.precision_bits
 
 
+def _ladder_kernel_gives_up(monkeypatch) -> None:
+    """_probe_sum gives up at every precision but _PROBE_BITS: the sign
+    probes keep the kernel and every Newton read on the ladder falls back
+    to _f_raw (no ladder zero tested with this has a rung at
+    _PROBE_BITS)."""
+    kernel = zeros._probe_sum
+    monkeypatch.setattr(
+        zeros, "_probe_sum", lambda X, q, p: kernel(X, q, p) if p == zeros._PROBE_BITS else None
+    )
+
+
+def _rungs(bits: int) -> list:
+    """The precisions of find_zero's Newton ladder from a budget of `bits`."""
+    rungs = [bits]
+    while bits >= 648 and rungs[-1] // 2 + 32 >= 128:
+        rungs.append(rungs[-1] // 2 + 32)
+    return rungs
+
+
 def test_zero_finders_are_unchanged_on_the_reference_kernel(monkeypatch, scanned_q_half):
-    """Every evaluation of f, eval_f's and each Newton rung's alike, on the
-    operator loop: x_40 at q = 7/15 climbs the ladder from 1,135 bits."""
+    """Every evaluation of f by _f_raw, eval_f's and each Newton rung's
+    alike, on the operator loop: x_40 at q = 7/15 climbs the ladder from
+    1,135 bits, here with the kernel giving up on every rung."""
     q = Fraction(7, 15)
+    _ladder_kernel_gives_up(monkeypatch)
     fast = [find_zero(k, q) for k in (10, 11, 25, 40)]
     seen = set()
 
@@ -370,9 +391,10 @@ def _reference_find_zero(k: int, q, n_guess: int = 2, precision_bits=None) -> Ze
     """find_zero with every bracket and bisection sign read at the full
     budget and Newton written on contexts and eval_f, the reference that
     the certified probes and the raw Newton steps must reproduce bit for
-    bit.  From 1,024 bits Newton climbs the ladder of rungs p // 2 + 32,
+    bit.  From 648 bits Newton climbs the ladder of rungs p // 2 + 32,
     reading each f(qx) at the rung below, and the guess's C_i are at 128
-    bits; the residual is read afresh at the returned x."""
+    bits; there it is the reference for find_zero with the kernel giving
+    up on every rung.  The residual is read afresh at the returned x."""
     if k < 1:
         raise ValueError("zero index starts at 1")
     qf = Fraction(q)
@@ -380,10 +402,7 @@ def _reference_find_zero(k: int, q, n_guess: int = 2, precision_bits=None) -> Ze
         raise ValueError("q must lie in (0, 1)")
     bits = precision_bits if precision_bits is not None else required_precision(k, qf)
     ctx = context(bits)
-    rungs = [bits]
-    if bits >= 1024:
-        while rungs[-1] // 2 + 32 >= 128:
-            rungs.append(rungs[-1] // 2 + 32)
+    rungs = _rungs(bits)
 
     guess = _asymptotic_guess(ctx, k, qf, n_guess, bits if len(rungs) == 1 else 128)
     delta_max = ctx.mpf(1) / (4 * k)
@@ -424,8 +443,9 @@ def _reference_find_zero(k: int, q, n_guess: int = 2, precision_bits=None) -> Ze
             b = mid
 
     # Newton, converging quadratically on the bottom rung and on the full
-    # budget, one step on each rung between; f(qx) at the rung below, and
-    # above the bottom rung the step that shows convergence is not taken
+    # budget, one step on each rung between; above the bottom rung f(qx)
+    # is read once, at the rung below, and the step that shows
+    # convergence is not taken
     x = (a + b) / 2
     steps: list[float] = []
     for i in reversed(range(len(rungs))):
@@ -434,9 +454,11 @@ def _reference_find_zero(k: int, q, n_guess: int = 2, precision_bits=None) -> Ze
         x = pctx.convert(x)  # no rounding: the first step rounds x - step
         qb = to_mpf(bctx, qf)
         target = pctx.mpf(2) ** (4 - p)
+        fpx = None
         for _ in range(p.bit_length() + 8 if p in (bits, rungs[-1]) else 1):
             fx = eval_f(x, qf, p)
-            fpx = eval_f(bctx.fmul(qb, x), qf, below)
+            if fpx is None or below == p:
+                fpx = eval_f(bctx.fmul(qb, x), qf, below)
             if fpx.precision_bits <= 1:
                 break  # derivative lost to cancellation; x is as good as it gets
             step = to_mpf(pctx, fx) / to_mpf(pctx, fpx)
@@ -466,15 +488,24 @@ def _reference_find_zero(k: int, q, n_guess: int = 2, precision_bits=None) -> Ze
     [Q_HALF, Fraction(7, 15), Fraction(6, 11), pytest.param(Q_TINY, id="1/10^40")],
     ids=str,
 )
-def test_probed_find_zero_is_bit_identical_to_the_full_budget_loop(q):
+def test_probed_find_zero_is_bit_identical_to_the_full_budget_loop(monkeypatch, q):
     """q = 10^-40 divides a 133-bit denominator out of u_n at every term;
-    its zeros x_3..x_5 take about 10 ms each."""
+    its zeros x_3..x_5 take about 10 ms each.  Ladder zeros (from 648
+    bits: x_40 and above, and x_4 and x_5 at q = 10^-40) are compared
+    with the kernel giving up on every rung, so each of their Newton
+    reads falls back to _f_raw."""
     if q == Q_TINY:
         ks = (3, 4, 5)
     else:
         ks = (10, 25, 40, 60) + ((100,) if q == Q_HALF else ())
     for k in ks:
-        assert _zero_fields(find_zero(k, q)) == _zero_fields(_reference_find_zero(k, q)), k
+        rungs = _rungs(required_precision(k, q))
+        assert zeros._PROBE_BITS not in rungs, k
+        with monkeypatch.context() as fallback:
+            if len(rungs) > 1:
+                _ladder_kernel_gives_up(fallback)
+            got = find_zero(k, q)
+        assert _zero_fields(got) == _zero_fields(_reference_find_zero(k, q)), k
 
 
 def test_probe_certification_threshold_covers_the_error_bound():
@@ -493,35 +524,40 @@ def test_probe_certification_threshold_covers_the_error_bound():
     assert 2 ** (zeros._PROBE_CERT_BITS - 1) < bound
 
 
-def _exact_f_sign(t, q: Fraction) -> int | None:
-    """The sign of f(t) at an mpf t from the exact sum of its terms T_0..T_N
-    over one common denominator, when that sum exceeds the tail bound |T_N|
-    (every later ratio is under 1/2); None when it does not."""
+def _exact_f(t, q: Fraction, depth: int = 224) -> tuple[int, int, int]:
+    """The terms T_0..T_N of f at an mpf t != 0 over one common denominator
+    D, with N such that every later ratio is under 1/2 and T_N is below
+    2^-depth of the largest term: (sum, T_N, D) as ints, so the exact sum
+    of the terms is sum/D and |T_N|/D bounds the tail."""
     sign, man, exp, _ = t._mpf_
-    if not man:
-        return 1
-    # t = num / den with den a power of two
-    num, den = (-man if sign else man) << max(exp, 0), 1 << max(-exp, 0)
-    # N: the ratio |t| q^N/(N + 1) under 1/2 and T_N below 2^-224 of the
+    # t = num / 2^d
+    num, d = (-man if sign else man) << max(exp, 0), max(-exp, 0)
+    # N: the ratio |t| q^N/(N + 1) under 1/2 and T_N below 2^-depth of the
     # largest term, from float estimates of log2 |T_n|
     log_t, log_q = log2(man) + exp, log2(q)
-    abs_t = abs(Fraction(num, den))
+    abs_t = abs(Fraction(num, 1 << d))
     logs = [0.0]
     big = 0
-    while abs_t * q**big / (big + 1) >= Fraction(1, 2) or logs[-1] >= max(logs) - 224:
+    while abs_t * q**big / (big + 1) >= Fraction(1, 2) or logs[-1] >= max(logs) - depth:
         big += 1
         logs.append(big * log_t + big * (big - 1) / 2 * log_q - lgamma(big + 1) / log(2))
     a, b = q.numerator, q.denominator
-    # T_j times D = b^(N(N-1)/2) N! den^N, an integer for every j <= N
-    scaled = []
-    for j in range(big + 1):
-        rest = (big * (big - 1) - j * (j - 1)) // 2
-        scaled.append(
-            num**j * den ** (big - j) * a ** (j * (j - 1) // 2) * b**rest
-            * (factorial(big) // factorial(j))
-        )
-    total = sum(scaled)
-    if abs(total) <= abs(scaled[-1]):
+    # Horner's rule, 1 + r_0 (1 + r_1 (... (1 + r_(N-1)))) with r_j = t q^j/(j + 1)
+    # = num a^j / (2^d b^j (j + 1)), over D = 2^(dN) b^(N(N-1)/2) N!
+    total = den = 1
+    for j in reversed(range(big)):
+        den = den * b**j * (j + 1) << d
+        total = den + num * a**j * total
+    return total, num**big * a ** (big * (big - 1) // 2), den
+
+
+def _exact_f_sign(t, q: Fraction) -> int | None:
+    """The sign of f(t) at an mpf t from the exact sum of its terms, when
+    that sum exceeds the tail bound; None when it does not."""
+    if not t._mpf_[1]:
+        return 1
+    total, last, _ = _exact_f(t, q)
+    if abs(total) <= abs(last):
         return None
     return 1 if total > 0 else -1
 
@@ -609,17 +645,16 @@ def test_probe_sign_near_a_zero_is_the_full_budget_sign():
     assert certified > 40 and fallen_back > 40
 
 
-def _replica_probe_sum(t, q: Fraction) -> tuple:
-    """_probe_sum's truncations restated on exact values: t rounded once
-    to _PROBE_BITS in an mpf context, u_0 its mantissa lifted to p + G
-    bits (G = _PROBE_MAX_TERMS.bit_length()), each u_(n+1) =
+def _replica_probe_sum(t, q: Fraction, p: int) -> tuple:
+    """_probe_sum's truncations at p bits restated on exact values: t
+    rounded once to p bits in an mpf context, u_0 its mantissa lifted to
+    p + G bits (G = _PROBE_MAX_TERMS.bit_length()), each u_(n+1) =
     floor(u_n q 2^s) with s such that u_(n+1) has p + G to p + G + 2
     bits, each new mantissa floor(m u_n / (2^shift (n + 1))) in one floor
     division, the terms summed as Fractions, and the stopping rule with
     Fraction bounds.  Returns the sum, the peak, the term count and
     whether the tail test held before the ratio test did (so the ratio
     test decided the stop)."""
-    p = zeros._PROBE_BITS
     g = zeros._PROBE_MAX_TERMS.bit_length()
     sign, man, exp, _ = context(p).mpf(t)._mpf_
     lift = p + g - man.bit_length()
@@ -653,79 +688,115 @@ def _replica_probe_sum(t, q: Fraction) -> tuple:
             return total, peak, n, tail_first
 
 
+def _near_zero(q: Fraction, k: int, j: int, side: int):
+    """x_k (1 + side 2^-j) at x_k's budget."""
+    ctx = context(required_precision(k, q))
+    return ctx.mpf(_zero_near(k, q)) * (1 + side * ctx.mpf(2) ** -j)
+
+
 #: three points each near x_12 and x_20 at q = 9/19 and near x_4 and x_6
 #: at q = 10^-40 (a 133-bit denominator, divided out at every term), as
 #: (k, j, side) for t = x_k (1 + side 2^-j), and two at q = 999/1000 where
 #: the terms fall _PROBE_BITS below the peak while the ratio is still
-#: above 1/2, so the ratio test decides where the sum ends
+#: above 1/2, so the ratio test decides where the sum ends; all at
+#: _PROBE_BITS.  Then the kernel at two Newton rungs: near x_40 at
+#: q = 7/15 at its budget of 1,135 bits and near x_60 at q = 9/19 at
+#: 2,327 bits, each at three distances from the zero.
 PROBE_SUM_POINTS = [
     *(
-        pytest.param(q, (k, j, side), False, id=f"x{k}-2^-{j}{tag}")
+        pytest.param(q, (k, j, side), False, 160, id=f"x{k}-2^-{j}{tag}")
         for q, ks, tag in ((Fraction(9, 19), (12, 20), ""), (Q_TINY, (4, 6), "-q1/10^40"))
         for k in ks
         for j, side in ((40, 1), (100, -1), (150, 1))
     ),
-    *(pytest.param(Fraction(999, 1000), x, True, id=f"{x}-q999/1000") for x in (-3000, 2000)),
+    *(pytest.param(Fraction(999, 1000), x, True, 160, id=f"{x}-q999/1000") for x in (-3000, 2000)),
+    *(
+        pytest.param(q, (k, j, side), False, p, id=f"x{k}-2^-{j}-q{q}-p{p}")
+        for q, k, p in ((Fraction(7, 15), 40, 1135), (Q_9_19, 60, 2327))
+        for j, side in ((60, 1), (p // 2, -1), (p - 40, 1))
+    ),
 ]
 
 
-@pytest.mark.parametrize("q, where, ratio_decides", PROBE_SUM_POINTS)
-def test_probe_sum_is_the_exact_sum_of_its_truncated_terms(q, where, ratio_decides):
+@pytest.mark.parametrize("q, where, ratio_decides, p", PROBE_SUM_POINTS)
+def test_probe_sum_is_the_exact_sum_of_its_truncated_terms(q, where, ratio_decides, p):
     """The kernel's integer total, its peak and its term count equal the
     replica's, so neither a missing term nor a stop before the ratio test
-    can hide under the certification margin."""
-    if isinstance(where, tuple):
-        k, j, side = where
-        ctx = context(required_precision(k, q))
-        t = ctx.mpf(_zero_near(k, q)) * (1 + side * ctx.mpf(2) ** -j)
-    else:
-        t = mpf(where)
-    total, base, peak, n = zeros._probe_sum(t, q)
-    want_total, want_peak, want_n, tail_first = _replica_probe_sum(t, q)
+    can hide under the certification margin or in a ladder read."""
+    t = _near_zero(q, *where) if isinstance(where, tuple) else mpf(where)
+    total, base, peak, n = zeros._probe_sum(t._mpf_, q, p)
+    want_total, want_peak, want_n, tail_first = _replica_probe_sum(t, q, p)
     assert tail_first == ratio_decides
     assert (total * Fraction(2) ** base, peak, n) == (want_total, want_peak, want_n)
 
 
-def test_bracket_and_bisection_make_no_full_budget_call(monkeypatch):
-    """At k = 60 and 100 find_zero runs on the integer kernel and the raw
-    Newton ladder alone: no eval_f call, so no probe falls back and the
-    residual is not read afresh.  f is read at the full budget twice,
-    for the one step at B and for the check whose f(x) is the residual,
-    and each f(qx) at the rung below its f(x) (the bottom rung's at its
-    own bits)."""
-    raw = []
-    probes = []
-    loop, prober = zeros._f_raw, zeros._probe_sign
+@pytest.mark.parametrize("q, k, p", [(Fraction(7, 15), 40, 1135), (Q_9_19, 60, 2327)], ids=str)
+def test_probe_sum_is_within_its_error_bound_of_the_exact_sum(q, k, p):
+    """At a Newton rung's p the kernel's sum of N terms lies within
+    (4N(N + 1) + 2) 2^(peak - p) of the exact f (the bound derived at the
+    constants), at points 2^-60 to 2^-(p - 8) from x_k; compared in
+    integers over the exact sum's common denominator.  The read Newton
+    takes, that sum rounded to p bits, is off by at most one more
+    2^(peak - p), and away from the zero its tag is eval_f's to a bit."""
+    for j, side in ((60, 1), (p // 2, -1), (p - 40, 1), (p - 8, -1)):
+        t = _near_zero(q, k, j, side)
+        total, base, peak, n = zeros._probe_sum(t._mpf_, q, p)
+        man, exp, tag = zeros._read(t._mpf_, q, p, True)
+        exact, last, den = _exact_f(t, q, p + 64)
+        s = max(0, -base, -exp, p - peak)  # 2^s clears every power of two
+        bound = (4 * n * (n + 1) + 2) * den << (peak - p + s)
+        for m, e, extra in ((total, base, 0), (man, exp, den << (peak - p + s))):
+            err = abs((m * den << (e + s)) - (exact << s)) + (abs(last) << s)
+            assert err < bound + extra, (j, side)
+        if j <= p // 2:
+            assert abs(tag - eval_f(t, q, p).precision_bits) <= 1, (j, side)
 
-    def counted_raw(X, Q, b):
-        raw.append(b)
-        return loop(X, Q, b)
+
+def test_bracket_and_bisection_make_no_full_budget_call(monkeypatch):
+    """At k = 60 and 100 find_zero runs on the integer kernel alone: no
+    eval_f call, so no probe falls back and the residual is not read
+    afresh, and no _f_raw call on the Newton ladder.  The kernel reads f
+    at the full budget twice, for the one step at B and for the check
+    whose f(x) is the residual, and f(qx) once at the rung below B; each
+    rung between reads its f(x) and its f(qx) at the rung below, the
+    bottom rung both at its own bits."""
+    probes = []
+    reads = []
+    kernel, prober = zeros._probe_sum, zeros._probe_sign
+
+    def counted_sum(X, q, p):
+        reads.append(p)
+        return kernel(X, q, p)
 
     def counted_probe(t, q):
         probes.append(t)
         return prober(t, q)
 
-    def no_eval_f(*args):
-        raise AssertionError("eval_f called on the ladder")
+    def refuse(*args):
+        raise AssertionError("eval_f or _f_raw called on the ladder")
 
     for k in (60, 100):
         bits = required_precision(k, Q_HALF)
-        rungs = [bits]
-        while rungs[-1] // 2 + 32 >= 128:
-            rungs.append(rungs[-1] // 2 + 32)
-        below = dict(zip(rungs, rungs[1:] + rungs[-1:]))
-        raw.clear()
+        rungs = _rungs(bits)
+        assert zeros._PROBE_BITS not in rungs
+        reads.clear()
         probes.clear()
         with monkeypatch.context() as counted:
-            counted.setattr(zeros, "eval_f", no_eval_f)
-            counted.setattr(zeros, "_f_raw", counted_raw)
+            counted.setattr(zeros, "eval_f", refuse)
+            counted.setattr(zeros, "_f_raw", refuse)
+            counted.setattr(zeros, "_probe_sum", counted_sum)
             counted.setattr(zeros, "_probe_sign", counted_probe)
             z = find_zero(k, Q_HALF)
         assert len(probes) >= 40, k
-        assert raw.count(bits) == 2, k
-        assert len(raw) % 2 == 0 and raw[::2] == sorted(raw[::2]), k
-        assert [below[p] for p in raw[::2]] == raw[1::2], k  # (f(x), f(qx)) pairs
-        want = abs(eval_f(z.x, Q_HALF, bits))
+        ladder = [p for p in reads if p != zeros._PROBE_BITS]
+        assert len(reads) - len(ladder) == len(probes), k
+        climb = [p for pair in zip(rungs[-2::-1], rungs[:0:-1]) for p in pair] + [bits]
+        bottom = len(ladder) - len(climb)
+        assert bottom >= 2 and ladder[:bottom] == [rungs[-1]] * bottom, k
+        assert ladder[bottom:] == climb, k
+        assert ladder.count(bits) == 2, k
+        x = z.x.value._mpf_
+        want = abs(zeros._prec_real(context(bits), *zeros._read(x, Q_HALF, bits, True)))
         assert (z.residual.value._mpf_, z.residual.precision_bits) == (
             want.value._mpf_,
             want.precision_bits,
@@ -789,23 +860,34 @@ def test_find_zero_newton_converges_quadratically():
 def test_ladder_newton_steps_stay_finite_below_the_float_range():
     """At 5,679 bits the converged steps lie far below 2^-1074, where a
     float step read 0.0; their log2 stays finite, and the last entry is
-    the check at B whose step was not taken, below 2^(4 - B)."""
+    the check at B whose step was not taken.  That step is sized by an
+    f(x) at the kernel's noise level, so it lies within a few bits of
+    2^(4 - B), below or above."""
     z = find_zero(100, Q_HALF)
     steps = z.newton_rel_steps
     assert all(isfinite(s) for s in steps)
     assert min(steps) < -1100
-    assert steps[-1] < 4 - z.precision_bits
+    assert steps[-1] < 16 - z.precision_bits
+    assert z.residual.precision_bits <= 8 or steps[-1] < 4 - z.precision_bits
 
 
 @pytest.mark.parametrize(
     "k, q",
-    [(60, Q_HALF), (100, Q_HALF), (60, Q_9_19), (100, Q_9_19), (40, Fraction(1, 10))],
+    [
+        (35, Q_HALF),
+        (60, Q_HALF),
+        (100, Q_HALF),
+        (60, Q_9_19),
+        (100, Q_9_19),
+        (40, Fraction(1, 10)),
+    ],
     ids=str,
 )
 def test_ladder_zeros_change_sign_within_16_bits_of_the_budget(k, q):
     """A check that runs no Newton step: f, read by eval_f at B + 64 bits,
-    changes sign across x (1 -+ 2^-(B - 16)) for zeros found on the ladder
-    (measured: x is correct to within 7 bits of B, as before the ladder)."""
+    changes sign across x (1 -+ 2^-(B - 16)) for zeros found on the ladder,
+    x_35 at q = 1/2 among them at 839 bits (measured: x is correct to
+    within 8 bits of B, as before the ladder)."""
     z = find_zero(k, q)
     bits = z.precision_bits
     assert bits >= zeros._LADDER_MIN_BITS
@@ -1156,16 +1238,17 @@ def test_q_power_table_survives_concurrent_extension():
 def test_threads_share_one_helper_or_evaluate_locally():
     """Every thread evaluates locally (there is no helper process): four
     threads (more than the machine's two cores) switching every 10 us
-    build the per-(q, rung) power tables of x_40 and x_100 at q = 1/2
-    from cold together, and every zero equals the serial one."""
-    want = [_zero_fields(find_zero(k, Q_HALF)) for k in (40, 100)]
+    build the power table of x_25 at q = 1/2 (480 bits, below the ladder)
+    from cold together and run the kernel on x_100's ladder, and every
+    zero equals the serial one."""
+    want = [_zero_fields(find_zero(k, Q_HALF)) for k in (25, 100)]
     got = [[] for _ in range(4)]
     start = threading.Barrier(len(got))
 
     def work(i):
         start.wait(timeout=60)
         for _ in range(2):
-            got[i].append([_zero_fields(find_zero(k, Q_HALF)) for k in (40, 100)])
+            got[i].append([_zero_fields(find_zero(k, Q_HALF)) for k in (25, 100)])
 
     interval = sys.getswitchinterval()
     zeros._q_powers.cache_clear()
