@@ -496,11 +496,11 @@ def find_zero(k: int, q, n_guess: int = 2, precision_bits: int | None = None) ->
     p_(i+1) = p_i // 2 + 32 down to the last rung of at least 128 bits:
     to convergence on the bottom rung, then one step on each rung above,
     each about doubling the correct bits with f(qx) read once, at the
-    rung below.  At B, f(x) is read once more and sizes the step with
-    that f(qx): when it is below 2^(4 - B) relative, or f(x) keeps 8 bits
-    or fewer, it is not taken and f(x) is the residual.  The guess's C_i
-    are then at 128 bits.  x comes out correct to within about 8 bits of
-    B either way.
+    rung below.  At B, f(x) is read once more, its step sized with that
+    f(qx): below 2^(4 - B) relative, or with f(x) at 8 bits or fewer, it
+    is not taken and f(x) is the residual; else Newton steps on.  The
+    guess's C_i are then at 128 bits.  x comes out correct to within
+    about 8 bits of B either way.
     """
     k = _positive_index(k)
     if not 0 <= n_guess <= _MAX_GUESS_ORDER:
