@@ -103,9 +103,7 @@ def _cmd_zeros(args) -> int:
     k_max = args.kmax if args.kmax is not None else args.k
     if k_max < args.k:
         raise ValueError("--kmax must be at least --k")
-    table = zero_table(
-        args.q, args.k, k_max, n_guess=args.guess_order, precision_bits=_env_precision()
-    )
+    table = zero_table(args.q, args.k, k_max, precision_bits=_env_precision())
     _emit([table[k].to_json() for k in range(args.k, k_max + 1)])
     return 0
 
@@ -182,7 +180,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", type=_parse_q, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--kmax", type=int)
-    p.add_argument("--guess-order", type=int, default=2, dest="guess_order")
     p.set_defaults(func=_cmd_zeros)
 
     p = sub.add_parser("residuals", help="scaled residual profile r_n(k)")

@@ -541,8 +541,6 @@ def _assemble_s(n: int, family: str, comp_of) -> list[MPoly]:
     for n_order in range(3, n + 2):
         for m in range(1, n_order // 2 + 1):
             d = n - n_order + m + 1
-            if d < m:
-                continue
             block = None
             for i, w in enumerate(_block_weights(n_order, m)[: n + 1]):
                 if w:
@@ -560,15 +558,12 @@ def _block_weights(n_order: int, m: int) -> tuple[Fraction, ...]:
 
 @cache
 def _composition(coeff, family: str, m: int, d: int) -> MPoly:
-    """Sum of coeff(i_1) ... coeff(i_m) over i_1 + ... + i_m = d, i_l >= 1.
+    """Sum of coeff(i_1) ... coeff(i_m) over i_1 + ... + i_m = d, i_l >= 1,
+    for 1 <= m <= d (_assemble_s asks for d = n - N + m + 1 >= m).
 
     Built by peeling off the first factor, so comp(m, d) needs coeff(i)
     only for i <= d - m + 1; cached under (coeff, family, m, d).
     """
-    if m == 0:
-        return MPoly.const(family, 1) if d == 0 else MPoly.zero(family)
-    if d < m:
-        return MPoly.zero(family)
     if m == 1:
         return coeff(d)
     return _weighted_sum(

@@ -36,19 +36,12 @@ _K_REPORT = 20
 
 
 def zero_table(
-    q,
-    k_min: int,
-    k_max: int,
-    n_guess: int = 2,
-    precision_bits: int | None = None,
+    q, k_min: int, k_max: int, precision_bits: int | None = None
 ) -> dict[int, ZeroResult]:
     """find_zero over a k range, keyed by k: the checks below read zeros
     only from such a table.  find_zero checks every argument, an explicit
     precision_bits (an int of at least 8) included, before any work."""
-    return {
-        k: find_zero(k, q, n_guess=n_guess, precision_bits=precision_bits)
-        for k in range(k_min, k_max + 1)
-    }
+    return {k: find_zero(k, q, precision_bits=precision_bits) for k in range(k_min, k_max + 1)}
 
 
 def _supplied_zero(zeros: dict[int, ZeroResult], k: int, qf: Fraction) -> ZeroResult:

@@ -72,8 +72,6 @@ _PROBE_BITS = 160
 _PROBE_CERT_BITS = 46
 _PROBE_MAX_TERMS = 2**15
 _PROBE_GUARD_BITS = _PROBE_MAX_TERMS.bit_length()
-#: the largest guess order find_zero takes (order 20 costs about 5 s cold)
-_MAX_GUESS_ORDER = 20
 
 _NEAREST = "n"  # the rounding mode of every context(bits)
 _Q_POWERS_LOCK = Lock()
@@ -282,15 +280,14 @@ def eval_f(x, q, precision_bits: int) -> PrecReal:
     precision_bits, half to even.  Every mpf operation in a
     round-to-nearest context is correctly rounded that way, so the result
     is bit for bit the one the mpf operators give, in the same order.  A
-    sum of operands whose exponents lie more than 100 bits and whose
-    magnitudes lie more than precision_bits + 4 bits apart takes libmp's
-    shortcut: the larger operand, nudged by one unit precision_bits + 4
-    bits below it, is rounded, so a tiny x builds no shift as long as its
-    exponent.  The comparisons with the peak are exact, bit lengths
-    first.  The powers q^n come from a table of (mantissa, exponent)
-    pairs shared by all calls at the same q and precision.  The ratio is
-    a chain of monotone roundings of a decreasing sequence, so once it is
-    under 1/2 it stays there and is no longer computed.
+    sum of operands whose magnitudes lie more than precision_bits + 4
+    bits apart is the larger one, as rounding gives it, so a tiny x
+    builds no shift as long as its exponent.  The comparisons with the
+    peak are exact, bit lengths first.  The powers q^n come from a table
+    of (mantissa, exponent) pairs shared by all calls at the same q and
+    precision.  The ratio is a chain of monotone roundings of a
+    decreasing sequence, so once it is under 1/2 it stays there and is no
+    longer computed.
     """
     precision_bits = _positive_index(precision_bits, "working precision in bits", 4)
     ctx = context(precision_bits)
@@ -320,7 +317,6 @@ def _f_raw(X: tuple, Q: tuple, prec: int) -> tuple[int, int, int]:
     if not xm:
         return 1, 0, prec  # f(0) = 1
     am, ae = _round(xm, xe, prec)  # |x| at prec, for the ratio
-    far = prec + 4  # libmp's far-offset shortcut nudges at this depth
     tm, te, t_neg = 1, 0, False  # the term: (-1)^t_neg tm 2^te
     sm, se = 1, 0  # the running total: sm 2^se, sm signed
     pm, pe = 1, 0  # the peak of |term| and |total|: pm 2^pe
@@ -337,17 +333,15 @@ def _f_raw(X: tuple, Q: tuple, prec: int) -> tuple[int, int, int]:
         n += 1
         tm, te = _divide(tm, te, n, prec)
         mag = tm.bit_length() + te
-        # total += term, rounded once
+        # total += term, rounded once; of two operands more than prec + 4
+        # bits apart in magnitude the smaller is below half a unit of the
+        # larger, which the sum rounds back to
         tv = -tm if t_neg else tm
-        if not sm:
+        gap = sm.bit_length() + se - mag
+        if not sm or gap < -prec - 4:
             sm, se = tv, te
-        else:
-            gap = sm.bit_length() + se - mag
-            if se - te > 100 and gap > far:
-                s, e = (sm << far) + (-1 if t_neg else 1), se - far
-            elif te - se > 100 and -gap > far:
-                s, e = (tv << far) + (1 if sm > 0 else -1), te - far
-            elif se >= te:
+        elif gap <= prec + 4:
+            if se >= te:
                 s, e = (sm << (se - te)) + tv, te
             else:
                 s, e = sm + (tv << (te - se)), se
@@ -395,10 +389,11 @@ def _sign_at(t, qf: Fraction, bits: int, probe: bool) -> int:
     return _sign(eval_f(t, qf, bits))
 
 
-def _asymptotic_guess(ctx, k: int, qf: Fraction, n_guess: int, bits: int):
+def _asymptotic_guess(ctx, k: int, qf: Fraction, bits: int):
+    """-k q^(1-k) (1 + C_1(q)/k^2 + C_2(q)/k^3), the C_i read at `bits`."""
     corr = ctx.mpf(1)
     kk = ctx.mpf(k)
-    for i in range(1, n_guess + 1):
+    for i in (1, 2):
         ci = coefficient_value(i, qf, SERIES_TRUNC, bits)
         corr += to_mpf(ctx, ci) * kk ** (-1 - i)
     qv = to_mpf(ctx, qf)
@@ -465,16 +460,19 @@ class ZeroResult:
         }
 
 
-def find_zero(k: int, q, n_guess: int = 2, precision_bits: int | None = None) -> ZeroResult:
+def find_zero(k: int, q, precision_bits: int | None = None) -> ZeroResult:
     """Locate x_k by asymptotic guess, bracket expansion, bisection, Newton.
 
     The working precision is precision_bits (an int of at least 8, checked
     before any work) or else required_precision(k, q).  The guess is
-    -k q^(1-k) (1 + sum_{i<=n_guess} C_i(q) k^(-1-i)), with n_guess in
-    0..20.  A symmetric relative bracket of half-width k^(-n_guess-2)
-    doubles until f changes sign, capped at 1/(4k) (beyond that a
-    neighbouring zero could be captured); failure raises BracketError and
-    the caller should fall back to scan_zeros.
+    -k q^(1-k) (1 + C_1(q)/k^2 + C_2(q)/k^3), the paper's expansion to
+    order 2.  A symmetric relative bracket of half-width k^-4 doubles
+    until f changes sign, capped at 1/(4k) (beyond that a neighbouring
+    zero could be captured).  As f(0) = 1 and the zeros are real and
+    simple, sign f(-t) is -1 to the number of zeros in (-t, 0), so the
+    bracket's outer end must read (-1)^k: a change of sign there with
+    the other parity is the wrong zero.  Either failure raises
+    BracketError, and the caller should fall back to scan_zeros.
     Bisection narrows to ~60 bits (at most bits - 8), then Newton steps
     x -= f(x)/f(qx) finish at full precision (f' = f(q x) by the defining
     functional equation).
@@ -503,17 +501,15 @@ def find_zero(k: int, q, n_guess: int = 2, precision_bits: int | None = None) ->
     about 8 bits of B either way.
     """
     k = _positive_index(k)
-    if not 0 <= n_guess <= _MAX_GUESS_ORDER:
-        raise ValueError(f"guess order must lie in 0..{_MAX_GUESS_ORDER}")
     qf = _q_fraction(q)
     bits = required_precision(k, qf) if precision_bits is None else precision_bits
     bits = _positive_index(bits, "working precision in bits", 8)
     ctx = context(bits)
 
     guess_bits = _LADDER_BASE_BITS if bits >= _LADDER_MIN_BITS else bits
-    guess = _asymptotic_guess(ctx, k, qf, n_guess, guess_bits)
+    guess = _asymptotic_guess(ctx, k, qf, guess_bits)
     delta_max = ctx.mpf(1) / (4 * k)
-    delta = min(ctx.mpf(k) ** (-(n_guess + 2)), delta_max)
+    delta = min(ctx.mpf(k) ** -4, delta_max)
 
     # Every probed t has |t| <= 2|guess|: q^n |t| < 1/2, hence the ratio
     # tests of the kernel and of eval_f, holds from n0 =
@@ -535,9 +531,14 @@ def find_zero(k: int, q, n_guess: int = 2, precision_bits: int | None = None) ->
         if delta >= delta_max:
             raise BracketError(
                 f"no sign change within relative half-width 1/(4k) around the "
-                f"order-{n_guess} guess for k={k}, q={qf}"
+                f"order-2 guess for k={k}, q={qf}"
             )
         delta = min(delta * 2, delta_max)
+    if slo != (-1) ** k:
+        raise BracketError(
+            f"the sign change around the order-2 guess for k={k}, q={qf} is "
+            f"not x_k: f past it has the sign (-1)^(k+1)"
+        )
     bracket = (PrecReal(lo, bits), PrecReal(hi, bits))
 
     # bisection to roughly 60 correct bits, or 8 below the working

@@ -161,6 +161,25 @@ def test_series_unknown_expression(capsys):
     assert "unknown series expression" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["series", "--expr", "C0", "--trunc", "5"],
+        ["zeros", "--q", "1/2", "--k", "5", "--kmax", "4"],
+        ["residuals", "--q", "1/2", "--n", "1", "--kmin", "12", "--kmax", "11"],
+        ["ratio", "--q", "1/2", "--kmin", "12", "--kmax", "11"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_verb_argument_errors_print_an_error_line(capsys, argv):
+    """Argument checks inside the verbs: exit 2, an error line on stderr
+    and nothing on stdout."""
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+
+
 def test_zeros_single_and_range(capsys):
     doc = run_json(capsys, "zeros", "--q", "1/2", "--k", "6")
     assert len(doc) == 1
@@ -171,11 +190,19 @@ def test_zeros_single_and_range(capsys):
 
 
 def test_zeros_bracket_failure_is_a_json_error(capsys):
-    code, out, err = run_cli(capsys, "zeros", "--q", "1/2", "--k", "2")
-    assert code == 1
-    doc = json.loads(out)
-    assert doc["code"] == "bracket-failure"
-    assert "k=2" in doc["message"]
+    """No sign change around the guess (x_2 at q = 1/2), or one whose
+    outer end has the sign of the wrong parity (the sign change is x_10
+    for k = 11 at q = 17/20, x_11 for k = 14 at q = 9/10)."""
+    for q, k, why in (
+        ("1/2", "2", "no sign change"),
+        ("17/20", "11", "is not x_k"),
+        ("9/10", "14", "is not x_k"),
+    ):
+        code, out, err = run_cli(capsys, "zeros", "--q", q, "--k", k)
+        assert code == 1, (q, k)
+        doc = json.loads(out)
+        assert doc["code"] == "bracket-failure"
+        assert f"k={k}" in doc["message"] and why in doc["message"]
 
 
 def test_decomposition_error_is_a_json_error(capsys, monkeypatch):
@@ -188,13 +215,6 @@ def test_decomposition_error_is_a_json_error(capsys, monkeypatch):
     code, out, err = run_cli(capsys, "coeff", "--n", "3")
     assert code == 1
     assert json.loads(out) == {"code": "decomposition-error", "message": "pure-v residue"}
-
-
-def test_zeros_guess_order_flag(capsys):
-    doc = run_json(
-        capsys, "zeros", "--q", "1/2", "--k", "8", "--guess-order", "3"
-    )
-    assert doc[0]["k"] == 8
 
 
 def test_zeros_rejects_q_outside_unit_interval(capsys):
@@ -352,13 +372,12 @@ def test_low_precision_zeros_call_ends():
         assert [(z["k"], z["precision_bits"]) for z in doc] == [(10, 48)]
 
 
-@pytest.mark.parametrize("order", ["-1", "21", "40"])
-def test_zeros_guess_order_outside_0_to_20_exits_two(order):
-    """An order of 40 once ran for minutes building C_1..C_40, and -1
-    ended as a bracket failure; both are argument errors."""
+def test_zeros_takes_no_guess_order():
+    """The guess is always of order 2: --guess-order, even at 2, is an
+    unknown argument."""
     proc = subprocess.run(
-        [sys.executable, "-m", "defexp", "zeros", "--q", "1/2", "--k", "30"]
-        + ["--guess-order", order],
+        [sys.executable, "-m", "defexp", "zeros", "--q", "1/2", "--k", "10"]
+        + ["--guess-order", "2"],
         capture_output=True,
         text=True,
         env=subprocess_env(),
@@ -366,4 +385,4 @@ def test_zeros_guess_order_outside_0_to_20_exits_two(order):
     )
     assert proc.returncode == 2, proc.stderr
     assert proc.stdout == ""
-    assert "guess order must lie in 0..20" in proc.stderr
+    assert "unrecognized arguments: --guess-order 2" in proc.stderr

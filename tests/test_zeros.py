@@ -387,7 +387,7 @@ def test_q_power_table_is_not_poisoned_across_q_and_precision():
         assert _same(w, _reference_eval_f(*c)), c
 
 
-def _reference_find_zero(k: int, q, n_guess: int = 2, precision_bits=None) -> ZeroResult:
+def _reference_find_zero(k: int, q, precision_bits=None) -> ZeroResult:
     """find_zero with every bracket and bisection sign read at the full
     budget and Newton written on contexts and eval_f, the reference that
     the certified probes and the raw Newton steps must reproduce bit for
@@ -404,9 +404,9 @@ def _reference_find_zero(k: int, q, n_guess: int = 2, precision_bits=None) -> Ze
     ctx = context(bits)
     rungs = _rungs(bits)
 
-    guess = _asymptotic_guess(ctx, k, qf, n_guess, bits if len(rungs) == 1 else 128)
+    guess = _asymptotic_guess(ctx, k, qf, bits if len(rungs) == 1 else 128)
     delta_max = ctx.mpf(1) / (4 * k)
-    delta = min(ctx.mpf(k) ** (-(n_guess + 2)), delta_max)
+    delta = min(ctx.mpf(k) ** -4, delta_max)
 
     def f(t) -> PrecReal:
         return eval_f(t, qf, bits)
@@ -421,9 +421,11 @@ def _reference_find_zero(k: int, q, n_guess: int = 2, precision_bits=None) -> Ze
         if delta >= delta_max:
             raise BracketError(
                 f"no sign change within relative half-width 1/(4k) around the "
-                f"order-{n_guess} guess for k={k}, q={qf}"
+                f"order-2 guess for k={k}, q={qf}"
             )
         delta = min(delta * 2, delta_max)
+    if _sign(flo) != (-1) ** k:
+        raise BracketError(f"the sign change for k={k}, q={qf} is not x_k")
     bracket = (PrecReal(lo, bits), PrecReal(hi, bits))
 
     # bisection to roughly 60 correct bits, or 8 below the working
@@ -622,7 +624,7 @@ def test_uncertified_probes_fall_back_to_the_full_budget(monkeypatch, uncertify)
 
 
 def test_probe_sign_near_a_zero_is_the_full_budget_sign():
-    """At relative distances 2^-60..2^-170 from a zero the helper must
+    """At relative distances 2^-60..2^-170 from a zero _sign_at must
     return the sign of the full-budget evaluation; the kernel certifies
     the far points and gives up on the near ones."""
     certified = fallen_back = 0
@@ -815,21 +817,6 @@ def test_scan_oracle_does_not_read_the_probe_kernel(monkeypatch, scanned_q_half)
         find_zero(12, Q_HALF)
     again = scan_zeros(Q_HALF, -300, 6)
     assert [_zero_fields(z) for z in again] == [_zero_fields(z) for z in scanned_q_half]
-
-
-@pytest.mark.parametrize("n_guess", [-1, 21, 40])
-def test_find_zero_rejects_guess_order_outside_0_to_20(n_guess):
-    with pytest.raises(ValueError, match="guess order"):
-        find_zero(30, Q_HALF, n_guess=n_guess)
-
-
-@pytest.mark.parametrize("n_guess", [0, 20])
-def test_find_zero_takes_guess_orders_0_and_20(monkeypatch, n_guess):
-    """The ends of the range are taken (the coefficients are stubbed to
-    zero: a cold C_20 costs seconds)."""
-    monkeypatch.setattr(zeros, "coefficient_value", lambda i, q, trunc, bits: 0)
-    z = find_zero(12, Q_HALF, n_guess=n_guess)
-    assert z.k == 12
 
 
 @pytest.mark.parametrize("k", range(4, 11))
@@ -1235,12 +1222,11 @@ def test_q_power_table_survives_concurrent_extension():
         sys.setswitchinterval(interval)
 
 
-def test_threads_share_one_helper_or_evaluate_locally():
-    """Every thread evaluates locally (there is no helper process): four
-    threads (more than the machine's two cores) switching every 10 us
-    build the power table of x_25 at q = 1/2 (480 bits, below the ladder)
-    from cold together and run the kernel on x_100's ladder, and every
-    zero equals the serial one."""
+def test_threads_find_the_serial_zeros():
+    """Four threads (more than the machine's two cores) switching every
+    10 us build the power table of x_25 at q = 1/2 (480 bits, below the
+    ladder) from cold together and run the kernel on x_100's ladder, and
+    every zero equals the serial one."""
     want = [_zero_fields(find_zero(k, Q_HALF)) for k in (25, 100)]
     got = [[] for _ in range(4)]
     start = threading.Barrier(len(got))
