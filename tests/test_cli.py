@@ -386,3 +386,21 @@ def test_zeros_takes_no_guess_order():
     assert proc.returncode == 2, proc.stderr
     assert proc.stdout == ""
     assert "unrecognized arguments: --guess-order 2" in proc.stderr
+
+
+@pytest.mark.parametrize("order", ["-1", "21", "40"])
+def test_zeros_guess_order_outside_0_to_20_exits_two(order):
+    """An order of 40 once ran for minutes building C_1..C_40, and -1
+    ended as a bracket failure; with the option gone, both are still
+    argument errors that exit 2 at once."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "defexp", "zeros", "--q", "1/2", "--k", "30"]
+        + ["--guess-order", order],
+        capture_output=True,
+        text=True,
+        env=subprocess_env(),
+        timeout=60,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    assert f"unrecognized arguments: --guess-order {order}" in proc.stderr
