@@ -46,30 +46,21 @@ __all__ = [
 _SCAN_POINTS_PER_DECADE = 64
 
 # _probe_sum, one integer kernel for f at any working precision p, gives
-# find_zero its sign probes at p = _PROBE_BITS and every f on the Newton
-# ladder at the rung's p.  Let u = 2^-p and P = 2^peak, its bound on every
-# |term| and |partial sum|.  Term n + 1 is term n times u_n/(n + 1), with
-# u_n = t q^n carried with G = _PROBE_GUARD_BITS guard bits.  Each step is
-# off by t's one rounding to p bits (< u), u_n's n floors to at least
-# p + G bits (< n 2^(1 - G) u <= u, as n < 2^15 at every p), a truncating
-# shift (< u) and a floor division by n + 1 (< 2u), less than 5u in all,
-# so term n is off by less than (1 + 5u)^n - 1 < 7nu relative, and the
-# exact sum of N terms by less than 7u P N(N + 1)/2.  The kernel stops
-# once the ratio |t| q^n/(n + 1), bounded above with
-# |t| q^n < |u_n| (1 + 2^(2 - p)), is under 1/2 and the last term is below
-# 2^(peak - p), so the tail is under 2 P u.  The kernel is thus off by
-# less than (4N(N + 1) + 2) P u < 2^33 P u at every p: N^2, where eval_f's
-# chained q^n products give N^3.  A probe certifies the sign of a sum of
-# at least 2^_PROBE_CERT_BITS P u, which must also be the sign eval_f
-# reads at the budget B = p + d.  Its error is below
-# (N'^3 + 3N'^2 + N' + 2) 2^-d P' u, with N' <= 2^15 + d terms (the term
-# bound find_zero checks, plus one halving term per extra bit) and its
-# peak P' < 2P; at d = 1, the largest case, that is under 2^44.001 P' u <
-# 2^45.001 P u.  A sum of at least 2^46 P u leaves |f(t)| above both
-# bounds (2^46 - 2^33 > 2^45.001), so its sign is the true one and the
-# full-budget evaluation reads it too: a certified probe changes no result.
-_PROBE_BITS = 160
-_PROBE_CERT_BITS = 46
+# find_zero every f it reads off the kernel and the signs it certifies.
+# Let u = 2^-p and P = 2^peak, its bound on every |term| and |partial sum|.
+# Term n + 1 is term n times u_n/(n + 1), with u_n = t q^n carried with
+# G = _PROBE_GUARD_BITS guard bits.  Each step is off by t's one rounding
+# to p bits (< u), u_n's n floors to at least p + G bits
+# (< n 2^(1 - G) u <= u, as n < 2^15 at every p), a truncating shift (< u)
+# and a floor division by n + 1 (< 2u), less than 5u in all, so term n is
+# off by less than (1 + 5u)^n - 1 < 7nu relative, and the exact sum of N
+# terms by less than 7u P N(N + 1)/2.  The kernel stops once the ratio
+# |t| q^n/(n + 1), bounded above with |t| q^n < |u_n| (1 + 2^(2 - p)), is
+# under 1/2 and the last term is below 2^(peak - p), so the tail is under
+# 2 P u.  The kernel is thus off by less than (4N(N + 1) + 2) P u < 2^33 P u
+# at every p, and a sum of at least 2^(_SIGN_BITS - 1) P u has the sign
+# of f(t).
+_SIGN_BITS = 34
 _PROBE_MAX_TERMS = 2**15
 _PROBE_GUARD_BITS = _PROBE_MAX_TERMS.bit_length()
 
@@ -195,16 +186,15 @@ def _probe_sum(X: tuple, qf: Fraction, p: int) -> tuple[int, int, int, int] | No
             return total, base, peak, n
 
 
-def _probe_sign(t, qf: Fraction) -> int | None:
-    """The sign of f(t) off _probe_sum at _PROBE_BITS, or None when it gives
-    up or its sum does not clear the bound derived at the constants."""
-    probe = _probe_sum(t._mpf_, qf, _PROBE_BITS)
-    if probe is None:
-        return None
-    total, base, peak, _ = probe
-    if total.bit_length() - 1 + base < peak - _PROBE_BITS + _PROBE_CERT_BITS:
-        return None
-    return 1 if total > 0 else -1
+def _kernel_sign(X: tuple, qf: Fraction, *precs: int) -> int | None:
+    """The sign of f at the raw mpf X off _probe_sum at the first p of
+    `precs` whose sum clears the bound derived at the constants, at least
+    2^(_SIGN_BITS - 1 + peak - p); None when no p does or the kernel gives up."""
+    for p in precs:
+        total, base, peak, _ = _probe_sum(X, qf, p) or (0, 0, 0, 0)
+        if total and total.bit_length() + base >= peak - p + _SIGN_BITS:
+            return 1 if total > 0 else -1
+    return None
 
 
 def _read(X: tuple, qf: Fraction, prec: int, kernel: bool) -> tuple[int, int, int]:
@@ -378,17 +368,6 @@ def _sign(value: PrecReal) -> int:
     return 0
 
 
-def _sign_at(t, qf: Fraction, bits: int, probe: bool) -> int:
-    """The sign of eval_f(t, qf, bits), read off _probe_sign when `probe`
-    is set and the kernel certifies it (the derivation is at the
-    constants); any other probe falls back to the evaluation at `bits`."""
-    if probe:
-        s = _probe_sign(t, qf)
-        if s is not None:
-            return s
-    return _sign(eval_f(t, qf, bits))
-
-
 def _asymptotic_guess(ctx, k: int, qf: Fraction, bits: int):
     """-k q^(1-k) (1 + C_1(q)/k^2 + C_2(q)/k^3), the C_i read at `bits`."""
     corr = ctx.mpf(1)
@@ -436,6 +415,22 @@ def _newton(
     return x, None
 
 
+def _certify(guess, k: int, qf: Fraction, precs: list) -> tuple | None:
+    """Newton from the guess, an mpf at precs[-1] bits, on the kernel at
+    p = precs[0] bits to a zero x; the points x (1 + 2^-(p // 2)) and
+    x (1 - 2^-(p // 2)) at precs[-1] bits when _kernel_sign at precs reads
+    (-1)^k and (-1)^(k - 1) there, a sign change of x_k's parity; else None."""
+    p = precs[0]
+    x, _ = _newton(guess._mpf_, qf, p, p, [], p.bit_length() + 8, True)
+    ctx = context(precs[-1])
+    x, h = ctx.make_mpf(x), ctx.mpf(2) ** -(p // 2)
+    points = (x * (1 + h), x * (1 - h))
+    for t, want in zip(points, ((-1) ** k, (-1) ** (k - 1))):
+        if _kernel_sign(t._mpf_, qf, *precs) != want:
+            return None
+    return points
+
+
 @dataclass(frozen=True)
 class ZeroResult:
     """One located zero with its bracket and acceptance residual;
@@ -473,19 +468,18 @@ def find_zero(k: int, q, precision_bits: int | None = None) -> ZeroResult:
     bracket's outer end must read (-1)^k: a change of sign there with
     the other parity is the wrong zero.  Either failure raises
     BracketError, and the caller should fall back to scan_zeros.
-    Bisection narrows to ~60 bits (at most bits - 8), then Newton steps
-    x -= f(x)/f(qx) finish at full precision (f' = f(q x) by the defining
-    functional equation).
+    Bisection narrows to ~60 bits (at most bits - 8), and Newton finishes
+    from its midpoint.
 
-    The bracket and the bisection read only the sign of f.  When the
-    working precision is above 160 bits, each sign is first read off a
-    160-bit integer kernel (_probe_sign), about 3 times cheaper than a
-    160-bit eval_f, which returns a sign only when its sum clears the
-    kernel's error bound together with eval_f's at the full precision:
-    the sign is then the true one, the one the full-precision evaluation
-    gives.  Any other probe falls back to the full-precision evaluation,
-    so the result is the same bit for bit; the endpoints, the midpoints
-    and the residual all stay at full precision.
+    The bracket and the bisection read only the sign of f.  First,
+    _certify locates a zero x by Newton on the integer kernel at p bits
+    (the ladder's bottom rung, or min(B, 128) below the ladder) and
+    certifies the signs at x (1 + 2^-(p // 2)) and x (1 - 2^-(p // 2));
+    as consecutive zeros lie more than a factor 1/q apart (scan_zeros),
+    each sign holds out to a factor 1/q beyond its point.  Any other t
+    takes a certified kernel sign (_kernel_sign) at p and then at B,
+    else the sign of the budget's read at B (eval_f's loop below the
+    ladder, the kernel on it).  All but those last signs are true signs.
 
     Below _LADDER_MIN_BITS = 648 working bits, Newton steps on eval_f's
     loop at the full budget B until a step is below 2^(4 - B) relative,
@@ -506,21 +500,28 @@ def find_zero(k: int, q, precision_bits: int | None = None) -> ZeroResult:
     bits = _positive_index(bits, "working precision in bits", 8)
     ctx = context(bits)
 
-    guess_bits = _LADDER_BASE_BITS if bits >= _LADDER_MIN_BITS else bits
-    guess = _asymptotic_guess(ctx, k, qf, guess_bits)
+    rungs = [bits]
+    while bits >= _LADDER_MIN_BITS and rungs[-1] // 2 + 32 >= _LADDER_BASE_BITS:
+        rungs.append(rungs[-1] // 2 + 32)
+    ladder = len(rungs) > 1
+    guess = _asymptotic_guess(ctx, k, qf, _LADDER_BASE_BITS if ladder else bits)
     delta_max = ctx.mpf(1) / (4 * k)
     delta = min(ctx.mpf(k) ** -4, delta_max)
 
-    # Every probed t has |t| <= 2|guess|: q^n |t| < 1/2, hence the ratio
-    # tests of the kernel and of eval_f, holds from n0 =
-    # log2(4|guess|)/log2(1/q) on, and after it each term at most halves,
-    # so the tail test at _PROBE_BITS passes within _PROBE_BITS + 1 more
-    # terms (the bound at the constants needs this count for eval_f too).
-    probe_terms = (ctx.mag(guess) + 2) / _log2_inv_q(qf) + _PROBE_BITS + 3
-    probe = bits > _PROBE_BITS and probe_terms <= _PROBE_MAX_TERMS
+    precs = sorted({rungs[-1] if ladder else min(bits, _LADDER_BASE_BITS), bits})
+    cert = _certify(guess, k, qf, precs)
+    if cert:
+        c_out, c_in = cert  # and beyond >= c_in/q, within <= q c_out:
+        beyond = ctx.fdiv(ctx.fmul(c_in, qf.denominator, exact=True), qf.numerator, rounding="c")
+        within = ctx.fdiv(ctx.fmul(c_out, qf.numerator, exact=True), qf.denominator, rounding="f")
 
     def sign(t) -> int:
-        return _sign_at(t, qf, bits, probe)
+        if cert and beyond <= t <= c_out:
+            return (-1) ** k
+        if cert and c_in <= t <= within:
+            return (-1) ** (k - 1)
+        s = _kernel_sign(t._mpf_, qf, *precs) or _read(t._mpf_, qf, bits, ladder)[0]
+        return (s > 0) - (s < 0)
 
     while True:
         lo = guess * (1 + delta)  # the more negative endpoint
@@ -559,14 +560,11 @@ def find_zero(k: int, q, precision_bits: int | None = None) -> ZeroResult:
     # Newton at the working precision, or on the ladder from its bottom
     # rung up: to convergence at the ends, one step at each rung between,
     # each f(qx) read at the rung below
-    rungs = [bits]
-    while bits >= _LADDER_MIN_BITS and rungs[-1] // 2 + 32 >= _LADDER_BASE_BITS:
-        rungs.append(rungs[-1] // 2 + 32)
     x = ((a + b) / 2)._mpf_
     steps: list[float] = []
     for p, below in reversed(list(zip(rungs, rungs[1:] + rungs[-1:]))):
         limit = p.bit_length() + 8 if p in (bits, rungs[-1]) else 1
-        x, fx = _newton(x, qf, p, below, steps, limit, len(rungs) > 1)
+        x, fx = _newton(x, qf, p, below, steps, limit, ladder)
     x = ctx.make_mpf(x)
 
     residual = abs(eval_f(x, qf, bits) if fx is None else _prec_real(ctx, *fx))

@@ -320,14 +320,10 @@ def _reference_f_raw(X: tuple, Q: tuple, bits: int) -> tuple:
 
 
 def _ladder_kernel_gives_up(monkeypatch) -> None:
-    """_probe_sum gives up at every precision but _PROBE_BITS: the sign
-    probes keep the kernel and every Newton read on the ladder falls back
-    to _f_raw (no ladder zero tested with this has a rung at
-    _PROBE_BITS)."""
-    kernel = zeros._probe_sum
-    monkeypatch.setattr(
-        zeros, "_probe_sum", lambda X, q, p: kernel(X, q, p) if p == zeros._PROBE_BITS else None
-    )
+    """_probe_sum gives up at every precision: no sign is certified, every
+    bracket and bisection sign is read at the full budget, and every Newton
+    read on the ladder falls back to _f_raw."""
+    monkeypatch.setattr(zeros, "_probe_sum", lambda X, q, p: None)
 
 
 def _rungs(bits: int) -> list:
@@ -502,7 +498,6 @@ def test_probed_find_zero_is_bit_identical_to_the_full_budget_loop(monkeypatch, 
         ks = (10, 25, 40, 60) + ((100,) if q == Q_HALF else ())
     for k in ks:
         rungs = _rungs(required_precision(k, q))
-        assert zeros._PROBE_BITS not in rungs, k
         with monkeypatch.context() as fallback:
             if len(rungs) > 1:
                 _ladder_kernel_gives_up(fallback)
@@ -511,19 +506,14 @@ def test_probed_find_zero_is_bit_identical_to_the_full_budget_loop(monkeypatch, 
 
 
 def test_probe_certification_threshold_covers_the_error_bound():
-    """In units of P u (see the comment at the constants), the kernel is
-    off by less than 4M(M + 1) + 2 and eval_f at _PROBE_BITS + d bits by
-    less than twice ((M + d)^3 + 3(M + d)^2 + (M + d) + 2) 2^-d, for at
-    most M terms.  A certified sum, at least 2^_PROBE_CERT_BITS, must
-    exceed both together, and the constant is the least that does."""
+    """In units of P u (see the comment at the constants), the kernel's sum
+    of at most M terms is off by less than 4M(M + 1) + 2.  A certified
+    sum, at least 2^(_SIGN_BITS - 1), must reach that bound, and the
+    constant is the least that does."""
     m = zeros._PROBE_MAX_TERMS
-    kernel = 4 * m * (m + 1) + 2
-    budget = max(
-        Fraction((m + d) ** 3 + 3 * (m + d) ** 2 + (m + d) + 2, 2**d) for d in range(1, 64)
-    )
-    bound = kernel + 2 * budget
-    assert 2**zeros._PROBE_CERT_BITS >= bound
-    assert 2 ** (zeros._PROBE_CERT_BITS - 1) < bound
+    bound = 4 * m * (m + 1) + 2
+    assert 2 ** (zeros._SIGN_BITS - 1) >= bound
+    assert 2 ** (zeros._SIGN_BITS - 2) < bound
 
 
 def _exact_f(t, q: Fraction, depth: int = 224) -> tuple[int, int, int]:
@@ -581,16 +571,18 @@ def _zero_near(k: int, q: Fraction):
     wiggle=st.integers(0, 2**32 - 1),
 )
 def test_probe_kernel_sign_is_the_exact_sign(k, q, j, side, wiggle):
-    """A certified kernel sign is the sign of the exact sum of f at dyadic
-    t = x_k (1 + side 2^-j (1 + wiggle 2^-32)), t rounded to x_k's budget."""
+    """A certified kernel sign, at 128 bits or at the budget, is the sign
+    of the exact sum of f at dyadic t = x_k (1 + side 2^-j (1 + wiggle
+    2^-32)), t rounded to x_k's budget."""
     x = _zero_near(k, q)
     assume(x is not None)
     bits = required_precision(k, q)
     ctx = context(bits)
     t = ctx.mpf(x) * (1 + side * ctx.mpf(2) ** -j * (1 + ctx.mpf(wiggle) / 2**32))
-    got = zeros._probe_sign(t, q)
-    if got is not None:
-        assert got == _exact_f_sign(t, q)
+    for p in (128, bits):
+        got = zeros._kernel_sign(t._mpf_, q, p)
+        if got is not None:
+            assert got == _exact_f_sign(t, q), p
 
 
 @pytest.mark.parametrize(
@@ -601,50 +593,69 @@ def test_probe_kernel_sign_is_the_exact_sign(k, q, j, side, wiggle):
     ],
 )
 def test_uncertified_probes_fall_back_to_the_full_budget(monkeypatch, uncertify):
-    """Every probe comes back uncertified, either because the kernel gives
-    up or because no sum reaches a threshold raised to its peak; each sign
-    must then come from the full-budget evaluation, to the same result."""
+    """No kernel sign is certified, either because the kernel gives up or
+    because no sum reaches a threshold raised above every precision; there
+    is then no certificate, and each bracket and bisection sign must come
+    from the budget's reader at the full budget, to the same result."""
     k, q = 30, Fraction(6, 11)
+    bits = required_precision(k, q)
     want = find_zero(k, q)
-    kernel = zeros._probe_sign
-    probes = []
+    signs, budget_reads = [], []
+    kernel_sign, read, newton = zeros._kernel_sign, zeros._read, zeros._newton
+    in_newton = []
 
-    def counted(t, q):
-        got = None if uncertify == "kernel" else kernel(t, q)
-        probes.append(got)
+    def counted_sign(X, q, *precs):
+        got = kernel_sign(X, q, *precs)
+        signs.append(got)
         return got
 
-    if uncertify == "threshold":
-        monkeypatch.setattr(zeros, "_PROBE_CERT_BITS", zeros._PROBE_BITS)
-    monkeypatch.setattr(zeros, "_probe_sign", counted)
+    def counted_read(X, q, prec, kernel):
+        if prec == bits and not in_newton:
+            budget_reads.append(X)
+        return read(X, q, prec, kernel)
+
+    def marked_newton(*args):
+        in_newton.append(True)
+        try:
+            return newton(*args)
+        finally:
+            in_newton.pop()
+
+    if uncertify == "kernel":
+        _ladder_kernel_gives_up(monkeypatch)
+    else:
+        monkeypatch.setattr(zeros, "_SIGN_BITS", bits + 1)
+    monkeypatch.setattr(zeros, "_kernel_sign", counted_sign)
+    monkeypatch.setattr(zeros, "_read", counted_read)
+    monkeypatch.setattr(zeros, "_newton", marked_newton)
     got = find_zero(k, q)
-    assert len(probes) > 40
-    assert set(probes) == {None}
+    assert len(budget_reads) > 40
+    assert set(signs) == {None}
     assert _zero_fields(got) == _zero_fields(want)
 
 
 def test_probe_sign_near_a_zero_is_the_full_budget_sign():
-    """At relative distances 2^-60..2^-170 from a zero _sign_at must
-    return the sign of the full-budget evaluation; the kernel certifies
-    the far points and gives up on the near ones."""
-    certified = fallen_back = 0
+    """At relative distances 2^-60..2^-170 from a zero a kernel sign, at
+    128 bits or at the budget, is the sign of the full-budget evaluation
+    wherever it is certified; the far points are certified and the near
+    ones are not."""
+    certified = uncertain = 0
     for k, q in ((12, Q_HALF), (20, Fraction(6, 11))):
         z = find_zero(k, q)
         bits = z.precision_bits
-        assert bits > zeros._PROBE_BITS
         ctx = context(bits)
         for j in range(60, 172, 4):
             for side in (1, -1):
                 t = ctx.mpf(z.x.value) * (1 + side * ctx.mpf(2) ** -j)
                 want = _sign(eval_f(t, q, bits))
-                assert zeros._sign_at(t, q, bits, True) == want, (k, j, side)
-                probe = zeros._probe_sign(t, q)
-                if probe is None:
-                    fallen_back += 1
-                else:
-                    assert probe == want, (k, j, side)
-                    certified += 1
-    assert certified > 40 and fallen_back > 40
+                for p in (128, bits):
+                    got = zeros._kernel_sign(t._mpf_, q, p)
+                    if got is None:
+                        uncertain += 1
+                    else:
+                        assert got == want, (k, j, side, p)
+                        certified += 1
+    assert certified > 40 and uncertain > 40
 
 
 def _replica_probe_sum(t, q: Fraction, p: int) -> tuple:
@@ -756,42 +767,52 @@ def test_probe_sum_is_within_its_error_bound_of_the_exact_sum(q, k, p):
 
 def test_bracket_and_bisection_make_no_full_budget_call(monkeypatch):
     """At k = 60 and 100 find_zero runs on the integer kernel alone: no
-    eval_f call, so no probe falls back and the residual is not read
-    afresh, and no _f_raw call on the Newton ladder.  The kernel reads f
-    at the full budget twice, for the one step at B and for the check
-    whose f(x) is the residual, and f(qx) once at the rung below B; each
-    rung between reads its f(x) and its f(qx) at the rung below, the
-    bottom rung both at its own bits."""
-    probes = []
+    eval_f call, so no sign falls back to it and the residual is not read
+    afresh, and no _f_raw call.  The kernel first locates the zero on the
+    bottom rung, then reads the certificate's two signs there, and the
+    certificate answers every bracket and bisection sign.  The ladder then
+    reads f at the full budget twice, for the one step at B and for the
+    check whose f(x) is the residual, and f(qx) once at the rung below B;
+    each rung between reads its f(x) and its f(qx) at the rung below, the
+    bottom rung both at its own bits.  No read is at 160 bits."""
     reads = []
-    kernel, prober = zeros._probe_sum, zeros._probe_sign
+    marks = {}
+    kernel, newton, certify = zeros._probe_sum, zeros._newton, zeros._certify
 
     def counted_sum(X, q, p):
         reads.append(p)
         return kernel(X, q, p)
 
-    def counted_probe(t, q):
-        probes.append(t)
-        return prober(t, q)
+    def marked_newton(*args):
+        got = newton(*args)
+        marks.setdefault("located", len(reads))
+        return got
+
+    def marked_certify(*args):
+        got = certify(*args)
+        marks["certified"] = len(reads)
+        return got
 
     def refuse(*args):
-        raise AssertionError("eval_f or _f_raw called on the ladder")
+        raise AssertionError("eval_f or _f_raw called")
 
     for k in (60, 100):
         bits = required_precision(k, Q_HALF)
         rungs = _rungs(bits)
-        assert zeros._PROBE_BITS not in rungs
         reads.clear()
-        probes.clear()
+        marks.clear()
         with monkeypatch.context() as counted:
             counted.setattr(zeros, "eval_f", refuse)
             counted.setattr(zeros, "_f_raw", refuse)
             counted.setattr(zeros, "_probe_sum", counted_sum)
-            counted.setattr(zeros, "_probe_sign", counted_probe)
+            counted.setattr(zeros, "_newton", marked_newton)
+            counted.setattr(zeros, "_certify", marked_certify)
             z = find_zero(k, Q_HALF)
-        assert len(probes) >= 40, k
-        ladder = [p for p in reads if p != zeros._PROBE_BITS]
-        assert len(reads) - len(ladder) == len(probes), k
+        assert 160 not in reads, k
+        located, certified = marks["located"], marks["certified"]
+        assert located >= 4 and reads[:located] == [rungs[-1]] * located, k
+        assert reads[located:certified] == [rungs[-1]] * 2, k
+        ladder = reads[certified:]
         climb = [p for pair in zip(rungs[-2::-1], rungs[:0:-1]) for p in pair] + [bits]
         bottom = len(ladder) - len(climb)
         assert bottom >= 2 and ladder[:bottom] == [rungs[-1]] * bottom, k
@@ -805,14 +826,83 @@ def test_bracket_and_bisection_make_no_full_budget_call(monkeypatch):
         ), k
 
 
+@pytest.mark.parametrize("q", [Q_HALF, Q_9_19, Fraction(11, 21)], ids=str)
+@pytest.mark.parametrize("k", [12, 26, 40, 100])
+def test_find_zero_reads_the_kernel_a_few_times_per_zero(monkeypatch, k, q):
+    """One warm find_zero reads the kernel at most 16 times below the
+    ladder (the locate, the certificate and the rare sign it does not
+    answer) and at most 32 times on it, never at 160 bits; _f_raw serves
+    only Newton at B and the residual below the ladder, and nothing on it."""
+    find_zero(k, q)
+    reads, raw = [], []
+    kernel, f_raw = zeros._probe_sum, zeros._f_raw
+
+    def counted_sum(X, q, p):
+        reads.append(p)
+        return kernel(X, q, p)
+
+    def counted_raw(X, Q, p):
+        raw.append(p)
+        return f_raw(X, Q, p)
+
+    monkeypatch.setattr(zeros, "_probe_sum", counted_sum)
+    monkeypatch.setattr(zeros, "_f_raw", counted_raw)
+    find_zero(k, q)
+    assert len(reads) <= (16 if k < 40 else 32)
+    assert 160 not in reads
+    assert len(raw) == {12: 7, 26: 11, 40: 0, 100: 0}[k]
+
+
+def _kept_certificates(monkeypatch) -> list:
+    """The list that every _certify result is appended to from now on."""
+    certify, kept = zeros._certify, []
+
+    def keep(*args):
+        kept.append(certify(*args))
+        return kept[-1]
+
+    monkeypatch.setattr(zeros, "_certify", keep)
+    return kept
+
+
+@pytest.mark.parametrize("q", [Q_HALF, Q_9_19, Fraction(1, 10)], ids=str)
+@pytest.mark.parametrize("k", [10, 26, 40])
+def test_certificate_points_have_the_exact_signs_of_x_k(monkeypatch, k, q):
+    """The two points of find_zero's certificate carry the exact signs of
+    f on either side of x_k: (-1)^k outside and (-1)^(k - 1) inside."""
+    got = _kept_certificates(monkeypatch)
+    find_zero(k, q)
+    (points,) = got
+    assert points is not None
+    outer, inner = points
+    assert outer < inner < 0
+    assert _exact_f_sign(outer, q) == (-1) ** k
+    assert _exact_f_sign(inner, q) == (-1) ** (k - 1)
+
+
+@pytest.mark.parametrize("offset", [-2, 2])
+def test_a_certificate_answers_only_within_a_factor_1_over_q(monkeypatch, offset):
+    """A certificate's signs hold only out to a factor 1/q beyond its
+    points, where the next zero may lie.  The certificate of x_(k +- 2),
+    which has x_k's parity, must therefore answer no sign around x_k, and
+    find_zero(k, q) must come out as before."""
+    k, q = 12, Q_HALF
+    want = find_zero(k, q)
+    other = _kept_certificates(monkeypatch)
+    find_zero(k + offset, q)
+    assert other[0] is not None
+    monkeypatch.setattr(zeros, "_certify", lambda *args: other[0])
+    assert _zero_fields(find_zero(k, q)) == _zero_fields(want)
+
+
 def test_scan_oracle_does_not_read_the_probe_kernel(monkeypatch, scanned_q_half):
     """scan_zeros checks find_zero independently: with the kernel broken
     it still finds the same zeros, while find_zero stops on it."""
 
-    def broken(t, q):
+    def broken(X, q, p):
         raise RuntimeError("probe kernel called")
 
-    monkeypatch.setattr(zeros, "_probe_sign", broken)
+    monkeypatch.setattr(zeros, "_probe_sum", broken)
     with pytest.raises(RuntimeError, match="probe kernel"):
         find_zero(12, Q_HALF)
     again = scan_zeros(Q_HALF, -300, 6)
