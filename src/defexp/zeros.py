@@ -477,9 +477,10 @@ def find_zero(k: int, q, precision_bits: int | None = None) -> ZeroResult:
     certifies the signs at x (1 + 2^-(p // 2)) and x (1 - 2^-(p // 2));
     as consecutive zeros lie more than a factor 1/q apart (scan_zeros),
     each sign holds out to a factor 1/q beyond its point.  Any other t
-    takes a certified kernel sign (_kernel_sign) at p and then at B,
-    else the sign of the budget's read at B (eval_f's loop below the
-    ladder, the kernel on it).  All but those last signs are true signs.
+    takes a certified kernel sign (_kernel_sign) at B, where p would
+    seldom certify it, else the sign of the budget's read at B (eval_f's
+    loop below the ladder, the kernel on it).  All but those last signs
+    are true signs.
 
     Below _LADDER_MIN_BITS = 648 working bits, Newton steps on eval_f's
     loop at the full budget B until a step is below 2^(4 - B) relative,
@@ -511,7 +512,7 @@ def find_zero(k: int, q, precision_bits: int | None = None) -> ZeroResult:
     precs = sorted({rungs[-1] if ladder else min(bits, _LADDER_BASE_BITS), bits})
     cert = _certify(guess, k, qf, precs)
     if cert:
-        c_out, c_in = cert  # and beyond >= c_in/q, within <= q c_out:
+        c_out, c_in = cert  # rounded so that beyond >= c_in/q, within <= q c_out
         beyond = ctx.fdiv(ctx.fmul(c_in, qf.denominator, exact=True), qf.numerator, rounding="c")
         within = ctx.fdiv(ctx.fmul(c_out, qf.numerator, exact=True), qf.denominator, rounding="f")
 
@@ -520,7 +521,7 @@ def find_zero(k: int, q, precision_bits: int | None = None) -> ZeroResult:
             return (-1) ** k
         if cert and c_in <= t <= within:
             return (-1) ** (k - 1)
-        s = _kernel_sign(t._mpf_, qf, *precs) or _read(t._mpf_, qf, bits, ladder)[0]
+        s = _kernel_sign(t._mpf_, qf, bits) or _read(t._mpf_, qf, bits, ladder)[0]
         return (s > 0) - (s < 0)
 
     while True:

@@ -628,7 +628,9 @@ def test_uncertified_probes_fall_back_to_the_full_budget(monkeypatch, uncertify)
     monkeypatch.setattr(zeros, "_kernel_sign", counted_sign)
     monkeypatch.setattr(zeros, "_read", counted_read)
     monkeypatch.setattr(zeros, "_newton", marked_newton)
+    certificates = _kept_certificates(monkeypatch)
     got = find_zero(k, q)
+    assert certificates == [None]
     assert len(budget_reads) > 40
     assert set(signs) == {None}
     assert _zero_fields(got) == _zero_fields(want)
