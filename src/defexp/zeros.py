@@ -417,18 +417,67 @@ def _newton(
 
 def _certify(guess, k: int, qf: Fraction, precs: list) -> tuple | None:
     """Newton from the guess, an mpf at precs[-1] bits, on the kernel at
-    p = precs[0] bits to a zero x; the points x (1 + 2^-(p // 2)) and
-    x (1 - 2^-(p // 2)) at precs[-1] bits when _kernel_sign at precs reads
-    (-1)^k and (-1)^(k - 1) there, a sign change of x_k's parity; else None."""
+    p = precs[0] bits to a zero x; when _kernel_sign at precs reads
+    (-1)^k at x (1 + 2^-(p // 2)) and (-1)^(k - 1) at x (1 - 2^-(p // 2)),
+    a sign change of x_k's parity, those two points at precs[-1] bits
+    followed by the raw x and the log2 steps that located it; else None."""
     p = precs[0]
-    x, _ = _newton(guess._mpf_, qf, p, p, [], p.bit_length() + 8, True)
+    steps: list[float] = []
+    located, _ = _newton(guess._mpf_, qf, p, p, steps, p.bit_length() + 8, True)
     ctx = context(precs[-1])
-    x, h = ctx.make_mpf(x), ctx.mpf(2) ** -(p // 2)
+    x, h = ctx.make_mpf(located), ctx.mpf(2) ** -(p // 2)
     points = (x * (1 + h), x * (1 - h))
     for t, want in zip(points, ((-1) ** k, (-1) ** (k - 1))):
         if _kernel_sign(t._mpf_, qf, *precs) != want:
             return None
-    return points
+    return (*points, located, steps)
+
+
+def _bisect(lo: tuple, hi: tuple, slo: int, coarse: tuple, prec: int, bands, sign) -> tuple:
+    """The bisection of [lo, hi] (raw mpfs, lo < hi < 0, f(lo) of sign
+    slo) while b - a, rounded to prec bits, exceeds the raw mpf `coarse`,
+    each midpoint (a + b)/2 with a + b rounded to nearest at prec; returns
+    the raw mpf (a + b)/2 of the last bracket, or the first midpoint of
+    sign 0.  These are the bytes of that loop on mpfs at prec bits, run on
+    ints in units of 2^F, F below the last bit of lo, of hi and of every
+    midpoint.  `bands` is None or the raw mpfs (beyond, c_out, c_in,
+    within): a midpoint in [beyond, c_out] has the sign slo, one in
+    [c_in, within] the sign -slo, and only any other goes to sign(t) on
+    the raw mpf t."""
+    # |a + b| >= 2 |hi| >= 2^mag(hi), so (a + b)/2 rounded is a multiple of 2^(mag(hi) - prec)
+    F = min(lo[2], hi[2], hi[2] + hi[3] - prec)
+
+    def scaled(X: tuple, up: bool = False) -> int:  # X/2^F, floored or ceiled
+        s, m, e, _ = X
+        v = -m if s else m
+        if e >= F:
+            return v << (e - F)
+        return -(-v >> (F - e)) if up else v >> (F - e)
+
+    def mid() -> int:
+        m, e = _round(-(a + b), F, prec)  # at least prec + 1 bits, so e > F
+        return -(m << (e - 1 - F))
+
+    a, b = scaled(lo), scaled(hi)
+    if bands:  # each band rounded to the scale toward its inside
+        beyond, c_out, c_in, within = bands
+        bands = (scaled(beyond, True), scaled(c_out), scaled(c_in, True), scaled(within))
+    _, cm, ce, _ = coarse
+    while _exceeds(*_round(b - a, F, prec), cm, ce):
+        t = mid()
+        if bands and bands[0] <= t <= bands[1]:
+            s = slo
+        elif bands and bands[2] <= t <= bands[3]:
+            s = -slo
+        else:
+            s = sign(from_man_exp(t, F))
+        if s == 0:
+            return from_man_exp(t, F)
+        if s == slo:
+            a = t
+        else:
+            b = t
+    return from_man_exp(mid(), F)
 
 
 @dataclass(frozen=True)
@@ -467,9 +516,11 @@ def find_zero(k: int, q, precision_bits: int | None = None) -> ZeroResult:
     simple, sign f(-t) is -1 to the number of zeros in (-t, 0), so the
     bracket's outer end must read (-1)^k: a change of sign there with
     the other parity is the wrong zero.  Either failure raises
-    BracketError, and the caller should fall back to scan_zeros.
+    BracketError, and the caller should fall back to scan_zeros; a guess
+    that is not negative raises it at once, as f > 0 on [0, inf).
     Bisection narrows to ~60 bits (at most bits - 8), and Newton finishes
-    from its midpoint.
+    from its midpoint; the bisection runs on ints (_bisect) with the
+    bytes of the same loop on mpfs at B.
 
     The bracket and the bisection read only the sign of f.  First,
     _certify locates a zero x by Newton on the integer kernel at p bits
@@ -489,11 +540,15 @@ def find_zero(k: int, q, precision_bits: int | None = None) -> ZeroResult:
     p_(i+1) = p_i // 2 + 32 down to the last rung of at least 128 bits:
     to convergence on the bottom rung, then one step on each rung above,
     each about doubling the correct bits with f(qx) read once, at the
-    rung below.  At B, f(x) is read once more, its step sized with that
-    f(qx): below 2^(4 - B) relative, or with f(x) at 8 bits or fewer, it
-    is not taken and f(x) is the residual; else Newton steps on.  The
-    guess's C_i are then at 128 bits.  x comes out correct to within
-    about 8 bits of B either way.
+    rung below.  The locate is that bottom rung when the bracket lies
+    within the certificate's factor-1/q bands, which then hold x_k alone:
+    the bisection is skipped and the ladder climbs from the located x,
+    whose steps open newton_rel_steps.  Otherwise the bisection runs and
+    the bottom rung converges again from its midpoint.  At B, f(x) is
+    read once more, its step sized with that f(qx): below 2^(4 - B)
+    relative, or with f(x) at 8 bits or fewer, it is not taken and f(x)
+    is the residual; else Newton steps on.  The guess's C_i are then at
+    128 bits.  x comes out correct to within about 8 bits of B either way.
     """
     k = _positive_index(k)
     qf = _q_fraction(q)
@@ -508,21 +563,33 @@ def find_zero(k: int, q, precision_bits: int | None = None) -> ZeroResult:
     guess = _asymptotic_guess(ctx, k, qf, _LADDER_BASE_BITS if ladder else bits)
     delta_max = ctx.mpf(1) / (4 * k)
     delta = min(ctx.mpf(k) ** -4, delta_max)
+    no_change = (
+        f"no sign change within relative half-width 1/(4k) around the "
+        f"order-2 guess for k={k}, q={qf}"
+    )
+    if not guess < 0:  # f > 0 on [0, inf): no bracket around it changes sign
+        raise BracketError(no_change)
 
     precs = sorted({rungs[-1] if ladder else min(bits, _LADDER_BASE_BITS), bits})
     cert = _certify(guess, k, qf, precs)
+    bands = None
     if cert:
-        c_out, c_in = cert  # rounded so that beyond >= c_in/q, within <= q c_out
+        c_out, c_in, located, located_steps = cert
+        # rounded so that beyond >= c_in/q, within <= q c_out
         beyond = ctx.fdiv(ctx.fmul(c_in, qf.denominator, exact=True), qf.numerator, rounding="c")
         within = ctx.fdiv(ctx.fmul(c_out, qf.numerator, exact=True), qf.denominator, rounding="f")
+        bands = tuple(t._mpf_ for t in (beyond, c_out, c_in, within))
+
+    def read_sign(X: tuple) -> int:
+        s = _kernel_sign(X, qf, bits) or _read(X, qf, bits, ladder)[0]
+        return (s > 0) - (s < 0)
 
     def sign(t) -> int:
         if cert and beyond <= t <= c_out:
             return (-1) ** k
         if cert and c_in <= t <= within:
             return (-1) ** (k - 1)
-        s = _kernel_sign(t._mpf_, qf, bits) or _read(t._mpf_, qf, bits, ladder)[0]
-        return (s > 0) - (s < 0)
+        return read_sign(t._mpf_)
 
     while True:
         lo = guess * (1 + delta)  # the more negative endpoint
@@ -531,10 +598,7 @@ def find_zero(k: int, q, precision_bits: int | None = None) -> ZeroResult:
         if slo * sign(hi) < 0:
             break
         if delta >= delta_max:
-            raise BracketError(
-                f"no sign change within relative half-width 1/(4k) around the "
-                f"order-2 guess for k={k}, q={qf}"
-            )
+            raise BracketError(no_change)
         delta = min(delta * 2, delta_max)
     if slo != (-1) ** k:
         raise BracketError(
@@ -543,27 +607,22 @@ def find_zero(k: int, q, precision_bits: int | None = None) -> ZeroResult:
         )
     bracket = (PrecReal(lo, bits), PrecReal(hi, bits))
 
-    # bisection to roughly 60 correct bits, or 8 below the working
-    # precision when that is lower (rounded midpoints get no closer)
-    a, b, sa = lo, hi, slo
-    coarse = abs(guess) * ctx.mpf(2) ** (-min(60, bits - 8))
-    while (b - a) > coarse:
-        mid = (a + b) / 2
-        s = sign(mid)
-        if s == 0:
-            a = b = mid
-            break
-        if s == sa:
-            a = mid
-        else:
-            b = mid
-
     # Newton at the working precision, or on the ladder from its bottom
     # rung up: to convergence at the ends, one step at each rung between,
     # each f(qx) read at the rung below
-    x = ((a + b) / 2)._mpf_
-    steps: list[float] = []
-    for p, below in reversed(list(zip(rungs, rungs[1:] + rungs[-1:]))):
+    pairs = list(zip(rungs, rungs[1:] + rungs[-1:]))  # each rung and the one below
+    if ladder and cert and beyond <= lo and hi <= within:
+        # the bracket holds x_k alone, which the locate converged to on
+        # the bottom rung: climb from there
+        x, steps = located, list(located_steps)
+        pairs.pop()
+    else:
+        # bisection to roughly 60 correct bits, or 8 below the working
+        # precision when that is lower (rounded midpoints get no closer)
+        coarse = abs(guess) * ctx.mpf(2) ** (-min(60, bits - 8))
+        x = _bisect(lo._mpf_, hi._mpf_, slo, coarse._mpf_, bits, bands, read_sign)
+        steps = []
+    for p, below in reversed(pairs):
         limit = p.bit_length() + 8 if p in (bits, rungs[-1]) else 1
         x, fx = _newton(x, qf, p, below, steps, limit, ladder)
     x = ctx.make_mpf(x)

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from mpmath import mpf
-from mpmath.libmp import from_man_exp, mpf_mul
+from mpmath.libmp import from_man_exp, mpf_add, mpf_mul
 
 import defexp.zeros as zeros
 from defexp.precreal import PrecReal, context, to_mpf
@@ -772,11 +772,12 @@ def test_bracket_and_bisection_make_no_full_budget_call(monkeypatch):
     eval_f call, so no sign falls back to it and the residual is not read
     afresh, and no _f_raw call.  The kernel first locates the zero on the
     bottom rung, then reads the certificate's two signs there, and the
-    certificate answers every bracket and bisection sign.  The ladder then
-    reads f at the full budget twice, for the one step at B and for the
-    check whose f(x) is the residual, and f(qx) once at the rung below B;
-    each rung between reads its f(x) and its f(qx) at the rung below, the
-    bottom rung both at its own bits.  No read is at 160 bits."""
+    certificate answers every bracket sign.  The locate is the only run on
+    the bottom rung: the ladder climbs from the located x, reading f at
+    the full budget twice, for the one step at B and for the check whose
+    f(x) is the residual, and f(qx) once at the rung below B; each rung
+    between reads its f(x) and its f(qx) at the rung below.  No read is
+    at 160 bits."""
     reads = []
     marks = {}
     kernel, newton, certify = zeros._probe_sum, zeros._newton, zeros._certify
@@ -816,9 +817,7 @@ def test_bracket_and_bisection_make_no_full_budget_call(monkeypatch):
         assert reads[located:certified] == [rungs[-1]] * 2, k
         ladder = reads[certified:]
         climb = [p for pair in zip(rungs[-2::-1], rungs[:0:-1]) for p in pair] + [bits]
-        bottom = len(ladder) - len(climb)
-        assert bottom >= 2 and ladder[:bottom] == [rungs[-1]] * bottom, k
-        assert ladder[bottom:] == climb, k
+        assert ladder == climb, k
         assert ladder.count(bits) == 2, k
         x = z.x.value._mpf_
         want = abs(zeros._prec_real(context(bits), *zeros._read(x, Q_HALF, bits, True)))
@@ -833,8 +832,9 @@ def test_bracket_and_bisection_make_no_full_budget_call(monkeypatch):
 def test_find_zero_reads_the_kernel_a_few_times_per_zero(monkeypatch, k, q):
     """One warm find_zero reads the kernel at most 16 times below the
     ladder (the locate, the certificate and the rare sign it does not
-    answer) and at most 32 times on it, never at 160 bits; _f_raw serves
-    only Newton at B and the residual below the ladder, and nothing on it."""
+    answer) and at most 26 times on it, where the ladder climbs from the
+    located zero, never at 160 bits; _f_raw serves only Newton at B and
+    the residual below the ladder, and nothing on it."""
     find_zero(k, q)
     reads, raw = [], []
     kernel, f_raw = zeros._probe_sum, zeros._f_raw
@@ -850,7 +850,7 @@ def test_find_zero_reads_the_kernel_a_few_times_per_zero(monkeypatch, k, q):
     monkeypatch.setattr(zeros, "_probe_sum", counted_sum)
     monkeypatch.setattr(zeros, "_f_raw", counted_raw)
     find_zero(k, q)
-    assert len(reads) <= (16 if k < 40 else 32)
+    assert len(reads) <= (16 if k < 40 else 26)
     assert 160 not in reads
     assert len(raw) == {12: 7, 26: 11, 40: 0, 100: 0}[k]
 
@@ -874,9 +874,9 @@ def test_certificate_points_have_the_exact_signs_of_x_k(monkeypatch, k, q):
     f on either side of x_k: (-1)^k outside and (-1)^(k - 1) inside."""
     got = _kept_certificates(monkeypatch)
     find_zero(k, q)
-    (points,) = got
-    assert points is not None
-    outer, inner = points
+    (cert,) = got
+    assert cert is not None
+    outer, inner, _, _ = cert
     assert outer < inner < 0
     assert _exact_f_sign(outer, q) == (-1) ** k
     assert _exact_f_sign(inner, q) == (-1) ** (k - 1)
@@ -895,6 +895,126 @@ def test_a_certificate_answers_only_within_a_factor_1_over_q(monkeypatch, offset
     assert other[0] is not None
     monkeypatch.setattr(zeros, "_certify", lambda *args: other[0])
     assert _zero_fields(find_zero(k, q)) == _zero_fields(want)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 10])
+def test_a_guess_that_is_not_negative_raises_before_any_read(monkeypatch, k):
+    """At q = 24/25 the order-2 guesses for k = 1, 2, 3 and 10 are
+    positive, where f > 0: find_zero raises at once, with the message of
+    a bracket that found no sign change, and reads f nowhere."""
+    q = Fraction(24, 25)
+    assert _asymptotic_guess(context(128), k, q, 128) > 0
+
+    def refuse(*args):
+        raise AssertionError("f read")
+
+    monkeypatch.setattr(zeros, "_probe_sum", refuse)
+    monkeypatch.setattr(zeros, "_f_raw", refuse)
+    with pytest.raises(BracketError) as err:
+        find_zero(k, q)
+    assert str(err.value) == (
+        f"no sign change within relative half-width 1/(4k) around the "
+        f"order-2 guess for k={k}, q=24/25"
+    )
+
+
+def _reference_bisect(lo, hi, slo, coarse, prec, bands, sign) -> tuple:
+    """The bisection loop on mpfs at prec bits that _bisect runs on ints,
+    with _bisect's arguments and result."""
+    ctx = context(prec)
+    a, b, coarse = ctx.make_mpf(lo), ctx.make_mpf(hi), ctx.make_mpf(coarse)
+    if bands:
+        beyond, c_out, c_in, within = (ctx.make_mpf(t) for t in bands)
+    while (b - a) > coarse:
+        mid = (a + b) / 2
+        if bands and beyond <= mid <= c_out:
+            s = slo
+        elif bands and c_in <= mid <= within:
+            s = -slo
+        else:
+            s = sign(mid._mpf_)
+        if s == 0:
+            a = b = mid
+            break
+        if s == slo:
+            a = mid
+        else:
+            b = mid
+    return ((a + b) / 2)._mpf_
+
+
+def _exact(X: tuple) -> Fraction:
+    s, m, e, _ = X
+    return Fraction(-m if s else m) * Fraction(2) ** e
+
+
+def _sign_about(z: Fraction, slo: int, calls: list):
+    """sign(X) of an f with one zero z: slo before z, -slo past it and 0
+    at z; each X is appended to `calls`."""
+
+    def sign(X) -> int:
+        calls.append(X)
+        t = _exact(X)
+        return 0 if t == z else slo if t < z else -slo
+
+    return sign
+
+
+@st.composite
+def _bisections(draw):
+    """_bisect's arguments as find_zero builds them: a bracket guess
+    (1 +- delta) at prec bits, the guess next to a power of two half the
+    time, coarse = |guess| 2^-min(60, prec - 8), a zero z at a dyadic
+    fraction i/2^j of the bracket; then no bands, a certificate
+    x (1 +- 2^-j) around z with its factor-1/q bands (q = 10^-40 among
+    them), or bands whose ends are midpoints of the loop without bands,
+    each left as it is or moved by far less than a unit of its last bit."""
+    prec = draw(st.one_of(st.integers(8, 64), st.sampled_from([143, 341, 647])))
+    ctx = context(prec)
+    e = draw(st.integers(-40, 40))
+    if draw(st.booleans()):
+        guess = -ctx.ldexp(1 + draw(st.integers(-8, 8)) * ctx.ldexp(1, -prec), e)
+    else:
+        guess = -ctx.ldexp(draw(st.integers(1, 2**prec - 1)), e - prec)
+    delta = ctx.ldexp(1, -draw(st.integers(1, 30)))
+    lo, hi = guess * (1 + delta), guess * (1 - delta)
+    coarse = abs(guess) * ctx.ldexp(1, -min(60, prec - 8))
+    j = draw(st.integers(1, 80))
+    z = _exact(lo._mpf_) + (_exact(hi._mpf_) - _exact(lo._mpf_)) * draw(
+        st.integers(1, 2**j - 1)
+    ) / 2**j
+    slo = draw(st.sampled_from([1, -1]))
+    args = [lo._mpf_, hi._mpf_, slo, coarse._mpf_, prec, None]
+    q = draw(st.sampled_from([None, Q_HALF, Q_9_19, Q_TINY, "midpoints"]))
+    if q == "midpoints":
+        mids = []
+        _reference_bisect(*args, _sign_about(z, slo, mids))
+        assume(mids)
+        ends = sorted(draw(st.lists(st.sampled_from(mids), min_size=4, max_size=4)), key=_exact)
+        args[-1] = tuple(
+            mpf_add(t, from_man_exp(draw(st.sampled_from([-1, 0, 1])), t[2] - 40), 0)
+            for t in ends
+        )
+    elif q is not None:
+        x, h = to_mpf(ctx, z), ctx.ldexp(1, -draw(st.integers(1, prec)))
+        c_out, c_in = x * (1 + h), x * (1 - h)
+        beyond = ctx.fdiv(ctx.fmul(c_in, q.denominator, exact=True), q.numerator, rounding="c")
+        within = ctx.fdiv(ctx.fmul(c_out, q.numerator, exact=True), q.denominator, rounding="f")
+        args[-1] = tuple(t._mpf_ for t in (beyond, c_out, c_in, within))
+    return args, z
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=_bisections())
+def test_integer_bisection_is_the_mpf_loop(case):
+    """_bisect returns the mpf loop's last midpoint and hands the same
+    midpoints, in the same order, to sign, for an f whose one zero is z."""
+    args, z = case
+    runs = []
+    for bisect in (zeros._bisect, _reference_bisect):
+        calls = []
+        runs.append((bisect(*args, _sign_about(z, args[2], calls)), calls))
+    assert runs[0] == runs[1]
 
 
 def test_scan_oracle_does_not_read_the_probe_kernel(monkeypatch, scanned_q_half):
