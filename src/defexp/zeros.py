@@ -439,8 +439,8 @@ def _bisect(lo: tuple, hi: tuple, slo: int, coarse: tuple, prec: int, bands, sig
     each midpoint (a + b)/2 with a + b rounded to nearest at prec; returns
     the raw mpf (a + b)/2 of the last bracket, or the first midpoint of
     sign 0.  These are the bytes of that loop on mpfs at prec bits, run on
-    ints in units of 2^F, F below the last bit of lo, of hi and of every
-    midpoint.  `bands` is None or the raw mpfs (beyond, c_out, c_in,
+    ints in units of 2^F, F at or below the last bit of lo, of hi and of
+    every midpoint.  `bands` is None or the raw mpfs (beyond, c_out, c_in,
     within): a midpoint in [beyond, c_out] has the sign slo, one in
     [c_in, within] the sign -slo, and only any other goes to sign(t) on
     the raw mpf t."""
