@@ -33,7 +33,7 @@ from .qseries import a_series, eisenstein_q, eval_mpoly_series, jacobi_p0
 from .reference import run_selftest
 from .symcoeff import c_n, reduced_c_n, to_eisenstein
 from .validate import fj_extract, ratio_check, residual_profile, zero_table
-from .zeros import BracketError
+from .zeros import BracketError, _q_fraction
 
 PRECISION_ENV = "DEFEXP_PRECISION"
 
@@ -49,10 +49,11 @@ def _env_precision() -> int | None:
 
 
 def _parse_q(text: str) -> Fraction:
-    q = Fraction(text)
-    if not 0 < q < 1:
-        raise ValueError("q must lie in (0, 1)")
-    return q
+    """--q as zeros checks every q; argparse prints the reason and exits 2."""
+    try:
+        return _q_fraction(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _emit(doc, csv_text: str | None = None, csv_path: str | None = None) -> None:

@@ -85,10 +85,16 @@ class BracketError(RuntimeError):
 
 
 def _q_fraction(q) -> Fraction:
-    """q as an exact Fraction, checked to lie in (0, 1)."""
-    qf = Fraction(q)
+    """q as an exact Fraction in (0, 1), the one q check: anything else
+    (1/0, inf, nan, abc, 2) is a ValueError that names the reason."""
+    try:
+        qf = Fraction(q)
+    except ZeroDivisionError:
+        raise ValueError(f"q has a zero denominator, got {q!r}") from None
+    except (ValueError, OverflowError):
+        raise ValueError(f"q must be a finite rational number, got {q!r}") from None
     if not 0 < qf < 1:
-        raise ValueError("q must lie in (0, 1)")
+        raise ValueError(f"q must lie in (0, 1), got {qf}")
     return qf
 
 
@@ -282,7 +288,7 @@ def eval_f(x, q, precision_bits: int) -> PrecReal:
     precision_bits = _positive_index(precision_bits, "working precision in bits", 4)
     ctx = context(precision_bits)
     xv = to_mpf(ctx, x)
-    qv = to_mpf(ctx, q if not isinstance(q, str) else Fraction(q))
+    qv = to_mpf(ctx, q if not isinstance(q, str) else _q_fraction(q))
     if not 0 < qv < 1:
         raise ValueError("q must lie in (0, 1)")
     X = getattr(xv, "_mpf_", None)
@@ -443,7 +449,8 @@ def _bisect(lo: tuple, hi: tuple, slo: int, coarse: tuple, prec: int, bands, sig
     every midpoint.  `bands` is None or the raw mpfs (beyond, c_out, c_in,
     within): a midpoint in [beyond, c_out] has the sign slo, one in
     [c_in, within] the sign -slo, and only any other goes to sign(t) on
-    the raw mpf t."""
+    the raw mpf t.  find_zero bisects only below the Newton ladder, at the
+    budgets whose bytes the README goldens pin."""
     # |a + b| >= 2 |hi| >= 2^mag(hi), so (a + b)/2 rounded is a multiple of 2^(mag(hi) - prec)
     F = min(lo[2], hi[2], hi[2] + hi[3] - prec)
 
@@ -483,7 +490,10 @@ def _bisect(lo: tuple, hi: tuple, slo: int, coarse: tuple, prec: int, bands, sig
 @dataclass(frozen=True)
 class ZeroResult:
     """One located zero with its bracket and acceptance residual;
-    newton_rel_steps holds log2 of each relative Newton step."""
+    newton_rel_steps holds log2 of each relative Newton step.  f changes
+    sign across the bracket: find_zero's certificate points x (1 +- 2^-(p
+    // 2)) around the located x on the Newton ladder, the bracket guess
+    (1 +- delta) that it bisected below it, or scan_zeros' grid cell."""
 
     k: int
     q: Fraction
@@ -505,50 +515,43 @@ class ZeroResult:
 
 
 def find_zero(k: int, q, precision_bits: int | None = None) -> ZeroResult:
-    """Locate x_k by asymptotic guess, bracket expansion, bisection, Newton.
+    """Locate x_k from the asymptotic guess: certify a sign change, then Newton.
 
     The working precision is precision_bits (an int of at least 8, checked
     before any work) or else required_precision(k, q).  The guess is
     -k q^(1-k) (1 + C_1(q)/k^2 + C_2(q)/k^3), the paper's expansion to
-    order 2.  A symmetric relative bracket of half-width k^-4 doubles
-    until f changes sign, capped at 1/(4k) (beyond that a neighbouring
-    zero could be captured).  As f(0) = 1 and the zeros are real and
-    simple, sign f(-t) is -1 to the number of zeros in (-t, 0), so the
-    bracket's outer end must read (-1)^k: a change of sign there with
-    the other parity is the wrong zero.  Either failure raises
-    BracketError, and the caller should fall back to scan_zeros; a guess
-    that is not negative raises it at once, as f > 0 on [0, inf).
-    Bisection narrows to ~60 bits (at most bits - 8), and Newton finishes
-    from its midpoint; the bisection runs on ints (_bisect) with the
-    bytes of the same loop on mpfs at B.
+    order 2.  As f(0) = 1 and the zeros are real and simple, sign f(-t) is
+    -1 to the number of zeros in (-t, 0), and f > 0 on [0, inf): a guess
+    that is not negative raises BracketError at once (the caller should
+    fall back to scan_zeros on every BracketError).  Else _certify locates
+    a zero x by Newton on the integer kernel at p bits (the ladder's
+    bottom rung, or min(B, 128) below the ladder) and certifies the kernel
+    signs (-1)^k at x (1 + 2^-(p // 2)) and (-1)^(k - 1) at
+    x (1 - 2^-(p // 2)), a sign change of x_k's parity.
 
-    The bracket and the bisection read only the sign of f.  First,
-    _certify locates a zero x by Newton on the integer kernel at p bits
-    (the ladder's bottom rung, or min(B, 128) below the ladder) and
-    certifies the signs at x (1 + 2^-(p // 2)) and x (1 - 2^-(p // 2));
-    as consecutive zeros lie more than a factor 1/q apart (scan_zeros),
-    each sign holds out to a factor 1/q beyond its point.  Any other t
-    takes a certified kernel sign (_kernel_sign) at B, where p would
-    seldom certify it, else the sign of the budget's read at B (eval_f's
-    loop below the ladder, the kernel on it).  All but those last signs
-    are true signs.
+    From _LADDER_MIN_BITS = 648 working bits on, that certificate is the
+    bracket.  It must exist and lie within relative half-width 1/(4k) of
+    the guess (beyond that a neighbouring zero could be captured), else
+    BracketError.  Newton climbs from the located x, whose steps open
+    newton_rel_steps, up the rungs p_(i+1) = p_i // 2 + 32 above the bottom
+    one to p_0 = B, every f read off _probe_sum at the rung's bits: one
+    step on each rung, each about doubling the correct bits with f(qx)
+    read once, at the rung below.  At B, f(x) is read once more, its step
+    sized with that f(qx): below 2^(4 - B) relative, or with f(x) at 8
+    bits or fewer, it is not taken and f(x) is the residual; else Newton
+    steps on.  The guess's C_i are then at 128 bits.
 
-    Below _LADDER_MIN_BITS = 648 working bits, Newton steps on eval_f's
-    loop at the full budget B until a step is below 2^(4 - B) relative,
-    and the residual is one more evaluation at B.  From there on every f
-    is read off _probe_sum at the rung's bits, on a ladder p_0 = B,
-    p_(i+1) = p_i // 2 + 32 down to the last rung of at least 128 bits:
-    to convergence on the bottom rung, then one step on each rung above,
-    each about doubling the correct bits with f(qx) read once, at the
-    rung below.  The locate is that bottom rung when the bracket lies
-    within the certificate's factor-1/q bands, which then hold x_k alone:
-    the bisection is skipped and the ladder climbs from the located x,
-    whose steps open newton_rel_steps.  Otherwise the bisection runs and
-    the bottom rung converges again from its midpoint.  At B, f(x) is
-    read once more, its step sized with that f(qx): below 2^(4 - B)
-    relative, or with f(x) at 8 bits or fewer, it is not taken and f(x)
-    is the residual; else Newton steps on.  The guess's C_i are then at
-    128 bits.  x comes out correct to within about 8 bits of B either way.
+    Below 648 bits, where the README goldens pin every byte, a relative
+    bracket of half-width k^-4 doubles until f changes sign, capped at
+    1/(4k); its outer end must read (-1)^k, or the sign change is not x_k.
+    Either failure raises BracketError.  A sign out to a factor 1/q beyond
+    a certificate point is the certificate's, as consecutive zeros lie
+    more than that apart (scan_zeros); any other is a certified kernel
+    sign at B, else eval_f's loop read at B.  Bisection on ints (_bisect)
+    narrows to ~60 bits (at most B - 8), Newton on eval_f's loop at B
+    finishes from its midpoint until a step is below 2^(4 - B) relative,
+    and the residual is one more evaluation at B.  Either route leaves x
+    correct to within about 8 bits of B.
     """
     k = _positive_index(k)
     qf = _q_fraction(q)
@@ -562,7 +565,6 @@ def find_zero(k: int, q, precision_bits: int | None = None) -> ZeroResult:
     ladder = len(rungs) > 1
     guess = _asymptotic_guess(ctx, k, qf, _LADDER_BASE_BITS if ladder else bits)
     delta_max = ctx.mpf(1) / (4 * k)
-    delta = min(ctx.mpf(k) ** -4, delta_max)
     no_change = (
         f"no sign change within relative half-width 1/(4k) around the "
         f"order-2 guess for k={k}, q={qf}"
@@ -572,59 +574,56 @@ def find_zero(k: int, q, precision_bits: int | None = None) -> ZeroResult:
 
     precs = sorted({rungs[-1] if ladder else min(bits, _LADDER_BASE_BITS), bits})
     cert = _certify(guess, k, qf, precs)
-    bands = None
-    if cert:
-        c_out, c_in, located, located_steps = cert
-        # rounded so that beyond >= c_in/q, within <= q c_out
-        beyond = ctx.fdiv(ctx.fmul(c_in, qf.denominator, exact=True), qf.numerator, rounding="c")
-        within = ctx.fdiv(ctx.fmul(c_out, qf.numerator, exact=True), qf.denominator, rounding="f")
-        bands = tuple(t._mpf_ for t in (beyond, c_out, c_in, within))
-
-    def read_sign(X: tuple) -> int:
-        s = _kernel_sign(X, qf, bits) or _read(X, qf, bits, ladder)[0]
-        return (s > 0) - (s < 0)
-
-    def sign(t) -> int:
-        if cert and beyond <= t <= c_out:
-            return (-1) ** k
-        if cert and c_in <= t <= within:
-            return (-1) ** (k - 1)
-        return read_sign(t._mpf_)
-
-    while True:
-        lo = guess * (1 + delta)  # the more negative endpoint
-        hi = guess * (1 - delta)
-        slo = sign(lo)
-        if slo * sign(hi) < 0:
-            break
-        if delta >= delta_max:
+    if ladder:  # the certificate is the bracket, and Newton climbs from its x
+        inside = cert and guess * (1 + delta_max) <= cert[0] and cert[1] <= guess * (1 - delta_max)
+        if not inside:
             raise BracketError(no_change)
-        delta = min(delta * 2, delta_max)
-    if slo != (-1) ** k:
-        raise BracketError(
-            f"the sign change around the order-2 guess for k={k}, q={qf} is "
-            f"not x_k: f past it has the sign (-1)^(k+1)"
-        )
-    bracket = (PrecReal(lo, bits), PrecReal(hi, bits))
+        lo, hi, x, steps = cert
+    else:  # the bracket and the bisection that the README goldens pin
+        bands = None
+        if cert:
+            c_out, c_in = cert[:2]
+            # rounded so that beyond >= c_in/q, within <= q c_out
+            a, b = qf.numerator, qf.denominator
+            beyond = ctx.fdiv(ctx.fmul(c_in, b, exact=True), a, rounding="c")
+            within = ctx.fdiv(ctx.fmul(c_out, a, exact=True), b, rounding="f")
+            bands = tuple(t._mpf_ for t in (beyond, c_out, c_in, within))
 
-    # Newton at the working precision, or on the ladder from its bottom
-    # rung up: to convergence at the ends, one step at each rung between,
-    # each f(qx) read at the rung below
-    pairs = list(zip(rungs, rungs[1:] + rungs[-1:]))  # each rung and the one below
-    if ladder and cert and beyond <= lo and hi <= within:
-        # the bracket holds x_k alone, which the locate converged to on
-        # the bottom rung: climb from there
-        x, steps = located, list(located_steps)
-        pairs.pop()
-    else:
+        def read_sign(X: tuple) -> int:
+            s = _kernel_sign(X, qf, bits) or _read(X, qf, bits, False)[0]
+            return (s > 0) - (s < 0)
+
+        def sign(t) -> int:
+            if cert and beyond <= t <= c_out:
+                return (-1) ** k
+            if cert and c_in <= t <= within:
+                return (-1) ** (k - 1)
+            return read_sign(t._mpf_)
+
+        delta = min(ctx.mpf(k) ** -4, delta_max)
+        while True:
+            lo = guess * (1 + delta)  # the more negative endpoint
+            hi = guess * (1 - delta)
+            slo = sign(lo)
+            if slo * sign(hi) < 0:
+                break
+            if delta >= delta_max:
+                raise BracketError(no_change)
+            delta = min(delta * 2, delta_max)
+        if slo != (-1) ** k:
+            raise BracketError(
+                f"the sign change around the order-2 guess for k={k}, q={qf} is "
+                f"not x_k: f past it has the sign (-1)^(k+1)"
+            )
         # bisection to roughly 60 correct bits, or 8 below the working
         # precision when that is lower (rounded midpoints get no closer)
         coarse = abs(guess) * ctx.mpf(2) ** (-min(60, bits - 8))
         x = _bisect(lo._mpf_, hi._mpf_, slo, coarse._mpf_, bits, bands, read_sign)
         steps = []
-    for p, below in reversed(pairs):
-        limit = p.bit_length() + 8 if p in (bits, rungs[-1]) else 1
-        x, fx = _newton(x, qf, p, below, steps, limit, ladder)
+
+    # Newton to convergence at B, on the ladder after one step on each rung below
+    for p, below in reversed(list(zip(rungs, rungs[1:])) or [(bits, bits)]):
+        x, fx = _newton(x, qf, p, below, steps, p.bit_length() + 8 if p == bits else 1, ladder)
     x = ctx.make_mpf(x)
 
     residual = abs(eval_f(x, qf, bits) if fx is None else _prec_real(ctx, *fx))
@@ -632,7 +631,7 @@ def find_zero(k: int, q, precision_bits: int | None = None) -> ZeroResult:
         k=k,
         q=qf,
         x=PrecReal(x, bits),
-        bracket=bracket,
+        bracket=(PrecReal(lo, bits), PrecReal(hi, bits)),
         residual=residual,
         precision_bits=bits,
         newton_rel_steps=tuple(steps),

@@ -223,6 +223,35 @@ def test_zeros_rejects_q_outside_unit_interval(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "q, reason",
+    [
+        ("1/0", "q has a zero denominator, got '1/0'"),
+        ("2", "q must lie in (0, 1), got 2"),
+        ("0", "q must lie in (0, 1), got 0"),
+        ("abc", "q must be a finite rational number, got 'abc'"),
+    ],
+)
+@pytest.mark.parametrize(
+    "verb",
+    [
+        ["zeros", "--k", "10"],
+        ["residuals", "--n", "1", "--kmin", "10", "--kmax", "12"],
+        ["ratio", "--kmin", "10", "--kmax", "12"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_a_bad_q_is_an_argument_error_that_names_its_reason(capsys, verb, q, reason):
+    """Every --q that is no q in (0, 1), 1/0 among them, exits 2 with an
+    error line naming the reason on stderr and nothing on stdout."""
+    with pytest.raises(SystemExit) as exc:
+        main([verb[0], "--q", q, *verb[1:]])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"error: argument --q: {reason}\n" in err
+
+
 def test_precision_env_override(capsys, monkeypatch):
     monkeypatch.setenv("DEFEXP_PRECISION", "200")
     doc = run_json(capsys, "zeros", "--q", "1/2", "--k", "8")

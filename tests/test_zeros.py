@@ -121,6 +121,22 @@ def test_eval_f_rejects_bad_parameters():
         eval_f(1j, Q_HALF, 64)
 
 
+@pytest.mark.parametrize("q", ["1/0", float("inf"), float("nan"), "abc", "2"], ids=repr)
+def test_a_q_that_is_no_number_in_the_unit_interval_is_a_value_error(q):
+    """One q check for every entry point: 1/0 and inf are ValueErrors too,
+    not ZeroDivisionError or OverflowError."""
+    calls = (
+        lambda: find_zero(10, q),
+        lambda: required_precision(10, q),
+        lambda: scan_zeros(q, -100, 1),
+        lambda: paired_term_gaps(10, q, 0),
+        lambda: eval_f(-1, q, 64),
+    )
+    for call in calls:
+        with pytest.raises(ValueError, match="^q "):
+            call()
+
+
 @pytest.mark.parametrize("x", [float("inf"), float("-inf"), float("nan"), "inf", "nan"])
 def test_eval_f_rejects_non_finite_x(x):
     """With a NaN the ratio test is never true, with an infinity the
@@ -319,10 +335,10 @@ def _reference_f_raw(X: tuple, Q: tuple, bits: int) -> tuple:
     return -man if sign else man, exp, v.precision_bits
 
 
-def _ladder_kernel_gives_up(monkeypatch) -> None:
-    """_probe_sum gives up at every precision: no sign is certified, every
-    bracket and bisection sign is read at the full budget, and every Newton
-    read on the ladder falls back to _f_raw."""
+def _kernel_gives_up(monkeypatch) -> None:
+    """_probe_sum gives up at every precision: no sign is certified, so no
+    zero is; below the ladder every bracket and bisection sign is read at
+    the full budget, and on it find_zero raises BracketError."""
     monkeypatch.setattr(zeros, "_probe_sum", lambda X, q, p: None)
 
 
@@ -335,12 +351,14 @@ def _rungs(bits: int) -> list:
 
 
 def test_zero_finders_are_unchanged_on_the_reference_kernel(monkeypatch, scanned_q_half):
-    """Every evaluation of f by _f_raw, eval_f's and each Newton rung's
-    alike, on the operator loop: x_40 at q = 7/15 climbs the ladder from
-    1,135 bits, here with the kernel giving up on every rung."""
+    """Every evaluation of f by _f_raw, eval_f's, the bracket's and the
+    bisection's alike, on the operator loop, here with the kernel giving
+    up so that every sign is read there too.  Zeros on the Newton ladder
+    read no _f_raw at all (test_bracket_and_bisection_make_no_full_budget_call)."""
     q = Fraction(7, 15)
-    _ladder_kernel_gives_up(monkeypatch)
-    fast = [find_zero(k, q) for k in (10, 11, 25, 40)]
+    ks = (10, 11, 25)
+    _kernel_gives_up(monkeypatch)
+    fast = [find_zero(k, q) for k in ks]
     seen = set()
 
     def reference(X, Q, bits):
@@ -348,8 +366,8 @@ def test_zero_finders_are_unchanged_on_the_reference_kernel(monkeypatch, scanned
         return _reference_f_raw(X, Q, bits)
 
     monkeypatch.setattr(zeros, "_f_raw", reference)
-    slow = [find_zero(k, q) for k in (10, 11, 25, 40)]
-    assert {1135, 599, 331, 197, 130} <= seen  # its rungs
+    slow = [find_zero(k, q) for k in ks]
+    assert {required_precision(k, q) for k in ks} <= seen
     slow_scan = scan_zeros(Q_HALF, -300, 6)
     assert fast == slow
     assert slow_scan == scanned_q_half
@@ -384,23 +402,21 @@ def test_q_power_table_is_not_poisoned_across_q_and_precision():
 
 
 def _reference_find_zero(k: int, q, precision_bits=None) -> ZeroResult:
-    """find_zero with every bracket and bisection sign read at the full
-    budget and Newton written on contexts and eval_f, the reference that
-    the certified probes and the raw Newton steps must reproduce bit for
-    bit.  From 648 bits Newton climbs the ladder of rungs p // 2 + 32,
-    reading each f(qx) at the rung below, and the guess's C_i are at 128
-    bits; there it is the reference for find_zero with the kernel giving
-    up on every rung.  The residual is read afresh at the returned x."""
+    """find_zero below the Newton ladder with every bracket and bisection
+    sign read at the full budget and Newton written on contexts and
+    eval_f, the reference that the certified signs and the raw Newton
+    steps must reproduce bit for bit.  The residual is read afresh at the
+    returned x."""
     if k < 1:
         raise ValueError("zero index starts at 1")
     qf = Fraction(q)
     if not 0 < qf < 1:
         raise ValueError("q must lie in (0, 1)")
     bits = precision_bits if precision_bits is not None else required_precision(k, qf)
+    assert bits < 648, "no reference on the Newton ladder"
     ctx = context(bits)
-    rungs = _rungs(bits)
 
-    guess = _asymptotic_guess(ctx, k, qf, bits if len(rungs) == 1 else 128)
+    guess = _asymptotic_guess(ctx, k, qf, bits)
     delta_max = ctx.mpf(1) / (4 * k)
     delta = min(ctx.mpf(k) ** -4, delta_max)
 
@@ -440,34 +456,22 @@ def _reference_find_zero(k: int, q, precision_bits=None) -> ZeroResult:
         else:
             b = mid
 
-    # Newton, converging quadratically on the bottom rung and on the full
-    # budget, one step on each rung between; above the bottom rung f(qx)
-    # is read once, at the rung below, and the step that shows
-    # convergence is not taken
+    # Newton at the full budget, converging quadratically
     x = (a + b) / 2
     steps: list[float] = []
-    for i in reversed(range(len(rungs))):
-        p, below = rungs[i], rungs[min(i + 1, len(rungs) - 1)]
-        pctx, bctx = context(p), context(below)
-        x = pctx.convert(x)  # no rounding: the first step rounds x - step
-        qb = to_mpf(bctx, qf)
-        target = pctx.mpf(2) ** (4 - p)
-        fpx = None
-        for _ in range(p.bit_length() + 8 if p in (bits, rungs[-1]) else 1):
-            fx = eval_f(x, qf, p)
-            if fpx is None or below == p:
-                fpx = eval_f(bctx.fmul(qb, x), qf, below)
-            if fpx.precision_bits <= 1:
-                break  # derivative lost to cancellation; x is as good as it gets
-            step = to_mpf(pctx, fx) / to_mpf(pctx, fpx)
-            new = x - step
-            rel = abs(step) / abs(new)
-            steps.append(log2(rel.man) + rel.exp if rel else -inf)
-            done = rel < target or fx.precision_bits <= 8
-            if not done or below == p:
-                x = new
-            if done:
-                break
+    qv = to_mpf(ctx, qf)
+    target = ctx.mpf(2) ** (4 - bits)
+    for _ in range(bits.bit_length() + 8):
+        fx = f(x)
+        fpx = f(qv * x)
+        if fpx.precision_bits <= 1:
+            break  # derivative lost to cancellation; x is as good as it gets
+        step = to_mpf(ctx, fx) / to_mpf(ctx, fpx)
+        x = x - step
+        rel = abs(step) / abs(x)
+        steps.append(log2(rel.man) + rel.exp if rel else -inf)
+        if rel < target or fx.precision_bits <= 8:
+            break
 
     residual = abs(f(x))
     return ZeroResult(
@@ -488,21 +492,31 @@ def _reference_find_zero(k: int, q, precision_bits=None) -> ZeroResult:
 )
 def test_probed_find_zero_is_bit_identical_to_the_full_budget_loop(monkeypatch, q):
     """q = 10^-40 divides a 133-bit denominator out of u_n at every term;
-    its zeros x_3..x_5 take about 10 ms each.  Ladder zeros (from 648
-    bits: x_40 and above, and x_4 and x_5 at q = 10^-40) are compared
-    with the kernel giving up on every rung, so each of their Newton
-    reads falls back to _f_raw."""
+    its zeros x_3..x_5 take about 10 ms each.  On the Newton ladder (from
+    648 bits: x_40 and above, and x_4 and x_5 at q = 10^-40) a zero with
+    no certificate has no other route: with the kernel giving up there,
+    find_zero raises the bracket's BracketError."""
     if q == Q_TINY:
         ks = (3, 4, 5)
     else:
         ks = (10, 25, 40, 60) + ((100,) if q == Q_HALF else ())
     for k in ks:
-        rungs = _rungs(required_precision(k, q))
+        if len(_rungs(required_precision(k, q))) == 1:
+            assert _zero_fields(find_zero(k, q)) == _zero_fields(_reference_find_zero(k, q)), k
+            continue
         with monkeypatch.context() as fallback:
-            if len(rungs) > 1:
-                _ladder_kernel_gives_up(fallback)
-            got = find_zero(k, q)
-        assert _zero_fields(got) == _zero_fields(_reference_find_zero(k, q)), k
+            _kernel_gives_up(fallback)
+            with pytest.raises(BracketError) as err:
+                find_zero(k, q)
+        assert str(err.value) == _no_sign_change(k, q), k
+
+
+def _no_sign_change(k: int, q: Fraction) -> str:
+    """find_zero's message when no sign change of x_k's parity is found."""
+    return (
+        f"no sign change within relative half-width 1/(4k) around the "
+        f"order-2 guess for k={k}, q={q}"
+    )
 
 
 def test_probe_certification_threshold_covers_the_error_bound():
@@ -622,7 +636,7 @@ def test_uncertified_probes_fall_back_to_the_full_budget(monkeypatch, uncertify)
             in_newton.pop()
 
     if uncertify == "kernel":
-        _ladder_kernel_gives_up(monkeypatch)
+        _kernel_gives_up(monkeypatch)
     else:
         monkeypatch.setattr(zeros, "_SIGN_BITS", bits + 1)
     monkeypatch.setattr(zeros, "_kernel_sign", counted_sign)
@@ -769,10 +783,10 @@ def test_probe_sum_is_within_its_error_bound_of_the_exact_sum(q, k, p):
 
 def test_bracket_and_bisection_make_no_full_budget_call(monkeypatch):
     """At k = 60 and 100 find_zero runs on the integer kernel alone: no
-    eval_f call, so no sign falls back to it and the residual is not read
-    afresh, and no _f_raw call.  The kernel first locates the zero on the
-    bottom rung, then reads the certificate's two signs there, and the
-    certificate answers every bracket sign.  The locate is the only run on
+    eval_f call, so the residual is not read afresh, and no _f_raw call.
+    The kernel first locates the zero on the bottom rung, then reads the
+    certificate's two signs there; the certificate is the bracket, so no
+    bracket or bisection sign is read.  The locate is the only run on
     the bottom rung: the ladder climbs from the located x, reading f at
     the full budget twice, for the one step at B and for the check whose
     f(x) is the residual, and f(qx) once at the rung below B; each rung
@@ -912,10 +926,54 @@ def test_a_guess_that_is_not_negative_raises_before_any_read(monkeypatch, k):
     monkeypatch.setattr(zeros, "_f_raw", refuse)
     with pytest.raises(BracketError) as err:
         find_zero(k, q)
-    assert str(err.value) == (
-        f"no sign change within relative half-width 1/(4k) around the "
-        f"order-2 guess for k={k}, q=24/25"
-    )
+    assert str(err.value) == _no_sign_change(k, q)
+
+
+@pytest.mark.parametrize("q", [Q_HALF, Q_9_19, Fraction(1, 10)], ids=str)
+@pytest.mark.parametrize("k", [40, 60, 100])
+def test_a_ladder_bracket_is_the_certificate(k, q):
+    """On the Newton ladder the bracket is the certificate: its ends lie at
+    x (1 + 2^-(p // 2)) and x (1 - 2^-(p // 2)) around the returned x (to
+    2^-32 of that distance, as the climb moves x by far less), p the
+    bottom rung, and f has its exact signs there, (-1)^k outside and
+    (-1)^(k - 1) inside."""
+    z = find_zero(k, q)
+    rungs = _rungs(z.precision_bits)
+    assert len(rungs) > 1
+    x = _exact(z.x.value._mpf_)
+    h = Fraction(1, 2 ** (rungs[-1] // 2))
+    outer, inner = (end.value for end in z.bracket)
+    for end, side in ((outer, 1), (inner, -1)):
+        gap = (_exact(end._mpf_) - x) / x * side
+        assert h * (1 - Fraction(1, 2**32)) < gap < h * (1 + Fraction(1, 2**32)), side
+    assert _exact_f_sign(outer, q) == (-1) ** k
+    assert _exact_f_sign(inner, q) == (-1) ** (k - 1)
+
+
+@pytest.mark.parametrize("other", [None, 62], ids=["uncertified", "certificate-of-x62"])
+def test_a_ladder_zero_without_its_certificate_has_no_second_route(monkeypatch, other):
+    """x_60 at q = 1/2 (2,048 bits) with no certificate, or with the
+    certificate of x_62 (the same parity, a factor about 1/q^2 out, beyond
+    relative half-width 1/(4k) of the guess): find_zero raises the
+    bracket's BracketError and neither bisects nor reads f off eval_f's
+    loop."""
+    k = 60
+    assert len(_rungs(required_precision(k, Q_HALF))) > 1
+    cert = None
+    if other:
+        kept = _kept_certificates(monkeypatch)
+        find_zero(other, Q_HALF)
+        cert = kept[0]
+        assert cert is not None
+    def refuse(*args):
+        raise AssertionError("a second route taken")
+
+    monkeypatch.setattr(zeros, "_certify", lambda *args: cert)
+    for name in ("_bisect", "eval_f", "_f_raw"):
+        monkeypatch.setattr(zeros, name, refuse)
+    with pytest.raises(BracketError) as err:
+        find_zero(k, Q_HALF)
+    assert str(err.value) == _no_sign_change(k, Q_HALF)
 
 
 def _reference_bisect(lo, hi, slo, coarse, prec, bands, sign) -> tuple:
