@@ -28,12 +28,13 @@ import sys
 from fractions import Fraction
 from functools import lru_cache
 
+from .exactmath import _q_fraction
 from .jpoly import DecompositionError
 from .qseries import a_series, eisenstein_q, eval_mpoly_series, jacobi_p0
 from .reference import run_selftest
 from .symcoeff import c_n, reduced_c_n, to_eisenstein
 from .validate import fj_extract, ratio_check, residual_profile, zero_table
-from .zeros import BracketError, _q_fraction
+from .zeros import BracketError
 
 PRECISION_ENV = "DEFEXP_PRECISION"
 

@@ -60,9 +60,12 @@ def gen_binomial(alpha, k: int):
 
 
 def divisor_sigma(m: int, power: int = 1) -> int:
-    """Sum of d**power over the positive divisors d of m, by trial division."""
+    """Sum of d**power over the positive divisors d of m, by trial division;
+    power is nonnegative, so the sum is an int."""
     if m < 1:
         raise ValueError("divisor sum needs a positive integer")
+    if power < 0:
+        raise ValueError("divisor sum needs a nonnegative power")
     total = 0
     for d in range(1, isqrt(m) + 1):
         if m % d == 0:
@@ -71,6 +74,20 @@ def divisor_sigma(m: int, power: int = 1) -> int:
             if e != d:
                 total += e**power
     return total
+
+
+def _q_fraction(q) -> Fraction:
+    """q as an exact Fraction in (0, 1), the one q check: anything else
+    (1/0, inf, nan, abc, 2) is a ValueError that names the reason."""
+    try:
+        qf = Fraction(q)
+    except ZeroDivisionError:
+        raise ValueError(f"q has a zero denominator, got {q!r}") from None
+    except (ValueError, OverflowError):
+        raise ValueError(f"q must be a finite rational number, got {q!r}") from None
+    if not 0 < qf < 1:
+        raise ValueError(f"q must lie in (0, 1), got {qf}")
+    return qf
 
 
 def truncated_product(a, b, trunc: int) -> list:

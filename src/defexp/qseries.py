@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .exactmath import divisor_sigma, ring_power, truncated_product
+from .exactmath import _q_fraction, divisor_sigma, ring_power, truncated_product
 from .precreal import PrecReal, context, to_mpf
 from .symcoeff import _unpack, reduced_c_n
 
@@ -166,6 +166,8 @@ def jacobi_p0_product(trunc: int) -> QSeries:
     Independent of the theta-sum route; factors with n > trunc cannot
     touch the kept orders.
     """
+    if trunc < 0:
+        raise ValueError("truncation order must be nonnegative")
     coeffs = [Fraction(0)] * (trunc + 1)
     coeffs[0] = Fraction(1)
     for n in range(1, trunc + 1):
@@ -223,9 +225,10 @@ def eval_mpoly_series(p, trunc: int) -> QSeries:
 
 
 def eval_series_numeric(s: QSeries, q0, precision_bits: int) -> PrecReal:
-    """Horner evaluation at 0 < q0 < 1 with the given working precision."""
+    """Horner evaluation at 0 < q0 < 1 with the given working precision;
+    q0 is read as an exact Fraction (_q_fraction), then rounded."""
     ctx = context(precision_bits)
-    qv = to_mpf(ctx, Fraction(q0) if isinstance(q0, (int, str)) else q0)
+    qv = to_mpf(ctx, _q_fraction(q0))
     if not 0 < qv < 1:
         raise ValueError("series evaluation needs 0 < q0 < 1")
     acc = ctx.mpf(0)
@@ -244,4 +247,4 @@ def _coefficient_series(i: int, trunc: int) -> QSeries:
 def coefficient_value(i: int, q: Fraction, trunc: int, precision_bits: int) -> PrecReal:
     """Numeric C_i(q) from the reduced coefficient's truncated q-series."""
     series = _coefficient_series(i, trunc)
-    return eval_series_numeric(series, Fraction(q), precision_bits)
+    return eval_series_numeric(series, q, precision_bits)

@@ -17,10 +17,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
+from .exactmath import _q_fraction
 from .precreal import PrecReal, context, to_mpf
 from .qseries import SERIES_TRUNC, coefficient_value, eval_mpoly_series
 from .symcoeff import reduced_c_n
-from .zeros import ZeroResult, _q_fraction, find_zero
+from .zeros import ZeroResult, find_zero
 
 __all__ = [
     "FjTable",

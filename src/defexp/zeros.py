@@ -29,6 +29,7 @@ from mpmath.libmp import (
     mpf_sub,
 )
 
+from .exactmath import _q_fraction
 from .precreal import PrecReal, _round_fraction, context, to_mpf
 from .qseries import SERIES_TRUNC, coefficient_value
 
@@ -82,20 +83,6 @@ _LADDER_BASE_BITS = 128
 
 class BracketError(RuntimeError):
     """No sign change found within the allowed bracket expansion."""
-
-
-def _q_fraction(q) -> Fraction:
-    """q as an exact Fraction in (0, 1), the one q check: anything else
-    (1/0, inf, nan, abc, 2) is a ValueError that names the reason."""
-    try:
-        qf = Fraction(q)
-    except ZeroDivisionError:
-        raise ValueError(f"q has a zero denominator, got {q!r}") from None
-    except (ValueError, OverflowError):
-        raise ValueError(f"q must be a finite rational number, got {q!r}") from None
-    if not 0 < qf < 1:
-        raise ValueError(f"q must lie in (0, 1), got {qf}")
-    return qf
 
 
 def _positive_index(k, what: str = "zero index", least: int = 1) -> int:
@@ -439,52 +426,32 @@ def _certify(guess, k: int, qf: Fraction, precs: list) -> tuple | None:
     return (*points, located, steps)
 
 
-def _bisect(lo: tuple, hi: tuple, slo: int, coarse: tuple, prec: int, bands, sign) -> tuple:
-    """The bisection of [lo, hi] (raw mpfs, lo < hi < 0, f(lo) of sign
-    slo) while b - a, rounded to prec bits, exceeds the raw mpf `coarse`,
-    each midpoint (a + b)/2 with a + b rounded to nearest at prec; returns
-    the raw mpf (a + b)/2 of the last bracket, or the first midpoint of
-    sign 0.  These are the bytes of that loop on mpfs at prec bits, run on
-    ints in units of 2^F, F at or below the last bit of lo, of hi and of
-    every midpoint.  `bands` is None or the raw mpfs (beyond, c_out, c_in,
-    within): a midpoint in [beyond, c_out] has the sign slo, one in
-    [c_in, within] the sign -slo, and only any other goes to sign(t) on
-    the raw mpf t.  find_zero bisects only below the Newton ladder, at the
-    budgets whose bytes the README goldens pin."""
-    # |a + b| >= 2 |hi| >= 2^mag(hi), so (a + b)/2 rounded is a multiple of 2^(mag(hi) - prec)
-    F = min(lo[2], hi[2], hi[2] + hi[3] - prec)
-
-    def scaled(X: tuple, up: bool = False) -> int:  # X/2^F, floored or ceiled
-        s, m, e, _ = X
-        v = -m if s else m
-        if e >= F:
-            return v << (e - F)
-        return -(-v >> (F - e)) if up else v >> (F - e)
+def _bisect(a: int, b: int, slo: int, coarse: int, prec: int, sign) -> int:
+    """The bisection of [a, b] (ints in units of a grid 2^F, a < b < 0,
+    f(a) of sign slo) while b - a exceeds `coarse`, each midpoint
+    (a + b)/2 with a + b rounded to nearest at prec bits; returns the
+    midpoint of the last bracket, or the first midpoint t that sign(t)
+    reads as 0.  These are the bytes of that loop on mpfs at prec bits
+    when 2^F lies at or below the last bit of a, of b and of every
+    midpoint, |a + b| has at least prec + 2 bits and b - a at most prec
+    (so the mpf loop's rounded gap is exact), as find_zero's grid ensures.
+    find_zero bisects only below the Newton ladder, at the budgets whose
+    bytes the README goldens pin."""
 
     def mid() -> int:
-        m, e = _round(-(a + b), F, prec)  # at least prec + 1 bits, so e > F
-        return -(m << (e - 1 - F))
+        m, shift = _round(-(a + b), 0, prec)  # shift >= 2: a + b has at least prec + 2 bits
+        return -(m << (shift - 1))
 
-    a, b = scaled(lo), scaled(hi)
-    if bands:  # each band rounded to the scale toward its inside
-        beyond, c_out, c_in, within = bands
-        bands = (scaled(beyond, True), scaled(c_out), scaled(c_in, True), scaled(within))
-    _, cm, ce, _ = coarse
-    while _exceeds(*_round(b - a, F, prec), cm, ce):
+    while b - a > coarse:
         t = mid()
-        if bands and bands[0] <= t <= bands[1]:
-            s = slo
-        elif bands and bands[2] <= t <= bands[3]:
-            s = -slo
-        else:
-            s = sign(from_man_exp(t, F))
+        s = sign(t)
         if s == 0:
-            return from_man_exp(t, F)
+            return t
         if s == slo:
             a = t
         else:
             b = t
-    return from_man_exp(mid(), F)
+    return mid()
 
 
 @dataclass(frozen=True)
@@ -544,14 +511,15 @@ def find_zero(k: int, q, precision_bits: int | None = None) -> ZeroResult:
     Below 648 bits, where the README goldens pin every byte, a relative
     bracket of half-width k^-4 doubles until f changes sign, capped at
     1/(4k); its outer end must read (-1)^k, or the sign change is not x_k.
-    Either failure raises BracketError.  A sign out to a factor 1/q beyond
-    a certificate point is the certificate's, as consecutive zeros lie
-    more than that apart (scan_zeros); any other is a certified kernel
-    sign at B, else eval_f's loop read at B.  Bisection on ints (_bisect)
-    narrows to ~60 bits (at most B - 8), Newton on eval_f's loop at B
-    finishes from its midpoint until a step is below 2^(4 - B) relative,
-    and the residual is one more evaluation at B.  Either route leaves x
-    correct to within about 8 bits of B.
+    Either failure raises BracketError.  Bracket, bands and bisection run
+    on one integer grid 2^F.  A point out to a factor 1/q beyond a
+    certificate point, compared exactly, has the certificate's sign, as
+    consecutive zeros lie more than that apart (scan_zeros); any other
+    sign is a certified kernel sign at B, else eval_f's loop read at B.
+    Bisection on the grid (_bisect) narrows to ~60 bits (at most B - 8),
+    Newton on eval_f's loop at B finishes from its midpoint until a step
+    is below 2^(4 - B) relative, and the residual is one more evaluation
+    at B.  Either route leaves x correct to within about 8 bits of B.
     """
     k = _positive_index(k)
     qf = _q_fraction(q)
@@ -580,32 +548,38 @@ def find_zero(k: int, q, precision_bits: int | None = None) -> ZeroResult:
             raise BracketError(no_change)
         lo, hi, x, steps = cert
     else:  # the bracket and the bisection that the README goldens pin
-        bands = None
-        if cert:
-            c_out, c_in = cert[:2]
-            # rounded so that beyond >= c_in/q, within <= q c_out
-            a, b = qf.numerator, qf.denominator
-            beyond = ctx.fdiv(ctx.fmul(c_in, b, exact=True), a, rounding="c")
-            within = ctx.fdiv(ctx.fmul(c_out, a, exact=True), b, rounding="f")
-            bands = tuple(t._mpf_ for t in (beyond, c_out, c_in, within))
+        # one grid 2^F for bracket, bands and bisection: each bracket end
+        # and midpoint has |t| > |guess|/2 and at most B bits, so its last
+        # bit lies at or above F
+        _, _, ge, gbc = guess._mpf_
+        F = ge + gbc - bits - 2
 
-        def read_sign(X: tuple) -> int:
-            s = _kernel_sign(X, qf, bits) or _read(X, qf, bits, False)[0]
-            return (s > 0) - (s < 0)
+        def grid(t) -> int:  # the mpf t in units of 2^F: exact on the grid, else floored
+            s, m, e, _ = t._mpf_
+            v = -m if s else m
+            return v << (e - F) if e >= F else v >> (F - e)
 
-        def sign(t) -> int:
+        if cert:  # the bands [c_in/q, c_out] and [c_in, q c_out], exact on the grid
+            F = min(F, cert[0]._mpf_[2], cert[1]._mpf_[2])
+            c_out, c_in = grid(cert[0]), grid(cert[1])
+            beyond = -(-c_in * qf.denominator // qf.numerator)
+            within = c_out * qf.numerator // qf.denominator
+
+        def sign(t: int) -> int:
             if cert and beyond <= t <= c_out:
                 return (-1) ** k
             if cert and c_in <= t <= within:
                 return (-1) ** (k - 1)
-            return read_sign(t._mpf_)
+            X = from_man_exp(t, F)
+            s = _kernel_sign(X, qf, bits) or _read(X, qf, bits, False)[0]
+            return (s > 0) - (s < 0)
 
         delta = min(ctx.mpf(k) ** -4, delta_max)
         while True:
             lo = guess * (1 + delta)  # the more negative endpoint
             hi = guess * (1 - delta)
-            slo = sign(lo)
-            if slo * sign(hi) < 0:
+            slo = sign(grid(lo))
+            if slo * sign(grid(hi)) < 0:
                 break
             if delta >= delta_max:
                 raise BracketError(no_change)
@@ -618,7 +592,7 @@ def find_zero(k: int, q, precision_bits: int | None = None) -> ZeroResult:
         # bisection to roughly 60 correct bits, or 8 below the working
         # precision when that is lower (rounded midpoints get no closer)
         coarse = abs(guess) * ctx.mpf(2) ** (-min(60, bits - 8))
-        x = _bisect(lo._mpf_, hi._mpf_, slo, coarse._mpf_, bits, bands, read_sign)
+        x = from_man_exp(_bisect(grid(lo), grid(hi), slo, grid(coarse), bits, sign), F)
         steps = []
 
     # Newton to convergence at B, on the ladder after one step on each rung below

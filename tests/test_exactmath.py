@@ -47,8 +47,11 @@ def test_divisor_sigma_brute_force(m):
 
 
 def test_divisor_sigma_rejects_nonpositive():
-    with pytest.raises(ValueError):
+    """A nonpositive m, or a negative power whose sum is no int."""
+    with pytest.raises(ValueError, match="positive integer"):
         divisor_sigma(0)
+    with pytest.raises(ValueError, match="nonnegative power"):
+        divisor_sigma(6, -1)
 
 
 def test_gen_binomial_integer_orders_match_comb():

@@ -121,6 +121,12 @@ def test_theta_sum_equals_product_form():
     assert jacobi_p0(T) == jacobi_p0_product(T)
 
 
+def test_both_forms_of_p0_reject_a_negative_truncation():
+    for form in (jacobi_p0, jacobi_p0_product):
+        with pytest.raises(ValueError, match="truncation order must be nonnegative"):
+            form(-1)
+
+
 def test_theta_sum_coefficients_are_signed_odd_numbers():
     s = jacobi_p0(25)
     expected = {0: 1, 1: -3, 3: 5, 6: -7, 10: 9, 15: -11, 21: 13}

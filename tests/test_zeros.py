@@ -12,11 +12,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from mpmath import mpf
-from mpmath.libmp import from_man_exp, mpf_add, mpf_mul
+from mpmath.libmp import from_man_exp, mpf_mul
 
 import defexp.zeros as zeros
 from defexp.precreal import PrecReal, context, to_mpf
-from defexp.qseries import a_series
+from defexp.qseries import a_series, coefficient_value, eval_series_numeric
 from defexp.validate import ratio_check, residual_profile, zero_table
 from defexp.zeros import (
     BracketError,
@@ -123,14 +123,16 @@ def test_eval_f_rejects_bad_parameters():
 
 @pytest.mark.parametrize("q", ["1/0", float("inf"), float("nan"), "abc", "2"], ids=repr)
 def test_a_q_that_is_no_number_in_the_unit_interval_is_a_value_error(q):
-    """One q check for every entry point: 1/0 and inf are ValueErrors too,
-    not ZeroDivisionError or OverflowError."""
+    """One q check for every entry point, the numeric C_i included: 1/0
+    and inf are ValueErrors too, not ZeroDivisionError or OverflowError."""
     calls = (
         lambda: find_zero(10, q),
         lambda: required_precision(10, q),
         lambda: scan_zeros(q, -100, 1),
         lambda: paired_term_gaps(10, q, 0),
         lambda: eval_f(-1, q, 64),
+        lambda: eval_series_numeric(a_series(0, 5), q, 53),
+        lambda: coefficient_value(1, q, 60, 53),
     )
     for call in calls:
         with pytest.raises(ValueError, match="^q "):
@@ -976,21 +978,14 @@ def test_a_ladder_zero_without_its_certificate_has_no_second_route(monkeypatch, 
     assert str(err.value) == _no_sign_change(k, Q_HALF)
 
 
-def _reference_bisect(lo, hi, slo, coarse, prec, bands, sign) -> tuple:
-    """The bisection loop on mpfs at prec bits that _bisect runs on ints,
-    with _bisect's arguments and result."""
+def _reference_bisect(lo, hi, slo, coarse, prec, sign) -> tuple:
+    """The bisection loop on mpfs at prec bits that _bisect runs on ints:
+    the bracket ends and coarse as raw mpfs in, the raw mpf result out."""
     ctx = context(prec)
     a, b, coarse = ctx.make_mpf(lo), ctx.make_mpf(hi), ctx.make_mpf(coarse)
-    if bands:
-        beyond, c_out, c_in, within = (ctx.make_mpf(t) for t in bands)
     while (b - a) > coarse:
         mid = (a + b) / 2
-        if bands and beyond <= mid <= c_out:
-            s = slo
-        elif bands and c_in <= mid <= within:
-            s = -slo
-        else:
-            s = sign(mid._mpf_)
+        s = sign(mid._mpf_)
         if s == 0:
             a = b = mid
             break
@@ -1018,15 +1013,21 @@ def _sign_about(z: Fraction, slo: int, calls: list):
     return sign
 
 
+def _on_grid(X: tuple, F: int) -> int:
+    """The raw mpf X in units of 2^F, floored."""
+    s, m, e, _ = X
+    v = -m if s else m
+    return v << (e - F) if e >= F else v >> (F - e)
+
+
 @st.composite
 def _bisections(draw):
-    """_bisect's arguments as find_zero builds them: a bracket guess
+    """The mpf loop's arguments as find_zero builds them: a bracket guess
     (1 +- delta) at prec bits, the guess next to a power of two half the
-    time, coarse = |guess| 2^-min(60, prec - 8), a zero z at a dyadic
-    fraction i/2^j of the bracket; then no bands, a certificate
-    x (1 +- 2^-j) around z with its factor-1/q bands (q = 10^-40 among
-    them), or bands whose ends are midpoints of the loop without bands,
-    each left as it is or moved by far less than a unit of its last bit."""
+    time, coarse = |guess| 2^-min(60, prec - 8), and a zero z at a dyadic
+    fraction i/2^j of the bracket; with find_zero's grid 2^F, F = mag(guess)
+    - prec - 2, lowered as a certificate point far inside the guess would
+    lower it a quarter of the time."""
     prec = draw(st.one_of(st.integers(8, 64), st.sampled_from([143, 341, 647])))
     ctx = context(prec)
     e = draw(st.integers(-40, 40))
@@ -1042,37 +1043,71 @@ def _bisections(draw):
         st.integers(1, 2**j - 1)
     ) / 2**j
     slo = draw(st.sampled_from([1, -1]))
-    args = [lo._mpf_, hi._mpf_, slo, coarse._mpf_, prec, None]
-    q = draw(st.sampled_from([None, Q_HALF, Q_9_19, Q_TINY, "midpoints"]))
-    if q == "midpoints":
-        mids = []
-        _reference_bisect(*args, _sign_about(z, slo, mids))
-        assume(mids)
-        ends = sorted(draw(st.lists(st.sampled_from(mids), min_size=4, max_size=4)), key=_exact)
-        args[-1] = tuple(
-            mpf_add(t, from_man_exp(draw(st.sampled_from([-1, 0, 1])), t[2] - 40), 0)
-            for t in ends
-        )
-    elif q is not None:
-        x, h = to_mpf(ctx, z), ctx.ldexp(1, -draw(st.integers(1, prec)))
-        c_out, c_in = x * (1 + h), x * (1 - h)
-        beyond = ctx.fdiv(ctx.fmul(c_in, q.denominator, exact=True), q.numerator, rounding="c")
-        within = ctx.fdiv(ctx.fmul(c_out, q.numerator, exact=True), q.denominator, rounding="f")
-        args[-1] = tuple(t._mpf_ for t in (beyond, c_out, c_in, within))
-    return args, z
+    _, _, ge, gbc = guess._mpf_
+    F = ge + gbc - prec - 2 - draw(st.sampled_from([0, 0, 0, 1, 70]))
+    return (lo._mpf_, hi._mpf_, slo, coarse._mpf_, prec), F, z
 
 
 @settings(max_examples=400, deadline=None)
 @given(case=_bisections())
 def test_integer_bisection_is_the_mpf_loop(case):
-    """_bisect returns the mpf loop's last midpoint and hands the same
-    midpoints, in the same order, to sign, for an f whose one zero is z."""
-    args, z = case
-    runs = []
-    for bisect in (zeros._bisect, _reference_bisect):
-        calls = []
-        runs.append((bisect(*args, _sign_about(z, args[2], calls)), calls))
-    assert runs[0] == runs[1]
+    """_bisect on find_zero's grid returns the mpf loop's last midpoint and
+    hands the same midpoints, in the same order, to sign, for an f whose
+    one zero is z; the bracket ends lie on the grid."""
+    (lo, hi, slo, coarse, prec), F, z = case
+    assert lo[2] >= F and hi[2] >= F
+    grid_calls, mpf_calls = [], []
+    grid_sign = _sign_about(z, slo, grid_calls)
+    got = zeros._bisect(
+        _on_grid(lo, F),
+        _on_grid(hi, F),
+        slo,
+        _on_grid(coarse, F),
+        prec,
+        lambda t: grid_sign(from_man_exp(t, F)),
+    )
+    want = _reference_bisect(lo, hi, slo, coarse, prec, _sign_about(z, slo, mpf_calls))
+    assert (from_man_exp(got, F), grid_calls) == (want, mpf_calls)
+
+
+@pytest.mark.parametrize("q", [Q_HALF, Q_9_19, Q_TINY], ids=str)
+@pytest.mark.parametrize("k", [10, 12, 26])
+def test_no_point_in_a_certificate_band_is_read_below_the_ladder(monkeypatch, k, q):
+    """Below the ladder a bracket end or midpoint in the exact bands
+    [c_in/q, c_out] or [c_in, q c_out] of find_zero's certificate takes
+    the band's sign: from the return of _certify to that of _bisect, no
+    such point goes to _kernel_sign or _read, and at least one bracket end
+    lies in a band.  The budget is the default, or 640 bits where that is
+    on the ladder (q = 10^-40)."""
+    bits = min(required_precision(k, q), 640)
+    kept = _kept_certificates(monkeypatch)
+    bisect, reads, done = zeros._bisect, [], []
+
+    def recorded(read):
+        def wrapped(X, *args):
+            if kept and not done:
+                reads.append(_exact(X))
+            return read(X, *args)
+
+        return wrapped
+
+    def marked_bisect(*args):
+        done.append(bisect(*args))
+        return done[-1]
+
+    for name in ("_kernel_sign", "_read"):
+        monkeypatch.setattr(zeros, name, recorded(getattr(zeros, name)))
+    monkeypatch.setattr(zeros, "_bisect", marked_bisect)
+    z = find_zero(k, q, bits)
+    (cert,) = kept
+    assert cert is not None and done
+    c_out, c_in = (_exact(t._mpf_) for t in cert[:2])
+
+    def in_band(t: Fraction) -> bool:
+        return c_in / q <= t <= c_out or c_in <= t <= q * c_out
+
+    assert [t for t in reads if in_band(t)] == []
+    assert any(in_band(_exact(end.value._mpf_)) for end in z.bracket)
 
 
 def test_scan_oracle_does_not_read_the_probe_kernel(monkeypatch, scanned_q_half):
