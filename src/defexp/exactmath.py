@@ -12,6 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache
 from math import comb, factorial, isqrt
+from operator import index
 
 __all__ = [
     "bernoulli",
@@ -74,6 +75,18 @@ def divisor_sigma(m: int, power: int = 1) -> int:
             if e != d:
                 total += e**power
     return total
+
+
+def _positive_index(k, what: str = "zero index", least: int = 1) -> int:
+    """k as an int of at least `least`; anything else (0, 2.5, even 12.0
+    for the default 1) is a ValueError naming `what`."""
+    try:
+        k = index(k)
+    except TypeError:
+        raise ValueError(f"{what} must be an integer, got {k!r}") from None
+    if k < least:
+        raise ValueError(f"{what} starts at {least}, got {k}")
+    return k
 
 
 def _q_fraction(q) -> Fraction:

@@ -1,13 +1,14 @@
 """Arbitrary-precision reals that carry their own precision metadata.
 
-Thin wrapper over mpmath.  Every working precision gets its own
-MPContext instance, so no process-global precision state is ever
-mutated; a PrecReal pairs an mpf value with the number of bits it is
-warranted to.  It carries no arithmetic of its own: callers compute on
-the mpf values in a context of their choosing and tag the result
-themselves.  A tag needs no context of its own: a PrecReal keeps an
-mpf in the context it came from and rounds anything else at its tag with
-mpmath.libmp into one shared context.
+The numeric layer computes on raw mpmath.libmp tuples, each operation one
+libmp call at an explicit precision, rounded to nearest, so no
+process-global precision state is ever mutated and no MPContext is built
+to compute.  A PrecReal pairs such a raw value with the number of bits it
+is warranted to (its tag) and the working bits it was computed at.  It
+carries no arithmetic of its own.  Its .value is an mpf of
+context(working bits), the one shared MPContext per precision, built on
+the first read; comparison, hashing, abs and printing read the raw value
+and build none.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from mpmath.ctx_mp import MPContext
-from mpmath.libmp import from_int, mpf_abs, mpf_div, to_str
+from mpmath.libmp import from_float, from_int, from_str, mpf_abs, mpf_div, mpf_eq, mpf_hash, to_str
 
 __all__ = ["PrecReal", "context", "to_mpf"]
 
@@ -35,14 +36,11 @@ def context(bits: int) -> MPContext:
 
 def to_mpf(ctx: MPContext, x):
     """Convert scalars (including Fraction and PrecReal) to ctx's mpf."""
-    if isinstance(x, PrecReal):
-        return ctx.convert(x.value)
-    if isinstance(x, Fraction):
-        return ctx.make_mpf(_round_fraction(x, ctx.prec))
-    return ctx.convert(x)
+    raw = _raw(x, ctx.prec)
+    return ctx.convert(x) if raw is None else ctx.make_mpf(raw)
 
 
-_VALUES = MPContext()  # holds the values not given as mpfs; never mutated
+_VALUES = MPContext()  # holds the values given as Fractions, ints and floats; never mutated
 
 
 def _round_fraction(x: Fraction, bits: int) -> tuple:
@@ -54,53 +52,72 @@ def _round_fraction(x: Fraction, bits: int) -> tuple:
     return mpf_div(num, den, bits, "n")
 
 
-def _value(x, bits: int):
-    """The mpf to_mpf(context(bits), x) would give, without that context:
-    an mpf keeps its value and its own context, ints and floats are exact,
-    a Fraction is rounded at `bits`; all but mpfs go to _VALUES."""
-    if isinstance(x, PrecReal):
-        return x.value
+def _raw(x, bits: int):
+    """The raw mpf to_mpf(context(bits), x) gives, read without that
+    context for the common types: an mpf or PrecReal as it is, unrounded,
+    an int or float exactly, a Fraction by _round_fraction and a string by
+    from_str at bits; None for a complex value."""
     raw = getattr(x, "_mpf_", None)
     if raw is not None:
-        return getattr(x, "context", _VALUES).make_mpf(raw)
+        return raw
     if isinstance(x, Fraction):
-        return _VALUES.make_mpf(_round_fraction(x, bits))
+        return _round_fraction(x, bits)
     if isinstance(x, (int, float)):
-        return _VALUES.convert(x)
-    value = context(bits).convert(x)  # strings and rarer types, rounded at bits
-    if not hasattr(value, "_mpf_"):
-        raise ValueError("a PrecReal holds a real value")
-    return value
+        return from_int(x) if isinstance(x, int) else from_float(x)
+    if isinstance(x, str):
+        try:
+            return from_str(x, max(bits, 2), "n")
+        except ValueError:
+            pass  # complex strings and non-numbers: context(bits) says which
+    return getattr(context(bits).convert(x), "_mpf_", None)
+
+
+def _tagged(raw: tuple, bits, tag: int | None = None) -> PrecReal:
+    """The raw mpf computed at `bits` (or in the context `bits`), tagged `tag` or bits."""
+    pr = object.__new__(PrecReal)
+    pr._mpf_, pr._home, pr.precision_bits = raw, bits, bits if tag is None else tag
+    return pr
 
 
 class PrecReal:
-    """A real number plus the binary precision it is warranted to."""
+    """A real number plus the binary precision it is warranted to: the raw
+    mpf _mpf_, the tag and the home of .value, a context or the working
+    bits of context(bits) until the first read.  An mpf given to the
+    constructor keeps its own context, a Fraction, int or float lives in
+    _VALUES, and anything else in context(tag)."""
 
-    __slots__ = ("value", "precision_bits")
+    __slots__ = ("_mpf_", "_home", "precision_bits")
 
     def __init__(self, value, precision_bits: int):
-        precision_bits = int(precision_bits)
-        if precision_bits < 1:
-            precision_bits = 1
-        object.__setattr__(self, "value", _value(value, precision_bits))
-        object.__setattr__(self, "precision_bits", precision_bits)
+        precision_bits = max(int(precision_bits), 1)
+        raw = _raw(value, precision_bits)
+        if raw is None:
+            raise ValueError("a PrecReal holds a real value")
+        home = getattr(value, "_home", None) or getattr(value, "context", None)
+        if home is None:
+            home = _VALUES if isinstance(value, (Fraction, int, float)) else precision_bits
+        self._mpf_, self._home, self.precision_bits = raw, home, precision_bits
+
+    @property
+    def value(self):
+        """The value as an mpf of its home context, built on the first read."""
+        if isinstance(self._home, int):
+            self._home = context(self._home)
+        return self._home.make_mpf(self._mpf_)
 
     def __abs__(self):
         """|value| rounded to nearest at the tag (at least 2 bits)."""
-        v = self.value
-        raw = mpf_abs(v._mpf_, max(self.precision_bits, 2), "n")
-        return PrecReal(v.context.make_mpf(raw), self.precision_bits)
+        raw = mpf_abs(self._mpf_, max(self.precision_bits, 2), "n")
+        return _tagged(raw, self._home, self.precision_bits)
 
     def __eq__(self, other):
-        """Equal values, whatever the tags (ZeroResult's equality uses this)."""
-        if isinstance(other, PrecReal):
-            other = other.value
-        elif isinstance(other, Fraction):
-            other = _VALUES.make_mpf(_round_fraction(other, self.precision_bits))
+        """Equal values, whatever the tags; a Fraction is rounded at the tag."""
+        if isinstance(other, (Fraction, int, float)) or hasattr(other, "_mpf_"):
+            return mpf_eq(self._mpf_, _raw(other, self.precision_bits))
         return self.value == other
 
     def __hash__(self):
-        return hash(self.value)
+        return mpf_hash(self._mpf_)
 
     @property
     def warranted_digits(self) -> int:
@@ -108,7 +125,7 @@ class PrecReal:
 
     def to_decimal(self) -> str:
         """Decimal string with exactly the digits the precision warrants."""
-        return to_str(self.value._mpf_, self.warranted_digits)
+        return to_str(self._mpf_, self.warranted_digits)
 
     def __repr__(self) -> str:
         return f"PrecReal({self.to_decimal()}, bits={self.precision_bits})"

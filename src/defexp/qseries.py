@@ -12,8 +12,10 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .exactmath import _q_fraction, divisor_sigma, ring_power, truncated_product
-from .precreal import PrecReal, context, to_mpf
+from mpmath.libmp import fone, fzero, mpf_add, mpf_lt, mpf_mul
+
+from .exactmath import _positive_index, _q_fraction, divisor_sigma, ring_power, truncated_product
+from .precreal import PrecReal, _round_fraction, _tagged
 from .symcoeff import _unpack, reduced_c_n
 
 __all__ = [
@@ -225,16 +227,17 @@ def eval_mpoly_series(p, trunc: int) -> QSeries:
 
 
 def eval_series_numeric(s: QSeries, q0, precision_bits: int) -> PrecReal:
-    """Horner evaluation at 0 < q0 < 1 with the given working precision;
-    q0 is read as an exact Fraction (_q_fraction), then rounded."""
-    ctx = context(precision_bits)
-    qv = to_mpf(ctx, _q_fraction(q0))
-    if not 0 < qv < 1:
+    """Horner evaluation at 0 < q0 < 1 on raw mpfs, each product and sum
+    rounded to nearest at the working precision (an int of at least 4
+    bits); q0 is read as an exact Fraction (_q_fraction), then rounded."""
+    bits = _positive_index(precision_bits, "working precision in bits", 4)
+    qv = _round_fraction(_q_fraction(q0), bits)
+    if not mpf_lt(qv, fone):
         raise ValueError("series evaluation needs 0 < q0 < 1")
-    acc = ctx.mpf(0)
+    acc = fzero
     for c in reversed(s.coeffs):
-        acc = acc * qv + to_mpf(ctx, c)
-    return PrecReal(acc, precision_bits)
+        acc = mpf_add(mpf_mul(acc, qv, bits, "n"), _round_fraction(c, bits), bits, "n")
+    return _tagged(acc, bits)
 
 
 @lru_cache(maxsize=None)

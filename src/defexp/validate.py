@@ -17,8 +17,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
+from mpmath.libmp import fone, from_int, mpf_div, mpf_mul, mpf_neg, mpf_pow_int, mpf_sub
+
 from .exactmath import _q_fraction
-from .precreal import PrecReal, context, to_mpf
+from .precreal import PrecReal, _round_fraction, _tagged
 from .qseries import SERIES_TRUNC, coefficient_value, eval_mpoly_series
 from .symcoeff import reduced_c_n
 from .zeros import ZeroResult, find_zero
@@ -88,24 +90,22 @@ def residual_profile(q, n: int, k_values, zeros: dict[int, ZeroResult]) -> Resid
 
     The zeros are read only from `zeros` (a zero_table, so several orders
     n share one expensive table): the entry keyed k must be x_k at this q,
-    and a k the table lacks is a ValueError raised before any row.
+    and a k the table lacks is a ValueError raised before any row.  Each
+    step is one libmp call on raw mpfs, rounded to nearest at those bits.
     """
     if n < 0:
         raise ValueError("truncation order must be nonnegative")
     qf = _q_fraction(q)
     rows = []
     for zr in [_supplied_zero(zeros, k, qf) for k in sorted(k_values)]:
-        k, bits = zr.k, zr.precision_bits
-        ctx = context(bits)
-        xv = to_mpf(ctx, zr.x)
-        qv = to_mpf(ctx, qf)
-        kk = ctx.mpf(k)
-        t = -xv / (kk * qv ** (1 - k)) - 1
+        k, b = zr.k, zr.precision_bits
+        kk = from_int(k, b, "n")
+        lead = mpf_mul(kk, mpf_pow_int(_round_fraction(qf, b), 1 - k, b, "n"), b, "n")
+        t = mpf_sub(mpf_div(mpf_neg(zr.x._mpf_, b, "n"), lead, b, "n"), fone, b, "n")
         for i in range(1, n + 1):
-            ci = coefficient_value(i, qf, SERIES_TRUNC, bits)
-            t -= to_mpf(ctx, ci) * kk ** (-1 - i)
-        r = t * kk ** (n + 2)
-        rows.append((k, zr.x, PrecReal(r, bits)))
+            ci = coefficient_value(i, qf, SERIES_TRUNC, b)._mpf_
+            t = mpf_sub(t, mpf_mul(ci, mpf_pow_int(kk, -1 - i, b, "n"), b, "n"), b, "n")
+        rows.append((k, zr.x, _tagged(mpf_mul(t, mpf_pow_int(kk, n + 2, b, "n"), b, "n"), b)))
     return ResidualProfile(q=qf, n=n, rows=tuple(rows))
 
 
@@ -124,13 +124,11 @@ def ratio_check(
     table = {k: _supplied_zero(zeros, k, qf) for k in range(k_min, k_max + 2)}
     for k in range(k_min, k_max + 1):
         za, zb = table[k], table[k + 1]
-        bits = min(za.precision_bits, zb.precision_bits)
-        ctx = context(bits)
-        xa = to_mpf(ctx, za.x)
-        xb = to_mpf(ctx, zb.x)
-        qv = to_mpf(ctx, qf)
-        dev = qv * xb / xa - 1 - ctx.mpf(1) / k
-        out.append((k, PrecReal(dev * ctx.mpf(k) ** 2, bits)))
+        b = min(za.precision_bits, zb.precision_bits)  # each step rounded to nearest there
+        ratio = mpf_div(mpf_mul(_round_fraction(qf, b), zb.x._mpf_, b, "n"), za.x._mpf_, b, "n")
+        dev = mpf_sub(mpf_sub(ratio, fone, b, "n"), mpf_div(fone, from_int(k), b, "n"), b, "n")
+        k2 = mpf_pow_int(from_int(k, b, "n"), 2, b, "n")
+        out.append((k, _tagged(mpf_mul(dev, k2, b, "n"), b)))
     return out
 
 

@@ -13,24 +13,16 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import ceil, factorial, inf, log2
-from operator import index
 from threading import Lock
 
-from mpmath.libmp import (
-    finf,
-    fnan,
-    fninf,
-    from_man_exp,
-    mpf_abs,
-    mpf_div,
-    mpf_lt,
-    mpf_mul,
-    mpf_pos,
-    mpf_sub,
+from mpmath.libmp import (  # the raw mpf operations, each at an explicit precision and rounding
+    finf, fnan, fninf, fone, from_int, from_man_exp, ftwo, fzero, mpf_abs, mpf_add, mpf_div,
+    mpf_le, mpf_lt, mpf_mul, mpf_mul_int, mpf_neg, mpf_pos, mpf_pow_int, mpf_sign, mpf_sub,
+    to_float, to_str,
 )
 
-from .exactmath import _q_fraction
-from .precreal import PrecReal, _round_fraction, context, to_mpf
+from .exactmath import _positive_index, _q_fraction
+from .precreal import PrecReal, _raw, _round_fraction, _tagged
 from .qseries import SERIES_TRUNC, coefficient_value
 
 __all__ = [
@@ -65,7 +57,7 @@ _SIGN_BITS = 34
 _PROBE_MAX_TERMS = 2**15
 _PROBE_GUARD_BITS = _PROBE_MAX_TERMS.bit_length()
 
-_NEAREST = "n"  # the rounding mode of every context(bits)
+_NEAREST = "n"  # the rounding mode of every context(bits), and of every step here
 _Q_POWERS_LOCK = Lock()
 
 # find_zero runs Newton on a precision ladder from this many working bits
@@ -83,18 +75,6 @@ _LADDER_BASE_BITS = 128
 
 class BracketError(RuntimeError):
     """No sign change found within the allowed bracket expansion."""
-
-
-def _positive_index(k, what: str = "zero index", least: int = 1) -> int:
-    """k as an int of at least `least`; anything else (0, 2.5, even 12.0
-    for the default 1) is a ValueError naming `what`."""
-    try:
-        k = index(k)
-    except TypeError:
-        raise ValueError(f"{what} must be an integer, got {k!r}") from None
-    if k < least:
-        raise ValueError(f"{what} starts at {least}, got {k}")
-    return k
 
 
 def required_precision(k: int, q) -> int:
@@ -273,20 +253,18 @@ def eval_f(x, q, precision_bits: int) -> PrecReal:
     longer computed.
     """
     precision_bits = _positive_index(precision_bits, "working precision in bits", 4)
-    ctx = context(precision_bits)
-    xv = to_mpf(ctx, x)
-    qv = to_mpf(ctx, q if not isinstance(q, str) else _q_fraction(q))
-    if not 0 < qv < 1:
+    X = _raw(x, precision_bits)
+    Q = _raw(q if not isinstance(q, str) else _q_fraction(q), precision_bits)
+    if Q is None or not (mpf_lt(fzero, Q) and mpf_lt(Q, fone)):
         raise ValueError("q must lie in (0, 1)")
-    X = getattr(xv, "_mpf_", None)
     if X is None:
         raise ValueError("x must be real")
-    return _prec_real(ctx, *_f_raw(X, qv._mpf_, precision_bits))
+    return _prec_real(precision_bits, *_f_raw(X, Q, precision_bits))
 
 
-def _prec_real(ctx, man: int, exp: int, tag: int) -> PrecReal:
-    """_f_raw's (man, exp, tag) as eval_f returns it."""
-    return PrecReal(ctx.make_mpf(from_man_exp(man, exp)), tag)
+def _prec_real(bits: int, man: int, exp: int, tag: int) -> PrecReal:
+    """_f_raw's (man, exp, tag) at `bits` working bits as eval_f returns it."""
+    return _tagged(from_man_exp(man, exp), bits, tag)
 
 
 def _f_raw(X: tuple, Q: tuple, prec: int) -> tuple[int, int, int]:
@@ -354,22 +332,25 @@ def _f_raw(X: tuple, Q: tuple, prec: int) -> tuple[int, int, int]:
 
 
 def _sign(value: PrecReal) -> int:
-    if value.value > 0:
-        return 1
-    if value.value < 0:
-        return -1
-    return 0
+    return mpf_sign(value._mpf_)
 
 
-def _asymptotic_guess(ctx, k: int, qf: Fraction, bits: int):
-    """-k q^(1-k) (1 + C_1(q)/k^2 + C_2(q)/k^3), the C_i read at `bits`."""
-    corr = ctx.mpf(1)
-    kk = ctx.mpf(k)
+def _asymptotic_guess(k: int, qf: Fraction, prec: int, bits: int) -> tuple:
+    """-k q^(1-k) (1 + C_1(q)/k^2 + C_2(q)/k^3) as a raw mpf, each step
+    rounded to nearest at prec bits, the C_i read at `bits`."""
+    N = _NEAREST
+    corr, kk = fone, from_int(k, prec, N)
     for i in (1, 2):
-        ci = coefficient_value(i, qf, SERIES_TRUNC, bits)
-        corr += to_mpf(ctx, ci) * kk ** (-1 - i)
-    qv = to_mpf(ctx, qf)
-    return -kk * qv ** (1 - k) * corr
+        ci = coefficient_value(i, qf, SERIES_TRUNC, bits)._mpf_
+        corr = mpf_add(corr, mpf_mul(ci, mpf_pow_int(kk, -1 - i, prec, N), prec, N), prec, N)
+    qp = mpf_pow_int(_round_fraction(qf, prec), 1 - k, prec, N)
+    return mpf_mul(mpf_mul(mpf_neg(kk, prec, N), qp, prec, N), corr, prec, N)
+
+
+def _around(x: tuple, d: tuple, prec: int) -> tuple:
+    """x (1 + d) and x (1 - d), each step rounded to nearest at prec bits."""
+    up, down = mpf_add(d, fone, prec, _NEAREST), mpf_sub(fone, d, prec, _NEAREST)
+    return mpf_mul(x, up, prec, _NEAREST), mpf_mul(x, down, prec, _NEAREST)
 
 
 def _newton(
@@ -408,20 +389,18 @@ def _newton(
     return x, None
 
 
-def _certify(guess, k: int, qf: Fraction, precs: list) -> tuple | None:
-    """Newton from the guess, an mpf at precs[-1] bits, on the kernel at
+def _certify(guess: tuple, k: int, qf: Fraction, precs: list) -> tuple | None:
+    """Newton from the guess, a raw mpf at precs[-1] bits, on the kernel at
     p = precs[0] bits to a zero x; when _kernel_sign at precs reads
     (-1)^k at x (1 + 2^-(p // 2)) and (-1)^(k - 1) at x (1 - 2^-(p // 2)),
-    a sign change of x_k's parity, those two points at precs[-1] bits
+    a sign change of x_k's parity, those two raw points at precs[-1] bits
     followed by the raw x and the log2 steps that located it; else None."""
     p = precs[0]
     steps: list[float] = []
-    located, _ = _newton(guess._mpf_, qf, p, p, steps, p.bit_length() + 8, True)
-    ctx = context(precs[-1])
-    x, h = ctx.make_mpf(located), ctx.mpf(2) ** -(p // 2)
-    points = (x * (1 + h), x * (1 - h))
+    located, _ = _newton(guess, qf, p, p, steps, p.bit_length() + 8, True)
+    points = _around(located, mpf_pow_int(ftwo, -(p // 2), precs[-1], _NEAREST), precs[-1])
     for t, want in zip(points, ((-1) ** k, (-1) ** (k - 1))):
-        if _kernel_sign(t._mpf_, qf, *precs) != want:
+        if _kernel_sign(t, qf, *precs) != want:
             return None
     return (*points, located, steps)
 
@@ -525,42 +504,42 @@ def find_zero(k: int, q, precision_bits: int | None = None) -> ZeroResult:
     qf = _q_fraction(q)
     bits = required_precision(k, qf) if precision_bits is None else precision_bits
     bits = _positive_index(bits, "working precision in bits", 8)
-    ctx = context(bits)
+    N = _NEAREST  # every step below rounds to nearest at B bits, as context(B) does
 
     rungs = [bits]
     while bits >= _LADDER_MIN_BITS and rungs[-1] // 2 + 32 >= _LADDER_BASE_BITS:
         rungs.append(rungs[-1] // 2 + 32)
     ladder = len(rungs) > 1
-    guess = _asymptotic_guess(ctx, k, qf, _LADDER_BASE_BITS if ladder else bits)
-    delta_max = ctx.mpf(1) / (4 * k)
+    guess = _asymptotic_guess(k, qf, bits, _LADDER_BASE_BITS if ladder else bits)
+    delta_max = mpf_div(fone, from_int(4 * k), bits, N)
     no_change = (
         f"no sign change within relative half-width 1/(4k) around the "
         f"order-2 guess for k={k}, q={qf}"
     )
-    if not guess < 0:  # f > 0 on [0, inf): no bracket around it changes sign
+    if not mpf_lt(guess, fzero):  # f > 0 on [0, inf): no bracket around it changes sign
         raise BracketError(no_change)
 
     precs = sorted({rungs[-1] if ladder else min(bits, _LADDER_BASE_BITS), bits})
     cert = _certify(guess, k, qf, precs)
     if ladder:  # the certificate is the bracket, and Newton climbs from its x
-        inside = cert and guess * (1 + delta_max) <= cert[0] and cert[1] <= guess * (1 - delta_max)
-        if not inside:
+        far, near = _around(guess, delta_max, bits)
+        if not (cert and mpf_le(far, cert[0]) and mpf_le(cert[1], near)):
             raise BracketError(no_change)
         lo, hi, x, steps = cert
     else:  # the bracket and the bisection that the README goldens pin
         # one grid 2^F for bracket, bands and bisection: each bracket end
         # and midpoint has |t| > |guess|/2 and at most B bits, so its last
         # bit lies at or above F
-        _, _, ge, gbc = guess._mpf_
+        _, _, ge, gbc = guess
         F = ge + gbc - bits - 2
 
-        def grid(t) -> int:  # the mpf t in units of 2^F: exact on the grid, else floored
-            s, m, e, _ = t._mpf_
+        def grid(t: tuple) -> int:  # raw mpf t in units of 2^F: exact on the grid, else floored
+            s, m, e, _ = t
             v = -m if s else m
             return v << (e - F) if e >= F else v >> (F - e)
 
         if cert:  # the bands [c_in/q, c_out] and [c_in, q c_out], exact on the grid
-            F = min(F, cert[0]._mpf_[2], cert[1]._mpf_[2])
+            F = min(F, cert[0][2], cert[1][2])
             c_out, c_in = grid(cert[0]), grid(cert[1])
             beyond = -(-c_in * qf.denominator // qf.numerator)
             within = c_out * qf.numerator // qf.denominator
@@ -574,16 +553,16 @@ def find_zero(k: int, q, precision_bits: int | None = None) -> ZeroResult:
             s = _kernel_sign(X, qf, bits) or _read(X, qf, bits, False)[0]
             return (s > 0) - (s < 0)
 
-        delta = min(ctx.mpf(k) ** -4, delta_max)
+        delta = mpf_pow_int(from_int(k, bits, N), -4, bits, N)
         while True:
-            lo = guess * (1 + delta)  # the more negative endpoint
-            hi = guess * (1 - delta)
+            delta = delta_max if mpf_lt(delta_max, delta) else delta  # min(delta, delta_max)
+            lo, hi = _around(guess, delta, bits)  # lo the more negative endpoint
             slo = sign(grid(lo))
             if slo * sign(grid(hi)) < 0:
                 break
-            if delta >= delta_max:
+            if not mpf_lt(delta, delta_max):
                 raise BracketError(no_change)
-            delta = min(delta * 2, delta_max)
+            delta = mpf_mul_int(delta, 2, bits, N)
         if slo != (-1) ** k:
             raise BracketError(
                 f"the sign change around the order-2 guess for k={k}, q={qf} is "
@@ -591,21 +570,22 @@ def find_zero(k: int, q, precision_bits: int | None = None) -> ZeroResult:
             )
         # bisection to roughly 60 correct bits, or 8 below the working
         # precision when that is lower (rounded midpoints get no closer)
-        coarse = abs(guess) * ctx.mpf(2) ** (-min(60, bits - 8))
+        scale = mpf_pow_int(ftwo, -min(60, bits - 8), bits, N)
+        coarse = mpf_mul(mpf_abs(guess, bits, N), scale, bits, N)
         x = from_man_exp(_bisect(grid(lo), grid(hi), slo, grid(coarse), bits, sign), F)
         steps = []
 
     # Newton to convergence at B, on the ladder after one step on each rung below
     for p, below in reversed(list(zip(rungs, rungs[1:])) or [(bits, bits)]):
         x, fx = _newton(x, qf, p, below, steps, p.bit_length() + 8 if p == bits else 1, ladder)
-    x = ctx.make_mpf(x)
+    x = _tagged(x, bits)
 
-    residual = abs(eval_f(x, qf, bits) if fx is None else _prec_real(ctx, *fx))
+    residual = abs(eval_f(x, qf, bits) if fx is None else _prec_real(bits, *fx))
     return ZeroResult(
         k=k,
         q=qf,
-        x=PrecReal(x, bits),
-        bracket=(PrecReal(lo, bits), PrecReal(hi, bits)),
+        x=x,
+        bracket=(_tagged(lo, bits), _tagged(hi, bits)),
         residual=residual,
         precision_bits=bits,
         newton_rel_steps=tuple(steps),
@@ -626,16 +606,17 @@ def _index_estimate(qf: Fraction, x_abs: float) -> int:
 def _past_zero(x, qf: Fraction) -> float:
     """|x|/q rounded down to a float, from the exact parts of q (so q below
     the float range works; a point past the float range comes back inf)."""
-    ctx = context(53)
-    num = ctx.fmul(abs(x), qf.denominator, exact=True)
-    return float(ctx.fdiv(num, qf.numerator, rounding="d"))
+    num = mpf_mul(mpf_abs(_raw(x, 53)), from_int(qf.denominator))  # exact
+    return to_float(mpf_div(num, from_int(qf.numerator), 53, "d"))
 
 
 def _refine_sign_change(a, b, qf: Fraction, bits: int) -> tuple:
     """Narrow the sign change of f between grid points a < b < 0 by
     safeguarded Illinois regula falsi (Dowell & Jarratt, BIT 11, 1971)
     until the bracket is at most |a| 2^(8 - bits) wide, or until f comes
-    back at noise level; returns (x, f(x)) at the last iterate.
+    back at noise level; returns (x, f(x)) at the last iterate, PrecReals
+    at `bits`.  Every step rounds to nearest at `bits` on raw mpfs, and f
+    reads each point through eval_f.
 
     Both ends are first read at `bits`, the refinement's own precision
     (the grid read them at its own), and BracketError is raised when
@@ -648,44 +629,47 @@ def _refine_sign_change(a, b, qf: Fraction, bits: int) -> tuple:
     one try before the midpoint, and no more than four calls go to any
     halving.
     """
-    ctx = context(bits)
-    a = to_mpf(ctx, a)
-    b = to_mpf(ctx, b)
-    fa = eval_f(a, qf, bits)
-    fb = eval_f(b, qf, bits)
+    N = _NEAREST
+
+    def half(t: tuple) -> tuple:
+        return mpf_div(t, ftwo, bits, N)
+
+    a, b = _raw(a, bits), _raw(b, bits)
+    fa = eval_f(_tagged(a, bits), qf, bits)
+    fb = eval_f(_tagged(b, bits), qf, bits)
     sa = _sign(fa)
     if sa * _sign(fb) >= 0:
         raise BracketError(
-            f"the sign change of f between {ctx.nstr(a, 8)} and {ctx.nstr(b, 8)} "
+            f"the sign change of f between {to_str(a, 8)} and {to_str(b, 8)} "
             f"does not survive at {bits} bits"
         )
-    wa, wb = fa.value, fb.value  # the ends' secant weights: f, halved while kept
+    wa, wb = fa._mpf_, fb._mpf_  # the ends' secant weights: f, halved while kept
     moved = 0  # the end the last step replaced: -1 for a, 1 for b
     misses = 0  # secant steps in a row that failed to halve the bracket
-    floor_width = ctx.mpf(2) ** (8 - bits)
+    floor = mpf_pow_int(ftwo, 8 - bits, bits, N)  # the bracket's least relative width
     x, fx = a, fa
-    while (b - a) > abs(a) * floor_width:
-        width = b - a
-        x = b - wb * width / (wb - wa)
-        secant = misses < 3 and a < x < b
+    while mpf_lt(mpf_mul(mpf_abs(a, bits, N), floor, bits, N), width := mpf_sub(b, a, bits, N)):
+        step = mpf_div(mpf_mul(wb, width, bits, N), mpf_sub(wb, wa, bits, N), bits, N)
+        x = mpf_sub(b, step, bits, N)
+        secant = misses < 3 and mpf_lt(a, x) and mpf_lt(x, b)
         if not secant:
-            x = (a + b) / 2
-        fx = eval_f(x, qf, bits)
+            x = half(mpf_add(a, b, bits, N))
+        fx = eval_f(_tagged(x, bits), qf, bits)
         s = _sign(fx)
         if s == 0 or fx.precision_bits <= 1:
             break
         if s == sa:
-            a, wa = x, fx.value
+            a, wa = x, fx._mpf_
             if moved == -1:
-                wb /= 2
+                wb = half(wb)
             moved = -1
         else:
-            b, wb = x, fx.value
+            b, wb = x, fx._mpf_
             if moved == 1:
-                wa /= 2
+                wa = half(wa)
             moved = 1
-        misses = misses + 1 if secant and b - a > width / 2 else 0
-    return x, fx
+        misses = misses + 1 if secant and mpf_lt(half(width), mpf_sub(b, a, bits, N)) else 0
+    return _tagged(x, bits), fx
 
 
 def scan_zeros(q, x_min, count: int) -> list[ZeroResult]:
@@ -735,7 +719,7 @@ def scan_zeros(q, x_min, count: int) -> list[ZeroResult]:
                 ZeroResult(
                     k=k_found,
                     q=qf,
-                    x=PrecReal(x, zbits),
+                    x=x,
                     bracket=(PrecReal(cur, zbits), PrecReal(prev, zbits)),
                     residual=abs(fx),
                     precision_bits=zbits,
@@ -765,7 +749,10 @@ def paired_term_gaps(k: int, q, a) -> list[Fraction]:
     """
     k = _positive_index(k)
     qf = _q_fraction(q)
-    af = Fraction(a)
+    try:
+        af = Fraction(a)
+    except (TypeError, ValueError, OverflowError, ZeroDivisionError):
+        raise ValueError(f"a must be a finite rational number, got {a!r}") from None
     base = Fraction(k) + af / k
 
     def u(n: int) -> Fraction:

@@ -1,10 +1,16 @@
-"""Precision-tagged reals and the shared mpmath context cache."""
+"""Precision-tagged reals, the shared mpmath context cache, and the raw
+numeric layer that builds no context."""
 
 from fractions import Fraction
 
 import pytest
 
+from defexp import cli
 from defexp.precreal import PrecReal, context, to_mpf
+from defexp.qseries import coefficient_value, eval_mpoly_series, eval_series_numeric
+from defexp.symcoeff import reduced_c_n
+from defexp.validate import ratio_check, residual_profile, zero_table
+from defexp.zeros import eval_f, find_zero, scan_zeros
 
 
 def test_context_instances_are_cached_and_isolated():
@@ -96,3 +102,70 @@ def test_strings_round_at_the_tag_and_complex_values_are_refused():
     assert PrecReal("0.1", 20).value == context(20).mpf("0.1")
     with pytest.raises(ValueError, match="real"):
         PrecReal(complex(1, 2), 64)
+
+
+Q = Fraction(12, 25)
+
+
+def _mpf_ratio(ctx, x: Fraction):
+    return ctx.mpf(x.numerator) / ctx.mpf(x.denominator)
+
+
+def test_the_numeric_layer_builds_no_context(capsys):
+    """Zeros below and on the Newton ladder, the checks that read a zero
+    table, the scan oracle and the zeros verb compute on raw mpfs: no
+    context is built until a caller reads .value."""
+    context.cache_clear()
+    coefficient_value.cache_clear()  # so the numeric C_i are summed afresh
+    below, _ = find_zero(10, Q), find_zero(40, Q)
+    table = zero_table(Q, 10, 13)
+    for n in range(6):
+        residual_profile(Q, n, range(10, 13), zeros=table)
+    ratio_check(Q, 10, 12, zeros=table)
+    scan_zeros(Q, -8 * float(Q) ** -3, 4)
+    assert cli.main(["zeros", "--q", "12/25", "--k", "10", "--kmax", "11"]) == 0
+    assert context.cache_info().misses == 0
+    assert below.x.value.context is context(below.precision_bits)
+    assert context.cache_info().misses == 1
+
+
+def test_a_value_lives_at_its_working_precision():
+    """.value is an mpf of context(working bits), whatever the tag, so
+    arithmetic on it keeps the bits it was computed at."""
+    for k in (10, 40):
+        z = find_zero(k, Q)
+        for v in (z.x, z.residual, *z.bracket):
+            assert v.value.context.prec == z.precision_bits, k
+    near = eval_f(find_zero(10, Q).x, Q, 64)
+    assert near.precision_bits < 64
+    for v in (near, eval_f(-1, Q, 64)):
+        assert v.value.context.prec == 64
+    assert coefficient_value(3, Q, 60, 200).value.context.prec == 200
+
+
+def test_the_raw_layer_keeps_the_bytes_of_the_mpf_formulas():
+    """Each step is the libmp call the mpf operator makes in context(bits),
+    so the numeric C_i, r_n(k) and the ratio rows are byte for byte the mpf
+    formulas evaluated in that context."""
+    series = eval_mpoly_series(reduced_c_n(3), 60)
+    for bits in (4, 53, 200):
+        ctx = context(bits)
+        acc, qv = ctx.mpf(0), _mpf_ratio(ctx, Q)
+        for c in reversed(series.coeffs):
+            acc = acc * qv + _mpf_ratio(ctx, c)
+        assert eval_series_numeric(series, Q, bits).value._mpf_ == acc._mpf_, bits
+    table = zero_table(Q, 10, 13)
+    for n in (0, 3):
+        for k, x, r in residual_profile(Q, n, range(10, 13), zeros=table).rows:
+            bits = table[k].precision_bits
+            ctx = context(bits)
+            kk = ctx.mpf(k)
+            t = -x.value / (kk * _mpf_ratio(ctx, Q) ** (1 - k)) - 1
+            for i in range(1, n + 1):
+                t -= coefficient_value(i, Q, 60, bits).value * kk ** (-1 - i)
+            assert r.value._mpf_ == (t * kk ** (n + 2))._mpf_, (n, k)
+    for k, d in ratio_check(Q, 10, 12, zeros=table):
+        ctx = context(min(table[k].precision_bits, table[k + 1].precision_bits))
+        xa, xb = (table[j].x.value for j in (k, k + 1))
+        dev = _mpf_ratio(ctx, Q) * xb / xa - 1 - ctx.mpf(1) / k
+        assert d.value._mpf_ == (dev * ctx.mpf(k) ** 2)._mpf_, k

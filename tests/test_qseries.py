@@ -150,6 +150,18 @@ def test_numeric_evaluation_rejects_bad_point():
         eval_series_numeric(a_series(0, 10), Fraction(3, 2), 64)
 
 
+@pytest.mark.parametrize("bits", [0, 3, True], ids=repr)
+def test_numeric_c_i_needs_4_working_bits(bits):
+    """Below 4 working bits (True is 1) the numeric C_i is a ValueError in
+    eval_f's words; at 0 bits it once came back as PrecReal(2.0, bits=1)."""
+    match = f"^working precision in bits starts at 4, got {int(bits)}$"
+    with pytest.raises(ValueError, match=match):
+        coefficient_value(1, Fraction(1, 2), 60, bits)
+    with pytest.raises(ValueError, match=match):
+        eval_series_numeric(a_series(0, 5), Fraction(1, 2), bits)
+    assert coefficient_value(1, Fraction(1, 2), 60, 4).precision_bits == 4
+
+
 def test_coefficient_value_converges_in_truncation():
     q0 = Fraction(1, 2)
     for n in (5, 6):

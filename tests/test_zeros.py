@@ -124,7 +124,9 @@ def test_eval_f_rejects_bad_parameters():
 @pytest.mark.parametrize("q", ["1/0", float("inf"), float("nan"), "abc", "2"], ids=repr)
 def test_a_q_that_is_no_number_in_the_unit_interval_is_a_value_error(q):
     """One q check for every entry point, the numeric C_i included: 1/0
-    and inf are ValueErrors too, not ZeroDivisionError or OverflowError."""
+    and inf are ValueErrors too, not ZeroDivisionError or OverflowError.
+    The same values as paired_term_gaps' a are ValueErrors naming a (inf
+    was an OverflowError, nan Fraction's message), and so is None."""
     calls = (
         lambda: find_zero(10, q),
         lambda: required_precision(10, q),
@@ -137,6 +139,9 @@ def test_a_q_that_is_no_number_in_the_unit_interval_is_a_value_error(q):
     for call in calls:
         with pytest.raises(ValueError, match="^q "):
             call()
+    a = None if q == "2" else q  # 2 is a fine a
+    with pytest.raises(ValueError, match="^a must be a finite rational number, got "):
+        paired_term_gaps(10, Q_HALF, a)
 
 
 @pytest.mark.parametrize("x", [float("inf"), float("-inf"), float("nan"), "inf", "nan"])
@@ -418,7 +423,7 @@ def _reference_find_zero(k: int, q, precision_bits=None) -> ZeroResult:
     assert bits < 648, "no reference on the Newton ladder"
     ctx = context(bits)
 
-    guess = _asymptotic_guess(ctx, k, qf, bits)
+    guess = ctx.make_mpf(_asymptotic_guess(k, qf, bits, bits))
     delta_max = ctx.mpf(1) / (4 * k)
     delta = min(ctx.mpf(k) ** -4, delta_max)
 
@@ -836,7 +841,7 @@ def test_bracket_and_bisection_make_no_full_budget_call(monkeypatch):
         assert ladder == climb, k
         assert ladder.count(bits) == 2, k
         x = z.x.value._mpf_
-        want = abs(zeros._prec_real(context(bits), *zeros._read(x, Q_HALF, bits, True)))
+        want = abs(zeros._prec_real(bits, *zeros._read(x, Q_HALF, bits, True)))
         assert (z.residual.value._mpf_, z.residual.precision_bits) == (
             want.value._mpf_,
             want.precision_bits,
@@ -892,7 +897,7 @@ def test_certificate_points_have_the_exact_signs_of_x_k(monkeypatch, k, q):
     find_zero(k, q)
     (cert,) = got
     assert cert is not None
-    outer, inner, _, _ = cert
+    outer, inner = (context(64).make_mpf(t) for t in cert[:2])
     assert outer < inner < 0
     assert _exact_f_sign(outer, q) == (-1) ** k
     assert _exact_f_sign(inner, q) == (-1) ** (k - 1)
@@ -919,7 +924,7 @@ def test_a_guess_that_is_not_negative_raises_before_any_read(monkeypatch, k):
     positive, where f > 0: find_zero raises at once, with the message of
     a bracket that found no sign change, and reads f nowhere."""
     q = Fraction(24, 25)
-    assert _asymptotic_guess(context(128), k, q, 128) > 0
+    assert context(128).make_mpf(_asymptotic_guess(k, q, 128, 128)) > 0
 
     def refuse(*args):
         raise AssertionError("f read")
@@ -1101,7 +1106,7 @@ def test_no_point_in_a_certificate_band_is_read_below_the_ladder(monkeypatch, k,
     z = find_zero(k, q, bits)
     (cert,) = kept
     assert cert is not None and done
-    c_out, c_in = (_exact(t._mpf_) for t in cert[:2])
+    c_out, c_in = (_exact(t) for t in cert[:2])
 
     def in_band(t: Fraction) -> bool:
         return c_in / q <= t <= c_out or c_in <= t <= q * c_out
@@ -1258,8 +1263,8 @@ def test_zero_precision_is_an_integer_of_at_least_8_bits(monkeypatch, bits):
 
 def test_eval_f_precision_is_an_integer(monkeypatch):
     """An integral float is no precision either; the check comes before
-    the context is built."""
-    monkeypatch.setattr(zeros, "context", _refuse)
+    x is read."""
+    monkeypatch.setattr(zeros, "_raw", _refuse)
     with pytest.raises(ValueError, match="working precision in bits must be an integer"):
         eval_f(-1, Q_HALF, 64.0)
     with pytest.raises(ValueError, match="working precision in bits starts at 4, got 3"):
@@ -1489,6 +1494,7 @@ def test_refinement_safeguard_on_a_one_sided_flat_function(monkeypatch, bits, fl
 
     monkeypatch.setattr(zeros, "eval_f", counted)
     x, fx = zeros._refine_sign_change(a, b, Q_HALF, bits)
+    x = x.value
     assert a < x < b
     assert abs(x - r) <= abs(r) * ctx.ldexp(1, 9 - bits)
     assert _same(fx, f(x, Q_HALF, bits))
