@@ -16,6 +16,10 @@ stderr.  Exit codes:
 The environment variable DEFEXP_PRECISION (integer bits) overrides the
 default working precision of the numeric verbs; the zeros module sets
 its floor of 8 bits.
+
+Only the exact layer is imported with this module.  The numeric verbs
+(zeros, residuals, ratio) and selftest import their functions when they
+run, so coeff, reduce, eisenstein, series and fj load no mpmath.
 """
 
 from __future__ import annotations
@@ -30,11 +34,8 @@ from functools import lru_cache
 
 from .exactmath import _q_fraction
 from .jpoly import DecompositionError
-from .qseries import a_series, eisenstein_q, eval_mpoly_series, jacobi_p0
-from .reference import run_selftest
+from .qseries import a_series, eisenstein_q, eval_mpoly_series, fj_extract, jacobi_p0
 from .symcoeff import c_n, reduced_c_n, to_eisenstein
-from .validate import fj_extract, ratio_check, residual_profile, zero_table
-from .zeros import BracketError
 
 PRECISION_ENV = "DEFEXP_PRECISION"
 
@@ -102,6 +103,8 @@ def _cmd_series(args) -> int:
 
 
 def _cmd_zeros(args) -> int:
+    from .validate import zero_table
+
     k_max = args.kmax if args.kmax is not None else args.k
     if k_max < args.k:
         raise ValueError("--kmax must be at least --k")
@@ -111,6 +114,8 @@ def _cmd_zeros(args) -> int:
 
 
 def _cmd_residuals(args) -> int:
+    from .validate import residual_profile, zero_table
+
     if args.kmax < args.kmin:
         raise ValueError("--kmax must be at least --kmin")
     if args.n < 0:  # checked before the zero table, which takes seconds
@@ -122,6 +127,8 @@ def _cmd_residuals(args) -> int:
 
 
 def _cmd_ratio(args) -> int:
+    from .validate import ratio_check, zero_table
+
     if args.kmax < args.kmin:
         raise ValueError("--kmax must be at least --kmin")
     table = zero_table(args.q, args.kmin, args.kmax + 1, precision_bits=_env_precision())
@@ -144,6 +151,8 @@ def _cmd_fj(args) -> int:
 
 
 def _cmd_selftest(args) -> int:
+    from .reference import run_selftest
+
     results = run_selftest()
     ok = all(r["pass"] for r in results)
     for r in results:
@@ -211,10 +220,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_ERROR_CODES = (
-    (BracketError, "bracket-failure"),
-    (DecompositionError, "decomposition-error"),
-)
+def _error_codes() -> tuple:
+    """(type, code) of each structured error.  BracketError is listed once
+    zeros is loaded: only a verb that imported zeros can raise it."""
+    zeros = sys.modules.get(f"{__package__}.zeros")
+    bracket = ((zeros.BracketError, "bracket-failure"),) if zeros else ()
+    return bracket + ((DecompositionError, "decomposition-error"),)
 
 
 @lru_cache(maxsize=1)
@@ -228,8 +239,8 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     # structured errors first: DecompositionError is also a ValueError
-    except tuple(t for t, _ in _ERROR_CODES) as exc:
-        code = next(c for t, c in _ERROR_CODES if isinstance(exc, t))
+    except tuple(t for t, _ in _error_codes()) as exc:
+        code = next(c for t, c in _error_codes() if isinstance(exc, t))
         _emit({"code": code, "message": str(exc)})
         return 1
     except ValueError as exc:

@@ -5,32 +5,39 @@ order; coefficients are exact rationals.  The generators of interest
 are the divisor-power series A_i = sum m^i sigma(m) q^m, the Eisenstein
 series E2/E4/E6 (their Lambert series rewritten as divisor sums), and
 Jacobi's cube P0 = prod (1-q^n)^3 = sum (-1)^(j-1) (2j-1) q^(j(j-1)/2).
+fj_extract repackages the reduced C_i by powers of q.  Only
+eval_series_numeric rounds: it loads mpmath and precreal when called,
+so the exact layer imports neither.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-
-from mpmath.libmp import fone, fzero, mpf_add, mpf_lt, mpf_mul
+from math import lcm
 
 from .exactmath import _positive_index, _q_fraction, divisor_sigma, ring_power, truncated_product
-from .precreal import PrecReal, _round_fraction, _tagged
 from .symcoeff import _unpack, reduced_c_n
 
 __all__ = [
+    "FjTable",
     "QSeries",
     "a_series",
     "coefficient_value",
     "eisenstein_q",
     "eval_mpoly_series",
     "eval_series_numeric",
+    "fj_extract",
     "jacobi_p0",
     "jacobi_p0_product",
 ]
 
 #: q-series truncation behind every numeric C_i(q)
 SERIES_TRUNC = 60
+
+#: fj_extract reports negative truncated F_j(1/k) for k = 1..K_REPORT
+_K_REPORT = 20
 
 
 class QSeries:
@@ -230,6 +237,10 @@ def eval_series_numeric(s: QSeries, q0, precision_bits: int) -> PrecReal:
     """Horner evaluation at 0 < q0 < 1 on raw mpfs, each product and sum
     rounded to nearest at the working precision (an int of at least 4
     bits); q0 is read as an exact Fraction (_q_fraction), then rounded."""
+    from mpmath.libmp import fone, fzero, mpf_add, mpf_lt, mpf_mul
+
+    from .precreal import _round_fraction, _tagged
+
     bits = _positive_index(precision_bits, "working precision in bits", 4)
     qv = _round_fraction(_q_fraction(q0), bits)
     if not mpf_lt(qv, fone):
@@ -251,3 +262,62 @@ def coefficient_value(i: int, q: Fraction, trunc: int, precision_bits: int) -> P
     """Numeric C_i(q) from the reduced coefficient's truncated q-series."""
     series = _coefficient_series(i, trunc)
     return eval_series_numeric(series, q, precision_bits)
+
+
+@dataclass(frozen=True)
+class FjTable:
+    """Coefficients C_{ij} = [q^j] C_i plus a truncated-positivity report.
+
+    F_j(1/k) = sum_i C_{ij} k^(-i-1); `negatives` lists every (j, k)
+    with k <= k_report where the truncated sum dips below zero.
+    """
+
+    i_max: int
+    j_max: int
+    k_report: int
+    c: tuple[tuple[Fraction, ...], ...]  # row i-1 holds [q^0..q^j_max] of C_i
+    negatives: tuple[dict, ...]
+
+    def to_json(self) -> dict:
+        return {
+            "i_max": self.i_max,
+            "j_max": self.j_max,
+            "k_report": self.k_report,
+            "c": [[str(v) for v in row] for row in self.c],
+            "negatives": list(self.negatives),
+        }
+
+    def to_csv(self) -> str:
+        lines = ["i\\j," + ",".join(str(j) for j in range(self.j_max + 1))]
+        for i, row in enumerate(self.c, start=1):
+            lines.append(f"{i}," + ",".join(str(v) for v in row))
+        return "\n".join(lines) + "\n"
+
+
+def fj_extract(i_max: int, j_max: int) -> FjTable:
+    """Exact C_{ij} table from the reduced coefficients' q-series."""
+    if i_max < 1 or j_max < 1:
+        raise ValueError("table bounds must be positive")
+    rows = []
+    for i in range(1, i_max + 1):
+        series = eval_mpoly_series(reduced_c_n(i), j_max)
+        rows.append(tuple(series.coeff(j) for j in range(j_max + 1)))
+    negatives = []
+    for j in range(1, j_max + 1):
+        # F_j(1/k) = s(k) / (den k^(i_max+1)), s(k) = sum_i nums[i-1] k^(i_max-i)
+        den = lcm(*(row[j].denominator for row in rows))
+        nums = [row[j].numerator * (den // row[j].denominator) for row in rows]
+        for k in range(1, _K_REPORT + 1):
+            s = 0
+            for c in nums:
+                s = s * k + c
+            if s < 0:
+                val = Fraction(s, den * k ** (i_max + 1))
+                negatives.append({"j": j, "k": k, "value": str(val)})
+    return FjTable(
+        i_max=i_max,
+        j_max=j_max,
+        k_report=_K_REPORT,
+        c=tuple(rows),
+        negatives=tuple(negatives),
+    )

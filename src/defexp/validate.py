@@ -7,22 +7,20 @@ The scaled residual
 tends to C_{n+1}(q) as k grows; residual_profile tabulates it from a
 zero_table of independently computed zeros.  ratio_check probes the
 consecutive-zero ratio law q x_{k+1}/x_k = 1 + 1/k + o(k^-2) on the same
-table, and fj_extract repackages the reduced coefficients by powers of q
-to report on the positivity of the truncated F_j(1/k).
+table.  The exact C_{ij} table (FjTable, fj_extract) lives in qseries
+and is re-exported here.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
 from mpmath.libmp import fone, from_int, mpf_div, mpf_mul, mpf_neg, mpf_pow_int, mpf_sub
 
 from .exactmath import _q_fraction
 from .precreal import PrecReal, _round_fraction, _tagged
-from .qseries import SERIES_TRUNC, coefficient_value, eval_mpoly_series
-from .symcoeff import reduced_c_n
+from .qseries import SERIES_TRUNC, FjTable, coefficient_value, fj_extract
 from .zeros import ZeroResult, find_zero
 
 __all__ = [
@@ -33,9 +31,6 @@ __all__ = [
     "residual_profile",
     "zero_table",
 ]
-
-#: fj_extract reports negative truncated F_j(1/k) for k = 1..K_REPORT
-_K_REPORT = 20
 
 
 def zero_table(
@@ -130,62 +125,3 @@ def ratio_check(
         k2 = mpf_pow_int(from_int(k, b, "n"), 2, b, "n")
         out.append((k, _tagged(mpf_mul(dev, k2, b, "n"), b)))
     return out
-
-
-@dataclass(frozen=True)
-class FjTable:
-    """Coefficients C_{ij} = [q^j] C_i plus a truncated-positivity report.
-
-    F_j(1/k) = sum_i C_{ij} k^(-i-1); `negatives` lists every (j, k)
-    with k <= k_report where the truncated sum dips below zero.
-    """
-
-    i_max: int
-    j_max: int
-    k_report: int
-    c: tuple[tuple[Fraction, ...], ...]  # row i-1 holds [q^0..q^j_max] of C_i
-    negatives: tuple[dict, ...]
-
-    def to_json(self) -> dict:
-        return {
-            "i_max": self.i_max,
-            "j_max": self.j_max,
-            "k_report": self.k_report,
-            "c": [[str(v) for v in row] for row in self.c],
-            "negatives": list(self.negatives),
-        }
-
-    def to_csv(self) -> str:
-        lines = ["i\\j," + ",".join(str(j) for j in range(self.j_max + 1))]
-        for i, row in enumerate(self.c, start=1):
-            lines.append(f"{i}," + ",".join(str(v) for v in row))
-        return "\n".join(lines) + "\n"
-
-
-def fj_extract(i_max: int, j_max: int) -> FjTable:
-    """Exact C_{ij} table from the reduced coefficients' q-series."""
-    if i_max < 1 or j_max < 1:
-        raise ValueError("table bounds must be positive")
-    rows = []
-    for i in range(1, i_max + 1):
-        series = eval_mpoly_series(reduced_c_n(i), j_max)
-        rows.append(tuple(series.coeff(j) for j in range(j_max + 1)))
-    negatives = []
-    for j in range(1, j_max + 1):
-        # F_j(1/k) = s(k) / (den k^(i_max+1)), s(k) = sum_i nums[i-1] k^(i_max-i)
-        den = lcm(*(row[j].denominator for row in rows))
-        nums = [row[j].numerator * (den // row[j].denominator) for row in rows]
-        for k in range(1, _K_REPORT + 1):
-            s = 0
-            for c in nums:
-                s = s * k + c
-            if s < 0:
-                val = Fraction(s, den * k ** (i_max + 1))
-                negatives.append({"j": j, "k": k, "value": str(val)})
-    return FjTable(
-        i_max=i_max,
-        j_max=j_max,
-        k_report=_K_REPORT,
-        c=tuple(rows),
-        negatives=tuple(negatives),
-    )

@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import defexp.cli
+import defexp.validate
 import defexp.zeros as zeros
 from defexp.cli import main
 from defexp.jpoly import DecompositionError
@@ -205,6 +206,18 @@ def test_zeros_bracket_failure_is_a_json_error(capsys):
         assert f"k={k}" in doc["message"] and why in doc["message"]
 
 
+def test_a_runtime_error_is_no_bracket_failure(monkeypatch):
+    """Only BracketError becomes the bracket-failure object: another
+    RuntimeError from a verb propagates, with zeros loaded or not."""
+
+    def broken(n):
+        raise RuntimeError("not a bracket")
+
+    monkeypatch.setattr(defexp.cli, "c_n", broken)
+    with pytest.raises(RuntimeError, match="not a bracket"):
+        main(["coeff", "--n", "2", "--basis", "raw"])
+
+
 def test_decomposition_error_is_a_json_error(capsys, monkeypatch):
     """DecompositionError is a ValueError, yet it must not exit 2."""
 
@@ -293,18 +306,20 @@ def test_residuals_document_and_csv(capsys, tmp_path):
 
 def test_residuals_reject_a_negative_order_before_any_zero(capsys, monkeypatch):
     """A bad --n exits 2 before the zero table is built (the stub raises
-    if it is), with nothing on stdout."""
+    if it is), with nothing on stdout.  The verb reads zero_table from
+    validate when it runs, so --n 0 reaches the same stub."""
 
     def no_table(*args, **kwargs):
-        raise AssertionError("zero table built for a bad --n")
+        raise AssertionError("zero table built")
 
-    monkeypatch.setattr(defexp.cli, "zero_table", no_table)
-    code, out, err = run_cli(
-        capsys, "residuals", "--q", "1/2", "--n", "-1", "--kmin", "10", "--kmax", "60"
-    )
+    monkeypatch.setattr(defexp.validate, "zero_table", no_table)
+    argv = ["residuals", "--q", "1/2", "--kmin", "10", "--kmax", "60"]
+    code, out, err = run_cli(capsys, *argv, "--n", "-1")
     assert code == 2
     assert out == ""
     assert "truncation order must be nonnegative" in err
+    with pytest.raises(AssertionError, match="zero table built"):
+        main([*argv, "--n", "0"])
 
 
 def test_unwritable_csv_path_is_an_argument_error(capsys, tmp_path):
