@@ -3,8 +3,10 @@
 The numeric layer computes on raw mpmath.libmp tuples, each operation one
 libmp call at an explicit precision, rounded to nearest, so no
 process-global precision state is ever mutated and no MPContext is built
-to compute.  A PrecReal pairs such a raw value with the number of bits it
-is warranted to (its tag) and the working bits it was computed at.  It
+to compute.  Its integer loops round as those calls round, half to even,
+through the one rule held here: _round, _divide and _round_fraction.
+A PrecReal pairs such a raw value with the number of bits it is
+warranted to (its tag) and the working bits it was computed at.  It
 carries no arithmetic of its own.  Its .value is an mpf of
 context(working bits), the one shared MPContext per precision, built on
 the first read; comparison, hashing, abs and printing read the raw value
@@ -17,7 +19,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from mpmath.ctx_mp import MPContext
-from mpmath.libmp import from_float, from_int, from_str, mpf_abs, mpf_div, mpf_eq, mpf_hash, to_str
+from mpmath.libmp import from_float, from_int, from_man_exp, from_str, mpf_abs, mpf_eq, mpf_hash, to_str
 
 __all__ = ["PrecReal", "context", "to_mpf"]
 
@@ -43,13 +45,49 @@ def to_mpf(ctx: MPContext, x):
 _VALUES = MPContext()  # holds the values given as Fractions, ints and floats; never mutated
 
 
+def _round(man: int, exp: int, prec: int) -> tuple[int, int]:
+    """man 2^exp (man >= 0) rounded to prec bits, half to even, as libmp's
+    normalize rounds; the mantissa may come out as 2^prec after a carry."""
+    shift = man.bit_length() - prec
+    if shift <= 0:
+        return man, exp
+    r = man >> (shift - 1)  # the kept bits and the round bit
+    if r & 1 and (r & 2 or man & ((1 << (shift - 1)) - 1)):
+        r += 2
+    return r >> 1, exp + shift
+
+
+def _divide(man: int, exp: int, d: int, prec: int) -> tuple[int, int]:
+    """man 2^exp / d rounded as _round rounds (man > 0 of at most prec + 1
+    bits, d >= 1): an exact shift when d is a power of two, else a
+    quotient of at least prec + 1 bits with a sticky bit for a remainder."""
+    if not d & (d - 1):
+        return man, exp - d.bit_length() + 1
+    k = prec + d.bit_length() + 1 - man.bit_length()
+    quot, rem = divmod(man << k, d)
+    if rem:
+        quot = quot << 1 | 1
+        k += 1
+    return _round(quot, exp - k, prec)
+
+
+def _fraction_bits(x: Fraction, bits: int) -> tuple[int, int]:
+    """x rounded at bits >= 2 as (man, exp), man signed: numerator and
+    denominator each rounded by _round, then their quotient by _divide."""
+    n = x.numerator
+    if not n:
+        return 0, 0
+    nm, ne = _round(abs(n), 0, bits)
+    dm, de = _round(x.denominator, 0, bits)
+    m, e = _divide(nm, ne - de, dm, bits)
+    return (-m if n < 0 else m), e
+
+
 def _round_fraction(x: Fraction, bits: int) -> tuple:
     """x rounded at `bits`, the one rule for Fractions: numerator and
-    denominator each to nearest, then their quotient."""
-    bits = max(bits, 2)  # the precision of context(bits)
-    num = from_int(x.numerator, bits, "n")
-    den = from_int(x.denominator, bits, "n")
-    return mpf_div(num, den, bits, "n")
+    denominator each to nearest, then their correctly rounded quotient,
+    the raw mpf that libmp's from_int and mpf_div give (_fraction_bits)."""
+    return from_man_exp(*_fraction_bits(x, max(bits, 2)))  # the precision of context(bits)
 
 
 def _raw(x, bits: int):

@@ -234,21 +234,38 @@ def eval_mpoly_series(p, trunc: int) -> QSeries:
 
 
 def eval_series_numeric(s: QSeries, q0, precision_bits: int) -> PrecReal:
-    """Horner evaluation at 0 < q0 < 1 on raw mpfs, each product and sum
-    rounded to nearest at the working precision (an int of at least 4
-    bits); q0 is read as an exact Fraction (_q_fraction), then rounded."""
-    from mpmath.libmp import fone, fzero, mpf_add, mpf_lt, mpf_mul
+    """Horner evaluation at 0 < q0 < 1 on Python ints, at a working
+    precision of at least 4 bits.  q0 is read as an exact Fraction
+    (_q_fraction); it and each coefficient are rounded as _round_fraction
+    rounds, and each product acc q and each sum is formed exactly and
+    rounded once to nearest, half to even.  That is bit for bit the loop
+    of libmp's mpf_mul and mpf_add it replaces: a sum of operands more
+    than bits + 4 bits apart in magnitude rounds back to the larger."""
+    from mpmath.libmp import from_man_exp
 
-    from .precreal import _round_fraction, _tagged
+    from .precreal import _fraction_bits, _round, _tagged
 
     bits = _positive_index(precision_bits, "working precision in bits", 4)
-    qv = _round_fraction(_q_fraction(q0), bits)
-    if not mpf_lt(qv, fone):
+    qm, qe = _fraction_bits(_q_fraction(q0), bits)
+    if qm.bit_length() + qe > 0:  # q0 rounds to 1
         raise ValueError("series evaluation needs 0 < q0 < 1")
-    acc = fzero
+    am = ae = 0  # the accumulator am 2^ae, am signed
     for c in reversed(s.coeffs):
-        acc = mpf_add(mpf_mul(acc, qv, bits, "n"), _round_fraction(c, bits), bits, "n")
-    return _tagged(acc, bits)
+        if am:
+            m, ae = _round(abs(am) * qm, ae + qe, bits)
+            am = -m if am < 0 else m
+        cm, ce = _fraction_bits(c, bits)
+        if not cm:
+            continue
+        gap = am.bit_length() + ae - cm.bit_length() - ce
+        if not am or gap < -bits - 4:
+            am, ae = cm, ce
+        elif gap <= bits + 4:
+            e = min(ae, ce)
+            total = (am << (ae - e)) + (cm << (ce - e))
+            m, ae = _round(abs(total), e, bits)
+            am = -m if total < 0 else m
+    return _tagged(from_man_exp(am, ae), bits)
 
 
 @lru_cache(maxsize=None)

@@ -22,7 +22,7 @@ from mpmath.libmp import (  # the raw mpf operations, each at an explicit precis
 )
 
 from .exactmath import _positive_index, _q_fraction
-from .precreal import PrecReal, _raw, _round_fraction, _tagged
+from .precreal import PrecReal, _divide, _raw, _round, _round_fraction, _tagged
 from .qseries import SERIES_TRUNC, coefficient_value
 
 __all__ = [
@@ -39,7 +39,8 @@ __all__ = [
 _SCAN_POINTS_PER_DECADE = 64
 
 # _probe_sum, one integer kernel for f at any working precision p, gives
-# find_zero every f it reads off the kernel and the signs it certifies.
+# find_zero every f it reads off the kernel and the signs it certifies,
+# and scan_zeros every f it reads.
 # Let u = 2^-p and P = 2^peak, its bound on every |term| and |partial sum|.
 # Term n + 1 is term n times u_n/(n + 1), with u_n = t q^n carried with
 # G = _PROBE_GUARD_BITS guard bits.  Each step is off by t's one rounding
@@ -183,16 +184,10 @@ def _read(X: tuple, qf: Fraction, prec: int, kernel: bool) -> tuple[int, int, in
     return (man if total > 0 else -man), exp, max(1, prec - lost)
 
 
-def _round(man: int, exp: int, prec: int) -> tuple[int, int]:
-    """man 2^exp (man >= 0) rounded to prec bits, half to even, as libmp's
-    normalize rounds; the mantissa may come out as 2^prec after a carry."""
-    shift = man.bit_length() - prec
-    if shift <= 0:
-        return man, exp
-    r = man >> (shift - 1)  # the kept bits and the round bit
-    if r & 1 and (r & 2 or man & ((1 << (shift - 1)) - 1)):
-        r += 2
-    return r >> 1, exp + shift
+def _scan_f(x, qf: Fraction, bits: int) -> PrecReal:
+    """f(x) at `bits` as scan_zeros reads it, tagged as eval_f tags it:
+    off the integer kernel (_read), from _f_raw where the kernel gives up."""
+    return _prec_real(bits, *_read(_raw(x, bits), qf, bits, True))
 
 
 def _exceeds(a: int, ea: int, b: int, eb: int) -> bool:
@@ -207,20 +202,6 @@ def _exceeds(a: int, ea: int, b: int, eb: int) -> bool:
     if ea >= eb:
         return a << (ea - eb) > b
     return a > b << (eb - ea)
-
-
-def _divide(man: int, exp: int, d: int, prec: int) -> tuple[int, int]:
-    """man 2^exp / d rounded as _round rounds (man > 0 of at most prec + 1
-    bits, d >= 1): an exact shift when d is a power of two, else a
-    quotient of at least prec + 1 bits with a sticky bit for a remainder."""
-    if not d & (d - 1):
-        return man, exp - d.bit_length() + 1
-    k = prec + d.bit_length() + 1 - man.bit_length()
-    quot, rem = divmod(man << k, d)
-    if rem:
-        quot = quot << 1 | 1
-        k += 1
-    return _round(quot, exp - k, prec)
 
 
 def eval_f(x, q, precision_bits: int) -> PrecReal:
@@ -616,7 +597,7 @@ def _refine_sign_change(a, b, qf: Fraction, bits: int) -> tuple:
     until the bracket is at most |a| 2^(8 - bits) wide, or until f comes
     back at noise level; returns (x, f(x)) at the last iterate, PrecReals
     at `bits`.  Every step rounds to nearest at `bits` on raw mpfs, and f
-    reads each point through eval_f.
+    is read at each point by _scan_f, off the integer kernel.
 
     Both ends are first read at `bits`, the refinement's own precision
     (the grid read them at its own), and BracketError is raised when
@@ -635,8 +616,8 @@ def _refine_sign_change(a, b, qf: Fraction, bits: int) -> tuple:
         return mpf_div(t, ftwo, bits, N)
 
     a, b = _raw(a, bits), _raw(b, bits)
-    fa = eval_f(_tagged(a, bits), qf, bits)
-    fb = eval_f(_tagged(b, bits), qf, bits)
+    fa = _scan_f(_tagged(a, bits), qf, bits)
+    fb = _scan_f(_tagged(b, bits), qf, bits)
     sa = _sign(fa)
     if sa * _sign(fb) >= 0:
         raise BracketError(
@@ -654,7 +635,7 @@ def _refine_sign_change(a, b, qf: Fraction, bits: int) -> tuple:
         secant = misses < 3 and mpf_lt(a, x) and mpf_lt(x, b)
         if not secant:
             x = half(mpf_add(a, b, bits, N))
-        fx = eval_f(_tagged(x, bits), qf, bits)
+        fx = _scan_f(_tagged(x, bits), qf, bits)
         s = _sign(fx)
         if s == 0 or fx.precision_bits <= 1:
             break
@@ -675,10 +656,12 @@ def _refine_sign_change(a, b, qf: Fraction, bits: int) -> tuple:
 def scan_zeros(q, x_min, count: int) -> list[ZeroResult]:
     """Find the first `count` zeros by scanning a geometric grid.
 
-    An oracle of a grid plus safeguarded Illinois refinement, independent
-    of the asymptotic machinery in find_zero: no guess, no sign-probe
-    kernel.  The grid runs from -1 toward x_min (f has no zeros in
-    [-1, 0]: the alternating series at x = -1 is positive for every q).
+    An oracle of a grid plus safeguarded Illinois refinement, a route
+    independent of find_zero's: no guess, no certificate, no Newton and
+    no numeric C_i.  Both read f off the one integer kernel, whose error
+    bound is proved above _probe_sum; the scan reads it through _scan_f.
+    The grid runs from -1 toward x_min (f has no zeros in [-1, 0]: the
+    alternating series at x = -1 is positive for every q).
     Consecutive zeros lie a factor above 1/q apart, x_(k+1) < x_k/q < x_k:
     f'(x) = f(qx), and as f has order zero and only real simple zeros,
     f'/f = sum_j 1/(x - x_j) is positive on (x_1, 0) and falls strictly
@@ -705,12 +688,12 @@ def scan_zeros(q, x_min, count: int) -> list[ZeroResult]:
     pos = 1.0  # |x| of the current grid point
     bits = required_precision(_index_estimate(qf, pos) + 2, qf)
     prev = -pos
-    prev_sign = _sign(eval_f(prev, qf, bits))
+    prev_sign = _sign(_scan_f(prev, qf, bits))
     while len(found) < count and pos < abs(x_min):
         pos = min(pos * step, _past_zero(pos, qf), abs(x_min))
         bits = required_precision(_index_estimate(qf, pos) + 2, qf)
         cur = -pos
-        s = _sign(eval_f(cur, qf, bits))
+        s = _sign(_scan_f(cur, qf, bits))
         if s != 0 and prev_sign != 0 and s != prev_sign:
             k_found = len(found) + 1
             zbits = required_precision(k_found, qf)

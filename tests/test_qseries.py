@@ -3,9 +3,12 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from mpmath.libmp import fone, from_int, fzero, mpf_add, mpf_div, mpf_lt, mpf_mul
 
-from defexp.exactmath import divisor_sigma
-from defexp.precreal import context
+from defexp.exactmath import _q_fraction, divisor_sigma
+from defexp.precreal import _round_fraction, context
 from defexp.qseries import (
     QSeries,
     a_series,
@@ -160,6 +163,67 @@ def test_numeric_c_i_needs_4_working_bits(bits):
     with pytest.raises(ValueError, match=match):
         eval_series_numeric(a_series(0, 5), Fraction(1, 2), bits)
     assert coefficient_value(1, Fraction(1, 2), 60, 4).precision_bits == 4
+
+
+def _libmp_round_fraction(x: Fraction, bits: int) -> tuple:
+    """_round_fraction on libmp calls, as it was written: numerator and
+    denominator each rounded to nearest at bits, then mpf_div."""
+    bits = max(bits, 2)
+    return mpf_div(from_int(x.numerator, bits, "n"), from_int(x.denominator, bits, "n"), bits, "n")
+
+
+def _libmp_horner(s: QSeries, q0, bits: int) -> tuple:
+    """eval_series_numeric's Horner loop on libmp calls, as it was written."""
+    qv = _libmp_round_fraction(_q_fraction(q0), bits)
+    if not mpf_lt(qv, fone):
+        raise ValueError("series evaluation needs 0 < q0 < 1")
+    acc = fzero
+    for c in reversed(s.coeffs):
+        acc = mpf_add(mpf_mul(acc, qv, bits, "n"), _libmp_round_fraction(c, bits), bits, "n")
+    return acc
+
+
+HORNER_QS = [
+    Fraction(1, 2),
+    Fraction(9, 19),
+    Fraction(6, 11),
+    Fraction(1, 10),
+    Fraction(99, 100),
+    Fraction(1, 10**40),
+    0.3,
+]
+HORNER_BITS = [4, 5, 8, 53, 137, 471, 647, 2000, 5679]
+
+
+@pytest.mark.parametrize("i", range(1, 8))
+def test_integer_horner_is_the_libmp_loop(i):
+    """The numeric C_i on ints is bit for bit the libmp loop, the
+    ValueError where q rounds to 1 (99/100 at 4 and 5 bits) included."""
+    series = eval_mpoly_series(reduced_c_n(i), 60)
+    raised = []
+    for q0 in HORNER_QS:
+        for bits in HORNER_BITS:
+            try:
+                want = _libmp_horner(series, q0, bits)
+            except ValueError as err:
+                with pytest.raises(ValueError, match=f"^{err}$"):
+                    coefficient_value(i, q0, 60, bits)
+                raised.append((q0, bits))
+                continue
+            got = coefficient_value(i, q0, 60, bits)
+            assert (got._mpf_, got.precision_bits) == (want, bits), (q0, bits)
+    assert raised == [(Fraction(99, 100), 4), (Fraction(99, 100), 5)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    num=st.integers(-(2**700), 2**700),
+    den=st.integers(1, 2**700),
+    bits=st.integers(0, 800),
+)
+def test_round_fraction_is_the_libmp_quotient(num, den, bits):
+    x = Fraction(num, den)
+    assert _round_fraction(x, bits) == _libmp_round_fraction(x, bits)
 
 
 def test_coefficient_value_converges_in_truncation():

@@ -357,15 +357,17 @@ def _rungs(bits: int) -> list:
     return rungs
 
 
-def test_zero_finders_are_unchanged_on_the_reference_kernel(monkeypatch, scanned_q_half):
-    """Every evaluation of f by _f_raw, eval_f's, the bracket's and the
-    bisection's alike, on the operator loop, here with the kernel giving
-    up so that every sign is read there too.  Zeros on the Newton ladder
-    read no _f_raw at all (test_bracket_and_bisection_make_no_full_budget_call)."""
+def test_zero_finders_are_unchanged_on_the_reference_kernel(monkeypatch):
+    """Every evaluation of f by _f_raw, eval_f's, the bracket's, the
+    bisection's and the scan's fallback alike, on the operator loop, here
+    with the kernel giving up so that every sign is read there too.  Zeros
+    on the Newton ladder read no _f_raw at all
+    (test_bracket_and_bisection_make_no_full_budget_call)."""
     q = Fraction(7, 15)
     ks = (10, 11, 25)
     _kernel_gives_up(monkeypatch)
     fast = [find_zero(k, q) for k in ks]
+    fast_scan = scan_zeros(Q_HALF, -300, 6)
     seen = set()
 
     def reference(X, Q, bits):
@@ -377,9 +379,9 @@ def test_zero_finders_are_unchanged_on_the_reference_kernel(monkeypatch, scanned
     assert {required_precision(k, q) for k in ks} <= seen
     slow_scan = scan_zeros(Q_HALF, -300, 6)
     assert fast == slow
-    assert slow_scan == scanned_q_half
+    assert fast_scan == slow_scan
     assert [z.newton_rel_steps for z in fast] == [z.newton_rel_steps for z in slow]
-    for a, b in zip(fast + scanned_q_half, slow + slow_scan):
+    for a, b in zip(fast + fast_scan, slow + slow_scan):
         assert _zero_fields(a) == _zero_fields(b)
     assert _check_rows(fast) == _check_rows(slow)
 
@@ -1115,18 +1117,26 @@ def test_no_point_in_a_certificate_band_is_read_below_the_ladder(monkeypatch, k,
     assert any(in_band(_exact(end.value._mpf_)) for end in z.bracket)
 
 
-def test_scan_oracle_does_not_read_the_probe_kernel(monkeypatch, scanned_q_half):
-    """scan_zeros checks find_zero independently: with the kernel broken
-    it still finds the same zeros, while find_zero stops on it."""
+def test_scan_oracle_shares_no_route_with_find_zero(monkeypatch, scanned_q_half):
+    """scan_zeros checks find_zero by a route of its own: with the guess,
+    the certificate, Newton, the bisection and the numeric C_i broken it
+    still finds the same zeros, while find_zero stops on them.  The two
+    read f off the same kernel, so the scan's brackets are checked on the
+    exact sum of f: (-1)^k at the outer end, (-1)^(k - 1) at the inner."""
 
-    def broken(X, q, p):
-        raise RuntimeError("probe kernel called")
+    def broken(*args, **kwargs):
+        raise RuntimeError("find_zero's route taken")
 
-    monkeypatch.setattr(zeros, "_probe_sum", broken)
-    with pytest.raises(RuntimeError, match="probe kernel"):
+    for name in ("_asymptotic_guess", "_certify", "_newton", "_bisect", "coefficient_value"):
+        monkeypatch.setattr(zeros, name, broken)
+    with pytest.raises(RuntimeError, match="route taken"):
         find_zero(12, Q_HALF)
     again = scan_zeros(Q_HALF, -300, 6)
     assert [_zero_fields(z) for z in again] == [_zero_fields(z) for z in scanned_q_half]
+    for z in again:
+        outer, inner = z.bracket
+        assert _exact_f_sign(outer, Q_HALF) == (-1) ** z.k, z.k
+        assert _exact_f_sign(inner, Q_HALF) == (-1) ** (z.k - 1), z.k
 
 
 @pytest.mark.parametrize("k", range(4, 11))
@@ -1293,15 +1303,15 @@ def test_scan_agrees_with_find(scanned_q_half):
 
 
 def test_scan_zeros_raises_when_window_is_short(monkeypatch):
-    """The scan gives up after one grid pass: 93 eval_f calls here."""
+    """The scan gives up after one grid pass: 93 reads of f here."""
     made = []
-    real_eval = zeros.eval_f
+    real_eval = zeros._scan_f
 
     def counted(*args):
         made.append(args)
         return real_eval(*args)
 
-    monkeypatch.setattr(zeros, "eval_f", counted)
+    monkeypatch.setattr(zeros, "_scan_f", counted)
     with pytest.raises(BracketError):
         scan_zeros(Q_HALF, -100, 6)  # the sixth zero sits near -201
     assert len(made) <= 120, len(made)
@@ -1323,13 +1333,13 @@ SCAN_CASES = [(Q_HALF, 16), (Fraction(9, 19), 16), (Fraction(1, 10), 8)]
 @functools.cache
 def _counted_scan(q: Fraction, count: int) -> tuple:
     """scan_zeros for the first `count` zeros, with x_min twice the
-    leading-order |x_count|, the eval_f calls of each refinement, the
-    eval_f calls of the whole scan, and the |x| of the grid reads (every
-    call outside a refinement), one list per stretch between refinements."""
+    leading-order |x_count|, the reads of f (_scan_f) of each refinement,
+    the reads of the whole scan, and the |x| of the grid reads (every
+    read outside a refinement), one list per stretch between refinements."""
     calls: list[int] = []
     made = [0]
     grid: list[list] = [[]]  # the last entry is None while a refinement runs
-    real_eval, real_refine = zeros.eval_f, zeros._refine_sign_change
+    real_eval, real_refine = zeros._scan_f, zeros._refine_sign_change
 
     def counted(*args):
         made[0] += 1
@@ -1346,7 +1356,7 @@ def _counted_scan(q: Fraction, count: int) -> tuple:
         return out
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(zeros, "eval_f", counted)
+        patch.setattr(zeros, "_scan_f", counted)
         patch.setattr(zeros, "_refine_sign_change", refine)
         found = scan_zeros(q, -2 * count * float(q) ** (1 - count), count)
     return found, calls, made[0], grid
@@ -1354,8 +1364,8 @@ def _counted_scan(q: Fraction, count: int) -> tuple:
 
 @pytest.mark.parametrize("q, count", SCAN_CASES, ids=str)
 def test_scan_refinement_takes_at_most_20_evaluations_per_zero(q, count):
-    """Bisection took one call per bit, 52..250 per zero here; the Illinois
-    refinement took 7..15, the reads of the two grid ends included."""
+    """Bisection took one read of f per bit, 52..250 per zero here; the
+    Illinois refinement takes 7..15, the reads of the two grid ends included."""
     found, calls, _, _ = _counted_scan(q, count)
     assert len(calls) == len(found) == count
     assert max(calls) <= 20, calls
@@ -1414,7 +1424,7 @@ def test_scan_resumes_at_or_below_x_over_q(q):
 
 
 def test_scan_skips_the_zero_free_stretch_after_each_zero():
-    """Resuming the grid at |x_k|/q leaves 265 eval_f calls for the first
+    """Resuming the grid at |x_k|/q leaves 265 reads of f for the first
     16 zeros at q = 1/2; a grid run through every stretch made 549."""
     _, _, made, _ = _counted_scan(Q_HALF, 16)
     assert made <= 300, made
@@ -1440,13 +1450,24 @@ def test_scan_zeros_change_sign_within_their_tag(q, count):
 
 @pytest.mark.parametrize("q, count", SCAN_CASES, ids=str)
 def test_scan_residual_is_f_at_the_returned_x(q, count):
+    """The residual is |f(x)| as the scan reads it off the kernel at the
+    zero's working bits p, and that read lies within _probe_sum's error
+    bound 2^33 P 2^-p (P = 2^peak), plus the half unit of rounding its sum
+    to p bits, of the exact f(x), whose tail past T_N is below |T_N|."""
     found, _, _, _ = _counted_scan(q, count)
     for z in found:
-        assert _same(z.residual, abs(eval_f(z.x, q, z.precision_bits))), z.k
+        p = z.precision_bits
+        fx = zeros._scan_f(z.x, q, p)
+        assert _same(z.residual, abs(fx)), z.k
+        _, _, peak, _ = zeros._probe_sum(z.x._mpf_, q, p)
+        total, last, den = _exact_f(z.x, q)
+        sign, man, exp, _ = fx._mpf_
+        gap = abs((-man if sign else man) * Fraction(2) ** exp - Fraction(total, den))
+        assert gap <= (2**33 + 1) * Fraction(2) ** (peak - p) + Fraction(abs(last), den), z.k
 
 
 def _one_sided_flat(r, flat_side: int):
-    """A stand-in for eval_f with its one root at r: sign(t - r) |t - r|^9
+    """A stand-in for the scan's f with its one root at r: sign(t - r) |t - r|^9
     on the side sign(t - r) = flat_side, flat there, and t - r on the other."""
 
     def f(t, q, bits):
@@ -1492,7 +1513,7 @@ def test_refinement_safeguard_on_a_one_sided_flat_function(monkeypatch, bits, fl
         calls.append(t)
         return f(t, q, p)
 
-    monkeypatch.setattr(zeros, "eval_f", counted)
+    monkeypatch.setattr(zeros, "_scan_f", counted)
     x, fx = zeros._refine_sign_change(a, b, Q_HALF, bits)
     x = x.value
     assert a < x < b
