@@ -91,12 +91,12 @@ def _positive_index(k, what: str = "zero index", least: int = 1) -> int:
 
 def _q_fraction(q) -> Fraction:
     """q as an exact Fraction in (0, 1), the one q check: anything else
-    (1/0, inf, nan, abc, 2) is a ValueError that names the reason."""
+    (1/0, inf, nan, abc, 2, None, 1j) is a ValueError that names the reason."""
     try:
         qf = Fraction(q)
     except ZeroDivisionError:
         raise ValueError(f"q has a zero denominator, got {q!r}") from None
-    except (ValueError, OverflowError):
+    except (ValueError, OverflowError, TypeError):
         raise ValueError(f"q must be a finite rational number, got {q!r}") from None
     if not 0 < qf < 1:
         raise ValueError(f"q must lie in (0, 1), got {qf}")

@@ -94,7 +94,7 @@ def _raw(x, bits: int):
     """The raw mpf to_mpf(context(bits), x) gives, read without that
     context for the common types: an mpf or PrecReal as it is, unrounded,
     an int or float exactly, a Fraction by _round_fraction and a string by
-    from_str at bits; None for a complex value."""
+    from_str at bits; None for a complex value or one that is no number."""
     raw = getattr(x, "_mpf_", None)
     if raw is not None:
         return raw
@@ -107,7 +107,10 @@ def _raw(x, bits: int):
             return from_str(x, max(bits, 2), "n")
         except ValueError:
             pass  # complex strings and non-numbers: context(bits) says which
-    return getattr(context(bits).convert(x), "_mpf_", None)
+    try:
+        return getattr(context(bits).convert(x), "_mpf_", None)
+    except TypeError:
+        return None
 
 
 def _tagged(raw: tuple, bits, tag: int | None = None) -> PrecReal:

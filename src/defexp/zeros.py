@@ -48,12 +48,17 @@ _SCAN_POINTS_PER_DECADE = 64
 # (< n 2^(1 - G) u <= u, as n < 2^15 at every p), a truncating shift (< u)
 # and a floor division by n + 1 (< 2u), less than 5u in all, so term n is
 # off by less than (1 + 5u)^n - 1 < 7nu relative, and the exact sum of N
-# terms by less than 7u P N(N + 1)/2.  The kernel stops once the ratio
-# |t| q^n/(n + 1), bounded above with |t| q^n < |u_n| (1 + 2^(2 - p)), is
-# under 1/2 and the last term is below 2^(peak - p), so the tail is under
-# 2 P u.  The kernel is thus off by less than (4N(N + 1) + 2) P u < 2^33 P u
-# at every p, and a sum of at least 2^(_SIGN_BITS - 1) P u has the sign
-# of f(t).
+# terms by less than 7u P N(N + 1)/2.  The kernel stops once the last
+# term is below 2^(peak - p) and, tested only then, the ratio
+# |t| q^n/(n + 1) is under 1/2, so the tail is under 2 P u.  The ratio is
+# bounded above by B_n = (|u_n| + (|u_n| >> (p - 2)) + 1) 2^ue_n, as
+# |t| q^n < |u_n| (1 + 2^(2 - p)) 2^ue_n.  Once 2 B_n < n + 1 it stays so:
+# |u_(n+1)| has at least p + G - 1 bits and is at most q |u_n| 2^s + 1, so
+# B_(n+1) < B_n (1 + 2^(3 - p - G)) <= B_n (1 + 2^-15) at every p >= 2,
+# while n + 2 >= (n + 1)(1 + 2^-15) for n < 2^15; the stop is the one a
+# ratio tested at every step gives.  The kernel is thus off by less than
+# (4N(N + 1) + 2) P u < 2^33 P u at every p, and a sum of at least
+# 2^(_SIGN_BITS - 1) P u has the sign of f(t).
 _SIGN_BITS = 34
 _PROBE_MAX_TERMS = 2**15
 _PROBE_GUARD_BITS = _PROBE_MAX_TERMS.bit_length()
@@ -131,7 +136,6 @@ def _probe_sum(X: tuple, qf: Fraction, p: int) -> tuple[int, int, int, int] | No
     m = total = 1
     e = base = 0
     peak = 1  # every |term| and |partial sum| so far is below 2^peak
-    ratio_small = False
     n = 0
     while True:
         if n >= _PROBE_MAX_TERMS:
@@ -152,12 +156,10 @@ def _probe_sum(X: tuple, qf: Fraction, p: int) -> tuple[int, int, int, int] | No
         s = scale - u.bit_length()
         u = (u * a << s) // b if s >= 0 else u * a // (b << -s)
         ue -= s
-        if not ratio_small:
-            # 2 |t| q^n < n + 1, with |t| q^n < |u| (1 + 2^(2 - p)) 2^ue
-            lhs = (abs(u) + (abs(u) >> (p - 2)) + 1) << 1
-            ratio_small = lhs << ue < n + 1 if ue >= 0 else lhs < (n + 1) << -ue
-        if ratio_small and mag <= peak - p:
-            return total, base, peak, n
+        if mag <= peak - p:
+            lhs = (abs(u) + (abs(u) >> (p - 2)) + 1) << 1  # 2 B_n < n + 1
+            if lhs << ue < n + 1 if ue >= 0 else lhs < (n + 1) << -ue:
+                return total, base, peak, n
 
 
 def _kernel_sign(X: tuple, qf: Fraction, *precs: int) -> int | None:
@@ -230,8 +232,8 @@ def eval_f(x, q, precision_bits: int) -> PrecReal:
     peak are exact, bit lengths first.  The powers q^n come from a table
     of (mantissa, exponent) pairs shared by all calls at the same q and
     precision.  The ratio is a chain of monotone roundings of a
-    decreasing sequence, so once it is under 1/2 it stays there and is no
-    longer computed.
+    decreasing sequence, so once it is under 1/2 it stays there; it is
+    computed only at terms already small enough to stop at.
     """
     precision_bits = _positive_index(precision_bits, "working precision in bits", 4)
     X = _raw(x, precision_bits)
@@ -259,11 +261,10 @@ def _f_raw(X: tuple, Q: tuple, prec: int) -> tuple[int, int, int]:
     if not xm:
         return 1, 0, prec  # f(0) = 1
     am, ae = _round(xm, xe, prec)  # |x| at prec, for the ratio
-    tm, te, t_neg = 1, 0, False  # the term: (-1)^t_neg tm 2^te
+    tm, te = 1, 0  # |term| = tm 2^te; the term is negative when x is and n is odd
     sm, se = 1, 0  # the running total: sm 2^se, sm signed
     pm, pe = 1, 0  # the peak of |term| and |total|: pm 2^pe
     peak_mag = 1  # pm.bit_length() + pe, so most compares need no call
-    ratio_small = False
     n = 0
     while True:
         if len(qpows) <= n + 1:
@@ -271,14 +272,13 @@ def _f_raw(X: tuple, Q: tuple, prec: int) -> tuple[int, int, int]:
         tm, te = _round(tm * xm, te + xe, prec)
         qm, qe = qpows[n]
         tm, te = _round(tm * qm, te + qe, prec)
-        t_neg ^= x_neg
         n += 1
         tm, te = _divide(tm, te, n, prec)
         mag = tm.bit_length() + te
         # total += term, rounded once; of two operands more than prec + 4
         # bits apart in magnitude the smaller is below half a unit of the
         # larger, which the sum rounds back to
-        tv = -tm if t_neg else tm
+        tv = -tm if x_neg and n & 1 else tm
         gap = sm.bit_length() + se - mag
         if not sm or gap < -prec - 4:
             sm, se = tv, te
@@ -297,14 +297,13 @@ def _f_raw(X: tuple, Q: tuple, prec: int) -> tuple[int, int, int]:
         total_mag = sm.bit_length() + se
         if total_mag >= peak_mag and _exceeds(abs(sm), se, pm, pe):
             pm, pe, peak_mag = abs(sm), se, total_mag
-        if not ratio_small:
+        # stop once |term| <= 2^-prec peak and then |x| q^n/(n + 1) < 1/2
+        if mag <= peak_mag - prec and not _exceeds(tm, te, pm, pe - prec):
             qm, qe = qpows[n]
             rm, re = _round(am * qm, ae + qe, prec)
             rm, re = _divide(rm, re, n + 1, prec)
-            ratio_small = rm.bit_length() + re <= -1  # rm 2^re < 1/2
-        # stop once |term| <= 2^-prec peak
-        if ratio_small and mag <= peak_mag - prec and not _exceeds(tm, te, pm, pe - prec):
-            break
+            if rm.bit_length() + re <= -1:  # rm 2^re < 1/2
+                break
     if not sm:
         lost = prec
     else:

@@ -121,10 +121,11 @@ def test_eval_f_rejects_bad_parameters():
         eval_f(1j, Q_HALF, 64)
 
 
-@pytest.mark.parametrize("q", ["1/0", float("inf"), float("nan"), "abc", "2"], ids=repr)
+@pytest.mark.parametrize("q", ["1/0", float("inf"), float("nan"), "abc", "2", None, 1j], ids=repr)
 def test_a_q_that_is_no_number_in_the_unit_interval_is_a_value_error(q):
     """One q check for every entry point, the numeric C_i included: 1/0
-    and inf are ValueErrors too, not ZeroDivisionError or OverflowError.
+    and inf are ValueErrors too, not ZeroDivisionError or OverflowError,
+    and None and 1j not Fraction's or mpmath's TypeError.
     The same values as paired_term_gaps' a are ValueErrors naming a (inf
     was an OverflowError, nan Fraction's message), and so is None."""
     calls = (
@@ -196,6 +197,7 @@ KERNEL_QS = [
     Fraction(6, 11),
     Fraction(1, 10),
     Fraction(99, 100),
+    Fraction(999, 1000),
     "3/7",
     0.3,
 ]
@@ -765,6 +767,32 @@ def test_probe_sum_is_the_exact_sum_of_its_truncated_terms(q, where, ratio_decid
     total, base, peak, n = zeros._probe_sum(t._mpf_, q, p)
     want_total, want_peak, want_n, tail_first = _replica_probe_sum(t, q, p)
     assert tail_first == ratio_decides
+    assert (total * Fraction(2) ** base, peak, n) == (want_total, want_peak, want_n)
+
+
+@st.composite
+def _probe_points(draw):
+    """(t, q, p): a dyadic t with 2^-20 <= |t| < 2^12 and up to p + 8
+    mantissa bits, so the kernel rounds it, a q from 10^-40 to near 1,
+    where in about one draw in ten the terms fall p bits below the peak
+    before the ratio falls under 1/2, and p from 8 to 300 bits."""
+    p = draw(st.integers(8, 300))
+    man = draw(st.integers(1, 2 ** (p + 8) - 1))
+    exp = draw(st.integers(-19, 12)) - man.bit_length()
+    near_one = (Fraction(99, 100), Fraction(997, 1000), Fraction(999, 1000))
+    q = draw(st.sampled_from([Q_HALF, Q_9_19, *near_one, Q_TINY]))
+    t = context(p + 8).make_mpf(from_man_exp(man * draw(st.sampled_from([1, -1])), exp))
+    return t, q, p
+
+
+@settings(max_examples=100, deadline=None)
+@given(point=_probe_points())
+def test_probe_sum_is_the_replica_on_dyadic_points(point):
+    """The stop the kernel takes where it tests the ratio only once the
+    term is small is the replica's, which tests it at every step."""
+    t, q, p = point
+    total, base, peak, n = zeros._probe_sum(t._mpf_, q, p)
+    want_total, want_peak, want_n, _ = _replica_probe_sum(t, q, p)
     assert (total * Fraction(2) ** base, peak, n) == (want_total, want_peak, want_n)
 
 
