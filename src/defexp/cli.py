@@ -102,36 +102,40 @@ def _cmd_series(args) -> int:
     return 0
 
 
-def _cmd_zeros(args) -> int:
+def _zero_table(q, k_min: int, k_max: int, flag: str = "--kmin", n: int = 0, beyond: int = 0):
+    """The zero table of a numeric verb, x_k for k_min <= k <= k_max + beyond
+    at DEFEXP_PRECISION, once k_max >= k_min (`flag` names k_min's option)
+    and the truncation order n >= 0 are checked: before the table, which
+    takes seconds."""
     from .validate import zero_table
 
+    if k_max < k_min:
+        raise ValueError(f"--kmax must be at least {flag}")
+    if n < 0:
+        raise ValueError("truncation order must be nonnegative")
+    return zero_table(q, k_min, k_max + beyond, precision_bits=_env_precision())
+
+
+def _cmd_zeros(args) -> int:
     k_max = args.kmax if args.kmax is not None else args.k
-    if k_max < args.k:
-        raise ValueError("--kmax must be at least --k")
-    table = zero_table(args.q, args.k, k_max, precision_bits=_env_precision())
+    table = _zero_table(args.q, args.k, k_max, flag="--k")
     _emit([table[k].to_json() for k in range(args.k, k_max + 1)])
     return 0
 
 
 def _cmd_residuals(args) -> int:
-    from .validate import residual_profile, zero_table
+    from .validate import residual_profile
 
-    if args.kmax < args.kmin:
-        raise ValueError("--kmax must be at least --kmin")
-    if args.n < 0:  # checked before the zero table, which takes seconds
-        raise ValueError("truncation order must be nonnegative")
-    table = zero_table(args.q, args.kmin, args.kmax, precision_bits=_env_precision())
+    table = _zero_table(args.q, args.kmin, args.kmax, n=args.n)
     profile = residual_profile(args.q, args.n, range(args.kmin, args.kmax + 1), zeros=table)
     _emit(profile.to_json(), csv_text=profile.to_csv(), csv_path=args.csv)
     return 0
 
 
 def _cmd_ratio(args) -> int:
-    from .validate import ratio_check, zero_table
+    from .validate import ratio_check
 
-    if args.kmax < args.kmin:
-        raise ValueError("--kmax must be at least --kmin")
-    table = zero_table(args.q, args.kmin, args.kmax + 1, precision_bits=_env_precision())
+    table = _zero_table(args.q, args.kmin, args.kmax, beyond=1)
     rows = ratio_check(args.q, args.kmin, args.kmax, zeros=table)
     doc = {
         "q": str(Fraction(args.q)),

@@ -37,9 +37,11 @@ def context(bits: int) -> MPContext:
 
 
 def to_mpf(ctx: MPContext, x):
-    """Convert scalars (including Fraction and PrecReal) to ctx's mpf."""
+    """x as ctx's mpf for each type _raw reads; any other is a ValueError."""
     raw = _raw(x, ctx.prec)
-    return ctx.convert(x) if raw is None else ctx.make_mpf(raw)
+    if raw is None:
+        raise ValueError(f"to_mpf takes a real value, got {x!r}")
+    return ctx.make_mpf(raw)
 
 
 _VALUES = MPContext()  # holds the values given as Fractions, ints and floats; never mutated
@@ -91,10 +93,11 @@ def _round_fraction(x: Fraction, bits: int) -> tuple:
 
 
 def _raw(x, bits: int):
-    """The raw mpf to_mpf(context(bits), x) gives, read without that
-    context for the common types: an mpf or PrecReal as it is, unrounded,
-    an int or float exactly, a Fraction by _round_fraction and a string by
-    from_str at bits; None for a complex value or one that is no number."""
+    """The raw mpf of x for the types listed here, read with no context:
+    an mpf or PrecReal (an _mpf_ carrier) as it is, unrounded, an int or
+    float exactly, a Fraction by _round_fraction and a string by from_str
+    at bits; None for a string from_str rejects (a complex one among them)
+    and for every other type."""
     raw = getattr(x, "_mpf_", None)
     if raw is not None:
         return raw
@@ -106,11 +109,8 @@ def _raw(x, bits: int):
         try:
             return from_str(x, max(bits, 2), "n")
         except ValueError:
-            pass  # complex strings and non-numbers: context(bits) says which
-    try:
-        return getattr(context(bits).convert(x), "_mpf_", None)
-    except TypeError:
-        return None
+            pass
+    return None
 
 
 def _tagged(raw: tuple, bits, tag: int | None = None) -> PrecReal:
@@ -125,7 +125,7 @@ class PrecReal:
     mpf _mpf_, the tag and the home of .value, a context or the working
     bits of context(bits) until the first read.  An mpf given to the
     constructor keeps its own context, a Fraction, int or float lives in
-    _VALUES, and anything else in context(tag)."""
+    _VALUES, and a string in context(tag)."""
 
     __slots__ = ("_mpf_", "_home", "precision_bits")
 

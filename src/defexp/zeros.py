@@ -173,23 +173,29 @@ def _kernel_sign(X: tuple, qf: Fraction, *precs: int) -> int | None:
     return None
 
 
-def _read(X: tuple, qf: Fraction, prec: int, kernel: bool) -> tuple[int, int, int]:
-    """f(x) at prec bits as _f_raw's (man, exp, tag): off _probe_sum when
-    `kernel` is set, rounded to prec bits and tagged prec minus the bits
-    lost below the peak; from _f_raw otherwise or when the kernel gives up."""
+def _read(X: tuple, qf: Fraction, prec: int, kernel: bool) -> PrecReal:
+    """f at the raw mpf X at prec bits, tagged prec minus the bits lost
+    below the peak: off _probe_sum, rounded to prec bits, when `kernel` is
+    set; from _f_raw at q rounded to prec bits otherwise or when the
+    kernel gives up, and a q that rounds to 1 there is a ValueError."""
     probe = _probe_sum(X, qf, prec) if kernel else None
     if probe is None:
-        return _f_raw(X, _round_fraction(qf, prec), prec)
-    total, base, peak, _ = probe
-    man, exp = _round(abs(total), base, prec)
-    lost = max(0, peak - total.bit_length() - base) if total else prec
-    return (man if total > 0 else -man), exp, max(1, prec - lost)
+        Q = _round_fraction(qf, prec)
+        if Q == fone:
+            raise ValueError("q must lie in (0, 1)")  # q rounds to 1 at prec bits
+        man, exp, tag = _f_raw(X, Q, prec)
+    else:
+        total, base, peak, _ = probe
+        man, exp = _round(abs(total), base, prec)
+        lost = max(0, peak - total.bit_length() - base) if total else prec
+        man, tag = (man if total > 0 else -man), max(1, prec - lost)
+    return _tagged(from_man_exp(man, exp), prec, tag)
 
 
 def _scan_f(x, qf: Fraction, bits: int) -> PrecReal:
     """f(x) at `bits` as scan_zeros reads it, tagged as eval_f tags it:
     off the integer kernel (_read), from _f_raw where the kernel gives up."""
-    return _prec_real(bits, *_read(_raw(x, bits), qf, bits, True))
+    return _read(_raw(x, bits), qf, bits, True)
 
 
 def _exceeds(a: int, ea: int, b: int, eb: int) -> bool:
@@ -207,53 +213,44 @@ def _exceeds(a: int, ea: int, b: int, eb: int) -> bool:
 
 
 def eval_f(x, q, precision_bits: int) -> PrecReal:
-    """Evaluate f(x) at the given working precision.
+    """Evaluate f(x) at the given working precision: _read with the kernel off.
 
-    Terms are accumulated by the ratio recurrence t_{n+1} = t_n x q^n/(n+1);
-    summation stops once the ratio falls under 1/2 (geometric domination)
-    and the current term is below 2^-precision_bits times the largest
-    magnitude seen.  The result's precision metadata is the working
-    precision minus the bits lost to cancellation; if nothing survives,
-    a 1-bit value is returned so sign-probing callers can treat it as
-    noise level.
-
-    The loop (_f_raw, which Newton calls on raw mpfs with no context)
-    runs on Python ints and calls no libmp arithmetic: the
-    term, the running total and the peak are each a mantissa times a
-    power of two.  Each step (the products by x and by q^n, the quotient
-    by n + 1, the sum, and the ratio |x| q^n/(n + 1)) is formed exactly,
-    or as a quotient with a sticky bit, and rounded once to
-    precision_bits, half to even.  Every mpf operation in a
-    round-to-nearest context is correctly rounded that way, so the result
-    is bit for bit the one the mpf operators give, in the same order.  A
-    sum of operands whose magnitudes lie more than precision_bits + 4
-    bits apart is the larger one, as rounding gives it, so a tiny x
-    builds no shift as long as its exponent.  The comparisons with the
-    peak are exact, bit lengths first.  The powers q^n come from a table
-    of (mantissa, exponent) pairs shared by all calls at the same q and
-    precision.  The ratio is a chain of monotone roundings of a
-    decreasing sequence, so once it is under 1/2 it stays there; it is
-    computed only at terms already small enough to stop at.
+    q is checked as every entry point checks it (_q_fraction) and rounded
+    to precision_bits as every Fraction is (_round_fraction), so a float q
+    is read as its exact Fraction; a q that rounds to 1 is a ValueError.
+    x may be an mpf or PrecReal, an int or float (each read exactly), a
+    Fraction (rounded as q is) or a string (read at precision_bits); any
+    other x, or a non-finite one, is a ValueError.  The result is tagged
+    the working precision minus the bits lost to cancellation, 1 bit when
+    nothing survives, so sign-probing callers can treat it as noise.
     """
     precision_bits = _positive_index(precision_bits, "working precision in bits", 4)
+    qf = _q_fraction(q)
     X = _raw(x, precision_bits)
-    Q = _raw(q if not isinstance(q, str) else _q_fraction(q), precision_bits)
-    if Q is None or not (mpf_lt(fzero, Q) and mpf_lt(Q, fone)):
-        raise ValueError("q must lie in (0, 1)")
     if X is None:
         raise ValueError("x must be real")
-    return _prec_real(precision_bits, *_f_raw(X, Q, precision_bits))
-
-
-def _prec_real(bits: int, man: int, exp: int, tag: int) -> PrecReal:
-    """_f_raw's (man, exp, tag) at `bits` working bits as eval_f returns it."""
-    return _tagged(from_man_exp(man, exp), bits, tag)
+    return _read(X, qf, precision_bits, False)
 
 
 def _f_raw(X: tuple, Q: tuple, prec: int) -> tuple[int, int, int]:
     """eval_f's integer loop on raw mpfs x and q (0 < q < 1) at prec bits:
     (man, exp, tag) with f(x) = man 2^exp, man signed, and tag its bits.
-    A non-finite x is a ValueError."""
+    A non-finite x is a ValueError.
+
+    Term n + 1 is term n times x q^n/(n + 1).  The loop stops once a term
+    is below 2^-prec times the largest magnitude seen and then the ratio
+    |x| q^n/(n + 1) is under 1/2; that ratio is a chain of monotone
+    roundings of a decreasing sequence, so once under 1/2 it stays there.
+    Term, total and peak are each an int mantissa times a power of two.
+    Each step (the products by x and by q^n, the quotient by n + 1, the
+    sum and the ratio) is formed exactly, or as a quotient with a sticky
+    bit, and rounded once to prec bits, half to even, as every mpf
+    operation in a round-to-nearest context rounds: the result is bit for
+    bit that of the mpf operators in the same order.  Of two summands
+    more than prec + 4 bits apart in magnitude the sum is the larger, so
+    a tiny x builds no shift as long as its exponent.  Compares with the
+    peak are exact, bit lengths first.  The powers q^n come from a table
+    shared by every call at the same q and precision."""
     if X in (finf, fninf, fnan):
         raise ValueError("x must be finite")
     qpows = _q_powers(Q, prec)
@@ -353,14 +350,13 @@ def _newton(
         fx = _read(x, qf, prec, kernel)
         if dfx is None or below == prec:
             dfx = _read(mpf_mul(Q_below, x, below, _NEAREST), qf, below, kernel)
-        dm, de, dtag = dfx
-        if dtag <= 1:
+        if dfx.precision_bits <= 1:
             break
-        step = mpf_div(from_man_exp(fx[0], fx[1]), from_man_exp(dm, de), prec, _NEAREST)
+        step = mpf_div(fx._mpf_, dfx._mpf_, prec, _NEAREST)
         new = mpf_sub(x, step, prec, _NEAREST)
         _, rm, re, _ = rel = mpf_div(mpf_abs(step), mpf_abs(new), prec, _NEAREST)
         steps.append(log2(rm) + re if rm else -inf)
-        done = mpf_lt(rel, target) or fx[2] <= 8
+        done = mpf_lt(rel, target) or fx.precision_bits <= 8
         if done and below < prec:
             return x, fx
         x = new
@@ -530,8 +526,7 @@ def find_zero(k: int, q, precision_bits: int | None = None) -> ZeroResult:
             if cert and c_in <= t <= within:
                 return (-1) ** (k - 1)
             X = from_man_exp(t, F)
-            s = _kernel_sign(X, qf, bits) or _read(X, qf, bits, False)[0]
-            return (s > 0) - (s < 0)
+            return _kernel_sign(X, qf, bits) or _sign(_read(X, qf, bits, False))
 
         delta = mpf_pow_int(from_int(k, bits, N), -4, bits, N)
         while True:
@@ -560,7 +555,7 @@ def find_zero(k: int, q, precision_bits: int | None = None) -> ZeroResult:
         x, fx = _newton(x, qf, p, below, steps, p.bit_length() + 8 if p == bits else 1, ladder)
     x = _tagged(x, bits)
 
-    residual = abs(eval_f(x, qf, bits) if fx is None else _prec_real(bits, *fx))
+    residual = abs(eval_f(x, qf, bits) if fx is None else fx)
     return ZeroResult(
         k=k,
         q=qf,

@@ -100,8 +100,11 @@ def test_tags_build_no_context():
 
 def test_strings_round_at_the_tag_and_complex_values_are_refused():
     assert PrecReal("0.1", 20).value == context(20).mpf("0.1")
-    with pytest.raises(ValueError, match="real"):
-        PrecReal(complex(1, 2), 64)
+    for value in (complex(1, 2), "x+1j"):
+        with pytest.raises(ValueError, match="real"):
+            PrecReal(value, 64)
+        with pytest.raises(ValueError, match="real"):
+            to_mpf(context(64), value)
 
 
 Q = Fraction(12, 25)

@@ -5,6 +5,7 @@ import sys
 import threading
 import time
 import tracemalloc
+from decimal import Decimal
 from fractions import Fraction
 from math import factorial, floor, inf, isfinite, lgamma, log, log2
 
@@ -113,12 +114,15 @@ def test_eval_f_returns_one_bit_noise_when_budget_is_consumed():
 
 
 def test_eval_f_rejects_bad_parameters():
+    """x is read without an mpmath context: a complex string or a Decimal
+    is a ValueError too, with no mpmath exception escaping."""
     with pytest.raises(ValueError):
         eval_f(-1, Fraction(3, 2), 64)
     with pytest.raises(ValueError):
         eval_f(-1, Q_HALF, 2)
-    with pytest.raises(ValueError, match="x must be real"):
-        eval_f(1j, Q_HALF, 64)
+    for x in (1j, "x+1j", Decimal("1.5")):
+        with pytest.raises(ValueError, match="x must be real"):
+            eval_f(x, Q_HALF, 64)
 
 
 @pytest.mark.parametrize("q", ["1/0", float("inf"), float("nan"), "abc", "2", None, 1j], ids=repr)
@@ -155,12 +159,13 @@ def test_eval_f_rejects_non_finite_x(x):
 
 def _reference_eval_f(x, q, precision_bits: int) -> PrecReal:
     """eval_f as it was written on mpf operators, kept verbatim as the
-    reference the integer kernel must reproduce bit for bit."""
+    reference the integer kernel must reproduce bit for bit, but for q: a
+    string or float q is read as its Fraction, as eval_f reads it."""
     if precision_bits < 4:
         raise ValueError("precision must be at least 4 bits")
     ctx = context(precision_bits)
     xv = to_mpf(ctx, x)
-    qv = to_mpf(ctx, q if not isinstance(q, str) else Fraction(q))
+    qv = to_mpf(ctx, Fraction(q) if isinstance(q, (str, float)) else q)
     if not 0 < qv < 1:
         raise ValueError("q must lie in (0, 1)")
     one = ctx.mpf(1)
@@ -392,7 +397,8 @@ def test_q_power_table_is_not_poisoned_across_q_and_precision():
     """Interleaved calls share the per-(q, bits) power tables; each must
     still equal a cold-cache call.  Fraction, string and float spellings
     of one q share a table, and 3/10 and 0.3 (different mpfs) do not.
-    The powers of 0.3 round differently at 143 and 647 bits."""
+    The powers of 0.3 round differently at 143 and 647 bits.  Every
+    spelling of q is read as its Fraction, below 53 bits too."""
     calls = []
     pairs = (
         (Q_HALF, Fraction(3, 8)),
@@ -410,6 +416,10 @@ def test_q_power_table_is_not_poisoned_across_q_and_precision():
         zeros._q_powers.cache_clear()
         assert _same(w, eval_f(*c)), c
         assert _same(w, _reference_eval_f(*c)), c
+    for x in (-7.25, Fraction(-181, 3)):
+        for bits in (4, 16, 52, 53, 143):
+            assert _same(eval_f(x, 0.3, bits), eval_f(x, Fraction(0.3), bits)), (x, bits)
+            assert _same(eval_f(x, "9/19", bits), eval_f(x, Q_9_19, bits)), (x, bits)
 
 
 def _reference_find_zero(k: int, q, precision_bits=None) -> ZeroResult:
@@ -807,7 +817,9 @@ def test_probe_sum_is_within_its_error_bound_of_the_exact_sum(q, k, p):
     for j, side in ((60, 1), (p // 2, -1), (p - 40, 1), (p - 8, -1)):
         t = _near_zero(q, k, j, side)
         total, base, peak, n = zeros._probe_sum(t._mpf_, q, p)
-        man, exp, tag = zeros._read(t._mpf_, q, p, True)
+        read = zeros._read(t._mpf_, q, p, True)
+        tag, (sign, man, exp, _) = read.precision_bits, read._mpf_
+        man = -man if sign else man
         exact, last, den = _exact_f(t, q, p + 64)
         s = max(0, -base, -exp, p - peak)  # 2^s clears every power of two
         bound = (4 * n * (n + 1) + 2) * den << (peak - p + s)
@@ -871,7 +883,7 @@ def test_bracket_and_bisection_make_no_full_budget_call(monkeypatch):
         assert ladder == climb, k
         assert ladder.count(bits) == 2, k
         x = z.x.value._mpf_
-        want = abs(zeros._prec_real(bits, *zeros._read(x, Q_HALF, bits, True)))
+        want = abs(zeros._read(x, Q_HALF, bits, True))
         assert (z.residual.value._mpf_, z.residual.precision_bits) == (
             want.value._mpf_,
             want.precision_bits,
