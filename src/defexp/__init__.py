@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from importlib import import_module
 
-from .exactmath import bernoulli, divisor_sigma, gen_binomial, power_sum_poly
+from .exactmath import BracketError, bernoulli, divisor_sigma, gen_binomial, power_sum_poly
 from .jpoly import (
     DecompositionError, JPoly, UVForm, delta, g_coeff, h_coeff, q_poly, sigma_poly, uv_decompose,
 )
@@ -38,8 +38,8 @@ from .qseries import (
 _LAZY = {
     "PrecReal": "precreal",
     **dict.fromkeys(
-        ("BracketError", "ZeroResult", "eval_f", "find_zero", "paired_term_gaps",
-         "required_precision", "scan_zeros"),
+        ("ZeroResult", "eval_f", "find_zero", "paired_term_gaps", "required_precision",
+         "scan_zeros"),
         "zeros",
     ),
     **dict.fromkeys(
@@ -49,7 +49,7 @@ _LAZY = {
 }
 
 __all__ = [
-    "bernoulli", "divisor_sigma", "gen_binomial", "power_sum_poly",
+    "BracketError", "bernoulli", "divisor_sigma", "gen_binomial", "power_sum_poly",
     "DecompositionError", "JPoly", "UVForm", "delta", "g_coeff", "h_coeff", "q_poly",
     "sigma_poly", "uv_decompose",
     "MPoly", "c_n", "kernel_expand", "linear_part", "p_m", "reduce_to_A012", "reduced_c_n",

@@ -32,7 +32,7 @@ import sys
 from fractions import Fraction
 from functools import lru_cache
 
-from .exactmath import _q_fraction
+from .exactmath import BracketError, _q_fraction
 from .jpoly import DecompositionError
 from .qseries import a_series, eisenstein_q, eval_mpoly_series, fj_extract, jacobi_p0
 from .symcoeff import c_n, reduced_c_n, to_eisenstein
@@ -224,14 +224,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _error_codes() -> tuple:
-    """(type, code) of each structured error.  BracketError is listed once
-    zeros is loaded: only a verb that imported zeros can raise it."""
-    zeros = sys.modules.get(f"{__package__}.zeros")
-    bracket = ((zeros.BracketError, "bracket-failure"),) if zeros else ()
-    return bracket + ((DecompositionError, "decomposition-error"),)
-
-
 @lru_cache(maxsize=1)
 def _parser() -> argparse.ArgumentParser:
     """The parser, built on the first call rather than at import."""
@@ -243,8 +235,8 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     # structured errors first: DecompositionError is also a ValueError
-    except tuple(t for t, _ in _error_codes()) as exc:
-        code = next(c for t, c in _error_codes() if isinstance(exc, t))
+    except (BracketError, DecompositionError) as exc:
+        code = "bracket-failure" if isinstance(exc, BracketError) else "decomposition-error"
         _emit({"code": code, "message": str(exc)})
         return 1
     except ValueError as exc:

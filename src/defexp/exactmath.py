@@ -1,5 +1,6 @@
 """Exact scalar arithmetic: Bernoulli numbers, binomials, divisor sums,
-and the dense product and power shared by the polynomial and series types.
+and the dense product and power shared by the polynomial and series types;
+also the argument checks and the BracketError that every entry point shares.
 
 All quantities are exact rationals (`fractions.Fraction`).  Wherever the
 package writes a rational out, it is ``str(Fraction)``: ``"p/q"`` in
@@ -89,9 +90,18 @@ def _positive_index(k, what: str = "zero index", least: int = 1) -> int:
     return k
 
 
+class BracketError(RuntimeError):
+    """No sign change found within the allowed bracket expansion."""
+
+
 def _q_fraction(q) -> Fraction:
     """q as an exact Fraction in (0, 1), the one q check: anything else
-    (1/0, inf, nan, abc, 2, None, 1j) is a ValueError that names the reason."""
+    (1/0, inf, nan, abc, 2, None, 1j) is a ValueError that names the reason.
+    An mpf or PrecReal (an _mpf_ carrier) is read exactly, as +-man 2^exp."""
+    carrier = getattr(q, "_mpf_", None)  # (sign, man, exp, bc)
+    if carrier is not None and (carrier[1] or not carrier[3]):  # inf and nan: no man, bc != 0
+        sign, man, exp, _ = carrier
+        q = Fraction(-int(man) if sign else int(man)) * Fraction(2) ** exp
     try:
         qf = Fraction(q)
     except ZeroDivisionError:

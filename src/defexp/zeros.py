@@ -21,7 +21,7 @@ from mpmath.libmp import (  # the raw mpf operations, each at an explicit precis
     to_float, to_str,
 )
 
-from .exactmath import _positive_index, _q_fraction
+from .exactmath import BracketError, _positive_index, _q_fraction
 from .precreal import PrecReal, _divide, _raw, _round, _round_fraction, _tagged
 from .qseries import SERIES_TRUNC, coefficient_value
 
@@ -38,9 +38,9 @@ __all__ = [
 #: grid density of scan_zeros (each step is also capped at a factor 1/q)
 _SCAN_POINTS_PER_DECADE = 64
 
-# _probe_sum, one integer kernel for f at any working precision p, gives
-# find_zero every f it reads off the kernel and the signs it certifies,
-# and scan_zeros every f it reads.
+# _probe_sum, one integer kernel for f at any working precision p, read
+# only through _read, gives find_zero every f it reads off the kernel and
+# the signs it certifies, and scan_zeros every f it reads.
 # Let u = 2^-p and P = 2^peak, its bound on every |term| and |partial sum|.
 # Term n + 1 is term n times u_n/(n + 1), with u_n = t q^n carried with
 # G = _PROBE_GUARD_BITS guard bits.  Each step is off by t's one rounding
@@ -58,7 +58,10 @@ _SCAN_POINTS_PER_DECADE = 64
 # while n + 2 >= (n + 1)(1 + 2^-15) for n < 2^15; the stop is the one a
 # ratio tested at every step gives.  The kernel is thus off by less than
 # (4N(N + 1) + 2) P u < 2^33 P u at every p, and a sum of at least
-# 2^(_SIGN_BITS - 1) P u has the sign of f(t).
+# 2^(_SIGN_BITS - 1) P u has the sign of f(t): a kernel read's sign is
+# certified when its tag, p - (peak - bitlen(total) - base), is at least
+# _SIGN_BITS (the kernel keeps peak >= bitlen(total) + base; a zero total
+# is tagged 1).
 _SIGN_BITS = 34
 _PROBE_MAX_TERMS = 2**15
 _PROBE_GUARD_BITS = _PROBE_MAX_TERMS.bit_length()
@@ -77,10 +80,6 @@ _Q_POWERS_LOCK = Lock()
 # test_readme_budgets_are_below_the_newton_ladder): no golden zero takes it.
 _LADDER_MIN_BITS = 648
 _LADDER_BASE_BITS = 128
-
-
-class BracketError(RuntimeError):
-    """No sign change found within the allowed bracket expansion."""
 
 
 def required_precision(k: int, q) -> int:
@@ -162,40 +161,31 @@ def _probe_sum(X: tuple, qf: Fraction, p: int) -> tuple[int, int, int, int] | No
                 return total, base, peak, n
 
 
-def _kernel_sign(X: tuple, qf: Fraction, *precs: int) -> int | None:
-    """The sign of f at the raw mpf X off _probe_sum at the first p of
-    `precs` whose sum clears the bound derived at the constants, at least
-    2^(_SIGN_BITS - 1 + peak - p); None when no p does or the kernel gives up."""
-    for p in precs:
-        total, base, peak, _ = _probe_sum(X, qf, p) or (0, 0, 0, 0)
-        if total and total.bit_length() + base >= peak - p + _SIGN_BITS:
-            return 1 if total > 0 else -1
-    return None
-
-
 def _read(X: tuple, qf: Fraction, prec: int, kernel: bool) -> PrecReal:
     """f at the raw mpf X at prec bits, tagged prec minus the bits lost
-    below the peak: off _probe_sum, rounded to prec bits, when `kernel` is
-    set; from _f_raw at q rounded to prec bits otherwise or when the
-    kernel gives up, and a q that rounds to 1 there is a ValueError."""
-    probe = _probe_sum(X, qf, prec) if kernel else None
-    if probe is None:
+    below the peak; the one reader of f.  With `kernel` set it is
+    _probe_sum's sum rounded to prec bits, its sign certified when the tag
+    is at least _SIGN_BITS (the comment at the constants), and a kernel
+    that gives up at _PROBE_MAX_TERMS terms is a ValueError.  Otherwise it
+    is _f_raw at q rounded to prec bits, the golden route, where a q that
+    rounds to 1 is a ValueError."""
+    if kernel:
+        probe = _probe_sum(X, qf, prec)
+        if probe is None:
+            raise ValueError(
+                f"the kernel for f at x={to_str(X, 20)}, q={qf} gives up at "
+                f"{_PROBE_MAX_TERMS} terms at {prec} bits"
+            )
+        total, base, peak, _ = probe
+        man, exp = _round(abs(total), base, prec)
+        lost = peak - total.bit_length() - base if total else prec
+        man, tag = (man if total > 0 else -man), max(1, prec - lost)
+    else:
         Q = _round_fraction(qf, prec)
         if Q == fone:
             raise ValueError("q must lie in (0, 1)")  # q rounds to 1 at prec bits
         man, exp, tag = _f_raw(X, Q, prec)
-    else:
-        total, base, peak, _ = probe
-        man, exp = _round(abs(total), base, prec)
-        lost = max(0, peak - total.bit_length() - base) if total else prec
-        man, tag = (man if total > 0 else -man), max(1, prec - lost)
     return _tagged(from_man_exp(man, exp), prec, tag)
-
-
-def _scan_f(x, qf: Fraction, bits: int) -> PrecReal:
-    """f(x) at `bits` as scan_zeros reads it, tagged as eval_f tags it:
-    off the integer kernel (_read), from _f_raw where the kernel gives up."""
-    return _read(_raw(x, bits), qf, bits, True)
 
 
 def _exceeds(a: int, ea: int, b: int, eb: int) -> bool:
@@ -367,8 +357,9 @@ def _newton(
 
 def _certify(guess: tuple, k: int, qf: Fraction, precs: list) -> tuple | None:
     """Newton from the guess, a raw mpf at precs[-1] bits, on the kernel at
-    p = precs[0] bits to a zero x; when _kernel_sign at precs reads
-    (-1)^k at x (1 + 2^-(p // 2)) and (-1)^(k - 1) at x (1 - 2^-(p // 2)),
+    p = precs[0] bits to a zero x; when the certified kernel signs (the
+    first read, in the order of precs, whose tag is at least _SIGN_BITS)
+    are (-1)^k at x (1 + 2^-(p // 2)) and (-1)^(k - 1) at x (1 - 2^-(p // 2)),
     a sign change of x_k's parity, those two raw points at precs[-1] bits
     followed by the raw x and the log2 steps that located it; else None."""
     p = precs[0]
@@ -376,7 +367,8 @@ def _certify(guess: tuple, k: int, qf: Fraction, precs: list) -> tuple | None:
     located, _ = _newton(guess, qf, p, p, steps, p.bit_length() + 8, True)
     points = _around(located, mpf_pow_int(ftwo, -(p // 2), precs[-1], _NEAREST), precs[-1])
     for t, want in zip(points, ((-1) ** k, (-1) ** (k - 1))):
-        if _kernel_sign(t, qf, *precs) != want:
+        reads = (_read(t, qf, r, True) for r in precs)
+        if next((_sign(f) for f in reads if f.precision_bits >= _SIGN_BITS), None) != want:
             return None
     return (*points, located, steps)
 
@@ -526,7 +518,8 @@ def find_zero(k: int, q, precision_bits: int | None = None) -> ZeroResult:
             if cert and c_in <= t <= within:
                 return (-1) ** (k - 1)
             X = from_man_exp(t, F)
-            return _kernel_sign(X, qf, bits) or _sign(_read(X, qf, bits, False))
+            f = _read(X, qf, bits, True)
+            return _sign(f if f.precision_bits >= _SIGN_BITS else _read(X, qf, bits, False))
 
         delta = mpf_pow_int(from_int(k, bits, N), -4, bits, N)
         while True:
@@ -591,7 +584,7 @@ def _refine_sign_change(a, b, qf: Fraction, bits: int) -> tuple:
     until the bracket is at most |a| 2^(8 - bits) wide, or until f comes
     back at noise level; returns (x, f(x)) at the last iterate, PrecReals
     at `bits`.  Every step rounds to nearest at `bits` on raw mpfs, and f
-    is read at each point by _scan_f, off the integer kernel.
+    is read at each point off the integer kernel (_read).
 
     Both ends are first read at `bits`, the refinement's own precision
     (the grid read them at its own), and BracketError is raised when
@@ -610,8 +603,7 @@ def _refine_sign_change(a, b, qf: Fraction, bits: int) -> tuple:
         return mpf_div(t, ftwo, bits, N)
 
     a, b = _raw(a, bits), _raw(b, bits)
-    fa = _scan_f(_tagged(a, bits), qf, bits)
-    fb = _scan_f(_tagged(b, bits), qf, bits)
+    fa, fb = _read(a, qf, bits, True), _read(b, qf, bits, True)
     sa = _sign(fa)
     if sa * _sign(fb) >= 0:
         raise BracketError(
@@ -629,7 +621,7 @@ def _refine_sign_change(a, b, qf: Fraction, bits: int) -> tuple:
         secant = misses < 3 and mpf_lt(a, x) and mpf_lt(x, b)
         if not secant:
             x = half(mpf_add(a, b, bits, N))
-        fx = _scan_f(_tagged(x, bits), qf, bits)
+        fx = _read(x, qf, bits, True)
         s = _sign(fx)
         if s == 0 or fx.precision_bits <= 1:
             break
@@ -653,7 +645,7 @@ def scan_zeros(q, x_min, count: int) -> list[ZeroResult]:
     An oracle of a grid plus safeguarded Illinois refinement, a route
     independent of find_zero's: no guess, no certificate, no Newton and
     no numeric C_i.  Both read f off the one integer kernel, whose error
-    bound is proved above _probe_sum; the scan reads it through _scan_f.
+    bound is proved above _probe_sum; the scan reads it through _read.
     The grid runs from -1 toward x_min (f has no zeros in [-1, 0]: the
     alternating series at x = -1 is positive for every q).
     Consecutive zeros lie a factor above 1/q apart, x_(k+1) < x_k/q < x_k:
@@ -682,12 +674,12 @@ def scan_zeros(q, x_min, count: int) -> list[ZeroResult]:
     pos = 1.0  # |x| of the current grid point
     bits = required_precision(_index_estimate(qf, pos) + 2, qf)
     prev = -pos
-    prev_sign = _sign(_scan_f(prev, qf, bits))
+    prev_sign = _sign(_read(_raw(prev, bits), qf, bits, True))
     while len(found) < count and pos < abs(x_min):
         pos = min(pos * step, _past_zero(pos, qf), abs(x_min))
         bits = required_precision(_index_estimate(qf, pos) + 2, qf)
         cur = -pos
-        s = _sign(_scan_f(cur, qf, bits))
+        s = _sign(_read(_raw(cur, bits), qf, bits, True))
         if s != 0 and prev_sign != 0 and s != prev_sign:
             k_found = len(found) + 1
             zbits = required_precision(k_found, qf)

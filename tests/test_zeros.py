@@ -16,6 +16,7 @@ from mpmath import mpf
 from mpmath.libmp import from_man_exp, mpf_mul
 
 import defexp.zeros as zeros
+from defexp.cli import main
 from defexp.precreal import PrecReal, context, to_mpf
 from defexp.qseries import a_series, coefficient_value, eval_series_numeric
 from defexp.validate import ratio_check, residual_profile, zero_table
@@ -43,8 +44,11 @@ def test_required_precision_pinned_values():
 
 
 def test_required_precision_accepts_string_and_float():
+    """An mpf or PrecReal q is read exactly, as every exact binary q is."""
     assert required_precision(20, "1/2") == 341
     assert required_precision(20, 0.5) == 341
+    assert required_precision(20, mpf("0.5")) == 341
+    assert required_precision(20, PrecReal(0.5, 53)) == 341
 
 
 def test_required_precision_takes_q_below_the_float_range():
@@ -125,11 +129,16 @@ def test_eval_f_rejects_bad_parameters():
             eval_f(x, Q_HALF, 64)
 
 
-@pytest.mark.parametrize("q", ["1/0", float("inf"), float("nan"), "abc", "2", None, 1j], ids=repr)
+@pytest.mark.parametrize(
+    "q",
+    ["1/0", float("inf"), float("nan"), "abc", "2", None, 1j, mpf("inf"), mpf("nan"), mpf(2)],
+    ids=repr,
+)
 def test_a_q_that_is_no_number_in_the_unit_interval_is_a_value_error(q):
     """One q check for every entry point, the numeric C_i included: 1/0
     and inf are ValueErrors too, not ZeroDivisionError or OverflowError,
-    and None and 1j not Fraction's or mpmath's TypeError.
+    and None and 1j not Fraction's or mpmath's TypeError.  An mpf q is read
+    exactly, so its inf and nan are no finite rational and 2 lies outside.
     The same values as paired_term_gaps' a are ValueErrors naming a (inf
     was an OverflowError, nan Fraction's message), and so is None."""
     calls = (
@@ -349,11 +358,12 @@ def _reference_f_raw(X: tuple, Q: tuple, bits: int) -> tuple:
     return -man if sign else man, exp, v.precision_bits
 
 
-def _kernel_gives_up(monkeypatch) -> None:
-    """_probe_sum gives up at every precision: no sign is certified, so no
-    zero is; below the ladder every bracket and bisection sign is read at
-    the full budget, and on it find_zero raises BracketError."""
-    monkeypatch.setattr(zeros, "_probe_sum", lambda X, q, p: None)
+def _nothing_certified(monkeypatch) -> None:
+    """_SIGN_BITS above every precision: no kernel read's tag reaches it, so
+    no sign is certified and no zero is; below the ladder every bracket and
+    bisection sign is read at the full budget, and on it find_zero raises
+    BracketError."""
+    monkeypatch.setattr(zeros, "_SIGN_BITS", 10**6)
 
 
 def _rungs(bits: int) -> list:
@@ -365,16 +375,16 @@ def _rungs(bits: int) -> list:
 
 
 def test_zero_finders_are_unchanged_on_the_reference_kernel(monkeypatch):
-    """Every evaluation of f by _f_raw, eval_f's, the bracket's, the
-    bisection's and the scan's fallback alike, on the operator loop, here
-    with the kernel giving up so that every sign is read there too.  Zeros
-    on the Newton ladder read no _f_raw at all
-    (test_bracket_and_bisection_make_no_full_budget_call)."""
+    """Every evaluation of f by _f_raw, eval_f's, the bracket's and the
+    bisection's alike, on the operator loop, here with no kernel sign
+    certified so that every sign is read there too.  Zeros on the Newton
+    ladder and scan_zeros read no _f_raw at all
+    (test_bracket_and_bisection_make_no_full_budget_call,
+    test_a_kernel_that_gives_up_is_a_value_error)."""
     q = Fraction(7, 15)
     ks = (10, 11, 25)
-    _kernel_gives_up(monkeypatch)
+    _nothing_certified(monkeypatch)
     fast = [find_zero(k, q) for k in ks]
-    fast_scan = scan_zeros(Q_HALF, -300, 6)
     seen = set()
 
     def reference(X, Q, bits):
@@ -384,11 +394,9 @@ def test_zero_finders_are_unchanged_on_the_reference_kernel(monkeypatch):
     monkeypatch.setattr(zeros, "_f_raw", reference)
     slow = [find_zero(k, q) for k in ks]
     assert {required_precision(k, q) for k in ks} <= seen
-    slow_scan = scan_zeros(Q_HALF, -300, 6)
     assert fast == slow
-    assert fast_scan == slow_scan
     assert [z.newton_rel_steps for z in fast] == [z.newton_rel_steps for z in slow]
-    for a, b in zip(fast + fast_scan, slow + slow_scan):
+    for a, b in zip(fast, slow):
         assert _zero_fields(a) == _zero_fields(b)
     assert _check_rows(fast) == _check_rows(slow)
 
@@ -398,7 +406,8 @@ def test_q_power_table_is_not_poisoned_across_q_and_precision():
     still equal a cold-cache call.  Fraction, string and float spellings
     of one q share a table, and 3/10 and 0.3 (different mpfs) do not.
     The powers of 0.3 round differently at 143 and 647 bits.  Every
-    spelling of q is read as its Fraction, below 53 bits too."""
+    spelling of q, an mpf and a PrecReal among them, is read as its
+    Fraction, below 53 bits too."""
     calls = []
     pairs = (
         (Q_HALF, Fraction(3, 8)),
@@ -416,10 +425,12 @@ def test_q_power_table_is_not_poisoned_across_q_and_precision():
         zeros._q_powers.cache_clear()
         assert _same(w, eval_f(*c)), c
         assert _same(w, _reference_eval_f(*c)), c
-    for x in (-7.25, Fraction(-181, 3)):
-        for bits in (4, 16, 52, 53, 143):
+    for x in (-7.25, Fraction(-181, 3), -1):
+        for bits in (4, 16, 52, 53, 64, 143):
             assert _same(eval_f(x, 0.3, bits), eval_f(x, Fraction(0.3), bits)), (x, bits)
             assert _same(eval_f(x, "9/19", bits), eval_f(x, Q_9_19, bits)), (x, bits)
+            assert _same(eval_f(x, mpf(0.3), bits), eval_f(x, Fraction(0.3), bits)), (x, bits)
+            assert _same(eval_f(x, PrecReal(0.5, 53), bits), eval_f(x, Q_HALF, bits)), (x, bits)
 
 
 def _reference_find_zero(k: int, q, precision_bits=None) -> ZeroResult:
@@ -515,8 +526,8 @@ def test_probed_find_zero_is_bit_identical_to_the_full_budget_loop(monkeypatch, 
     """q = 10^-40 divides a 133-bit denominator out of u_n at every term;
     its zeros x_3..x_5 take about 10 ms each.  On the Newton ladder (from
     648 bits: x_40 and above, and x_4 and x_5 at q = 10^-40) a zero with
-    no certificate has no other route: with the kernel giving up there,
-    find_zero raises the bracket's BracketError."""
+    no certificate has no other route: with no kernel sign certified
+    there, find_zero raises the bracket's BracketError."""
     if q == Q_TINY:
         ks = (3, 4, 5)
     else:
@@ -526,7 +537,7 @@ def test_probed_find_zero_is_bit_identical_to_the_full_budget_loop(monkeypatch, 
             assert _zero_fields(find_zero(k, q)) == _zero_fields(_reference_find_zero(k, q)), k
             continue
         with monkeypatch.context() as fallback:
-            _kernel_gives_up(fallback)
+            _nothing_certified(fallback)
             with pytest.raises(BracketError) as err:
                 find_zero(k, q)
         assert str(err.value) == _no_sign_change(k, q), k
@@ -606,48 +617,41 @@ def _zero_near(k: int, q: Fraction):
     wiggle=st.integers(0, 2**32 - 1),
 )
 def test_probe_kernel_sign_is_the_exact_sign(k, q, j, side, wiggle):
-    """A certified kernel sign, at 128 bits or at the budget, is the sign
-    of the exact sum of f at dyadic t = x_k (1 + side 2^-j (1 + wiggle
-    2^-32)), t rounded to x_k's budget."""
+    """A certified kernel sign (a read tagged at least _SIGN_BITS), at 128
+    bits or at the budget, is the sign of the exact sum of f at dyadic
+    t = x_k (1 + side 2^-j (1 + wiggle 2^-32)), t rounded to x_k's budget."""
     x = _zero_near(k, q)
     assume(x is not None)
     bits = required_precision(k, q)
     ctx = context(bits)
     t = ctx.mpf(x) * (1 + side * ctx.mpf(2) ** -j * (1 + ctx.mpf(wiggle) / 2**32))
     for p in (128, bits):
-        got = zeros._kernel_sign(t._mpf_, q, p)
-        if got is not None:
-            assert got == _exact_f_sign(t, q), p
+        read = zeros._read(t._mpf_, q, p, True)
+        if read.precision_bits >= zeros._SIGN_BITS:
+            assert _sign(read) == _exact_f_sign(t, q), p
 
 
-@pytest.mark.parametrize(
-    "uncertify",
-    [
-        pytest.param("kernel", id="kernel-gives-up"),
-        pytest.param("threshold", id="threshold-at-the-peak"),
-    ],
-)
+@pytest.mark.parametrize("uncertify", [pytest.param("threshold", id="threshold-at-the-peak")])
 def test_uncertified_probes_fall_back_to_the_full_budget(monkeypatch, uncertify):
-    """No kernel sign is certified, either because the kernel gives up or
-    because no sum reaches a threshold raised above every precision; there
-    is then no certificate, and each bracket and bisection sign must come
-    from the budget's reader at the full budget, to the same result."""
+    """No kernel sign is certified, as no read's tag reaches a threshold
+    raised above every precision; there is then no certificate, and each
+    bracket and bisection sign must come from the budget's reader at the
+    full budget, to the same result.  (A kernel that gives up certifies
+    nothing either: it is a ValueError, test_a_kernel_that_gives_up_is_a_value_error.)"""
     k, q = 30, Fraction(6, 11)
     bits = required_precision(k, q)
     want = find_zero(k, q)
-    signs, budget_reads = [], []
-    kernel_sign, read, newton = zeros._kernel_sign, zeros._read, zeros._newton
+    tags, budget_reads = [], []
+    read, newton = zeros._read, zeros._newton
     in_newton = []
 
-    def counted_sign(X, q, *precs):
-        got = kernel_sign(X, q, *precs)
-        signs.append(got)
-        return got
-
     def counted_read(X, q, prec, kernel):
-        if prec == bits and not in_newton:
+        got = read(X, q, prec, kernel)
+        if kernel and not in_newton:
+            tags.append(got.precision_bits)
+        elif prec == bits and not in_newton:
             budget_reads.append(X)
-        return read(X, q, prec, kernel)
+        return got
 
     def marked_newton(*args):
         in_newton.append(True)
@@ -656,26 +660,22 @@ def test_uncertified_probes_fall_back_to_the_full_budget(monkeypatch, uncertify)
         finally:
             in_newton.pop()
 
-    if uncertify == "kernel":
-        _kernel_gives_up(monkeypatch)
-    else:
-        monkeypatch.setattr(zeros, "_SIGN_BITS", bits + 1)
-    monkeypatch.setattr(zeros, "_kernel_sign", counted_sign)
+    monkeypatch.setattr(zeros, "_SIGN_BITS", bits + 1)
     monkeypatch.setattr(zeros, "_read", counted_read)
     monkeypatch.setattr(zeros, "_newton", marked_newton)
     certificates = _kept_certificates(monkeypatch)
     got = find_zero(k, q)
     assert certificates == [None]
     assert len(budget_reads) > 40
-    assert set(signs) == {None}
+    assert tags and max(tags) < zeros._SIGN_BITS
     assert _zero_fields(got) == _zero_fields(want)
 
 
 def test_probe_sign_near_a_zero_is_the_full_budget_sign():
     """At relative distances 2^-60..2^-170 from a zero a kernel sign, at
     128 bits or at the budget, is the sign of the full-budget evaluation
-    wherever it is certified; the far points are certified and the near
-    ones are not."""
+    wherever it is certified (its read tagged at least _SIGN_BITS); the far
+    points are certified and the near ones are not."""
     certified = uncertain = 0
     for k, q in ((12, Q_HALF), (20, Fraction(6, 11))):
         z = find_zero(k, q)
@@ -686,11 +686,11 @@ def test_probe_sign_near_a_zero_is_the_full_budget_sign():
                 t = ctx.mpf(z.x.value) * (1 + side * ctx.mpf(2) ** -j)
                 want = _sign(eval_f(t, q, bits))
                 for p in (128, bits):
-                    got = zeros._kernel_sign(t._mpf_, q, p)
-                    if got is None:
+                    read = zeros._read(t._mpf_, q, p, True)
+                    if read.precision_bits < zeros._SIGN_BITS:
                         uncertain += 1
                     else:
-                        assert got == want, (k, j, side, p)
+                        assert _sign(read) == want, (k, j, side, p)
                         certified += 1
     assert certified > 40 and uncertain > 40
 
@@ -804,6 +804,62 @@ def test_probe_sum_is_the_replica_on_dyadic_points(point):
     total, base, peak, n = zeros._probe_sum(t._mpf_, q, p)
     want_total, want_peak, want_n, _ = _replica_probe_sum(t, q, p)
     assert (total * Fraction(2) ** base, peak, n) == (want_total, want_peak, want_n)
+
+
+@st.composite
+def _kernel_reads(draw):
+    """(t, q, p): a _probe_points draw, or half the time a point
+    x_k (1 + side 2^-j) near a zero read at p within 2 bits of
+    _SIGN_BITS plus the L bits that the kernel loses there at x_k's
+    budget, so that its tag lies at the certification threshold or next
+    to it."""
+    if draw(st.booleans()):
+        return draw(_probe_points())
+    q = draw(st.sampled_from([Q_HALF, Q_9_19]))
+    k = draw(st.integers(4, 12))
+    t = _near_zero(q, k, draw(st.integers(8, 200)), draw(st.sampled_from([1, -1])))
+    total, base, peak, _ = zeros._probe_sum(t._mpf_, q, required_precision(k, q))
+    lost = peak - total.bit_length() - base
+    return t, q, max(8, lost + zeros._SIGN_BITS + draw(st.integers(-2, 2)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(point=_kernel_reads())
+def test_a_kernel_read_is_certified_exactly_when_its_sum_meets_the_bound(point):
+    """A kernel read is tagged at least _SIGN_BITS exactly when _probe_sum's
+    total is at least 2^(_SIGN_BITS - 1 + peak - p), the bound proved at
+    the constants, and then its sign is the sign of the exact sum of f."""
+    t, q, p = point
+    read = zeros._read(t._mpf_, q, p, True)
+    total, base, peak, _ = zeros._probe_sum(t._mpf_, q, p)
+    meets = bool(total) and total.bit_length() + base >= peak - p + zeros._SIGN_BITS
+    assert (read.precision_bits >= zeros._SIGN_BITS) == meets
+    if meets:
+        exact, last, _ = _exact_f(t, q, p + 64)
+        assert abs(exact) > abs(last)
+        assert _sign(read) == (1 if exact > 0 else -1)
+
+
+def test_a_kernel_that_gives_up_is_a_value_error(monkeypatch, capsys):
+    """With the kernel capped at 8 terms, a ladder find_zero (x_60 at
+    q = 1/2) and scan_zeros each raise a ValueError that names the cap,
+    with no fallback to _f_raw's uncapped loop, and the zeros verb exits 2
+    with the message on stderr and nothing on stdout."""
+
+    def refuse(*args):
+        raise AssertionError("_f_raw called")
+
+    monkeypatch.setattr(zeros, "_PROBE_MAX_TERMS", 8)
+    monkeypatch.setattr(zeros, "_f_raw", refuse)
+    assert len(_rungs(required_precision(60, Q_HALF))) > 1
+    with pytest.raises(ValueError, match="gives up at 8 terms"):
+        find_zero(60, Q_HALF)
+    with pytest.raises(ValueError, match="gives up at 8 terms"):
+        scan_zeros(Q_HALF, -300, 6)
+    assert main(["zeros", "--q", "1/2", "--k", "60"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: the kernel for f at x=") and "gives up at 8 terms" in err
 
 
 @pytest.mark.parametrize("q, k, p", [(Fraction(7, 15), 40, 1135), (Q_9_19, 60, 2327)], ids=str)
@@ -1123,27 +1179,25 @@ def test_no_point_in_a_certificate_band_is_read_below_the_ladder(monkeypatch, k,
     """Below the ladder a bracket end or midpoint in the exact bands
     [c_in/q, c_out] or [c_in, q c_out] of find_zero's certificate takes
     the band's sign: from the return of _certify to that of _bisect, no
-    such point goes to _kernel_sign or _read, and at least one bracket end
+    such point goes to _read, and at least one bracket end
     lies in a band.  The budget is the default, or 640 bits where that is
     on the ladder (q = 10^-40)."""
     bits = min(required_precision(k, q), 640)
     kept = _kept_certificates(monkeypatch)
     bisect, reads, done = zeros._bisect, [], []
 
-    def recorded(read):
-        def wrapped(X, *args):
-            if kept and not done:
-                reads.append(_exact(X))
-            return read(X, *args)
+    read = zeros._read
 
-        return wrapped
+    def recorded(X, *args):
+        if kept and not done:
+            reads.append(_exact(X))
+        return read(X, *args)
 
     def marked_bisect(*args):
         done.append(bisect(*args))
         return done[-1]
 
-    for name in ("_kernel_sign", "_read"):
-        monkeypatch.setattr(zeros, name, recorded(getattr(zeros, name)))
+    monkeypatch.setattr(zeros, "_read", recorded)
     monkeypatch.setattr(zeros, "_bisect", marked_bisect)
     z = find_zero(k, q, bits)
     (cert,) = kept
@@ -1345,13 +1399,13 @@ def test_scan_agrees_with_find(scanned_q_half):
 def test_scan_zeros_raises_when_window_is_short(monkeypatch):
     """The scan gives up after one grid pass: 93 reads of f here."""
     made = []
-    real_eval = zeros._scan_f
+    real_eval = zeros._read
 
     def counted(*args):
         made.append(args)
         return real_eval(*args)
 
-    monkeypatch.setattr(zeros, "_scan_f", counted)
+    monkeypatch.setattr(zeros, "_read", counted)
     with pytest.raises(BracketError):
         scan_zeros(Q_HALF, -100, 6)  # the sixth zero sits near -201
     assert len(made) <= 120, len(made)
@@ -1373,18 +1427,18 @@ SCAN_CASES = [(Q_HALF, 16), (Fraction(9, 19), 16), (Fraction(1, 10), 8)]
 @functools.cache
 def _counted_scan(q: Fraction, count: int) -> tuple:
     """scan_zeros for the first `count` zeros, with x_min twice the
-    leading-order |x_count|, the reads of f (_scan_f) of each refinement,
+    leading-order |x_count|, the reads of f (_read) of each refinement,
     the reads of the whole scan, and the |x| of the grid reads (every
     read outside a refinement), one list per stretch between refinements."""
     calls: list[int] = []
     made = [0]
     grid: list[list] = [[]]  # the last entry is None while a refinement runs
-    real_eval, real_refine = zeros._scan_f, zeros._refine_sign_change
+    real_eval, real_refine = zeros._read, zeros._refine_sign_change
 
     def counted(*args):
         made[0] += 1
         if grid[-1] is not None:
-            grid[-1].append(abs(args[0]))
+            grid[-1].append(abs(_exact(args[0])))
         return real_eval(*args)
 
     def refine(*args):
@@ -1396,7 +1450,7 @@ def _counted_scan(q: Fraction, count: int) -> tuple:
         return out
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(zeros, "_scan_f", counted)
+        patch.setattr(zeros, "_read", counted)
         patch.setattr(zeros, "_refine_sign_change", refine)
         found = scan_zeros(q, -2 * count * float(q) ** (1 - count), count)
     return found, calls, made[0], grid
@@ -1497,7 +1551,7 @@ def test_scan_residual_is_f_at_the_returned_x(q, count):
     found, _, _, _ = _counted_scan(q, count)
     for z in found:
         p = z.precision_bits
-        fx = zeros._scan_f(z.x, q, p)
+        fx = zeros._read(z.x._mpf_, q, p, True)
         assert _same(z.residual, abs(fx)), z.k
         _, _, peak, _ = zeros._probe_sum(z.x._mpf_, q, p)
         total, last, den = _exact_f(z.x, q)
@@ -1549,11 +1603,11 @@ def test_refinement_safeguard_on_a_one_sided_flat_function(monkeypatch, bits, fl
     f = _one_sided_flat(r, flat_side)
     calls = []
 
-    def counted(t, q, p):
+    def counted(t, q, p, kernel):
         calls.append(t)
-        return f(t, q, p)
+        return f(context(p).make_mpf(t), q, p)
 
-    monkeypatch.setattr(zeros, "_scan_f", counted)
+    monkeypatch.setattr(zeros, "_read", counted)
     x, fx = zeros._refine_sign_change(a, b, Q_HALF, bits)
     x = x.value
     assert a < x < b
@@ -1646,8 +1700,11 @@ def test_scan_zeros_input_validation():
 
 
 def test_zero_result_json_shape():
+    """An mpf or PrecReal q gives the JSON of its exact Fraction."""
     z = find_zero(5, Q_HALF)
     doc = z.to_json()
+    assert find_zero(5, mpf("0.5")).to_json() == find_zero(5, PrecReal(0.5, 53)).to_json() == doc
+    assert find_zero(10, mpf("0.5")).to_json() == find_zero(10, Q_HALF).to_json()
     assert doc["k"] == 5
     assert doc["q"] == "1/2"
     assert doc["x"].startswith("-84.977")
