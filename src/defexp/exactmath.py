@@ -91,23 +91,29 @@ def _positive_index(k, what: str = "zero index", least: int = 1) -> int:
 
 
 class BracketError(RuntimeError):
-    """No sign change found within the allowed bracket expansion."""
+    """No sign change found in the allowed bracket, or the kernel for f gave up."""
+
+
+def _rational(x, name: str) -> Fraction:
+    """x as an exact Fraction, the one reader of an exact rational argument:
+    an mpf or PrecReal (an _mpf_ carrier) is read exactly, as +-man 2^exp;
+    anything else Fraction refuses (1/0, inf, nan, abc, None, 1j) is a
+    ValueError that names `name` and the reason."""
+    carrier = getattr(x, "_mpf_", None)  # (sign, man, exp, bc)
+    if carrier is not None and (carrier[1] or not carrier[3]):  # inf and nan: no man, bc != 0
+        sign, man, exp, _ = carrier
+        return Fraction(-int(man) if sign else int(man)) * Fraction(2) ** exp
+    try:
+        return Fraction(x)
+    except ZeroDivisionError:
+        raise ValueError(f"{name} has a zero denominator, got {x!r}") from None
+    except (ValueError, OverflowError, TypeError):
+        raise ValueError(f"{name} must be a finite rational number, got {x!r}") from None
 
 
 def _q_fraction(q) -> Fraction:
-    """q as an exact Fraction in (0, 1), the one q check: anything else
-    (1/0, inf, nan, abc, 2, None, 1j) is a ValueError that names the reason.
-    An mpf or PrecReal (an _mpf_ carrier) is read exactly, as +-man 2^exp."""
-    carrier = getattr(q, "_mpf_", None)  # (sign, man, exp, bc)
-    if carrier is not None and (carrier[1] or not carrier[3]):  # inf and nan: no man, bc != 0
-        sign, man, exp, _ = carrier
-        q = Fraction(-int(man) if sign else int(man)) * Fraction(2) ** exp
-    try:
-        qf = Fraction(q)
-    except ZeroDivisionError:
-        raise ValueError(f"q has a zero denominator, got {q!r}") from None
-    except (ValueError, OverflowError, TypeError):
-        raise ValueError(f"q must be a finite rational number, got {q!r}") from None
+    """q as an exact Fraction in (0, 1), the one q check: _rational, then the range."""
+    qf = _rational(q, "q")
     if not 0 < qf < 1:
         raise ValueError(f"q must lie in (0, 1), got {qf}")
     return qf

@@ -21,7 +21,7 @@ from mpmath.libmp import (  # the raw mpf operations, each at an explicit precis
     to_float, to_str,
 )
 
-from .exactmath import BracketError, _positive_index, _q_fraction
+from .exactmath import BracketError, _positive_index, _q_fraction, _rational
 from .precreal import PrecReal, _divide, _raw, _round, _round_fraction, _tagged
 from .qseries import SERIES_TRUNC, coefficient_value
 
@@ -40,7 +40,7 @@ _SCAN_POINTS_PER_DECADE = 64
 
 # _probe_sum, one integer kernel for f at any working precision p, read
 # only through _read, gives find_zero every f it reads off the kernel and
-# the signs it certifies, and scan_zeros every f it reads.
+# every sign it acts on, and scan_zeros every f and every sign.
 # Let u = 2^-p and P = 2^peak, its bound on every |term| and |partial sum|.
 # Term n + 1 is term n times u_n/(n + 1), with u_n = t q^n carried with
 # G = _PROBE_GUARD_BITS guard bits.  Each step is off by t's one rounding
@@ -61,7 +61,7 @@ _SCAN_POINTS_PER_DECADE = 64
 # 2^(_SIGN_BITS - 1) P u has the sign of f(t): a kernel read's sign is
 # certified when its tag, p - (peak - bitlen(total) - base), is at least
 # _SIGN_BITS (the kernel keeps peak >= bitlen(total) + base; a zero total
-# is tagged 1).
+# is tagged 1), and _sign_at doubles p, up to 16 times, until it is.
 _SIGN_BITS = 34
 _PROBE_MAX_TERMS = 2**15
 _PROBE_GUARD_BITS = _PROBE_MAX_TERMS.bit_length()
@@ -85,15 +85,11 @@ _LADDER_BASE_BITS = 128
 def required_precision(k: int, q) -> int:
     """The default working bits for the k-th zero: log2 of the peak term
     ~ q^(-k(k-1)/2) k^k/k! of the series near x_k, plus 64 guard bits.
-    mpf exponents absorb that size; only the cancellation costs bits."""
+    mpf exponents absorb that size; only the cancellation costs bits.
+    log2(1/q) comes from q's exact parts: float(q) underflows below ~1e-308."""
     k = _positive_index(k)
     qf = _q_fraction(q)
-    return ceil(k * (k - 1) / 2 * _log2_inv_q(qf) + k * log2(k)) + 64
-
-
-def _log2_inv_q(qf: Fraction) -> float:
-    """log2(1/q) from the exact parts: float(q) underflows below ~1e-308."""
-    return log2(qf.denominator) - log2(qf.numerator)
+    return ceil(k * (k - 1) / 2 * (log2(qf.denominator) - log2(qf.numerator)) + k * log2(k)) + 64
 
 
 @lru_cache(maxsize=16)
@@ -165,14 +161,14 @@ def _read(X: tuple, qf: Fraction, prec: int, kernel: bool) -> PrecReal:
     """f at the raw mpf X at prec bits, tagged prec minus the bits lost
     below the peak; the one reader of f.  With `kernel` set it is
     _probe_sum's sum rounded to prec bits, its sign certified when the tag
-    is at least _SIGN_BITS (the comment at the constants), and a kernel
-    that gives up at _PROBE_MAX_TERMS terms is a ValueError.  Otherwise it
-    is _f_raw at q rounded to prec bits, the golden route, where a q that
-    rounds to 1 is a ValueError."""
+    is at least _SIGN_BITS (_sign_at), and a kernel that gives up at
+    _PROBE_MAX_TERMS terms is a BracketError.  Otherwise it is _f_raw at q
+    rounded to prec bits, the golden route (eval_f and the Newton below
+    the ladder), where a q that rounds to 1 is a ValueError."""
     if kernel:
         probe = _probe_sum(X, qf, prec)
         if probe is None:
-            raise ValueError(
+            raise BracketError(
                 f"the kernel for f at x={to_str(X, 20)}, q={qf} gives up at "
                 f"{_PROBE_MAX_TERMS} terms at {prec} bits"
             )
@@ -355,20 +351,28 @@ def _newton(
     return x, None
 
 
-def _certify(guess: tuple, k: int, qf: Fraction, precs: list) -> tuple | None:
-    """Newton from the guess, a raw mpf at precs[-1] bits, on the kernel at
-    p = precs[0] bits to a zero x; when the certified kernel signs (the
-    first read, in the order of precs, whose tag is at least _SIGN_BITS)
-    are (-1)^k at x (1 + 2^-(p // 2)) and (-1)^(k - 1) at x (1 - 2^-(p // 2)),
-    a sign change of x_k's parity, those two raw points at precs[-1] bits
-    followed by the raw x and the log2 steps that located it; else None."""
-    p = precs[0]
+def _sign_at(X: tuple, qf: Fraction, bits: int) -> tuple[int, int]:
+    """f's certified sign at the raw mpf X and the bits that certified it:
+    the first kernel read at bits, 2 bits, ..., 16 bits tagged at least
+    _SIGN_BITS (the comment at the constants); (0, bits) when none is."""
+    for p in (bits, 2 * bits, 4 * bits, 8 * bits, 16 * bits):
+        f = _read(X, qf, p, True)
+        if f.precision_bits >= _SIGN_BITS:
+            return _sign(f), p
+    return 0, bits
+
+
+def _certify(guess: tuple, k: int, qf: Fraction, p: int, bits: int) -> tuple | None:
+    """Newton from the guess, a raw mpf at `bits`, on the kernel at p bits
+    to a zero x; when the certified signs (_sign_at from p) are (-1)^k at
+    x (1 + 2^-(p // 2)) and (-1)^(k - 1) at x (1 - 2^-(p // 2)), a sign
+    change of x_k's parity, those two raw points at `bits` followed by
+    the raw x and the log2 steps that located it; else None."""
     steps: list[float] = []
     located, _ = _newton(guess, qf, p, p, steps, p.bit_length() + 8, True)
-    points = _around(located, mpf_pow_int(ftwo, -(p // 2), precs[-1], _NEAREST), precs[-1])
+    points = _around(located, mpf_pow_int(ftwo, -(p // 2), bits, _NEAREST), bits)
     for t, want in zip(points, ((-1) ** k, (-1) ** (k - 1))):
-        reads = (_read(t, qf, r, True) for r in precs)
-        if next((_sign(f) for f in reads if f.precision_bits >= _SIGN_BITS), None) != want:
+        if _sign_at(t, qf, p)[0] != want:
             return None
     return (*points, located, steps)
 
@@ -441,7 +445,7 @@ def find_zero(k: int, q, precision_bits: int | None = None) -> ZeroResult:
     a zero x by Newton on the integer kernel at p bits (the ladder's
     bottom rung, or min(B, 128) below the ladder) and certifies the kernel
     signs (-1)^k at x (1 + 2^-(p // 2)) and (-1)^(k - 1) at
-    x (1 - 2^-(p // 2)), a sign change of x_k's parity.
+    x (1 - 2^-(p // 2)), a sign change of x_k's parity (_sign_at from p).
 
     From _LADDER_MIN_BITS = 648 working bits on, that certificate is the
     bracket.  It must exist and lie within relative half-width 1/(4k) of
@@ -462,7 +466,8 @@ def find_zero(k: int, q, precision_bits: int | None = None) -> ZeroResult:
     on one integer grid 2^F.  A point out to a factor 1/q beyond a
     certificate point, compared exactly, has the certificate's sign, as
     consecutive zeros lie more than that apart (scan_zeros); any other
-    sign is a certified kernel sign at B, else eval_f's loop read at B.
+    sign is _sign_at's from B; one that no read certifies is 0, which
+    widens the bracket or ends the bisection at that midpoint.
     Bisection on the grid (_bisect) narrows to ~60 bits (at most B - 8),
     Newton on eval_f's loop at B finishes from its midpoint until a step
     is below 2^(4 - B) relative, and the residual is one more evaluation
@@ -487,8 +492,7 @@ def find_zero(k: int, q, precision_bits: int | None = None) -> ZeroResult:
     if not mpf_lt(guess, fzero):  # f > 0 on [0, inf): no bracket around it changes sign
         raise BracketError(no_change)
 
-    precs = sorted({rungs[-1] if ladder else min(bits, _LADDER_BASE_BITS), bits})
-    cert = _certify(guess, k, qf, precs)
+    cert = _certify(guess, k, qf, rungs[-1] if ladder else min(bits, _LADDER_BASE_BITS), bits)
     if ladder:  # the certificate is the bracket, and Newton climbs from its x
         far, near = _around(guess, delta_max, bits)
         if not (cert and mpf_le(far, cert[0]) and mpf_le(cert[1], near)):
@@ -517,9 +521,7 @@ def find_zero(k: int, q, precision_bits: int | None = None) -> ZeroResult:
                 return (-1) ** k
             if cert and c_in <= t <= within:
                 return (-1) ** (k - 1)
-            X = from_man_exp(t, F)
-            f = _read(X, qf, bits, True)
-            return _sign(f if f.precision_bits >= _SIGN_BITS else _read(X, qf, bits, False))
+            return _sign_at(from_man_exp(t, F), qf, bits)[0]
 
         delta = mpf_pow_int(from_int(k, bits, N), -4, bits, N)
         while True:
@@ -558,17 +560,6 @@ def find_zero(k: int, q, precision_bits: int | None = None) -> ZeroResult:
         precision_bits=bits,
         newton_rel_steps=tuple(steps),
     )
-
-
-def _index_estimate(qf: Fraction, x_abs: float) -> int:
-    """Smallest k with |k q^(1-k)| >= x_abs (locates the scan precision),
-    compared in log2 so that q below the float range works."""
-    log2_inv_q = _log2_inv_q(qf)
-    log2_x = log2(x_abs)
-    k = 1
-    while log2(k) + (k - 1) * log2_inv_q < log2_x and k < 10_000:
-        k += 1
-    return k
 
 
 def _past_zero(x, qf: Fraction) -> float:
@@ -657,7 +648,10 @@ def scan_zeros(q, x_min, count: int) -> list[ZeroResult]:
     |x|/q rounded down (binding only for q above 10^(-1/64)), has no cell
     wider than a factor 1/q, hence none with two zeros; and as f keeps
     one sign from x_k to x_k/q, after each zero the grid resumes at
-    |x_k|/q, rounded down, with the sign read just past x_k.  Fewer than
+    |x_k|/q, rounded down, with the sign read just past x_k.  Each grid
+    sign is _sign_at's from the bits that certified the point before (from
+    required_precision(2, q) at x = -1); an uncertified point keeps the
+    sign before it.  Fewer than
     `count` sign changes before x_min is a BracketError.  The k-th sign
     change is refined at required_precision(k, q) bits
     (_refine_sign_change), which raises BracketError when the change is
@@ -672,14 +666,13 @@ def scan_zeros(q, x_min, count: int) -> list[ZeroResult]:
     found: list[ZeroResult] = []
     step = 10 ** (1 / _SCAN_POINTS_PER_DECADE)
     pos = 1.0  # |x| of the current grid point
-    bits = required_precision(_index_estimate(qf, pos) + 2, qf)
+    bits = required_precision(2, qf)  # f(-1) is about q/2 for a tiny q
     prev = -pos
-    prev_sign = _sign(_read(_raw(prev, bits), qf, bits, True))
+    prev_sign, bits = _sign_at(_raw(prev, bits), qf, bits)
     while len(found) < count and pos < abs(x_min):
         pos = min(pos * step, _past_zero(pos, qf), abs(x_min))
-        bits = required_precision(_index_estimate(qf, pos) + 2, qf)
         cur = -pos
-        s = _sign(_read(_raw(cur, bits), qf, bits, True))
+        s, bits = _sign_at(_raw(cur, bits), qf, bits)
         if s != 0 and prev_sign != 0 and s != prev_sign:
             k_found = len(found) + 1
             zbits = required_precision(k_found, qf)
@@ -718,11 +711,7 @@ def paired_term_gaps(k: int, q, a) -> list[Fraction]:
     """
     k = _positive_index(k)
     qf = _q_fraction(q)
-    try:
-        af = Fraction(a)
-    except (TypeError, ValueError, OverflowError, ZeroDivisionError):
-        raise ValueError(f"a must be a finite rational number, got {a!r}") from None
-    base = Fraction(k) + af / k
+    base = Fraction(k) + _rational(a, "a") / k
 
     def u(n: int) -> Fraction:
         return base**n / factorial(n) * qf ** (-(n * (2 * k - n - 1)) // 2)

@@ -1,6 +1,7 @@
 """Series evaluation, both zero finders, and the paired-term gap check."""
 
 import functools
+import json
 import sys
 import threading
 import time
@@ -140,7 +141,9 @@ def test_a_q_that_is_no_number_in_the_unit_interval_is_a_value_error(q):
     and None and 1j not Fraction's or mpmath's TypeError.  An mpf q is read
     exactly, so its inf and nan are no finite rational and 2 lies outside.
     The same values as paired_term_gaps' a are ValueErrors naming a (inf
-    was an OverflowError, nan Fraction's message), and so is None."""
+    was an OverflowError, nan Fraction's message), and so is None; a is
+    read by the same reader, so 1/0 names its zero denominator and 2 is a
+    fine a, as an mpf too."""
     calls = (
         lambda: find_zero(10, q),
         lambda: required_precision(10, q),
@@ -153,8 +156,9 @@ def test_a_q_that_is_no_number_in_the_unit_interval_is_a_value_error(q):
     for call in calls:
         with pytest.raises(ValueError, match="^q "):
             call()
-    a = None if q == "2" else q  # 2 is a fine a
-    with pytest.raises(ValueError, match="^a must be a finite rational number, got "):
+    a = None if q in ("2", mpf(2)) else q
+    why = "has a zero denominator" if q == "1/0" else "must be a finite rational number"
+    with pytest.raises(ValueError, match=f"^a {why}, got "):
         paired_term_gaps(10, Q_HALF, a)
 
 
@@ -360,9 +364,8 @@ def _reference_f_raw(X: tuple, Q: tuple, bits: int) -> tuple:
 
 def _nothing_certified(monkeypatch) -> None:
     """_SIGN_BITS above every precision: no kernel read's tag reaches it, so
-    no sign is certified and no zero is; below the ladder every bracket and
-    bisection sign is read at the full budget, and on it find_zero raises
-    BracketError."""
+    no sign is certified and no zero is: find_zero raises BracketError,
+    below the ladder as on it."""
     monkeypatch.setattr(zeros, "_SIGN_BITS", 10**6)
 
 
@@ -375,15 +378,15 @@ def _rungs(bits: int) -> list:
 
 
 def test_zero_finders_are_unchanged_on_the_reference_kernel(monkeypatch):
-    """Every evaluation of f by _f_raw, eval_f's, the bracket's and the
-    bisection's alike, on the operator loop, here with no kernel sign
-    certified so that every sign is read there too.  Zeros on the Newton
+    """Every evaluation of f by _f_raw, eval_f's and the below-ladder
+    Newton's alike, on the operator loop.  No sign is read there: bracket
+    and bisection signs come from the kernel alone
+    (test_uncertified_signs_have_no_fallback), and zeros on the Newton
     ladder and scan_zeros read no _f_raw at all
     (test_bracket_and_bisection_make_no_full_budget_call,
-    test_a_kernel_that_gives_up_is_a_value_error)."""
+    test_a_kernel_that_gives_up_is_a_bracket_error)."""
     q = Fraction(7, 15)
     ks = (10, 11, 25)
-    _nothing_certified(monkeypatch)
     fast = [find_zero(k, q) for k in ks]
     seen = set()
 
@@ -631,44 +634,63 @@ def test_probe_kernel_sign_is_the_exact_sign(k, q, j, side, wiggle):
             assert _sign(read) == _exact_f_sign(t, q), p
 
 
-@pytest.mark.parametrize("uncertify", [pytest.param("threshold", id="threshold-at-the-peak")])
-def test_uncertified_probes_fall_back_to_the_full_budget(monkeypatch, uncertify):
+@settings(max_examples=60, deadline=None)
+@given(
+    k=st.integers(1, 12),
+    q=st.sampled_from([Q_HALF, Fraction(7, 15), Fraction(6, 11), Fraction(9, 19)]),
+    j=st.integers(20, 400),
+    side=st.sampled_from([1, -1]),
+    start=st.integers(8, 160),
+)
+def test_sign_at_is_the_first_certified_read(k, q, j, side, start):
+    """_sign_at's sign at t = x_k (1 + side 2^-j), t rounded to x_k's
+    budget, is the sign of the exact sum of f when it is not 0, and its
+    bits are the first of start 2^i (i < 5) whose kernel read is tagged at
+    least _SIGN_BITS; with no such read it is (0, start)."""
+    x = _zero_near(k, q)
+    assume(x is not None)
+    ctx = context(required_precision(k, q))
+    t = (ctx.mpf(x) * (1 + side * ctx.mpf(2) ** -j))._mpf_
+    sign, bits = zeros._sign_at(t, q, start)
+    tags = [zeros._read(t, q, start << i, True).precision_bits for i in range(5)]
+    first = next((i for i, tag in enumerate(tags) if tag >= zeros._SIGN_BITS), None)
+    if first is None:
+        assert (sign, bits) == (0, start)
+    else:
+        assert bits == start << first
+        assert sign == _exact_f_sign(ctx.make_mpf(t), q) != 0
+
+
+def test_uncertified_signs_have_no_fallback(monkeypatch):
     """No kernel sign is certified, as no read's tag reaches a threshold
-    raised above every precision; there is then no certificate, and each
-    bracket and bisection sign must come from the budget's reader at the
-    full budget, to the same result.  (A kernel that gives up certifies
-    nothing either: it is a ValueError, test_a_kernel_that_gives_up_is_a_value_error.)"""
+    raised above every precision: below the ladder there is then no
+    certificate, and every bracket sign, read by _sign_at at B, 2B, ...,
+    16B, is 0, so the bracket widens to 1/(4k) and find_zero raises
+    BracketError with no read of _f_raw's uncertified sign.  (A kernel that
+    gives up is a BracketError too, test_a_kernel_that_gives_up_is_a_bracket_error.)"""
     k, q = 30, Fraction(6, 11)
     bits = required_precision(k, q)
-    want = find_zero(k, q)
-    tags, budget_reads = [], []
-    read, newton = zeros._read, zeros._newton
-    in_newton = []
+    assert len(_rungs(bits)) == 1
+    precs = set()
+    kernel = zeros._probe_sum
 
-    def counted_read(X, q, prec, kernel):
-        got = read(X, q, prec, kernel)
-        if kernel and not in_newton:
-            tags.append(got.precision_bits)
-        elif prec == bits and not in_newton:
-            budget_reads.append(X)
-        return got
+    def counted_sum(X, q, p):
+        precs.add(p)
+        return kernel(X, q, p)
 
-    def marked_newton(*args):
-        in_newton.append(True)
-        try:
-            return newton(*args)
-        finally:
-            in_newton.pop()
+    def refuse(*args):
+        raise AssertionError("_f_raw called")
 
-    monkeypatch.setattr(zeros, "_SIGN_BITS", bits + 1)
-    monkeypatch.setattr(zeros, "_read", counted_read)
-    monkeypatch.setattr(zeros, "_newton", marked_newton)
+    _nothing_certified(monkeypatch)
+    monkeypatch.setattr(zeros, "_f_raw", refuse)
+    monkeypatch.setattr(zeros, "_probe_sum", counted_sum)
     certificates = _kept_certificates(monkeypatch)
-    got = find_zero(k, q)
+    with pytest.raises(BracketError) as err:
+        find_zero(k, q)
+    assert str(err.value) == _no_sign_change(k, q)
     assert certificates == [None]
-    assert len(budget_reads) > 40
-    assert tags and max(tags) < zeros._SIGN_BITS
-    assert _zero_fields(got) == _zero_fields(want)
+    assert {bits << i for i in range(5)} <= precs
+    assert max(precs) == 16 * bits
 
 
 def test_probe_sign_near_a_zero_is_the_full_budget_sign():
@@ -840,11 +862,12 @@ def test_a_kernel_read_is_certified_exactly_when_its_sum_meets_the_bound(point):
         assert _sign(read) == (1 if exact > 0 else -1)
 
 
-def test_a_kernel_that_gives_up_is_a_value_error(monkeypatch, capsys):
+def test_a_kernel_that_gives_up_is_a_bracket_error(monkeypatch, capsys):
     """With the kernel capped at 8 terms, a ladder find_zero (x_60 at
-    q = 1/2) and scan_zeros each raise a ValueError that names the cap,
-    with no fallback to _f_raw's uncapped loop, and the zeros verb exits 2
-    with the message on stderr and nothing on stdout."""
+    q = 1/2) and scan_zeros each raise a BracketError that names the cap,
+    with no fallback to _f_raw's uncapped loop: a computation limit, not
+    an argument error, so the zeros verb exits 1 with the bracket-failure
+    object on stdout and nothing on stderr."""
 
     def refuse(*args):
         raise AssertionError("_f_raw called")
@@ -852,14 +875,16 @@ def test_a_kernel_that_gives_up_is_a_value_error(monkeypatch, capsys):
     monkeypatch.setattr(zeros, "_PROBE_MAX_TERMS", 8)
     monkeypatch.setattr(zeros, "_f_raw", refuse)
     assert len(_rungs(required_precision(60, Q_HALF))) > 1
-    with pytest.raises(ValueError, match="gives up at 8 terms"):
+    with pytest.raises(BracketError, match="gives up at 8 terms"):
         find_zero(60, Q_HALF)
-    with pytest.raises(ValueError, match="gives up at 8 terms"):
+    with pytest.raises(BracketError, match="gives up at 8 terms"):
         scan_zeros(Q_HALF, -300, 6)
-    assert main(["zeros", "--q", "1/2", "--k", "60"]) == 2
+    assert main(["zeros", "--q", "1/2", "--k", "60"]) == 1
     out, err = capsys.readouterr()
-    assert out == ""
-    assert err.startswith("error: the kernel for f at x=") and "gives up at 8 terms" in err
+    assert err == ""
+    doc = json.loads(out)
+    assert doc["code"] == "bracket-failure"
+    assert doc["message"].startswith("the kernel for f at x=") and "gives up at 8 terms" in doc["message"]
 
 
 @pytest.mark.parametrize("q, k, p", [(Fraction(7, 15), 40, 1135), (Q_9_19, 60, 2327)], ids=str)
@@ -1310,6 +1335,18 @@ def test_find_zero_small_k_bracket_failure(k):
         find_zero(k, Q_HALF)
 
 
+@pytest.mark.parametrize("k", [80, 100])
+def test_a_budget_too_small_to_certify_the_bracket_raises(k):
+    """At q = 24/25 and 128 bits the bracket's kernel signs certify nothing
+    at 128 bits, and the default budget already finds no sign change.  An
+    uncertified sign once filled in, and x_80 came back as -2144.98...,
+    where f < 0 on both sides (bench/oracle.py:f_sign at 3,000 bits, at
+    2^-20, 2^-60 and 2^-100 relative); with every sign from _sign_at
+    there is no bracket to return."""
+    with pytest.raises(BracketError, match="no sign change"):
+        find_zero(k, Fraction(24, 25), precision_bits=128)
+
+
 def test_find_zero_explicit_precision_override():
     z = find_zero(7, Q_HALF, precision_bits=200)
     assert z.precision_bits == 200
@@ -1678,8 +1715,8 @@ def test_threads_find_the_serial_zeros():
 
 
 def test_scan_zeros_takes_q_below_the_float_range():
-    """float(1e-400) is 0.0; the scan's index estimate reads log2(1/q)
-    off the exact parts, as required_precision does."""
+    """float(1e-400) is 0.0; required_precision, whose x_2 budget the grid
+    starts at (f(-1) is about q/2), and _past_zero read q's exact parts."""
     q = Fraction(1, 10**400)
     (z,) = scan_zeros(q, -1e6, 1)
     assert z.k == 1
@@ -1737,6 +1774,10 @@ def test_paired_gaps_smallest_case():
     gaps = paired_term_gaps(1, Q_HALF, Fraction(2))
     base = Fraction(1) + Fraction(2)  # k + a/k at k = 1
     assert gaps == [base - 1]
+    # a is read as q is: an mpf or PrecReal a is its exact binary rational
+    for a in (mpf(0.5), PrecReal(0.5, 53)):
+        assert paired_term_gaps(1, Q_HALF, a) == [Fraction(1, 2)]
+        assert paired_term_gaps(3, a, a) == paired_term_gaps(3, Q_HALF, Fraction(1, 2))
 
 
 def test_paired_gaps_validation():
@@ -1744,3 +1785,6 @@ def test_paired_gaps_validation():
         paired_term_gaps(0, Q_HALF, 1)
     with pytest.raises(ValueError):
         paired_term_gaps(3, Fraction(5, 4), 1)
+    for a in (mpf("inf"), PrecReal(mpf("nan"), 53)):
+        with pytest.raises(ValueError, match="^a must be a finite rational number, got "):
+            paired_term_gaps(3, Q_HALF, a)
