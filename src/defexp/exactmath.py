@@ -78,13 +78,17 @@ def divisor_sigma(m: int, power: int = 1) -> int:
     return total
 
 
-def _positive_index(k, what: str = "zero index", least: int = 1) -> int:
-    """k as an int of at least `least`; anything else (0, 2.5, even 12.0
-    for the default 1) is a ValueError naming `what`."""
+def _integer(k, what: str) -> int:
+    """k as an int; anything else (2.5, even 12.0) is a ValueError naming `what`."""
     try:
-        k = index(k)
+        return index(k)
     except TypeError:
         raise ValueError(f"{what} must be an integer, got {k!r}") from None
+
+
+def _positive_index(k, what: str = "zero index", least: int = 1) -> int:
+    """k as an int (_integer) of at least `least`, else a ValueError naming `what`."""
+    k = _integer(k, what)
     if k < least:
         raise ValueError(f"{what} starts at {least}, got {k}")
     return k

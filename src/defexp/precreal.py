@@ -4,7 +4,8 @@ The numeric layer computes on raw mpmath.libmp tuples, each operation one
 libmp call at an explicit precision, rounded to nearest, so no
 process-global precision state is ever mutated and no MPContext is built
 to compute.  Its integer loops round as those calls round, half to even,
-through the one rule held here: _round, _divide and _round_fraction.
+through the one rule held here: _round, _divide and _round_fraction,
+which rounds the numeric C_i's one exact sum once.
 A PrecReal pairs such a raw value with the number of bits it is
 warranted to (its tag) and the working bits it was computed at.  It
 carries no arithmetic of its own.  Its .value is an mpf of
@@ -73,23 +74,16 @@ def _divide(man: int, exp: int, d: int, prec: int) -> tuple[int, int]:
     return _round(quot, exp - k, prec)
 
 
-def _fraction_bits(x: Fraction, bits: int) -> tuple[int, int]:
-    """x rounded at bits >= 2 as (man, exp), man signed: numerator and
-    denominator each rounded by _round, then their quotient by _divide."""
+def _round_fraction(x: Fraction, bits: int) -> tuple:
+    """x rounded at `bits`, the one rule for Fractions: numerator and
+    denominator each to nearest by _round, then their correctly rounded
+    quotient by _divide, the raw mpf that libmp's from_int and mpf_div give."""
     n = x.numerator
-    if not n:
-        return 0, 0
+    bits = max(bits, 2)  # the precision of context(bits)
     nm, ne = _round(abs(n), 0, bits)
     dm, de = _round(x.denominator, 0, bits)
     m, e = _divide(nm, ne - de, dm, bits)
-    return (-m if n < 0 else m), e
-
-
-def _round_fraction(x: Fraction, bits: int) -> tuple:
-    """x rounded at `bits`, the one rule for Fractions: numerator and
-    denominator each to nearest, then their correctly rounded quotient,
-    the raw mpf that libmp's from_int and mpf_div give (_fraction_bits)."""
-    return from_man_exp(*_fraction_bits(x, max(bits, 2)))  # the precision of context(bits)
+    return from_man_exp(-m if n < 0 else m, e)
 
 
 def _raw(x, bits: int):

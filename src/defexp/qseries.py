@@ -6,8 +6,8 @@ are the divisor-power series A_i = sum m^i sigma(m) q^m, the Eisenstein
 series E2/E4/E6 (their Lambert series rewritten as divisor sums), and
 Jacobi's cube P0 = prod (1-q^n)^3 = sum (-1)^(j-1) (2j-1) q^(j(j-1)/2).
 fj_extract repackages the reduced C_i by powers of q.  Only
-eval_series_numeric rounds: it loads mpmath and precreal when called,
-so the exact layer imports neither.
+eval_series_numeric rounds, once, after an exact sum: it loads mpmath
+and precreal when called, so the exact layer imports neither.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 
-from .exactmath import _positive_index, _q_fraction, divisor_sigma, ring_power, truncated_product
+from .exactmath import _integer, _positive_index, _q_fraction, divisor_sigma, ring_power, truncated_product
 from .symcoeff import _unpack, reduced_c_n
 
 __all__ = [
@@ -40,6 +40,14 @@ SERIES_TRUNC = 60
 _K_REPORT = 20
 
 
+def _order(n, what: str = "truncation order") -> int:
+    """n as an int (_integer) of at least 0, else a ValueError naming `what`."""
+    n = _integer(n, what)
+    if n < 0:
+        raise ValueError(f"{what} must be nonnegative")
+    return n
+
+
 class QSeries:
     """Truncated power series in q over Fraction (orders 0..trunc)."""
 
@@ -47,10 +55,7 @@ class QSeries:
 
     def __init__(self, coeffs, trunc: int | None = None):
         cs = [Fraction(c) for c in coeffs]
-        if trunc is None:
-            trunc = len(cs) - 1
-        if trunc < 0:
-            raise ValueError("truncation order must be nonnegative")
+        trunc = _order(len(cs) - 1 if trunc is None else trunc)
         if len(cs) > trunc + 1:
             raise ValueError("more coefficients than the truncation order admits")
         cs.extend([Fraction(0)] * (trunc + 1 - len(cs)))
@@ -134,8 +139,7 @@ class QSeries:
 
 def a_series(i: int, trunc: int) -> QSeries:
     """A_i = sum_{m>=1} m^i sigma(m) q^m, truncated."""
-    if i < 0:
-        raise ValueError("A index must be nonnegative")
+    i, trunc = _order(i, "A index"), _order(trunc)
     return QSeries(
         [Fraction(0)] + [Fraction(m**i * divisor_sigma(m)) for m in range(1, trunc + 1)],
         trunc,
@@ -152,6 +156,7 @@ def eisenstein_q(which: str, trunc: int) -> QSeries:
     """
     if which not in _EISENSTEIN:
         raise ValueError(f"unknown Eisenstein series {which!r}")
+    trunc = _order(trunc)
     scale, power = _EISENSTEIN[which]
     coeffs = [Fraction(1)] + [
         Fraction(scale * divisor_sigma(m, power)) for m in range(1, trunc + 1)
@@ -161,6 +166,7 @@ def eisenstein_q(which: str, trunc: int) -> QSeries:
 
 def jacobi_p0(trunc: int) -> QSeries:
     """P0 as the theta sum: sum_{j>=1} (-1)^(j-1) (2j-1) q^(j(j-1)/2)."""
+    trunc = _order(trunc)
     coeffs = [Fraction(0)] * (trunc + 1)
     j = 1
     while j * (j - 1) // 2 <= trunc:
@@ -175,8 +181,7 @@ def jacobi_p0_product(trunc: int) -> QSeries:
     Independent of the theta-sum route; factors with n > trunc cannot
     touch the kept orders.
     """
-    if trunc < 0:
-        raise ValueError("truncation order must be nonnegative")
+    trunc = _order(trunc)
     coeffs = [Fraction(0)] * (trunc + 1)
     coeffs[0] = Fraction(1)
     for n in range(1, trunc + 1):
@@ -223,8 +228,7 @@ def eval_mpoly_series(p, trunc: int) -> QSeries:
     family = p.family
     if family not in ("A", "E"):
         raise ValueError(f"cannot evaluate symbol family {family!r} as q-series")
-    if trunc < 0:
-        raise ValueError("truncation order must be nonnegative")
+    trunc = _order(trunc)
     acc = [0] * (trunc + 1)
     for key, c in p.nums.items():
         for k, v in enumerate(_monomial_series(family, _unpack(key), trunc)):
@@ -234,38 +238,23 @@ def eval_mpoly_series(p, trunc: int) -> QSeries:
 
 
 def eval_series_numeric(s: QSeries, q0, precision_bits: int) -> PrecReal:
-    """Horner evaluation at 0 < q0 < 1 on Python ints, at a working
-    precision of at least 4 bits.  q0 is read as an exact Fraction
-    (_q_fraction); it and each coefficient are rounded as _round_fraction
-    rounds, and each product acc q and each sum is formed exactly and
-    rounded once to nearest, half to even.  That is bit for bit the loop
-    of libmp's mpf_mul and mpf_add it replaces: a sum of operands more
-    than bits + 4 bits apart in magnitude rounds back to the larger."""
-    from mpmath.libmp import from_man_exp
-
-    from .precreal import _fraction_bits, _round, _tagged
+    """The truncated series at 0 < q0 < 1, as one exact sum rounded once,
+    at a working precision of at least 4 bits.  q0 is read as an exact
+    Fraction a/b (_q_fraction) and the coefficients are n_j/den over
+    their one denominator, so the sum is acc/(den b^T) with the integer
+    acc = sum n_j a^j b^(T-j), formed by Horner from the top order down;
+    that Fraction is rounded by _round_fraction and tagged bits."""
+    from .precreal import _round_fraction, _tagged
 
     bits = _positive_index(precision_bits, "working precision in bits", 4)
-    qm, qe = _fraction_bits(_q_fraction(q0), bits)
-    if qm.bit_length() + qe > 0:  # q0 rounds to 1
-        raise ValueError("series evaluation needs 0 < q0 < 1")
-    am = ae = 0  # the accumulator am 2^ae, am signed
+    qf = _q_fraction(q0)
+    a, b = qf.numerator, qf.denominator
+    den = lcm(*(c.denominator for c in s.coeffs))
+    acc, bp = 0, 1  # bp = b^(T-j)
     for c in reversed(s.coeffs):
-        if am:
-            m, ae = _round(abs(am) * qm, ae + qe, bits)
-            am = -m if am < 0 else m
-        cm, ce = _fraction_bits(c, bits)
-        if not cm:
-            continue
-        gap = am.bit_length() + ae - cm.bit_length() - ce
-        if not am or gap < -bits - 4:
-            am, ae = cm, ce
-        elif gap <= bits + 4:
-            e = min(ae, ce)
-            total = (am << (ae - e)) + (cm << (ce - e))
-            m, ae = _round(abs(total), e, bits)
-            am = -m if total < 0 else m
-    return _tagged(from_man_exp(am, ae), bits)
+        acc = acc * a + c.numerator * (den // c.denominator) * bp
+        bp *= b
+    return _tagged(_round_fraction(Fraction(acc, den * b**s.trunc), bits), bits)
 
 
 @lru_cache(maxsize=None)
@@ -277,7 +266,7 @@ def _coefficient_series(i: int, trunc: int) -> QSeries:
 @lru_cache(maxsize=256)  # keyed by bits, which every k sets anew
 def coefficient_value(i: int, q: Fraction, trunc: int, precision_bits: int) -> PrecReal:
     """Numeric C_i(q) from the reduced coefficient's truncated q-series."""
-    series = _coefficient_series(i, trunc)
+    series = _coefficient_series(_positive_index(i, "C index"), _order(trunc))
     return eval_series_numeric(series, q, precision_bits)
 
 
@@ -313,6 +302,7 @@ class FjTable:
 
 def fj_extract(i_max: int, j_max: int) -> FjTable:
     """Exact C_{ij} table from the reduced coefficients' q-series."""
+    i_max, j_max = _integer(i_max, "table bound"), _integer(j_max, "table bound")
     if i_max < 1 or j_max < 1:
         raise ValueError("table bounds must be positive")
     rows = []
