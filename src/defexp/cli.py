@@ -32,7 +32,7 @@ import sys
 from fractions import Fraction
 from functools import lru_cache
 
-from .exactmath import BracketError, _q_fraction
+from .exactmath import BracketError, _positive_index, _q_fraction
 from .jpoly import DecompositionError
 from .qseries import a_series, eisenstein_q, eval_mpoly_series, fj_extract, jacobi_p0
 from .symcoeff import c_n, reduced_c_n, to_eisenstein
@@ -91,13 +91,8 @@ def _cmd_series(args) -> int:
         m = _SERIES_RE.match(expr)
         if not m:
             raise ValueError(f"unknown series expression {expr!r}")
-        kind, idx = m.group(1), int(m.group(2))
-        if kind == "A":
-            series = a_series(idx, trunc)
-        else:
-            if idx < 1:
-                raise ValueError("C-series index starts at 1")
-            series = eval_mpoly_series(c_n(idx), trunc)
+        idx = int(m.group(2))  # c_n refuses C0 before any work
+        series = a_series(idx, trunc) if m.group(1) == "A" else eval_mpoly_series(c_n(idx), trunc)
     _emit(series.to_json())
     return 0
 
@@ -111,8 +106,7 @@ def _zero_table(q, k_min: int, k_max: int, flag: str = "--kmin", n: int = 0, bey
 
     if k_max < k_min:
         raise ValueError(f"--kmax must be at least {flag}")
-    if n < 0:
-        raise ValueError("truncation order must be nonnegative")
+    _positive_index(n, "truncation order", 0)  # residual_profile's rule, read early
     return zero_table(q, k_min, k_max + beyond, precision_bits=_env_precision())
 
 

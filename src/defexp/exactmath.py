@@ -1,6 +1,8 @@
 """Exact scalar arithmetic: Bernoulli numbers, binomials, divisor sums,
 and the dense product and power shared by the polynomial and series types;
-also the argument checks and the BracketError that every entry point shares.
+also the argument checks and the BracketError that every entry point shares:
+_positive_index, the one rule for an index, order, power or bit count, and
+_rational and _q_fraction, the readers of an exact rational and of q.
 
 All quantities are exact rationals (`fractions.Fraction`).  Wherever the
 package writes a rational out, it is ``str(Fraction)``: ``"p/q"`` in
@@ -29,9 +31,7 @@ def bernoulli(n: int) -> Fraction:
     Computed from the defining recurrence sum_{k=0}^{n} C(n+1,k) B_k = 0
     and cached per index.
     """
-    if n < 0:
-        raise ValueError("Bernoulli index must be nonnegative")
-    return _bernoulli(n)
+    return _bernoulli(_positive_index(n, "Bernoulli index", 0))
 
 
 @cache
@@ -53,8 +53,7 @@ def gen_binomial(alpha, k: int):
     polynomial); the result has the matching kind, for k = 0 as well, where
     it is alpha**0.
     """
-    if k < 0:
-        raise ValueError("lower index must be nonnegative")
+    k = _positive_index(k, "lower index", 0)
     result = alpha**0
     for i in range(k):
         result = result * (alpha - i)
@@ -64,10 +63,8 @@ def gen_binomial(alpha, k: int):
 def divisor_sigma(m: int, power: int = 1) -> int:
     """Sum of d**power over the positive divisors d of m, by trial division;
     power is nonnegative, so the sum is an int."""
-    if m < 1:
-        raise ValueError("divisor sum needs a positive integer")
-    if power < 0:
-        raise ValueError("divisor sum needs a nonnegative power")
+    m = _positive_index(m, "divisor sum argument")
+    power = _positive_index(power, "divisor sum power", 0)
     total = 0
     for d in range(1, isqrt(m) + 1):
         if m % d == 0:
@@ -78,17 +75,14 @@ def divisor_sigma(m: int, power: int = 1) -> int:
     return total
 
 
-def _integer(k, what: str) -> int:
-    """k as an int; anything else (2.5, even 12.0) is a ValueError naming `what`."""
+def _positive_index(k, what: str = "zero index", least: int = 1) -> int:
+    """k as an int of at least `least`, the one index rule: every index,
+    order, power and bit count a public function takes is read by it.
+    Anything else (2.5, even 12.0) is a ValueError naming `what`."""
     try:
-        return index(k)
+        k = index(k)
     except TypeError:
         raise ValueError(f"{what} must be an integer, got {k!r}") from None
-
-
-def _positive_index(k, what: str = "zero index", least: int = 1) -> int:
-    """k as an int (_integer) of at least `least`, else a ValueError naming `what`."""
-    k = _integer(k, what)
     if k < least:
         raise ValueError(f"{what} starts at {least}, got {k}")
     return k
@@ -136,8 +130,7 @@ def truncated_product(a, b, trunc: int) -> list:
 
 def ring_power(base, n: int, one):
     """base**n by repeated squaring, starting from the unit `one`."""
-    if n < 0:
-        raise ValueError("negative power")
+    n = _positive_index(n, "power", 0)
     result = one
     while n:
         if n & 1:
@@ -155,8 +148,7 @@ def power_sum_poly(m: int):
     top term j^m; degree m+1.  For m >= 2 the coefficient of j is
     (-1)^m B_m (at m = 1 the subtracted top term lands on j as well).
     """
-    if m < 1:
-        raise ValueError("power sum exponent must be >= 1")
+    m = _positive_index(m, "power sum exponent")
     from .jpoly import JPoly  # deferred: JPoly layer builds on this module
 
     coeffs = [Fraction(0)] * (m + 2)

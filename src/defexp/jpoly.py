@@ -19,7 +19,7 @@ from functools import cache
 from itertools import zip_longest
 from math import gcd, lcm
 
-from .exactmath import gen_binomial, power_sum_poly, ring_power, truncated_product
+from .exactmath import _positive_index, gen_binomial, power_sum_poly, ring_power, truncated_product
 
 __all__ = [
     "DecompositionError",
@@ -243,9 +243,7 @@ def sigma_poly(i: int) -> JPoly:
     m sigma_m = sum_{k=1}^{m} (-1)^(k-1) p_k sigma_{m-k}.  Degree 2i;
     sigma_i(j) vanishes at integers j <= i.
     """
-    if i < 0:
-        raise ValueError("sigma index must be nonnegative")
-    return _sigma(i)
+    return _sigma(_positive_index(i, "sigma index", 0))
 
 
 @cache
@@ -268,9 +266,7 @@ def q_poly(k: int) -> JPoly:
     they satisfy Q_k(j) = (-1)^k sigma_k(1 - j), which builds each one
     from sigma_k by a Taylor shift in integer additions.
     """
-    if k < 0:
-        raise ValueError("Q index must be nonnegative")
-    return _q(k)
+    return _q(_positive_index(k, "Q index", 0))
 
 
 @cache
@@ -285,20 +281,23 @@ def _q(m: int) -> JPoly:
     return JPoly._from_nums([-c if (t + m) % 2 else c for t, c in enumerate(a)], s.den)
 
 
-def _check_block_indices(n_order: int, m: int) -> None:
-    if m < 0 or n_order < 2 * m:
+def _block_indices(n_order, m) -> tuple[int, int]:
+    """N and m read by the index rule (_positive_index), with 2m <= N."""
+    n_order, m = _positive_index(n_order, "block order", 0), _positive_index(m, "block index", 0)
+    if n_order < 2 * m:
         raise ValueError(f"block indices need 0 <= 2m <= N, got N={n_order}, m={m}")
+    return n_order, m
 
 
 def g_coeff(n_order: int, m: int) -> JPoly:
     """Kernel block G(N, m) = C(j, m) * Q_{N-2m}(j)."""
-    _check_block_indices(n_order, m)
+    n_order, m = _block_indices(n_order, m)
     return gen_binomial(J, m) * _q(n_order - 2 * m)
 
 
 def h_coeff(n_order: int, m: int) -> JPoly:
     """Kernel block H(N, m) = (-1)^N * C(1-j, m) * sigma_{N-2m}(j)."""
-    _check_block_indices(n_order, m)
+    n_order, m = _block_indices(n_order, m)
     p = gen_binomial(JPoly((1, -1)), m) * _sigma(n_order - 2 * m)
     return -p if n_order % 2 else p
 
@@ -310,7 +309,7 @@ def delta(n_order: int, m: int) -> UVForm:
     part would mean the blocks were assembled wrongly, and raises
     DecompositionError.
     """
-    _check_block_indices(n_order, m)
+    n_order, m = _block_indices(n_order, m)
     return _delta(n_order, m)
 
 

@@ -8,10 +8,11 @@ through the one rule held here: _round, _divide and _round_fraction,
 which rounds the numeric C_i's one exact sum once.
 A PrecReal pairs such a raw value with the number of bits it is
 warranted to (its tag) and the working bits it was computed at.  It
-carries no arithmetic of its own.  Its .value is an mpf of
-context(working bits), the one shared MPContext per precision, built on
-the first read; comparison, hashing, abs and printing read the raw value
-and build none.
+carries no arithmetic of its own.  Its .value is an mpf of its home: a
+computed value's and a string's is context(working bits), the shared
+MPContext per precision, built on the first read; an mpf keeps its own
+context, and a Fraction, int or float lives in _VALUES.  Comparison,
+hashing, abs and printing read the raw value and build none.
 """
 
 from __future__ import annotations
@@ -22,18 +23,19 @@ from functools import lru_cache
 from mpmath.ctx_mp import MPContext
 from mpmath.libmp import from_float, from_int, from_man_exp, from_str, mpf_abs, mpf_eq, mpf_hash, to_str
 
+from .exactmath import _positive_index
+
 __all__ = ["PrecReal", "context", "to_mpf"]
 
 _DIGITS_PER_BIT = 0.3010299956639812  # log10(2)
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=64, typed=True)  # typed: a cached context(2) answers no 2.0
 def context(bits: int) -> MPContext:
-    """Shared context at a fixed binary precision (never mutated after creation)."""
-    if bits < 2:
-        bits = 2
+    """Shared context at `bits` of binary precision, read by _positive_index
+    and raised to at least 2; never mutated after creation."""
     ctx = MPContext()
-    ctx.prec = bits
+    ctx.prec = max(_positive_index(bits, "precision in bits"), 2)
     return ctx
 
 
@@ -124,7 +126,7 @@ class PrecReal:
     __slots__ = ("_mpf_", "_home", "precision_bits")
 
     def __init__(self, value, precision_bits: int):
-        precision_bits = max(int(precision_bits), 1)
+        precision_bits = _positive_index(precision_bits, "precision in bits")
         raw = _raw(value, precision_bits)
         if raw is None:
             raise ValueError("a PrecReal holds a real value")

@@ -17,7 +17,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 
-from .exactmath import _integer, _positive_index, _q_fraction, divisor_sigma, ring_power, truncated_product
+from .exactmath import _positive_index, _q_fraction, divisor_sigma, ring_power, truncated_product
 from .symcoeff import _unpack, reduced_c_n
 
 __all__ = [
@@ -40,14 +40,6 @@ SERIES_TRUNC = 60
 _K_REPORT = 20
 
 
-def _order(n, what: str = "truncation order") -> int:
-    """n as an int (_integer) of at least 0, else a ValueError naming `what`."""
-    n = _integer(n, what)
-    if n < 0:
-        raise ValueError(f"{what} must be nonnegative")
-    return n
-
-
 class QSeries:
     """Truncated power series in q over Fraction (orders 0..trunc)."""
 
@@ -55,7 +47,7 @@ class QSeries:
 
     def __init__(self, coeffs, trunc: int | None = None):
         cs = [Fraction(c) for c in coeffs]
-        trunc = _order(len(cs) - 1 if trunc is None else trunc)
+        trunc = _positive_index(len(cs) - 1 if trunc is None else trunc, "truncation order", 0)
         if len(cs) > trunc + 1:
             raise ValueError("more coefficients than the truncation order admits")
         cs.extend([Fraction(0)] * (trunc + 1 - len(cs)))
@@ -71,7 +63,8 @@ class QSeries:
         return cls((value,), trunc)
 
     def coeff(self, m: int) -> Fraction:
-        if not 0 <= m <= self.trunc:
+        m = _positive_index(m, "order", 0)
+        if m > self.trunc:
             raise IndexError(f"order {m} outside truncation {self.trunc}")
         return self.coeffs[m]
 
@@ -139,7 +132,7 @@ class QSeries:
 
 def a_series(i: int, trunc: int) -> QSeries:
     """A_i = sum_{m>=1} m^i sigma(m) q^m, truncated."""
-    i, trunc = _order(i, "A index"), _order(trunc)
+    i, trunc = _positive_index(i, "A index", 0), _positive_index(trunc, "truncation order", 0)
     return QSeries(
         [Fraction(0)] + [Fraction(m**i * divisor_sigma(m)) for m in range(1, trunc + 1)],
         trunc,
@@ -156,7 +149,7 @@ def eisenstein_q(which: str, trunc: int) -> QSeries:
     """
     if which not in _EISENSTEIN:
         raise ValueError(f"unknown Eisenstein series {which!r}")
-    trunc = _order(trunc)
+    trunc = _positive_index(trunc, "truncation order", 0)
     scale, power = _EISENSTEIN[which]
     coeffs = [Fraction(1)] + [
         Fraction(scale * divisor_sigma(m, power)) for m in range(1, trunc + 1)
@@ -166,7 +159,7 @@ def eisenstein_q(which: str, trunc: int) -> QSeries:
 
 def jacobi_p0(trunc: int) -> QSeries:
     """P0 as the theta sum: sum_{j>=1} (-1)^(j-1) (2j-1) q^(j(j-1)/2)."""
-    trunc = _order(trunc)
+    trunc = _positive_index(trunc, "truncation order", 0)
     coeffs = [Fraction(0)] * (trunc + 1)
     j = 1
     while j * (j - 1) // 2 <= trunc:
@@ -181,7 +174,7 @@ def jacobi_p0_product(trunc: int) -> QSeries:
     Independent of the theta-sum route; factors with n > trunc cannot
     touch the kept orders.
     """
-    trunc = _order(trunc)
+    trunc = _positive_index(trunc, "truncation order", 0)
     coeffs = [Fraction(0)] * (trunc + 1)
     coeffs[0] = Fraction(1)
     for n in range(1, trunc + 1):
@@ -228,7 +221,7 @@ def eval_mpoly_series(p, trunc: int) -> QSeries:
     family = p.family
     if family not in ("A", "E"):
         raise ValueError(f"cannot evaluate symbol family {family!r} as q-series")
-    trunc = _order(trunc)
+    trunc = _positive_index(trunc, "truncation order", 0)
     acc = [0] * (trunc + 1)
     for key, c in p.nums.items():
         for k, v in enumerate(_monomial_series(family, _unpack(key), trunc)):
@@ -263,10 +256,12 @@ def _coefficient_series(i: int, trunc: int) -> QSeries:
     return eval_mpoly_series(reduced_c_n(i), trunc)
 
 
-@lru_cache(maxsize=256)  # keyed by bits, which every k sets anew
+# keyed by bits, which every k sets anew; typed, so a cached C_2 answers no 2.0
+@lru_cache(maxsize=256, typed=True)
 def coefficient_value(i: int, q: Fraction, trunc: int, precision_bits: int) -> PrecReal:
     """Numeric C_i(q) from the reduced coefficient's truncated q-series."""
-    series = _coefficient_series(_positive_index(i, "C index"), _order(trunc))
+    i, trunc = _positive_index(i, "C index"), _positive_index(trunc, "truncation order", 0)
+    series = _coefficient_series(i, trunc)
     return eval_series_numeric(series, q, precision_bits)
 
 
@@ -302,13 +297,11 @@ class FjTable:
 
 def fj_extract(i_max: int, j_max: int) -> FjTable:
     """Exact C_{ij} table from the reduced coefficients' q-series."""
-    i_max, j_max = _integer(i_max, "table bound"), _integer(j_max, "table bound")
-    if i_max < 1 or j_max < 1:
-        raise ValueError("table bounds must be positive")
+    i_max, j_max = _positive_index(i_max, "table bound"), _positive_index(j_max, "table bound")
     rows = []
     for i in range(1, i_max + 1):
         series = eval_mpoly_series(reduced_c_n(i), j_max)
-        rows.append(tuple(series.coeff(j) for j in range(j_max + 1)))
+        rows.append(series.coeffs)
     negatives = []
     for j in range(1, j_max + 1):
         # F_j(1/k) = s(k) / (den k^(i_max+1)), s(k) = sum_i nums[i-1] k^(i_max-i)

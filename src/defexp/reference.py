@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .exactmath import bernoulli
+from .exactmath import _positive_index, bernoulli
 from .jpoly import J, JPoly, UVForm, delta
 from .symcoeff import (
     MPoly,
@@ -159,8 +159,7 @@ def bernoulli_linear_parts(n: int) -> tuple[tuple[Fraction, ...], tuple[Fraction
     C_{2n-1}: (6 B_{2n}/n) A_0 - (36 B_{2n}/n) A_1 + (1 + 30 B_{2n}/n) A_2
     C_{2n}:                 - (6 B_{2n}/n) A_1 + (6 B_{2n}/n - 1) A_2
     """
-    if n < 2:
-        raise ValueError("the linear-term pattern starts at n = 2")
+    n = _positive_index(n, "linear-term pattern index", 2)
     b = bernoulli(2 * n) / n
     odd = (6 * b, -36 * b, 1 + 30 * b)
     even = (Fraction(0), -6 * b, 6 * b - 1)

@@ -22,11 +22,11 @@ the A-ring, so each product of lower coefficients is formed only once.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache, partial, reduce
+from functools import cache, lru_cache, partial, reduce
 from math import gcd, lcm
 from operator import add, or_
 
-from .exactmath import gen_binomial
+from .exactmath import _positive_index, gen_binomial
 from .jpoly import (
     DecompositionError,
     J,
@@ -164,8 +164,7 @@ class MPoly:
 
     @classmethod
     def symbol(cls, family: str, index: int) -> "MPoly":
-        if index < 0:
-            raise ValueError("symbol index must be nonnegative")
+        index = _positive_index(index, "symbol index", 0)
         return cls(family, {(0,) * index + (1,): Fraction(1)})
 
     # -- queries --------------------------------------------------------
@@ -349,9 +348,7 @@ def a_symbol(i: int) -> MPoly:
 
 def c_symbol(i: int) -> MPoly:
     """The coefficient symbol C_i (i >= 1) as a one-term polynomial."""
-    if i < 1:
-        raise ValueError("C-symbols start at C_1")
-    return MPoly.symbol("C", i - 1)
+    return MPoly.symbol("C", _positive_index(i, "C index") - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -472,9 +469,7 @@ def to_eisenstein(p: MPoly) -> MPoly:
 
 def p_m(m: int) -> MPoly:
     """P_m (P_1 = A_0, P_{m+1} = theta(P_m) - 3 A_0 P_m)."""
-    if m < 1:
-        raise ValueError("P index starts at 1")
-    return _p(m)
+    return _p(_positive_index(m, "P index"))
 
 
 @cache
@@ -487,8 +482,9 @@ def _p(m: int) -> MPoly:
 
 def s_poly(i: int, n: int) -> MPoly:
     """S_i(n) as a polynomial in the symbols C_1..C_{n-1}."""
-    if n < 1 or not 0 <= i <= n:
-        raise ValueError(f"S indices need 1 <= n and 0 <= i <= n, got i={i}, n={n}")
+    i, n = _positive_index(i, "S index i", 0), _positive_index(n, "S order n")
+    if i > n:
+        raise ValueError(f"S indices need 0 <= i <= n, got i={i}, n={n}")
     return _s(n)[i]
 
 
@@ -499,8 +495,7 @@ def _s(n: int) -> tuple[MPoly, ...]:
 
 def c_n(n: int) -> MPoly:
     """The expansion coefficient C_n, raw form in A_0..A_{n-1}."""
-    if n < 1:
-        raise ValueError("C index starts at 1")
+    n = _positive_index(n, "C index")
     # ascending, so every build finds C_1..C_{m-1} cached and a cold
     # call's stack depth does not grow with n
     for m in range(1, n):
@@ -516,7 +511,7 @@ def _c(m: int) -> MPoly:
     return _weighted_sum("A", [(-1, s_a[0], None)] + terms)
 
 
-@cache
+@lru_cache(maxsize=None, typed=True)  # typed: a cached C_2 answers no 2.0
 def reduced_c_n(n: int) -> MPoly:
     """C_n rewritten in Q[A_0, A_1, A_2] (cached reduce_to_A012(c_n(n)))."""
     return reduce_to_A012(c_n(n))
@@ -631,8 +626,7 @@ def kernel_expand(n: int) -> tuple[MPoly, ...]:
     decomposed in the (u, v) basis, and a pure-v part raises
     DecompositionError.
     """
-    if n < 1:
-        raise ValueError("kernel order starts at 1")
+    n = _positive_index(n, "kernel order")
     top = n + 1  # G and H are needed through x^(n+1)
 
     ax2 = [dict() for _ in range(top + 1)]

@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from mpmath.libmp import fone, from_int, mpf_div, mpf_mul, mpf_neg, mpf_pow_int, mpf_sub
 
-from .exactmath import _q_fraction
+from .exactmath import _positive_index, _q_fraction
 from .precreal import PrecReal, _round_fraction, _tagged
 from .qseries import SERIES_TRUNC, FjTable, coefficient_value, fj_extract
 from .zeros import ZeroResult, find_zero
@@ -37,8 +37,9 @@ def zero_table(
     q, k_min: int, k_max: int, precision_bits: int | None = None
 ) -> dict[int, ZeroResult]:
     """find_zero over a k range, keyed by k: the checks below read zeros
-    only from such a table.  find_zero checks every argument, an explicit
-    precision_bits (an int of at least 8) included, before any work."""
+    only from such a table.  The k bounds are read by _positive_index, and
+    find_zero checks q and precision_bits (an int of at least 8) before any work."""
+    k_min, k_max = _positive_index(k_min), _positive_index(k_max)
     return {k: find_zero(k, q, precision_bits=precision_bits) for k in range(k_min, k_max + 1)}
 
 
@@ -84,15 +85,15 @@ def residual_profile(q, n: int, k_values, zeros: dict[int, ZeroResult]) -> Resid
     working precision.
 
     The zeros are read only from `zeros` (a zero_table, so several orders
-    n share one expensive table): the entry keyed k must be x_k at this q,
-    and a k the table lacks is a ValueError raised before any row.  Each
-    step is one libmp call on raw mpfs, rounded to nearest at those bits.
+    n share one expensive table): n and each k are read by _positive_index,
+    the entry keyed k must be x_k at this q, and a k the table lacks is a
+    ValueError raised before any row.  Each step is one libmp call on
+    raw mpfs, rounded to nearest at those bits.
     """
-    if n < 0:
-        raise ValueError("truncation order must be nonnegative")
+    n = _positive_index(n, "truncation order", 0)
     qf = _q_fraction(q)
     rows = []
-    for zr in [_supplied_zero(zeros, k, qf) for k in sorted(k_values)]:
+    for zr in [_supplied_zero(zeros, _positive_index(k), qf) for k in sorted(k_values)]:
         k, b = zr.k, zr.precision_bits
         kk = from_int(k, b, "n")
         lead = mpf_mul(kk, mpf_pow_int(_round_fraction(qf, b), 1 - k, b, "n"), b, "n")
@@ -115,6 +116,7 @@ def ratio_check(
     ValueError raised before any row.
     """
     qf = _q_fraction(q)
+    k_min, k_max = _positive_index(k_min), _positive_index(k_max)
     out = []
     table = {k: _supplied_zero(zeros, k, qf) for k in range(k_min, k_max + 2)}
     for k in range(k_min, k_max + 1):

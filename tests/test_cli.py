@@ -317,7 +317,7 @@ def test_residuals_reject_a_negative_order_before_any_zero(capsys, monkeypatch):
     code, out, err = run_cli(capsys, *argv, "--n", "-1")
     assert code == 2
     assert out == ""
-    assert "truncation order must be nonnegative" in err
+    assert "truncation order starts at 0, got -1" in err
     with pytest.raises(AssertionError, match="zero table built"):
         main([*argv, "--n", "0"])
 

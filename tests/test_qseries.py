@@ -127,7 +127,7 @@ def test_theta_sum_equals_product_form():
 
 def test_both_forms_of_p0_reject_a_negative_truncation():
     for form in (jacobi_p0, jacobi_p0_product):
-        with pytest.raises(ValueError, match="truncation order must be nonnegative"):
+        with pytest.raises(ValueError, match="^truncation order starts at 0, got -1$"):
             form(-1)
 
 
