@@ -366,11 +366,12 @@ def _certify(guess: tuple, k: int, qf: Fraction, p: int, bits: int) -> tuple | N
     """Newton from the guess, a raw mpf at `bits`, on the kernel at p bits
     to a zero x; when the certified signs (_sign_at from p) are (-1)^k at
     x (1 + 2^-(p // 2)) and (-1)^(k - 1) at x (1 - 2^-(p // 2)), a sign
-    change of x_k's parity, those two raw points at `bits` followed by
-    the raw x and the log2 steps that located it; else None."""
+    change of x_k's parity, those two raw points at max(p, bits) bits, the
+    raw x and the log2 steps that located it; else None, and find_zero,
+    which requires a certificate on both routes, finds no zero."""
     steps: list[float] = []
     located, _ = _newton(guess, qf, p, p, steps, p.bit_length() + 8, True)
-    points = _around(located, mpf_pow_int(ftwo, -(p // 2), bits, _NEAREST), bits)
+    points = _around(located, from_man_exp(1, -(p // 2)), max(p, bits))
     for t, want in zip(points, ((-1) ** k, (-1) ** (k - 1))):
         if _sign_at(t, qf, p)[0] != want:
             return None
@@ -443,14 +444,15 @@ def find_zero(k: int, q, precision_bits: int | None = None) -> ZeroResult:
     that is not negative raises BracketError at once (the caller should
     fall back to scan_zeros on every BracketError).  Else _certify locates
     a zero x by Newton on the integer kernel at p bits (the ladder's
-    bottom rung, or min(B, 128) below the ladder) and certifies the kernel
-    signs (-1)^k at x (1 + 2^-(p // 2)) and (-1)^(k - 1) at
+    bottom rung, or 128 at every budget below the ladder) and certifies
+    the kernel signs (-1)^k at x (1 + 2^-(p // 2)) and (-1)^(k - 1) at
     x (1 - 2^-(p // 2)), a sign change of x_k's parity (_sign_at from p).
+    That certificate is required on both routes: it must exist and lie
+    within relative half-width 1/(4k) of the guess (beyond that a
+    neighbouring zero could be captured), else BracketError.
 
-    From _LADDER_MIN_BITS = 648 working bits on, that certificate is the
-    bracket.  It must exist and lie within relative half-width 1/(4k) of
-    the guess (beyond that a neighbouring zero could be captured), else
-    BracketError.  Newton climbs from the located x, whose steps open
+    From _LADDER_MIN_BITS = 648 working bits on, the certificate is the
+    bracket.  Newton climbs from the located x, whose steps open
     newton_rel_steps, up the rungs p_(i+1) = p_i // 2 + 32 above the bottom
     one to p_0 = B, every f read off _probe_sum at the rung's bits: one
     step on each rung, each about doubling the correct bits with f(qx)
@@ -492,34 +494,32 @@ def find_zero(k: int, q, precision_bits: int | None = None) -> ZeroResult:
     if not mpf_lt(guess, fzero):  # f > 0 on [0, inf): no bracket around it changes sign
         raise BracketError(no_change)
 
-    cert = _certify(guess, k, qf, rungs[-1] if ladder else min(bits, _LADDER_BASE_BITS), bits)
+    cert = _certify(guess, k, qf, rungs[-1] if ladder else _LADDER_BASE_BITS, bits)
+    far, near = _around(guess, delta_max, bits)
+    if not (cert and mpf_le(far, cert[0]) and mpf_le(cert[1], near)):  # no certificate, no zero
+        raise BracketError(no_change)
     if ladder:  # the certificate is the bracket, and Newton climbs from its x
-        far, near = _around(guess, delta_max, bits)
-        if not (cert and mpf_le(far, cert[0]) and mpf_le(cert[1], near)):
-            raise BracketError(no_change)
         lo, hi, x, steps = cert
     else:  # the bracket and the bisection that the README goldens pin
         # one grid 2^F for bracket, bands and bisection: each bracket end
         # and midpoint has |t| > |guess|/2 and at most B bits, so its last
-        # bit lies at or above F
-        _, _, ge, gbc = guess
-        F = ge + gbc - bits - 2
+        # bit lies at or above F, as do the certificate points' last bits
+        F = min(guess[2] + guess[3] - bits - 2, cert[0][2], cert[1][2])
 
         def grid(t: tuple) -> int:  # raw mpf t in units of 2^F: exact on the grid, else floored
             s, m, e, _ = t
             v = -m if s else m
             return v << (e - F) if e >= F else v >> (F - e)
 
-        if cert:  # the bands [c_in/q, c_out] and [c_in, q c_out], exact on the grid
-            F = min(F, cert[0][2], cert[1][2])
-            c_out, c_in = grid(cert[0]), grid(cert[1])
-            beyond = -(-c_in * qf.denominator // qf.numerator)
-            within = c_out * qf.numerator // qf.denominator
+        # the bands [c_in/q, c_out] and [c_in, q c_out], exact on the grid
+        c_out, c_in = grid(cert[0]), grid(cert[1])
+        beyond = -(-c_in * qf.denominator // qf.numerator)
+        within = c_out * qf.numerator // qf.denominator
 
         def sign(t: int) -> int:
-            if cert and beyond <= t <= c_out:
+            if beyond <= t <= c_out:
                 return (-1) ** k
-            if cert and c_in <= t <= within:
+            if c_in <= t <= within:
                 return (-1) ** (k - 1)
             return _sign_at(from_man_exp(t, F), qf, bits)[0]
 

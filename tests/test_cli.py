@@ -191,13 +191,13 @@ def test_zeros_single_and_range(capsys):
 
 
 def test_zeros_bracket_failure_is_a_json_error(capsys):
-    """No sign change around the guess (x_2 at q = 1/2), or one whose
-    outer end has the sign of the wrong parity (the sign change is x_10
-    for k = 11 at q = 17/20, x_11 for k = 14 at q = 9/10)."""
+    """No sign change around the guess (x_2 at q = 1/2), or none of x_k's
+    parity: for k = 11 at q = 17/20 and k = 14 at q = 9/10 the nearest
+    sign change is x_10's and x_11's, which no certificate of x_k covers."""
     for q, k, why in (
         ("1/2", "2", "no sign change"),
-        ("17/20", "11", "is not x_k"),
-        ("9/10", "14", "is not x_k"),
+        ("17/20", "11", "no sign change"),
+        ("9/10", "14", "no sign change"),
     ):
         code, out, err = run_cli(capsys, "zeros", "--q", q, "--k", k)
         assert code == 1, (q, k)

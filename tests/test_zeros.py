@@ -528,9 +528,9 @@ def _reference_find_zero(k: int, q, precision_bits=None) -> ZeroResult:
 def test_probed_find_zero_is_bit_identical_to_the_full_budget_loop(monkeypatch, q):
     """q = 10^-40 divides a 133-bit denominator out of u_n at every term;
     its zeros x_3..x_5 take about 10 ms each.  On the Newton ladder (from
-    648 bits: x_40 and above, and x_4 and x_5 at q = 10^-40) a zero with
-    no certificate has no other route: with no kernel sign certified
-    there, find_zero raises the bracket's BracketError."""
+    648 bits: x_40 and above, and x_4 and x_5 at q = 10^-40), as below
+    it, a zero with no certificate has no other route: with no kernel
+    sign certified there, find_zero raises the bracket's BracketError."""
     if q == Q_TINY:
         ks = (3, 4, 5)
     else:
@@ -664,10 +664,10 @@ def test_sign_at_is_the_first_certified_read(k, q, j, side, start):
 def test_uncertified_signs_have_no_fallback(monkeypatch):
     """No kernel sign is certified, as no read's tag reaches a threshold
     raised above every precision: below the ladder there is then no
-    certificate, and every bracket sign, read by _sign_at at B, 2B, ...,
-    16B, is 0, so the bracket widens to 1/(4k) and find_zero raises
-    BracketError with no read of _f_raw's uncertified sign.  (A kernel that
-    gives up is a BracketError too, test_a_kernel_that_gives_up_is_a_bracket_error.)"""
+    certificate, whose first sign _sign_at reads at 128, 256, ..., 2,048
+    bits, and find_zero raises BracketError with no further read, none of
+    _f_raw's uncertified sign among them.  (A kernel that gives up is a
+    BracketError too, test_a_kernel_that_gives_up_is_a_bracket_error.)"""
     k, q = 30, Fraction(6, 11)
     bits = required_precision(k, q)
     assert len(_rungs(bits)) == 1
@@ -689,8 +689,7 @@ def test_uncertified_signs_have_no_fallback(monkeypatch):
         find_zero(k, q)
     assert str(err.value) == _no_sign_change(k, q)
     assert certificates == [None]
-    assert {bits << i for i in range(5)} <= precs
-    assert max(precs) == 16 * bits
+    assert precs == {128 << i for i in range(5)}
 
 
 def test_probe_sign_near_a_zero_is_the_full_budget_sign():
@@ -1030,15 +1029,83 @@ def test_certificate_points_have_the_exact_signs_of_x_k(monkeypatch, k, q):
 def test_a_certificate_answers_only_within_a_factor_1_over_q(monkeypatch, offset):
     """A certificate's signs hold only out to a factor 1/q beyond its
     points, where the next zero may lie.  The certificate of x_(k +- 2),
-    which has x_k's parity, must therefore answer no sign around x_k, and
-    find_zero(k, q) must come out as before."""
+    which has x_k's parity, lies beyond relative half-width 1/(4k) of
+    x_k's guess, so find_zero(k, q) refuses it with BracketError below
+    the ladder too, and reads no bracket sign."""
     k, q = 12, Q_HALF
-    want = find_zero(k, q)
+    assert len(_rungs(required_precision(k, q))) == 1
     other = _kept_certificates(monkeypatch)
     find_zero(k + offset, q)
     assert other[0] is not None
+
+    def refuse(*args):
+        raise AssertionError("f read")
+
     monkeypatch.setattr(zeros, "_certify", lambda *args: other[0])
-    assert _zero_fields(find_zero(k, q)) == _zero_fields(want)
+    monkeypatch.setattr(zeros, "_read", refuse)
+    with pytest.raises(BracketError) as err:
+        find_zero(k, q)
+    assert str(err.value) == _no_sign_change(k, q)
+
+
+@pytest.mark.parametrize(
+    "k, q",
+    [(32, Fraction(19, 20)), (10, Fraction(4, 5))]
+    + [(k, Fraction(24, 25)) for k in (26, 32, 39, 40)],
+    ids=str,
+)
+def test_no_zero_without_its_certificate(k, q):
+    """These zeros have no certificate within 1/(4k) of the guess, at any
+    budget.  Without it find_zero once bracketed another zero on kernel
+    signs alone and returned it: x_30 for k = 32 at q = 19/20, and -57.23,
+    -114.07, x_37 and x_38 for k = 26, 32, 39 and 40 at q = 24/25.  Now
+    each raises BracketError, below the ladder as on it.  At q = 4/5 the
+    guess for x_10, -76.17, lies between x_9 = -62.30 and x_10 = -84.91:
+    it raises too, and so never returns x_8 = -45.36, of x_10's parity."""
+    for bits in (None, 16, 64, 128, 256, 700):
+        with pytest.raises(BracketError) as err:
+            find_zero(k, q, bits)
+        assert str(err.value) == _no_sign_change(k, q), bits
+
+
+def test_no_certificate_means_no_read_after_it(monkeypatch):
+    """With _certify returning None, find_zero raises BracketError below
+    the ladder (x_30 at q = 6/11) with no bisection and no read of f
+    through _read, the one reader, so no bracket sign and no _f_raw call,
+    as it does on the ladder
+    (test_a_ladder_zero_without_its_certificate_has_no_second_route)."""
+    k, q = 30, Fraction(6, 11)
+    assert len(_rungs(required_precision(k, q))) == 1
+
+    def refuse(*args):
+        raise AssertionError("a second route taken")
+
+    monkeypatch.setattr(zeros, "_certify", lambda *args: None)
+    for name in ("_read", "_bisect"):
+        monkeypatch.setattr(zeros, name, refuse)
+    with pytest.raises(BracketError) as err:
+        find_zero(k, q)
+    assert str(err.value) == _no_sign_change(k, q)
+
+
+def test_the_parity_check_refuses_a_sign_change_that_is_not_x_k(monkeypatch):
+    """A certificate inside 1/(4k) of the guess, with a bracket that
+    catches the next zero before it: at q = 24/25 the guess for x_2 is
+    moved to -14.2, between x_2 = -12.93 and x_3 = -14.83, and x_2's own
+    certificate is injected.  The bracket's outer end lies past x_3, with
+    the sign (-1)^3, so the parity check raises that the sign change is
+    not x_2."""
+    k, q = 2, Fraction(24, 25)
+    bits = required_precision(k, q)
+    assert len(_rungs(bits)) == 1
+    x2 = scan_zeros(q, -20, 3)[1].x.value
+    cert = zeros._certify(x2._mpf_, k, q, 128, bits)
+    assert cert is not None
+    guess = context(bits).mpf(-14.2)._mpf_
+    monkeypatch.setattr(zeros, "_asymptotic_guess", lambda *args: guess)
+    monkeypatch.setattr(zeros, "_certify", lambda *args: cert)
+    with pytest.raises(BracketError, match=r"k=2, q=24/25 is not x_k"):
+        find_zero(k, q)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 10])
@@ -1085,8 +1152,8 @@ def test_a_ladder_zero_without_its_certificate_has_no_second_route(monkeypatch, 
     """x_60 at q = 1/2 (2,048 bits) with no certificate, or with the
     certificate of x_62 (the same parity, a factor about 1/q^2 out, beyond
     relative half-width 1/(4k) of the guess): find_zero raises the
-    bracket's BracketError and neither bisects nor reads f off eval_f's
-    loop."""
+    bracket's BracketError and reads no bracket sign, bisects nothing and
+    reads no f off eval_f's loop."""
     k = 60
     assert len(_rungs(required_precision(k, Q_HALF))) > 1
     cert = None
@@ -1099,7 +1166,7 @@ def test_a_ladder_zero_without_its_certificate_has_no_second_route(monkeypatch, 
         raise AssertionError("a second route taken")
 
     monkeypatch.setattr(zeros, "_certify", lambda *args: cert)
-    for name in ("_bisect", "eval_f", "_f_raw"):
+    for name in ("_sign_at", "_bisect", "eval_f", "_f_raw"):
         monkeypatch.setattr(zeros, name, refuse)
     with pytest.raises(BracketError) as err:
         find_zero(k, Q_HALF)
@@ -1341,8 +1408,8 @@ def test_a_budget_too_small_to_certify_the_bracket_raises(k):
     at 128 bits, and the default budget already finds no sign change.  An
     uncertified sign once filled in, and x_80 came back as -2144.98...,
     where f < 0 on both sides (bench/oracle.py:f_sign at 3,000 bits, at
-    2^-20, 2^-60 and 2^-100 relative); with every sign from _sign_at
-    there is no bracket to return."""
+    2^-20, 2^-60 and 2^-100 relative); with no certificate there is no
+    bracket to return."""
     with pytest.raises(BracketError, match="no sign change"):
         find_zero(k, Fraction(24, 25), precision_bits=128)
 
