@@ -38,35 +38,50 @@ __all__ = [
 #: grid density of scan_zeros (each step is also capped at a factor 1/q)
 _SCAN_POINTS_PER_DECADE = 64
 
-# _probe_sum, one integer kernel for f at any working precision p, read
-# only through _read, gives find_zero every f it reads off the kernel and
-# every sign it acts on, and scan_zeros every f and every sign.
-# Let u = 2^-p and P = 2^peak, its bound on every |term| and |partial sum|.
-# Term n + 1 is term n times u_n/(n + 1), with u_n = t q^n carried with
-# G = _PROBE_GUARD_BITS guard bits.  Each step is off by t's one rounding
-# to p bits (< u), u_n's n floors to at least p + G bits
-# (< n 2^(1 - G) u <= u, as n < 2^15 at every p), a truncating shift (< u)
-# and a floor division by n + 1 (< 2u), less than 5u in all, so term n is
-# off by less than (1 + 5u)^n - 1 < 7nu relative, and the exact sum of N
-# terms by less than 7u P N(N + 1)/2.  The kernel stops once the last
-# term is below 2^(peak - p) and, tested only then, the ratio
-# |t| q^n/(n + 1) is under 1/2, so the tail is under 2 P u.  The ratio is
-# bounded above by B_n = (|u_n| + (|u_n| >> (p - 2)) + 1) 2^ue_n, as
-# |t| q^n < |u_n| (1 + 2^(2 - p)) 2^ue_n.  Once 2 B_n < n + 1 it stays so:
-# |u_(n+1)| has at least p + G - 1 bits and is at most q |u_n| 2^s + 1, so
-# B_(n+1) < B_n (1 + 2^(3 - p - G)) <= B_n (1 + 2^-15) at every p >= 2,
-# while n + 2 >= (n + 1)(1 + 2^-15) for n < 2^15; the stop is the one a
-# ratio tested at every step gives.  The kernel is thus off by less than
-# (4N(N + 1) + 2) P u < 2^33 P u at every p, and a sum of at least
-# 2^(_SIGN_BITS - 1) P u has the sign of f(t): a kernel read's sign is
-# certified when its tag, p - (peak - bitlen(total) - base), is at least
-# _SIGN_BITS (the kernel keeps peak >= bitlen(total) + base; a zero total
-# is tagged 1), and _sign_at doubles p, up to 16 times, until it is.
+# _probe_sum, one integer kernel for f at any working precision p, read only
+# through _read, gives find_zero every f it reads off the kernel and every sign
+# it acts on, and scan_zeros every f and sign.  Let u = 2^-p, P = 2^peak, its
+# bound on every |term| and |partial sum|, and G = _PROBE_GUARD_BITS.  It walks
+# N < 2^15 terms after T_n0: term i + 1 is term i times u_i/(i + 1),
+# u_i = t q^i carried with uw bits and one floor a step, uw = p + G until the
+# descent.  With n0 = 0, T_0 = 1 and u_0 = t rounded to p bits; with n0 > 0
+# (_head), t is rounded to p + G + bitlen(n0) bits and T_n0 and u_n0 come from
+# binary powering at p + G bits (q^E from q rounded to p + G + bitlen(E) bits;
+# libmp's mpf_pow_int works 4 bitlen(E) + 4 bits above its precision) and one
+# floor division by n0!, putting less than 2^(4 - G) u on T_n0 and 2^(2 - G) u
+# on u_n0.  A step is off by u_i's floors (< 2^15 2^(1 - p - G) = u), a
+# truncating shift (< u), a floor division by i + 1 (< 2u) and t's rounding
+# (< u) or u_n0's error, so term n0 + j is off by less than
+# (1 + 5u)^j - 1 + 2^(4 - G) u < (7j + 2^(4 - G)) u relative, and the walked
+# sum by less than (3.5 N(N + 1) + 2^-12 (N + 1)) P u.  From
+# p = _PROBE_FLOOR_BITS on, each term past the peak is floored to the grid
+# 2^(peak - p - 2G), and uw halves for good once the term's bits plus G + 2 fit
+# in half of it, which keeps each next term within a quarter grid unit: carried
+# down the descent, where every ratio is under 1, these add less than
+# N^2 2^(1 - 2G) P u < P u/2.  _head takes |T_(n0+1)/T_n0| >= 2, so the head
+# T_0..T_(n0-1) sums to less than |T_n0|, and T_n0 more than p + 2G + 4 bits
+# below T_K by float estimates (a lower bound by Jensen's on n!/K!, good to far
+# under a bit); the walked terms, each within a bit of its size, put
+# bitlen(T_n0) at least p + 2G + 2 below the peak, so the check after the sum
+# (else the kernel sums again from n0 = 0) holds, and the head adds under
+# 2^(1 - 2G) P u.  The kernel stops once the last term is below 2^(peak - p)
+# and, tested only then, the ratio |t| q^n/(n + 1) is under 1/2, so the tail is
+# under 2 P u.  The ratio is bounded above by
+# B_n = (|u_n| + (|u_n| >> (uw - G - 2)) + 1) 2^ue_n, as u_n's N floors of at
+# least uw bits leave |t| q^n < |u_n| (1 + 2^(G + 1 - uw)) 2^ue_n.  The kernel
+# is thus off by less than (4N(N + 1) + 2) P u < 2^33 P u at every p, and a sum
+# of at least 2^(_SIGN_BITS - 1) P u has the sign of f(t): a kernel read's sign
+# is certified when its tag, p - (peak - bitlen(total) - base), is at least
+# _SIGN_BITS (the kernel keeps peak >= bitlen(total) + base; a zero total is
+# tagged 1), and _sign_at doubles p, up to 16 times, until it is.
 _SIGN_BITS = 34
 _PROBE_MAX_TERMS = 2**15
 _PROBE_GUARD_BITS = _PROBE_MAX_TERMS.bit_length()
+_PROBE_HEAD_MIN = 40  # fewer skipped terms cost less than the powering
+_PROBE_FLOOR_BITS = 640  # below it, products cost less than the floors' bookkeeping
 
 _NEAREST = "n"  # the rounding mode of every context(bits), and of every step here
+_factorial = lru_cache(maxsize=8)(factorial)  # n0! for the reads of one zero's rungs
 _Q_POWERS_LOCK = Lock()
 
 # find_zero runs Newton on a precision ladder from this many working bits
@@ -109,52 +124,88 @@ def _extend_q_powers(qpows: list, q: tuple, bits: int, n: int) -> None:
             qpows.append(_round(m * qm, e + qe, bits))
 
 
+def _head(man: int, exp: int, qf: Fraction, p: int) -> int:
+    """n0 for the kernel at p bits at t = +-man 2^exp: the last n whose term
+    lies over p + 2G + 4 bits below the peak term T_K and whose ratio to the
+    next is at least 2 (binary searches on float log2 estimates), or 0."""
+    lt, lq = log2(man) + exp, log2(qf.numerator) - log2(qf.denominator)
+    drop = p + 2 * _PROBE_GUARD_BITS + 4
+    d = lt / -lq + 1 - _PROBE_HEAD_MIN  # K <= MIN + d, and log2 |T_K/T_n| < (K - n)(log2 (K + 1) - (K - n) lq)
+    if d <= 0 or d * (log2(d + _PROBE_HEAD_MIN + 1) - d * lq) <= drop:
+        return 0  # no n >= MIN lies drop bits below T_K
+
+    def last(ok, hi: int, lo: int = 0) -> int:  # the last n < hi with ok(n), or lo
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (mid, hi) if ok(mid) else (lo, mid)
+        return lo
+
+    K = last(lambda n: lt + (n - 1) * lq >= log2(n), int(lt / -lq) + 2)  # |T_K| >= |T_(K-1)|
+
+    def below(n: int) -> bool:  # log2 |T_K/T_n| and log2 |T_(n+1)/T_n|
+        gap = (K - n) * (lt + lq * (K + n - 1) / 2 - log2((K + n + 1) / 2))
+        return gap > drop and lt + n * lq - log2(n + 1) >= 1
+
+    n0 = last(below, K)
+    return n0 if n0 >= _PROBE_HEAD_MIN else 0
+
+
 def _probe_sum(X: tuple, qf: Fraction, p: int) -> tuple[int, int, int, int] | None:
     """The integer kernel at p bits: (total, base, peak, n), the sum total
-    2^base of the terms T_0..T_n of f at the raw mpf t, every |term| and
-    |partial sum| below 2^peak; None when it reaches _PROBE_MAX_TERMS terms.
-
-    t is rounded once to p bits; u = t q^n is carried as a signed int
-    mantissa of at least p + G bits times 2^ue, advanced by q = a/b in
-    one floor division.  Each term is an int mantissa m of about p bits
-    times 2^e, advanced by u/(n + 1) with one truncating shift and a floor
-    division, and added exactly into one int `total` times 2^base.
-    """
-    sign, man, exp, _ = mpf_pos(X, p, _NEAREST)
-    if not man:
+    2^base of the terms T_n0..T_n of f at the raw mpf t (n0 from _head),
+    every |term| and |partial sum| below 2^peak; None when it walks
+    _PROBE_MAX_TERMS terms.  Each term and u = t q^n are int mantissas
+    times powers of two (the comment at the constants)."""
+    G, a, b = _PROBE_GUARD_BITS, qf.numerator, qf.denominator
+    grid, qb, floors = p + 2 * G, 1 + b.bit_length() - a.bit_length(), p >= _PROBE_FLOOR_BITS
+    if not X[1]:
         return 1, 0, 1, 0  # f(0) = 1
-    a, b = qf.numerator, qf.denominator
-    scale = p + _PROBE_GUARD_BITS + 1 + b.bit_length() - a.bit_length()
-    lift = p + _PROBE_GUARD_BITS - man.bit_length()  # u_0: p + G bits
-    u = (-man if sign else man) << lift
-    ue = exp - lift
-    m = total = 1
-    e = base = 0
-    peak = 1  # every |term| and |partial sum| so far is below 2^peak
-    n = 0
-    while True:
-        if n >= _PROBE_MAX_TERMS:
-            return None
-        x = m * u
-        shift = x.bit_length() - p - (n + 1).bit_length()
-        m = (x >> shift) // (n + 1)
-        e += ue + shift
-        n += 1
-        if e >= base:
-            total += m << (e - base)
+    # K < MIN, no head to skip, when log2 |t| < (MIN - 1) log2(1/q), as log2(1/q) > (1 - q)/ln 2
+    skip = (X[2] + X[3]) * b * 7 >= (_PROBE_HEAD_MIN - 1) * (b - a) * 10
+    for n0 in (_head(X[1], X[2], qf, p) if skip else 0, 0):  # the full ascent, should the head check fail
+        sign, man, exp, _ = T = mpf_pos(X, p + G + n0.bit_length() if n0 else p, _NEAREST)
+        m, e = 1, 0
+        if n0:  # T_n0 = t^n0 q^E/n0! and u = t q^n0 by powering, E = n0(n0 - 1)/2
+            w, N, E = p + G, _NEAREST, n0 * (n0 - 1) // 2
+            Q = _round_fraction(qf, w + E.bit_length())
+            s, m, e, _ = mpf_mul(mpf_pow_int(T, n0, w, N), mpf_pow_int(Q, E, w, N), w, N)
+            d = _factorial(n0)
+            lift = w + d.bit_length() - m.bit_length()  # over n0!, floored to w or w + 1 bits
+            m, e = ((-m if s else m) << lift) // d, e - lift
+            _, man, exp, _ = mpf_mul(T, mpf_pow_int(Q, n0, w, N), w, N)
+        lift = p + G - man.bit_length()  # u: p + G bits
+        u, ue, uw, scale = (-man if sign else man) << lift, exp - lift, p + G, p + G + qb
+        total, base = m, e
+        peak = head = m.bit_length() + e  # every |term| and |partial sum| so far is below 2^peak
+        for n in range(n0 + 1, n0 + _PROBE_MAX_TERMS + 1):
+            x = m * u
+            shift = x.bit_length() - p - n.bit_length()
+            if floors and shift < (floor := peak - grid - e - ue):  # past the peak: floor to the
+                shift = floor  # grid, and halve u's width for good once the term's bits plus G + 2
+                if 2 * (x.bit_length() - shift + G + 3) < uw:  # fit in half (u outgrows n: shift >= 0)
+                    uw = max(x.bit_length() - shift, n.bit_length()) + G + 3
+                    scale = uw + qb
+            m = (x >> shift) // n
+            e += ue + shift
+            if e >= base:
+                total += m << (e - base)
+            else:
+                total = (total << (base - e)) + m
+                base = e
+            mag = m.bit_length() + e
+            if mag > peak or total.bit_length() + base > peak:
+                peak = max(mag, total.bit_length() + base)
+            s = scale - u.bit_length()  # u = t q^n: the quotient has uw to uw + 2 bits
+            u = (u * a << s if s >= 0 else u * a >> -s) // b
+            ue -= s
+            if mag <= peak - p:
+                lhs = (abs(u) + (abs(u) >> (uw - G - 2)) + 1) << 1  # 2 B_n < n + 1
+                if lhs << ue < n + 1 if ue >= 0 else lhs < (n + 1) << -ue:
+                    break
         else:
-            total = (total << (base - e)) + m
-            base = e
-        mag = m.bit_length() + e
-        peak = max(peak, mag, total.bit_length() + base)
-        # u = t q^n: the quotient has p + G to p + G + 2 bits
-        s = scale - u.bit_length()
-        u = (u * a << s) // b if s >= 0 else u * a // (b << -s)
-        ue -= s
-        if mag <= peak - p:
-            lhs = (abs(u) + (abs(u) >> (p - 2)) + 1) << 1  # 2 B_n < n + 1
-            if lhs << ue < n + 1 if ue >= 0 else lhs < (n + 1) << -ue:
-                return total, base, peak, n
+            return None
+        if not n0 or head <= peak - grid:
+            return total, base, peak, n
 
 
 def _read(X: tuple, qf: Fraction, prec: int, kernel: bool) -> PrecReal:
@@ -327,8 +378,8 @@ def _newton(
     is below 2^(4 - prec) relative or f(x) keeps 8 bits or fewer, and
     before a step when f(qx) is lost to cancellation.  A ladder rung
     (below < prec) reads f(qx) once, sizes every step with it, does not
-    take the last step and returns x with the f(x) that ended the loop;
-    otherwise it returns (x, None)."""
+    take the last step and returns x with the f(x) that ended the loop,
+    else (x, None); either way with the last reads of f(x) and f(qx)."""
     Q_below = _round_fraction(qf, below)
     target = from_man_exp(1, 4 - prec)
     dfx = None
@@ -344,11 +395,11 @@ def _newton(
         steps.append(log2(rm) + re if rm else -inf)
         done = mpf_lt(rel, target) or fx.precision_bits <= 8
         if done and below < prec:
-            return x, fx
+            return x, fx, (fx, dfx)
         x = new
         if done:
             break
-    return x, None
+    return x, None, (fx, dfx)
 
 
 def _sign_at(X: tuple, qf: Fraction, bits: int) -> tuple[int, int]:
@@ -364,13 +415,21 @@ def _sign_at(X: tuple, qf: Fraction, bits: int) -> tuple[int, int]:
 
 def _certify(guess: tuple, k: int, qf: Fraction, p: int, bits: int) -> tuple | None:
     """Newton from the guess, a raw mpf at `bits`, on the kernel at p bits
-    to a zero x; when the certified signs (_sign_at from p) are (-1)^k at
-    x (1 + 2^-(p // 2)) and (-1)^(k - 1) at x (1 - 2^-(p // 2)), a sign
-    change of x_k's parity, those two raw points at max(p, bits) bits, the
-    raw x and the log2 steps that located it; else None, and find_zero,
-    which requires a certificate on both routes, finds no zero."""
+    to a zero x; when the kernel resolves x, and the certified signs
+    (_sign_at from p) are (-1)^k at x (1 + 2^-(p // 2)) and (-1)^(k - 1) at
+    x (1 - 2^-(p // 2)), a sign change of x_k's parity, those two raw points
+    at max(p, bits) bits, the raw x and the log2 steps that located it;
+    else None, and find_zero finds no zero.  x is resolved when 2^8 times
+    the error scale 2^(peak - p) of the last read of f(x) (2^(mag - tag), a
+    lower bound at tag 1) over the slope |x f(qx)| of the last read of f(qx)
+    is at most 2^-(p // 2 + 4); else the certificate points lie in the
+    noise, and certify by luck, as x_30's did for x_32 at q = 19/20."""
     steps: list[float] = []
-    located, _ = _newton(guess, qf, p, p, steps, p.bit_length() + 8, True)
+    located, _, (fx, dfx) = _newton(guess, qf, p, p, steps, p.bit_length() + 8, True)
+    (_, fm, fe, fb), (_, dm, de, db) = fx._mpf_, dfx._mpf_
+    noise = fb + fe - fx.precision_bits + 8 - (located[3] + located[2] + db + de)  # log2, to a bit or two
+    if not (fm and dm) or noise > -(p // 2 + 4):
+        return None
     points = _around(located, from_man_exp(1, -(p // 2)), max(p, bits))
     for t, want in zip(points, ((-1) ** k, (-1) ** (k - 1))):
         if _sign_at(t, qf, p)[0] != want:
@@ -446,10 +505,10 @@ def find_zero(k: int, q, precision_bits: int | None = None) -> ZeroResult:
     a zero x by Newton on the integer kernel at p bits (the ladder's
     bottom rung, or 128 at every budget below the ladder) and certifies
     the kernel signs (-1)^k at x (1 + 2^-(p // 2)) and (-1)^(k - 1) at
-    x (1 - 2^-(p // 2)), a sign change of x_k's parity (_sign_at from p).
-    That certificate is required on both routes: it must exist and lie
-    within relative half-width 1/(4k) of the guess (beyond that a
-    neighbouring zero could be captured), else BracketError.
+    x (1 - 2^-(p // 2)), a sign change of x_k's parity (_sign_at from p),
+    where the kernel resolves x.  That certificate is required on both
+    routes: it must exist and lie within relative half-width 1/(4k) of the
+    guess (past it a neighbouring zero could be captured), else BracketError.
 
     From _LADDER_MIN_BITS = 648 working bits on, the certificate is the
     bracket.  Newton climbs from the located x, whose steps open
@@ -547,7 +606,7 @@ def find_zero(k: int, q, precision_bits: int | None = None) -> ZeroResult:
 
     # Newton to convergence at B, on the ladder after one step on each rung below
     for p, below in reversed(list(zip(rungs, rungs[1:])) or [(bits, bits)]):
-        x, fx = _newton(x, qf, p, below, steps, p.bit_length() + 8 if p == bits else 1, ladder)
+        x, fx, _ = _newton(x, qf, p, below, steps, p.bit_length() + 8 if p == bits else 1, ladder)
     x = _tagged(x, bits)
 
     residual = abs(eval_f(x, qf, bits) if fx is None else fx)
@@ -578,15 +637,15 @@ def _refine_sign_change(a, b, qf: Fraction, bits: int) -> tuple:
     is read at each point off the integer kernel (_read).
 
     Both ends are first read at `bits`, the refinement's own precision
-    (the grid read them at its own), and BracketError is raised when
-    their signs are not opposite there.  Each step evaluates f at the
-    secant point of the ends' values, and halves the value of an end
-    kept twice in a row (Illinois).  It takes the midpoint instead when
-    the secant point is not strictly inside the bracket, or when three
-    secant steps in a row each failed to halve the bracket: from a plain
-    start the third is the first to use a halved value, so Illinois gets
-    one try before the midpoint, and no more than four calls go to any
-    halving.
+    (scan_zeros': at least the bits that certified them), and BracketError
+    is raised unless their signs are certified and opposite there.  Each
+    step evaluates f at the secant point of the ends' values, and halves
+    the value of an end kept twice in a row (Illinois).  It takes the
+    midpoint instead when the secant point is not strictly inside the
+    bracket, or when three secant steps in a row each failed to halve the
+    bracket: from a plain start the third is the first to use a halved
+    value, so Illinois gets one try before the midpoint, and no more than
+    four calls go to any halving.
     """
     N = _NEAREST
 
@@ -596,7 +655,7 @@ def _refine_sign_change(a, b, qf: Fraction, bits: int) -> tuple:
     a, b = _raw(a, bits), _raw(b, bits)
     fa, fb = _read(a, qf, bits, True), _read(b, qf, bits, True)
     sa = _sign(fa)
-    if sa * _sign(fb) >= 0:
+    if sa * _sign(fb) >= 0 or min(fa.precision_bits, fb.precision_bits) < _SIGN_BITS:
         raise BracketError(
             f"the sign change of f between {to_str(a, 8)} and {to_str(b, 8)} "
             f"does not survive at {bits} bits"
@@ -651,9 +710,9 @@ def scan_zeros(q, x_min, count: int) -> list[ZeroResult]:
     |x_k|/q, rounded down, with the sign read just past x_k.  Each grid
     sign is _sign_at's from the bits that certified the point before (from
     required_precision(2, q) at x = -1); an uncertified point keeps the
-    sign before it.  Fewer than
-    `count` sign changes before x_min is a BracketError.  The k-th sign
-    change is refined at required_precision(k, q) bits
+    sign before it.  Fewer than `count` sign changes before x_min is a
+    BracketError.  The k-th sign change is refined at the larger of
+    required_precision(k, q) and the bits that certified its ends
     (_refine_sign_change), which raises BracketError when the change is
     lost there; x is the last iterate and the residual is |f(x)|.
     """
@@ -675,7 +734,7 @@ def scan_zeros(q, x_min, count: int) -> list[ZeroResult]:
         s, bits = _sign_at(_raw(cur, bits), qf, bits)
         if s != 0 and prev_sign != 0 and s != prev_sign:
             k_found = len(found) + 1
-            zbits = required_precision(k_found, qf)
+            zbits = max(required_precision(k_found, qf), bits)  # at least the bits that read both ends
             x, fx = _refine_sign_change(cur, prev, qf, zbits)
             found.append(
                 ZeroResult(

@@ -18,7 +18,7 @@ from mpmath.libmp import from_man_exp, mpf_mul
 
 import defexp.zeros as zeros
 from defexp.cli import main
-from defexp.precreal import PrecReal, context, to_mpf
+from defexp.precreal import PrecReal, _round_fraction, context, to_mpf
 from defexp.qseries import a_series, coefficient_value, eval_series_numeric
 from defexp.validate import ratio_check, residual_profile, zero_table
 from defexp.zeros import (
@@ -717,46 +717,70 @@ def test_probe_sign_near_a_zero_is_the_full_budget_sign():
 
 
 def _replica_probe_sum(t, q: Fraction, p: int) -> tuple:
-    """_probe_sum's truncations at p bits restated on exact values: t
-    rounded once to p bits in an mpf context, u_0 its mantissa lifted to
-    p + G bits (G = _PROBE_MAX_TERMS.bit_length()), each u_(n+1) =
-    floor(u_n q 2^s) with s such that u_(n+1) has p + G to p + G + 2
-    bits, each new mantissa floor(m u_n / (2^shift (n + 1))) in one floor
-    division, the terms summed as Fractions, and the stopping rule with
-    Fraction bounds.  Returns the sum, the peak, the term count and
-    whether the tail test held before the ratio test did (so the ratio
-    test decided the stop)."""
+    """_probe_sum's truncations at p bits restated on exact values.  n0 is
+    the kernel's _head; for n0 > 0, t rounded to p + G + bitlen(n0) bits
+    (G = _PROBE_MAX_TERMS.bit_length()), q to p + G + bitlen(E) bits
+    (E = n0(n0 - 1)/2, as _round_fraction rounds), t^n0 q^E and u = t q^n0
+    each formed in context(p + G), and T_n0 the first over n0!, floored to
+    p + G or p + G + 1 bits; for n0 = 0, t rounded to p bits, T_0 = 1 and
+    u = t.  u lifted to p + G bits; each new mantissa
+    floor(m u_n / (2^shift (n + 1))) in one floor division, with shift
+    the larger of the kernel's p-bit truncation and the grid
+    2^(peak - p - 2G); each u_(n+1) = floor(u_n q 2^s) with s such that
+    u_(n+1) has uw to uw + 2 bits, uw halving to the product's bits above
+    the grid (at least bitlen(n)) plus G + 3 once that fits in half of it;
+    the terms summed as
+    Fractions; and the stopping rule with a
+    Fraction bound on the ratio, tested once the term is small, as the
+    kernel tests it.  Should T_n0 lie above 2^(peak - p - 2G), the sum
+    from n0 = 0.  Returns the sum, the peak, the last index and whether
+    the tail test held before the ratio test did (so the ratio test
+    decided the stop)."""
     g = zeros._PROBE_MAX_TERMS.bit_length()
-    sign, man, exp, _ = context(p).mpf(t)._mpf_
-    lift = p + g - man.bit_length()
-    um, ue = (-man if sign else man) << lift, exp - lift  # u_n = um 2^ue
-    lead = p + g + 1 + q.denominator.bit_length() - q.numerator.bit_length()
-
-    def mag(v: Fraction) -> int:  # floor(log2 |v|) + 1 of a dyadic v != 0
-        return abs(v.numerator).bit_length() - v.denominator.bit_length() + 1
-
-    m, e, n = 1, 0, 0
-    total = Fraction(1)
-    peak = 1
-    ratio_small = tail_first = False
-    while True:
-        x = m * um
-        shift = x.bit_length() - p - (n + 1).bit_length()
-        m = x // ((n + 1) << shift)
-        e += ue + shift
-        n += 1
-        total += m * Fraction(2) ** e
-        term_mag = m.bit_length() + e
-        peak = max(peak, term_mag, mag(total))
-        tail_small = term_mag <= peak - p
-        s = lead - um.bit_length()
-        um, ue = floor(um * q * Fraction(2) ** s), ue - s
-        if not ratio_small:
-            bound = abs(um) * (1 + Fraction(1, 2 ** (p - 2))) * Fraction(2) ** ue
-            ratio_small = 2 * bound < n + 1
-            tail_first = tail_first or (tail_small and not ratio_small)
-        if ratio_small and tail_small:
+    for n0 in (zeros._head(*t._mpf_[1:3], q, p), 0):
+        sign, man, exp, _ = lead = context(p + g + n0.bit_length() if n0 else p).mpf(t)._mpf_
+        m, e = 1, 0
+        if n0:
+            ctx, power = context(p + g), n0 * (n0 - 1) // 2
+            tn, qw = ctx.make_mpf(lead), ctx.make_mpf(_round_fraction(q, p + g + power.bit_length()))
+            neg, m, e, _ = (tn**n0 * qw**power)._mpf_
+            lift = p + g + factorial(n0).bit_length() - m.bit_length()
+            m, e = floor(Fraction((-m if neg else m) << lift, factorial(n0))), e - lift
+            man, exp = abs(tn * qw**n0).man_exp
+        lift = p + g - man.bit_length()
+        um, ue = (-man if sign else man) << lift, exp - lift  # u_n = um 2^ue
+        uw = p + g
+        total = m * Fraction(2) ** e
+        peak = head = m.bit_length() + e
+        n = n0
+        tail_first = False
+        while True:
+            x = m * um
+            n += 1
+            shift = x.bit_length() - p - n.bit_length()
+            if p >= zeros._PROBE_FLOOR_BITS and shift < peak - p - 2 * g - e - ue:
+                shift = peak - p - 2 * g - e - ue
+                if 2 * (x.bit_length() - shift + g + 3) < uw:
+                    uw = max(x.bit_length() - shift, n.bit_length()) + g + 3
+            m = floor(x / (n * Fraction(2) ** shift))
+            e += ue + shift
+            total += m * Fraction(2) ** e
+            term_mag = m.bit_length() + e
+            peak = max(peak, term_mag, _mag(total))
+            s = uw + 1 + q.denominator.bit_length() - q.numerator.bit_length() - um.bit_length()
+            um, ue = floor(um * q * Fraction(2) ** s), ue - s
+            if term_mag <= peak - p:
+                bound = abs(um) * (1 + Fraction(2) ** (g + 2 - uw)) * Fraction(2) ** ue
+                if 2 * bound < n + 1:
+                    break
+                tail_first = True
+        if not n0 or head <= peak - p - 2 * g:
             return total, peak, n, tail_first
+
+
+def _mag(v: Fraction) -> int:
+    """floor(log2 |v|) + 1 of a dyadic v != 0."""
+    return abs(v.numerator).bit_length() - v.denominator.bit_length() + 1
 
 
 def _near_zero(q: Fraction, k: int, j: int, side: int):
@@ -772,7 +796,10 @@ def _near_zero(q: Fraction, k: int, j: int, side: int):
 #: above 1/2, so the ratio test decides where the sum ends; all at
 #: _PROBE_BITS.  Then the kernel at two Newton rungs: near x_40 at
 #: q = 7/15 at its budget of 1,135 bits and near x_60 at q = 9/19 at
-#: 2,327 bits, each at three distances from the zero.
+#: 2,327 bits, each at three distances from the zero.  Last, at q = 1/2,
+#: near x_200 at 700 bits, where the kernel skips the head and floors the
+#: descent, and near x_100 at its budget, where it floors the descent of
+#: a sum from T_0.
 PROBE_SUM_POINTS = [
     *(
         pytest.param(q, (k, j, side), False, 160, id=f"x{k}-2^-{j}{tag}")
@@ -786,6 +813,8 @@ PROBE_SUM_POINTS = [
         for q, k, p in ((Fraction(7, 15), 40, 1135), (Q_9_19, 60, 2327))
         for j, side in ((60, 1), (p // 2, -1), (p - 40, 1))
     ),
+    pytest.param(Q_HALF, -(2.0**206), False, 700, id="x200-q1/2-p700"),
+    pytest.param(Q_HALF, -(2.0**105), False, 5679, id="x100-q1/2-p5679"),
 ]
 
 
@@ -908,6 +937,85 @@ def test_probe_sum_is_within_its_error_bound_of_the_exact_sum(q, k, p):
             assert err < bound + extra, (j, side)
         if j <= p // 2:
             assert abs(tag - eval_f(t, q, p).precision_bits) <= 1, (j, side)
+
+
+@functools.cache
+def _large_zero(k: int, bits: int):
+    """x_k at q = 1/2 at `bits`, as find_zero locates it."""
+    return find_zero(k, Q_HALF, bits).x.value
+
+
+@pytest.mark.parametrize("k, p", [(400, 320), (1600, 320), (6400, 700)])
+def test_a_read_walks_about_w_terms_at_any_k(k, p):
+    """Near x_k the terms of f peak at n ~ k, about k^2/2 bits up (2 10^7 at
+    k = 6,400), and the kernel skips the head: at x_k and 2^-20 from it, a
+    read walks at most W + 8 terms, W = 2 sqrt(2 (p + 2G)/log2(1/q)) those
+    within p + 2G bits of the peak, and its total spans T_n0's p + G bits
+    below the grid 2^(peak - p - 2G), which lies
+    p + 2G + 4 + log2 |T_(n0+1)/T_n0| bits above T_n0 at most: O(p) bits,
+    whatever the peak."""
+    g = zeros._PROBE_GUARD_BITS
+    w = 2 * (2 * (p + 2 * g) / log2(1 / Q_HALF)) ** 0.5
+    ctx = context(p)
+    for t in (_large_zero(k, p), _large_zero(k, p) * (1 + ctx.mpf(2) ** -20)):
+        t = ctx.mpf(t)._mpf_
+        n0 = zeros._head(t[1], t[2], Q_HALF, p)
+        total, base, peak, n = zeros._probe_sum(t, Q_HALF, p)
+        assert n0 > k - w and n - n0 <= w + 8, (n0, n)
+        drop = log2(t[1]) + t[2] - n0 - log2(n0 + 1)  # log2 |T_(n0+1)/T_n0| at q = 1/2
+        assert peak - base <= 2 * p + 3 * g + 5 + drop, (peak - base, drop)
+        assert total.bit_length() <= peak - base and peak > k * k // 3
+
+
+def test_a_large_ladder_zero_agrees_at_twice_the_bits():
+    """x_1600 at q = 1/2 read on the ladder at 700 bits, where the kernel
+    skips all but the ~80 terms near n = 1,600 on every rung, is x_1600 at
+    1,400 bits to at least 680 bits."""
+    lo, hi = _large_zero(1600, 700), _large_zero(1600, 1400)
+    assert abs(lo - hi) <= abs(hi) * mpf(2) ** -680
+
+
+@pytest.mark.parametrize("bits", [None, 128, 700])
+def test_an_unresolved_locate_certifies_no_zero(bits):
+    """At q = 19/20 the order-2 guess for x_22 lies near x_14 = -43.6746,
+    where the 128-bit kernel resolves a zero only to about 2^-50 relative:
+    the certificate points at 2^-64 lie inside its noise, so find_zero
+    gives no certificate and raises, where it returned x_14 when the noise
+    landed on both sides."""
+    q = Fraction(19, 20)
+    with pytest.raises(BracketError) as err:
+        find_zero(22, q, bits)
+    assert str(err.value) == _no_sign_change(22, q)
+
+
+def test_a_failed_head_check_sums_from_the_first_term(monkeypatch):
+    """Should the head the kernel skips lie above the grid of the sum, as a
+    head ending just below the peak does, the kernel sums again from
+    n0 = 0: the read equals the one with no head skipped."""
+    t = context(320).mpf(_large_zero(400, 320))._mpf_
+    skipped = zeros._probe_sum(t, Q_HALF, 320)
+    monkeypatch.setattr(zeros, "_head", lambda *args: 0)
+    full = zeros._probe_sum(t, Q_HALF, 320)
+    monkeypatch.setattr(zeros, "_head", lambda *args: 395)
+    assert (zeros._probe_sum(t, Q_HALF, 320) == full) and skipped[3] == full[3] and skipped[1] > full[1]
+
+
+@pytest.mark.parametrize("q", [Fraction(9, 20), Fraction(11, 20)], ids=str)
+def test_the_validate_reads_skip_no_head(monkeypatch, q):
+    """Below about 40 skipped terms the powering costs more than the terms
+    it saves: every read of a zero table for k = 10..26 and of a 16-zero
+    scan, the validate workload's, sums from T_0."""
+    heads = []
+    kernel = zeros._probe_sum
+
+    def kept(X, q, p):
+        heads.append(zeros._head(X[1], X[2], q, p) if X[1] else 0)
+        return kernel(X, q, p)
+
+    monkeypatch.setattr(zeros, "_probe_sum", kept)
+    zero_table(q, 10, 26)
+    scan_zeros(q, -2 * 16 * float(q) ** -15, 16)
+    assert len(heads) > 300 and set(heads) == {0}
 
 
 def test_bracket_and_bisection_make_no_full_budget_call(monkeypatch):
@@ -1516,13 +1624,18 @@ def test_scan_zeros_raises_when_window_is_short(monkeypatch):
 
 
 def test_scan_zeros_raises_when_a_sign_change_is_lost_at_the_zero_precision():
-    """At q = 99/100 the grid finds sign changes near -40, -43 and -45, but
-    at the 64..69 bits of k = 1..3 f is noise there (at 4000 bits it changes
-    sign in (-39.9, -39.5), (-42.9, -42) and (-46, -44.6)).  Trusting the
-    grid's signs gave three zeros about 1% off, tagged 64..69 bits."""
+    """At q = 99/100 the grid finds sign changes near -40, -43 and -45 that
+    only 268 bits certify: at the 64..69 bits of k = 1..3 f is noise there
+    (at 4000 bits it changes sign in (-39.9, -39.5), (-42.9, -42) and
+    (-46, -44.6)).  Trusting the grid's signs gave three zeros about 1%
+    off, tagged 64..69 bits.  A refinement at 64 bits raises; the scan
+    refines at the bits that certified the cell's ends, and finds them."""
     q = Fraction(99, 100)
     with pytest.raises(BracketError, match="does not survive at 64 bits"):
-        scan_zeros(q, -2 * 3 * float(q) ** -2 * 50, 3)
+        zeros._refine_sign_change(-39.983755464297595, -39.58391790965462, q, 64)
+    found = scan_zeros(q, -2 * 3 * float(q) ** -2 * 50, 3)
+    for z, (lo, hi) in zip(found, [(-39.9, -39.5), (-42.9, -42), (-46, -44.6)]):
+        assert lo < z.x.value < hi and z.precision_bits == 268, z.k
 
 
 SCAN_CASES = [(Q_HALF, 16), (Fraction(9, 19), 16), (Fraction(1, 10), 8)]
