@@ -39,22 +39,22 @@ __all__ = [
 _SCAN_POINTS_PER_DECADE = 64
 
 # _probe_sum, one integer kernel for f at any working precision p, read only
-# through _read, gives find_zero every f it reads off the kernel and every sign
-# it acts on, and scan_zeros every f and sign.  Let u = 2^-p, P = 2^peak, its
-# bound on every |term| and |partial sum|, and G = _PROBE_GUARD_BITS.  It walks
-# N < 2^15 terms after T_n0: term i + 1 is term i times u_i/(i + 1),
-# u_i = t q^i carried with uw bits and one floor a step, uw = p + G until the
-# descent.  With n0 = 0, T_0 = 1 and u_0 = t rounded to p bits; with n0 > 0
-# (_head), t is rounded to p + G + bitlen(n0) bits and T_n0 and u_n0 come from
-# binary powering at p + G bits (q^E from q rounded to p + G + bitlen(E) bits;
-# libmp's mpf_pow_int works 4 bitlen(E) + 4 bits above its precision) and one
-# floor division by n0!, putting less than 2^(4 - G) u on T_n0 and 2^(2 - G) u
-# on u_n0.  A step is off by u_i's floors (< 2^15 2^(1 - p - G) = u), a
-# truncating shift (< u), a floor division by i + 1 (< 2u) and t's rounding
-# (< u) or u_n0's error, so term n0 + j is off by less than
-# (1 + 5u)^j - 1 + 2^(4 - G) u < (7j + 2^(4 - G)) u relative, and the walked
-# sum by less than (3.5 N(N + 1) + 2^-12 (N + 1)) P u.  From
-# p = _PROBE_FLOOR_BITS on, each term past the peak is floored to the grid
+# through _kernel_read, _read's kernel route, gives find_zero every f it reads
+# off the kernel and every sign it acts on, and scan_zeros every f and sign.
+# Let u = 2^-p, P = 2^peak, its bound on every |term| and |partial sum|, and
+# G = _PROBE_GUARD_BITS.  It walks N < 2^15 terms after T_n0: term i + 1 is
+# term i times u_i/(i + 1), u_i = t q^i carried with uw bits and one floor a
+# step, uw = p + G until the descent.  With n0 = 0, T_0 = 1 and u_0 = t
+# rounded to p bits; with n0 > 0 (_head), t is rounded to p + G + bitlen(n0)
+# bits and T_n0 and u_n0 come from binary powering at p + G bits (q^E from q
+# rounded to p + G + bitlen(E) bits; libmp's mpf_pow_int works 4 bitlen(E) + 4
+# bits above its precision) and one floor division by n0!, putting less than
+# 2^(4 - G) u on T_n0 and 2^(2 - G) u on u_n0.  A step is off by u_i's floors
+# (< 2^15 2^(1 - p - G) = u), a truncating shift (< u), a floor division by
+# i + 1 (< 2u) and t's rounding (< u) or u_n0's error, so term n0 + j is off by
+# less than (1 + 5u)^j - 1 + 2^(4 - G) u < (7j + 2^(4 - G)) u relative, and the
+# walked sum by less than (3.5 N(N + 1) + 2^-12 (N + 1)) P u.  From
+# p = _LADDER_MIN_BITS on, each term past the peak is floored to the grid
 # 2^(peak - p - 2G), and uw halves for good once the term's bits plus G + 2 fit
 # in half of it, which keeps each next term within a quarter grid unit: carried
 # down the descent, where every ratio is under 1, these add less than
@@ -78,7 +78,6 @@ _SIGN_BITS = 34
 _PROBE_MAX_TERMS = 2**15
 _PROBE_GUARD_BITS = _PROBE_MAX_TERMS.bit_length()
 _PROBE_HEAD_MIN = 40  # fewer skipped terms cost less than the powering
-_PROBE_FLOOR_BITS = 640  # below it, products cost less than the floors' bookkeeping
 
 _NEAREST = "n"  # the rounding mode of every context(bits), and of every step here
 _factorial = lru_cache(maxsize=8)(factorial)  # n0! for the reads of one zero's rungs
@@ -128,8 +127,10 @@ def _head(man: int, exp: int, qf: Fraction, p: int) -> int:
     """n0 for the kernel at p bits at t = +-man 2^exp: the last n whose term
     lies over p + 2G + 4 bits below the peak term T_K and whose ratio to the
     next is at least 2 (binary searches on float log2 estimates), or 0."""
-    lt, lq = log2(man) + exp, log2(qf.numerator) - log2(qf.denominator)
-    drop = p + 2 * _PROBE_GUARD_BITS + 4
+    a, b = qf.numerator, qf.denominator
+    if (man.bit_length() + exp) * b * 7 < (_PROBE_HEAD_MIN - 1) * (b - a) * 10:
+        return 0  # most reads: K < MIN, as log2 |t| < (MIN - 1)(1 - q)/ln 2 < (MIN - 1) log2(1/q)
+    lt, lq, drop = log2(man) + exp, log2(a) - log2(b), p + 2 * _PROBE_GUARD_BITS + 4
     d = lt / -lq + 1 - _PROBE_HEAD_MIN  # K <= MIN + d, and log2 |T_K/T_n| < (K - n)(log2 (K + 1) - (K - n) lq)
     if d <= 0 or d * (log2(d + _PROBE_HEAD_MIN + 1) - d * lq) <= drop:
         return 0  # no n >= MIN lies drop bits below T_K
@@ -146,23 +147,19 @@ def _head(man: int, exp: int, qf: Fraction, p: int) -> int:
         gap = (K - n) * (lt + lq * (K + n - 1) / 2 - log2((K + n + 1) / 2))
         return gap > drop and lt + n * lq - log2(n + 1) >= 1
 
-    n0 = last(below, K)
-    return n0 if n0 >= _PROBE_HEAD_MIN else 0
+    return n0 if (n0 := last(below, K)) >= _PROBE_HEAD_MIN else 0
 
 
 def _probe_sum(X: tuple, qf: Fraction, p: int) -> tuple[int, int, int, int] | None:
     """The integer kernel at p bits: (total, base, peak, n), the sum total
     2^base of the terms T_n0..T_n of f at the raw mpf t (n0 from _head),
     every |term| and |partial sum| below 2^peak; None when it walks
-    _PROBE_MAX_TERMS terms.  Each term and u = t q^n are int mantissas
-    times powers of two (the comment at the constants)."""
+    _PROBE_MAX_TERMS terms (the comment at the constants)."""
     G, a, b = _PROBE_GUARD_BITS, qf.numerator, qf.denominator
-    grid, qb, floors = p + 2 * G, 1 + b.bit_length() - a.bit_length(), p >= _PROBE_FLOOR_BITS
+    grid, qb, floors = p + 2 * G, 1 + b.bit_length() - a.bit_length(), p >= _LADDER_MIN_BITS
     if not X[1]:
         return 1, 0, 1, 0  # f(0) = 1
-    # K < MIN, no head to skip, when log2 |t| < (MIN - 1) log2(1/q), as log2(1/q) > (1 - q)/ln 2
-    skip = (X[2] + X[3]) * b * 7 >= (_PROBE_HEAD_MIN - 1) * (b - a) * 10
-    for n0 in (_head(X[1], X[2], qf, p) if skip else 0, 0):  # the full ascent, should the head check fail
+    for n0 in (_head(X[1], X[2], qf, p), 0):  # the full ascent, should the head check fail
         sign, man, exp, _ = T = mpf_pos(X, p + G + n0.bit_length() if n0 else p, _NEAREST)
         m, e = 1, 0
         if n0:  # T_n0 = t^n0 q^E/n0! and u = t q^n0 by powering, E = n0(n0 - 1)/2
@@ -211,28 +208,29 @@ def _probe_sum(X: tuple, qf: Fraction, p: int) -> tuple[int, int, int, int] | No
 def _read(X: tuple, qf: Fraction, prec: int, kernel: bool) -> PrecReal:
     """f at the raw mpf X at prec bits, tagged prec minus the bits lost
     below the peak; the one reader of f.  With `kernel` set it is
-    _probe_sum's sum rounded to prec bits, its sign certified when the tag
-    is at least _SIGN_BITS (_sign_at), and a kernel that gives up at
-    _PROBE_MAX_TERMS terms is a BracketError.  Otherwise it is _f_raw at q
+    _kernel_read: _probe_sum's sum rounded to prec bits, its sign
+    certified when the tag is at least _SIGN_BITS (_sign_at), and a kernel
+    that gives up at _PROBE_MAX_TERMS terms is a BracketError.  Otherwise it is _f_raw at q
     rounded to prec bits, the golden route (eval_f and the Newton below
     the ladder), where a q that rounds to 1 is a ValueError."""
     if kernel:
-        probe = _probe_sum(X, qf, prec)
-        if probe is None:
-            raise BracketError(
-                f"the kernel for f at x={to_str(X, 20)}, q={qf} gives up at "
-                f"{_PROBE_MAX_TERMS} terms at {prec} bits"
-            )
-        total, base, peak, _ = probe
-        man, exp = _round(abs(total), base, prec)
-        lost = peak - total.bit_length() - base if total else prec
-        man, tag = (man if total > 0 else -man), max(1, prec - lost)
-    else:
-        Q = _round_fraction(qf, prec)
-        if Q == fone:
-            raise ValueError("q must lie in (0, 1)")  # q rounds to 1 at prec bits
-        man, exp, tag = _f_raw(X, Q, prec)
+        return _kernel_read(X, qf, prec)[0]
+    Q = _round_fraction(qf, prec)
+    if Q == fone:
+        raise ValueError("q must lie in (0, 1)")  # q rounds to 1 at prec bits
+    man, exp, tag = _f_raw(X, Q, prec)
     return _tagged(from_man_exp(man, exp), prec, tag)
+
+
+def _kernel_read(X: tuple, qf: Fraction, prec: int) -> tuple[PrecReal, int]:
+    """_read's kernel route and log2 of its error scale, peak - prec (a tag of 1 bounds it)."""
+    if (probe := _probe_sum(X, qf, prec)) is None:
+        where = f"x={to_str(X, 20)}, q={qf} gives up at {_PROBE_MAX_TERMS} terms"
+        raise BracketError(f"the kernel for f at {where} at {prec} bits")
+    total, base, peak, _ = probe
+    man, exp = _round(abs(total), base, prec)
+    tag = max(1, prec - (peak - total.bit_length() - base if total else prec))
+    return _tagged(from_man_exp(man if total > 0 else -man, exp), prec, tag), peak - prec
 
 
 def _exceeds(a: int, ea: int, b: int, eb: int) -> bool:
@@ -379,12 +377,13 @@ def _newton(
     before a step when f(qx) is lost to cancellation.  A ladder rung
     (below < prec) reads f(qx) once, sizes every step with it, does not
     take the last step and returns x with the f(x) that ended the loop,
-    else (x, None); either way with the last reads of f(x) and f(qx)."""
+    else (x, None); either way with the last reads of f(x) and f(qx), and
+    on the kernel log2 of the last f(x)'s error scale (_kernel_read)."""
     Q_below = _round_fraction(qf, below)
     target = from_man_exp(1, 4 - prec)
     dfx = None
     for _ in range(limit):
-        fx = _read(x, qf, prec, kernel)
+        fx, scale = _kernel_read(x, qf, prec) if kernel else (_read(x, qf, prec, False), None)
         if dfx is None or below == prec:
             dfx = _read(mpf_mul(Q_below, x, below, _NEAREST), qf, below, kernel)
         if dfx.precision_bits <= 1:
@@ -395,11 +394,11 @@ def _newton(
         steps.append(log2(rm) + re if rm else -inf)
         done = mpf_lt(rel, target) or fx.precision_bits <= 8
         if done and below < prec:
-            return x, fx, (fx, dfx)
+            return x, fx, (fx, dfx, scale)
         x = new
         if done:
             break
-    return x, None, (fx, dfx)
+    return x, None, (fx, dfx, scale)
 
 
 def _sign_at(X: tuple, qf: Fraction, bits: int) -> tuple[int, int]:
@@ -415,20 +414,18 @@ def _sign_at(X: tuple, qf: Fraction, bits: int) -> tuple[int, int]:
 
 def _certify(guess: tuple, k: int, qf: Fraction, p: int, bits: int) -> tuple | None:
     """Newton from the guess, a raw mpf at `bits`, on the kernel at p bits
-    to a zero x; when the kernel resolves x, and the certified signs
-    (_sign_at from p) are (-1)^k at x (1 + 2^-(p // 2)) and (-1)^(k - 1) at
-    x (1 - 2^-(p // 2)), a sign change of x_k's parity, those two raw points
-    at max(p, bits) bits, the raw x and the log2 steps that located it;
-    else None, and find_zero finds no zero.  x is resolved when 2^8 times
-    the error scale 2^(peak - p) of the last read of f(x) (2^(mag - tag), a
-    lower bound at tag 1) over the slope |x f(qx)| of the last read of f(qx)
-    is at most 2^-(p // 2 + 4); else the certificate points lie in the
-    noise, and certify by luck, as x_30's did for x_32 at q = 19/20."""
+    to a zero x; when the kernel resolves x (its error scale 2^(peak - p)
+    over the slope |x f(qx)|, from the last reads, is at most
+    2^-(p // 2 + 11), else the certificate points lie in the noise and
+    certify by luck, as x_30's did for x_32 at q = 19/20) and the certified
+    signs (_sign_at from p) are (-1)^k at x (1 + 2^-(p // 2)) and
+    (-1)^(k - 1) at x (1 - 2^-(p // 2)), a sign change of x_k's parity,
+    those two raw points at max(p, bits) bits, the raw x and the log2
+    steps that located it; else None, and find_zero finds no zero."""
     steps: list[float] = []
-    located, _, (fx, dfx) = _newton(guess, qf, p, p, steps, p.bit_length() + 8, True)
-    (_, fm, fe, fb), (_, dm, de, db) = fx._mpf_, dfx._mpf_
-    noise = fb + fe - fx.precision_bits + 8 - (located[3] + located[2] + db + de)  # log2, to a bit or two
-    if not (fm and dm) or noise > -(p // 2 + 4):
+    located, _, (_, dfx, scale) = _newton(guess, qf, p, p, steps, p.bit_length() + 8, True)
+    _, dm, de, db = dfx._mpf_
+    if not dm or scale - (located[3] + located[2] + db + de) > -(p // 2 + 11):  # log2, to a bit or two
         return None
     points = _around(located, from_man_exp(1, -(p // 2)), max(p, bits))
     for t, want in zip(points, ((-1) ** k, (-1) ** (k - 1))):
@@ -632,25 +629,27 @@ def _refine_sign_change(a, b, qf: Fraction, bits: int) -> tuple:
     """Narrow the sign change of f between grid points a < b < 0 by
     safeguarded Illinois regula falsi (Dowell & Jarratt, BIT 11, 1971)
     until the bracket is at most |a| 2^(8 - bits) wide, or until f comes
-    back at noise level; returns (x, f(x)) at the last iterate, PrecReals
-    at `bits`.  Every step rounds to nearest at `bits` on raw mpfs, and f
-    is read at each point off the integer kernel (_read).
+    back at noise level; returns (x, f(x)) at the last iterate, x tagged
+    `bits`.  Every step rounds to nearest at the working bits p on raw
+    mpfs, and f is read at each point off the integer kernel (_read).
 
     Both ends are first read at `bits`, the refinement's own precision
     (scan_zeros': at least the bits that certified them), and BracketError
-    is raised unless their signs are certified and opposite there.  Each
-    step evaluates f at the secant point of the ends' values, and halves
-    the value of an end kept twice in a row (Illinois).  It takes the
-    midpoint instead when the secant point is not strictly inside the
-    bracket, or when three secant steps in a row each failed to halve the
-    bracket: from a plain start the third is the first to use a halved
-    value, so Illinois gets one try before the midpoint, and no more than
-    four calls go to any halving.
+    is raised unless their signs are certified and opposite there.  p is
+    `bits` plus the bits past 16 that the better-read end loses there, so x
+    keeps all but 12 to 14 of `bits` (measured from q = 10^-6 to 99/100; at
+    p = bits x is short by the end's lost bits less 4).  Each step evaluates
+    f at the secant point of the ends' values, and halves the value of an
+    end kept twice in a row (Illinois).  It takes the midpoint instead when
+    the secant point is not strictly inside the bracket, or when three
+    secant steps in a row each failed to halve the bracket: from a plain
+    start the third is the first to use a halved value, so Illinois gets one
+    try before the midpoint, and no more than four calls go to any halving.
     """
     N = _NEAREST
 
     def half(t: tuple) -> tuple:
-        return mpf_div(t, ftwo, bits, N)
+        return mpf_div(t, ftwo, p, N)
 
     a, b = _raw(a, bits), _raw(b, bits)
     fa, fb = _read(a, qf, bits, True), _read(b, qf, bits, True)
@@ -660,18 +659,20 @@ def _refine_sign_change(a, b, qf: Fraction, bits: int) -> tuple:
             f"the sign change of f between {to_str(a, 8)} and {to_str(b, 8)} "
             f"does not survive at {bits} bits"
         )
+    if (p := bits + max(0, bits - max(fa.precision_bits, fb.precision_bits) - 16)) > bits:
+        fa, fb = _read(a, qf, p, True), _read(b, qf, p, True)
     wa, wb = fa._mpf_, fb._mpf_  # the ends' secant weights: f, halved while kept
     moved = 0  # the end the last step replaced: -1 for a, 1 for b
     misses = 0  # secant steps in a row that failed to halve the bracket
-    floor = mpf_pow_int(ftwo, 8 - bits, bits, N)  # the bracket's least relative width
+    floor = mpf_pow_int(ftwo, 8 - bits, p, N)  # the bracket's least relative width
     x, fx = a, fa
-    while mpf_lt(mpf_mul(mpf_abs(a, bits, N), floor, bits, N), width := mpf_sub(b, a, bits, N)):
-        step = mpf_div(mpf_mul(wb, width, bits, N), mpf_sub(wb, wa, bits, N), bits, N)
-        x = mpf_sub(b, step, bits, N)
+    while mpf_lt(mpf_mul(mpf_abs(a, p, N), floor, p, N), width := mpf_sub(b, a, p, N)):
+        step = mpf_div(mpf_mul(wb, width, p, N), mpf_sub(wb, wa, p, N), p, N)
+        x = mpf_sub(b, step, p, N)
         secant = misses < 3 and mpf_lt(a, x) and mpf_lt(x, b)
         if not secant:
-            x = half(mpf_add(a, b, bits, N))
-        fx = _read(x, qf, bits, True)
+            x = half(mpf_add(a, b, p, N))
+        fx = _read(x, qf, p, True)
         s = _sign(fx)
         if s == 0 or fx.precision_bits <= 1:
             break
@@ -685,8 +686,8 @@ def _refine_sign_change(a, b, qf: Fraction, bits: int) -> tuple:
             if moved == 1:
                 wa = half(wa)
             moved = 1
-        misses = misses + 1 if secant and mpf_lt(half(width), mpf_sub(b, a, bits, N)) else 0
-    return _tagged(x, bits), fx
+        misses = misses + 1 if secant and mpf_lt(half(width), mpf_sub(b, a, p, N)) else 0
+    return _tagged(x, p, bits), fx
 
 
 def scan_zeros(q, x_min, count: int) -> list[ZeroResult]:

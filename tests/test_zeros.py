@@ -758,7 +758,7 @@ def _replica_probe_sum(t, q: Fraction, p: int) -> tuple:
             x = m * um
             n += 1
             shift = x.bit_length() - p - n.bit_length()
-            if p >= zeros._PROBE_FLOOR_BITS and shift < peak - p - 2 * g - e - ue:
+            if p >= zeros._LADDER_MIN_BITS and shift < peak - p - 2 * g - e - ue:
                 shift = peak - p - 2 * g - e - ue
                 if 2 * (x.bit_length() - shift + g + 3) < uw:
                     uw = max(x.bit_length() - shift, n.bit_length()) + g + 3
@@ -1629,13 +1629,20 @@ def test_scan_zeros_raises_when_a_sign_change_is_lost_at_the_zero_precision():
     (at 4000 bits it changes sign in (-39.9, -39.5), (-42.9, -42) and
     (-46, -44.6)).  Trusting the grid's signs gave three zeros about 1%
     off, tagged 64..69 bits.  A refinement at 64 bits raises; the scan
-    refines at the bits that certified the cell's ends, and finds them."""
+    refines at the bits that certified the cell's ends, and each zero is
+    the same cell's refined at 4000 bits to all but 16 bits of its tag:
+    the ends lose about 130..150 bits to cancellation at 268 bits, which
+    the refinement works above its tag."""
     q = Fraction(99, 100)
     with pytest.raises(BracketError, match="does not survive at 64 bits"):
         zeros._refine_sign_change(-39.983755464297595, -39.58391790965462, q, 64)
     found = scan_zeros(q, -2 * 3 * float(q) ** -2 * 50, 3)
+    assert len(found) == 3
     for z, (lo, hi) in zip(found, [(-39.9, -39.5), (-42.9, -42), (-46, -44.6)]):
-        assert lo < z.x.value < hi and z.precision_bits == 268, z.k
+        x, tag = z.x.value, z.x.precision_bits
+        assert lo < x < hi and tag == z.precision_bits == 268, z.k
+        ref = zeros._refine_sign_change(z.bracket[0].value, z.bracket[1].value, q, 4000)[0].value
+        assert abs(x - ref) <= abs(ref) * mpf(2) ** (16 - tag), z.k
 
 
 SCAN_CASES = [(Q_HALF, 16), (Fraction(9, 19), 16), (Fraction(1, 10), 8)]
